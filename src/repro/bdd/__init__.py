@@ -31,8 +31,6 @@ from .governor import (Budget, BudgetExceeded, DeadlineExceeded, Governor,
 from .io import LoadError, dump, dumps_many, load, loads_many, transfer
 from .manager import Manager, ManagerStats
 from .node import TERMINAL_LEVEL, Node
-from .ops_extra import (conjoin_all, disjoin_all, essential_variables,
-                        swap_variables)
 from .restrict import constrain, restrict
 from .sanitize import Diagnostic, SanitizerError
 
@@ -76,8 +74,4 @@ __all__ = [
     "dumps_many",
     "loads_many",
     "transfer",
-    "conjoin_all",
-    "disjoin_all",
-    "swap_variables",
-    "essential_variables",
 ]

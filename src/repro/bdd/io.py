@@ -68,9 +68,8 @@ def load(manager: Manager, text: str,
     order).  Otherwise the BDD is rebuilt with ITE, which is correct
     for any variable order.
 
-    The direct path is what makes shipping frontiers between the
-    sharded-reachability coordinator and its workers cheap: both sides
-    encode the same circuit, so their orders always agree.
+    The direct path makes reloading a dump into a manager that encoded
+    the same circuit (the common round-trip) linear in the dump size.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != FORMAT_HEADER:

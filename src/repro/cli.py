@@ -86,7 +86,6 @@ from .harness.trajectory import compare_files
 from .reach.bfs import bfs_reachability, count_states
 from .reach.degrade import ON_BLOWUP_MODES
 from .reach.highdensity import high_density_reachability
-from .reach.shard import SELECTORS, FrontierSharder, ShardConfig
 from .reach.transition import TransitionRelation
 from .store.errors import StoreCorruptError, StoreError
 
@@ -178,32 +177,18 @@ def cmd_reach(args) -> int:
         tr = TransitionRelation(encoded,
                                 cluster_limit=args.cluster_limit)
         init = encoded.initial_states()
-    sharder = nullcontext(None)
-    if args.shards > 1:
-        config = ShardConfig(shards=args.shards,
-                             selector=args.shard_selector,
-                             min_frontier=args.shard_min_frontier,
-                             resplit_threshold=args.shard_resplit,
-                             node_budget=args.node_budget or 0,
-                             step_budget=args.step_budget or 0,
-                             deadline=args.deadline or 0.0)
-        sharder = FrontierSharder(tr, config,
-                                  spec=("blif-path", args.circuit))
     checkpointer = _reach_checkpointer(args, circuit)
-    with sharder as sh:
-        if args.method == "bfs":
-            result = bfs_reachability(tr, init,
-                                      max_iterations=args.max_iterations,
-                                      on_blowup=args.on_blowup,
-                                      sharder=sh,
-                                      checkpointer=checkpointer)
-        else:
-            subset = UNDER_APPROXIMATORS[args.method]
-            result = high_density_reachability(
-                tr, init, subset, threshold=args.threshold,
-                max_iterations=args.max_iterations,
-                on_blowup=args.on_blowup, sharder=sh,
-                checkpointer=checkpointer)
+    if args.method == "bfs":
+        result = bfs_reachability(tr, init,
+                                  max_iterations=args.max_iterations,
+                                  on_blowup=args.on_blowup,
+                                  checkpointer=checkpointer)
+    else:
+        subset = UNDER_APPROXIMATORS[args.method]
+        result = high_density_reachability(
+            tr, init, subset, threshold=args.threshold,
+            max_iterations=args.max_iterations,
+            on_blowup=args.on_blowup, checkpointer=checkpointer)
     states = count_states(result.reached, encoded.state_vars)
     print(f"method:     {args.method}")
     print(f"iterations: {result.iterations}")
@@ -215,13 +200,6 @@ def cmd_reach(args) -> int:
     if stats.total_aborts or stats.total_degradations:
         print(f"governor:   {stats.total_aborts} abort(s), "
               f"{stats.total_degradations} degradation(s)")
-    if result.shard_stats is not None:
-        sh = result.shard_stats
-        print(f"shards:     {args.shards} requested, "
-              f"{sh['shard_images']} sharded + "
-              f"{sh['sequential_images']} sequential image(s), "
-              f"{sh['pieces']} piece(s), {sh['resplits']} resplit(s), "
-              f"{sh['fallbacks']} fallback(s)")
     if checkpointer is not None:
         print(f"checkpoint: {checkpointer.name} "
               f"({checkpointer.saves} save(s) this run)")
@@ -634,25 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "traversal: fail (raise), degrade to "
                               "subsetted images (subset), or sift then "
                               "retry (retry-reorder)")
-    p_reach.add_argument("--shards", type=int, default=1,
-                         help="split every image disjunctively across "
-                              "this many persistent worker processes; "
-                              "the result is byte-identical to the "
-                              "sequential traversal (default: 1, "
-                              "sequential; docs/reach.md)")
-    p_reach.add_argument("--shard-selector", default="relation",
-                         choices=list(SELECTORS),
-                         help="split-variable selector: relation "
-                              "(cofactor shrinkage of the clusters), "
-                              "band or disjoint (decomposition points "
-                              "of the frontier)")
-    p_reach.add_argument("--shard-min-frontier", type=int, default=2000,
-                         help="frontiers below this many nodes are "
-                              "imaged sequentially (default: 2000)")
-    p_reach.add_argument("--shard-resplit", type=int, default=0,
-                         help="re-split a shard one variable deeper "
-                              "when its cofactored piece exceeds this "
-                              "many nodes (default: 0, disabled)")
     p_reach.add_argument("--checkpoint", default=None, metavar="DIR",
                          help="persist the traversal state to a BDD "
                               "store in DIR every --checkpoint-every "

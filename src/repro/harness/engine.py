@@ -43,7 +43,7 @@ import os
 import time
 import traceback
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_connections
 
@@ -327,12 +327,10 @@ def _pick_start_method(requested: str | None) -> str:
 class WorkerPool:
     """A persistent pool of worker processes with fault isolation.
 
-    Unlike :func:`run_tasks` — which historically spawned and tore down
-    its workers on every invocation — a ``WorkerPool`` keeps its worker
-    processes alive across :meth:`run` calls.  That is what makes the
-    sharded-reachability coordinator (:mod:`repro.reach.shard`)
-    economical: each worker builds its constrained transition relation
-    once and serves an image request per BFS step from a warm manager.
+    A ``WorkerPool`` keeps its worker processes alive across
+    :meth:`run` calls, so state a worker builds once (a manager, a
+    transition relation, warm caches) serves every later batch;
+    :func:`run_tasks` runs a single batch on a throwaway pool.
 
     The pool is lazy: workers are spawned on first use, never more than
     ``jobs`` of them, and a worker killed for a timeout or crash is

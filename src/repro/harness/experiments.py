@@ -23,9 +23,8 @@ from ..core.approx import (bdd_under_approx, c1, c2, heavy_branch_subset,
                            remap_under_approx, short_paths_subset)
 from ..core.decomp import DECOMPOSERS, decompose
 from ..fsm.encode import encode
-from ..reach import (FrontierSharder, PartialImagePolicy, ShardConfig,
-                     TransitionRelation, TraversalLimit,
-                     bfs_reachability, count_states,
+from ..reach import (PartialImagePolicy, TransitionRelation,
+                     TraversalLimit, bfs_reachability, count_states,
                      high_density_reachability)
 from .population import build_entries, make_circuit
 
@@ -198,12 +197,7 @@ def reachability_row(payload) -> dict:
         reaction to governor aborts (default ``"raise"``, in which case
         the abort escapes and the engine records a typed ``budget``
         failure row; ``"subset"``/``"retry-reorder"`` degrade through
-        the escalation ladder and the row completes normally),
-    ``shards``, ``shard_selector``, ``shard_min_frontier``
-        optional sharded-traversal policy (``shards`` > 1 routes every
-        image through a :class:`~repro.reach.shard.FrontierSharder`;
-        the reached set and traces are byte-identical either way, and
-        the row gains ``shards``/``resplits``/``shard_fallbacks``).
+        the escalation ladder and the row completes normally).
 
     The row's ``traverse_seconds`` is the paper-table number; the
     engine separately reports whole-task seconds including the circuit
@@ -215,19 +209,6 @@ def reachability_row(payload) -> dict:
     tr = TransitionRelation(encoded)
     init = encoded.initial_states()
     method = payload["method"]
-    shards = payload.get("shards", 1)
-    sharder = nullcontext(None)
-    if shards > 1:
-        config = ShardConfig(
-            shards=shards,
-            selector=payload.get("shard_selector", "relation"),
-            min_frontier=payload.get("shard_min_frontier", 2000),
-            node_budget=payload.get("node_budget") or 0,
-            step_budget=payload.get("step_budget") or 0)
-        sharder = FrontierSharder(
-            tr, config,
-            spec=("factory", payload["factory"],
-                  tuple(payload["args"])))
     row = {
         "key": f"{payload.get('name', circuit.name)}/{method}",
         "circuit": circuit.name,
@@ -246,10 +227,9 @@ def reachability_row(payload) -> dict:
                                              step_budget=step_budget)
     if method == "bfs":
         try:
-            with budget, sharder as sh:
+            with budget:
                 result = bfs_reachability(tr, init, deadline=deadline,
-                                          on_blowup=on_blowup,
-                                          sharder=sh)
+                                          on_blowup=on_blowup)
         except TraversalLimit:
             stats = encoded.manager.stats
             row.update(states=None, traverse_seconds=None,
@@ -277,10 +257,10 @@ def reachability_row(payload) -> dict:
             policy = PartialImagePolicy(subset=subset,
                                         trigger=pimg[0],
                                         threshold=pimg[1])
-        with budget, sharder as sh:
+        with budget:
             result = high_density_reachability(
                 tr, init, subset, threshold=threshold, partial=policy,
-                deadline=deadline, on_blowup=on_blowup, sharder=sh)
+                deadline=deadline, on_blowup=on_blowup)
     stats = encoded.manager.stats
     row.update(
         states=count_states(result.reached, encoded.state_vars),
@@ -293,8 +273,4 @@ def reachability_row(payload) -> dict:
         degradations=stats.total_degradations,
         manager_stats=stats.as_dict(),
     )
-    if result.shard_stats is not None:
-        row.update(shards=shards,
-                   resplits=result.shard_stats["resplits"],
-                   shard_fallbacks=result.shard_stats["fallbacks"])
     return row

@@ -31,14 +31,12 @@ int / str / bool / None fields
     Deterministic results (node counts, minterm counts, state counts,
     statuses).  Compared for exact equality — any difference is a
     *mismatch* and fails the comparison.
-``aborts`` / ``degradations`` / ``backend`` / ``shards`` /
-``resplits`` / ``shard_fallbacks`` / ``spec``
+``aborts`` / ``degradations`` / ``backend`` / ``spec``
     Optional fields (schema-compatible additions): the governor
-    counters, the node-store backend the row was produced on, the
-    sharded-traversal policy and fault counters, and the task payload
-    digest resume runs match against (:func:`spec_digest`).  Compared
-    exactly when both files carry them, skipped against baselines
-    written before the fields existed.
+    counters, the node-store backend the row was produced on, and the
+    task payload digest resume runs match against
+    (:func:`spec_digest`).  Compared exactly when both files carry
+    them, skipped against baselines written before the fields existed.
 other floats and nested objects
     Informational (timings inside manager stats etc.); ignored by the
     comparator.
@@ -229,11 +227,9 @@ _IGNORED_FIELDS = frozenset({"seconds", "manager_stats"})
 
 #: Optional row fields: compared exactly when both sides carry them,
 #: skipped when either side predates the field.  Lets newer runs add
-#: counters (governor aborts, degradation events, sharded-traversal
-#: policy and fault counters) and labels (the node-store backend)
-#: without invalidating every committed baseline.
+#: counters (governor aborts, degradation events) and labels (the
+#: node-store backend) without invalidating every committed baseline.
 _OPTIONAL_FIELDS = frozenset({"aborts", "degradations", "backend",
-                              "shards", "resplits", "shard_fallbacks",
                               "spec"})
 
 

@@ -8,9 +8,6 @@
 * :func:`governed_image` — the degrade-to-approximation escalation
   ladder both traversals use under resource budgets
   (``on_blowup="subset"|"retry-reorder"``).
-* :class:`FrontierSharder` — disjunctive frontier partitioning across
-  the persistent worker pool (``--shards``), byte-identical to the
-  sequential traversal.
 """
 
 from .backward import backward_reachability, can_reach
@@ -18,17 +15,10 @@ from .bfs import ReachResult, TraversalLimit, bfs_reachability, count_states
 from .degrade import ON_BLOWUP_MODES, governed_image, validate_on_blowup
 from .highdensity import (HighDensityResult, Subsetter,
                           high_density_reachability)
-from .shard import (SELECTORS, FrontierSharder, ShardConfig, ShardStats,
-                    choose_split_vars)
 from .transition import (ImageStats, PartialImagePolicy,
                          TransitionRelation)
 
 __all__ = [
-    "FrontierSharder",
-    "ShardConfig",
-    "ShardStats",
-    "SELECTORS",
-    "choose_split_vars",
     "TransitionRelation",
     "PartialImagePolicy",
     "ImageStats",

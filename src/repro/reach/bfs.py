@@ -14,7 +14,6 @@ from .transition import TransitionRelation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..store.checkpoint import ReachCheckpointer
-    from .shard import FrontierSharder
 
 
 class TraversalLimit(Exception):
@@ -36,9 +35,6 @@ class ReachResult:
     #: manager runtime snapshot taken when the traversal returned
     #: (cache hit rates, GC pauses, peak nodes); None for legacy callers
     manager_stats: ManagerStats | None = None
-    #: sharded-traversal counters (:meth:`ShardStats.as_dict`); None
-    #: for sequential runs
-    shard_stats: dict | None = None
 
 
 def count_states(reached: Function, state_vars: list[str]) -> int:
@@ -57,7 +53,6 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
                      on_blowup: str = "raise",
                      subset: Subsetter | None = None,
                      subset_threshold: int = 0,
-                     sharder: "FrontierSharder | None" = None,
                      checkpointer: "ReachCheckpointer | None" = None
                      ) -> ReachResult:
     """Classic breadth-first fixpoint: reached = lfp(init | image).
@@ -77,13 +72,6 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
     recovery images of the reached set; the final reached set is exact
     either way.
 
-    ``sharder`` routes every image through a
-    :class:`~repro.reach.shard.FrontierSharder` (disjunctive frontier
-    partitioning across a persistent worker pool) instead of directly
-    through :func:`governed_image`; the reached set, the traces, and
-    the iteration count are identical either way.  The caller owns the
-    sharder's lifetime (use it as a context manager).
-
     ``checkpointer`` persists the loop state (reached set, frontier,
     traces) to an on-disk store every few iterations and, when its
     ``resume`` flag is set, restarts the loop from the last saved
@@ -92,12 +80,6 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
     traces (see ``docs/persistence.md``).
     """
     validate_on_blowup(on_blowup)
-
-    def step_image(states: Function, **kwargs: object) -> Function:
-        if sharder is not None:
-            return sharder.image(states, on_blowup=on_blowup, **kwargs)
-        return governed_image(tr, states, on_blowup=on_blowup, **kwargs)
-
     start = time.perf_counter()
     reached = init
     frontier = init
@@ -128,9 +110,7 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
                     size_trace=size_trace,
                     frontier_trace=frontier_trace,
                     seconds=time.perf_counter() - start,
-                    manager_stats=reached.manager.stats,
-                    shard_stats=sharder.stats.as_dict()
-                    if sharder is not None else None)
+                    manager_stats=reached.manager.stats)
     while True:
         if frontier.is_false:
             if not degraded:
@@ -139,7 +119,8 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
             # the fixpoint with an exact image of the reached set
             # (allow_subset=False — approximating the recovery image
             # could falsely conclude convergence).
-            image, _ = step_image(reached, allow_subset=False)
+            image, _ = governed_image(tr, reached, on_blowup=on_blowup,
+                                      allow_subset=False)
             with shield(reached, on_blowup):
                 frontier = image - reached
                 if frontier.is_false:
@@ -154,11 +135,10 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
                                frontier_trace=frontier_trace,
                                seconds=time.perf_counter() - start,
                                complete=False,
-                               manager_stats=reached.manager.stats,
-                               shard_stats=sharder.stats.as_dict()
-                               if sharder is not None else None)
-        image, exact = step_image(frontier, subset=subset,
-                                  threshold=subset_threshold)
+                               manager_stats=reached.manager.stats)
+        image, exact = governed_image(tr, frontier, on_blowup=on_blowup,
+                                      subset=subset,
+                                      threshold=subset_threshold)
         if not exact:
             degraded = True
         with shield(frontier, on_blowup):
@@ -192,6 +172,4 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
                        size_trace=size_trace,
                        frontier_trace=frontier_trace,
                        seconds=time.perf_counter() - start,
-                       manager_stats=reached.manager.stats,
-                       shard_stats=sharder.stats.as_dict()
-                       if sharder is not None else None)
+                       manager_stats=reached.manager.stats)

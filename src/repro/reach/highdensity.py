@@ -27,16 +27,11 @@ from typing import TYPE_CHECKING
 from ..bdd.counting import density
 from ..bdd.function import Function
 from .bfs import ReachResult, TraversalLimit
-from .degrade import governed_image, shield, validate_on_blowup
+from .degrade import Subsetter, governed_image, shield, validate_on_blowup
 from .transition import PartialImagePolicy, TransitionRelation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..store.checkpoint import ReachCheckpointer
-    from .shard import FrontierSharder
-
-#: An under-approximation procedure fn(f, *, threshold=0) -> subset of
-#: f, the uniform signature of the UNDER_APPROXIMATORS registry.
-Subsetter = Callable[..., Function]
 
 
 @dataclass
@@ -57,7 +52,6 @@ def high_density_reachability(
         node_limit: int | None = None,
         deadline: float | None = None,
         on_blowup: str = "raise",
-        sharder: "FrontierSharder | None" = None,
         checkpointer: "ReachCheckpointer | None" = None
         ) -> HighDensityResult:
     """High-density traversal computing the exact reachable set.
@@ -79,12 +73,6 @@ def high_density_reachability(
         through the :mod:`repro.reach.degrade` escalation ladder using
         this traversal's own ``subset``/``threshold``.  Recovery images
         never subset, so the final reached set stays exact.
-    sharder:
-        Optional :class:`~repro.reach.shard.FrontierSharder` computing
-        the images disjunctively across a worker pool.  Images under a
-        ``partial`` policy stay sequential (partial-image subsetting is
-        a *deliberate* under-approximation; shard workers always image
-        exactly).  The caller owns the sharder's lifetime.
     checkpointer:
         Optional :class:`~repro.store.checkpoint.ReachCheckpointer`
         persisting the loop state every few iterations; resumed runs
@@ -93,13 +81,6 @@ def high_density_reachability(
         ``docs/persistence.md``).
     """
     validate_on_blowup(on_blowup)
-
-    def step_image(states: Function, **kwargs: object) -> Function:
-        if sharder is not None and kwargs.get("partial") is None:
-            kwargs.pop("partial", None)
-            return sharder.image(states, on_blowup=on_blowup, **kwargs)
-        return governed_image(tr, states, on_blowup=on_blowup, **kwargs)
-
     start = time.perf_counter()
     reached = init
     new = init
@@ -128,7 +109,7 @@ def high_density_reachability(
             if meta.get("complete"):
                 return _result(reached, iterations, size_trace,
                                frontier_trace, densities, recoveries,
-                               start, complete=True, sharder=sharder)
+                               start, complete=True)
 
     def save_state(save: "Callable[..., None]") -> None:
         save({"reached": reached, "new": new},
@@ -143,7 +124,8 @@ def high_density_reachability(
             # exact image of the reached set (never subsetted — an
             # approximate recovery image could falsely conclude the
             # fixpoint was reached).
-            image, _ = step_image(reached, allow_subset=False)
+            image, _ = governed_image(tr, reached, on_blowup=on_blowup,
+                                      allow_subset=False)
             with shield(reached, on_blowup):
                 new = image - reached
                 if new.is_false:
@@ -153,7 +135,7 @@ def high_density_reachability(
         if max_iterations is not None and iterations >= max_iterations:
             return _result(reached, iterations, size_trace,
                            frontier_trace, densities, recoveries,
-                           start, complete=False, sharder=sharder)
+                           start, complete=False)
         with shield(new, on_blowup):
             frontier = subset(new, threshold=threshold)
         if frontier.is_false:
@@ -162,8 +144,9 @@ def high_density_reachability(
             frontier = new
         frontier_trace.append(len(frontier))
         densities.append(density(frontier))
-        image, _exact = step_image(frontier, subset=subset,
-                                   threshold=threshold, partial=partial)
+        image, _exact = governed_image(tr, frontier, on_blowup=on_blowup,
+                                       subset=subset, threshold=threshold,
+                                       partial=partial)
         with shield(frontier, on_blowup):
             new = image - reached
             reached = reached | new
@@ -184,20 +167,16 @@ def high_density_reachability(
     if checkpointer is not None:
         save_state(checkpointer.finish)
     return _result(reached, iterations, size_trace, frontier_trace,
-                   densities, recoveries, start, complete=True,
-                   sharder=sharder)
+                   densities, recoveries, start, complete=True)
 
 
 def _result(reached: Function, iterations: int, size_trace: list[int],
             frontier_trace: list[int], densities: list[float],
-            recoveries: int, start: float, complete: bool,
-            sharder: "FrontierSharder | None" = None
+            recoveries: int, start: float, complete: bool
             ) -> HighDensityResult:
     return HighDensityResult(
         reached=reached, iterations=iterations, size_trace=size_trace,
         frontier_trace=frontier_trace,
         seconds=time.perf_counter() - start, complete=complete,
         subset_densities=densities, recoveries=recoveries,
-        manager_stats=reached.manager.stats,
-        shard_stats=sharder.stats.as_dict()
-        if sharder is not None else None)
+        manager_stats=reached.manager.stats)

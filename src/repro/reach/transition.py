@@ -149,36 +149,6 @@ class TransitionRelation:
         self.stats.images += 1
         return product
 
-    def constrain(self, assignment: dict[str, bool]
-                  ) -> "TransitionRelation":
-        """A copy of the relation cofactored by a variable assignment.
-
-        Shannon expansion on a quantified variable distributes the
-        image over the assignment's cube space::
-
-            image(f)  =  OR over cubes c  of  T|c . image of f|c
-
-        so a disjunctive shard worker (:mod:`repro.reach.shard`) holds
-        ``constrain(cube)`` and computes images of cofactored frontier
-        pieces: the cube constraint is paid once here, at construction,
-        instead of being re-propagated through the cluster conjunction
-        on every step.  Constrained variables vanish from the cluster
-        supports, so the quantification schedule drops them; if a
-        states argument still mentions one, the free-variable sweep of
-        :meth:`image` quantifies it away.
-        """
-        clone = object.__new__(TransitionRelation)
-        clone.encoded = self.encoded
-        clone.manager = self.manager
-        clone.cluster_limit = self.cluster_limit
-        clone.stats = ImageStats()
-        clone.clusters = [cluster.cofactor(assignment)
-                          for cluster in self.clusters]
-        clone._rename_to_present = self._rename_to_present
-        clone._rename_to_next = self._rename_to_next
-        clone._schedule()
-        return clone
-
     def monolithic(self) -> Function:
         """The full relation (for tests on small circuits)."""
         result = self.manager.true

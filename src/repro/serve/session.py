@@ -35,7 +35,6 @@ from ..fsm.encode import encode
 from ..reach.bfs import bfs_reachability, count_states
 from ..reach.degrade import ON_BLOWUP_MODES
 from ..reach.highdensity import high_density_reachability
-from ..reach.shard import SELECTORS, FrontierSharder, ShardConfig
 from ..reach.transition import TransitionRelation
 from .protocol import (E_BAD_HANDLE, E_BAD_REQUEST, E_UNKNOWN_VERB,
                        ProtocolError)
@@ -89,6 +88,19 @@ def _require(params: dict[str, Any], key: str, kind: type,
             and kind is not bool:
         raise ProtocolError(E_BAD_REQUEST,
                             f"parameter {key!r} must be {what}")
+    return value
+
+
+def _int_param(params: dict[str, Any], key: str, default: int, *,
+               minimum: int | None = None) -> int:
+    """An optional integer parameter: an int (never a bool), at least
+    ``minimum`` when one is given."""
+    value = params.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool) \
+            or minimum is not None and value < minimum:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ProtocolError(
+            E_BAD_REQUEST, f"parameter {key!r} must be an integer{bound}")
     return value
 
 
@@ -314,12 +326,8 @@ class Session:
                 f"unknown approximation method {method!r}; known: "
                 f"{', '.join(UNDER_APPROXIMATORS)}")
         f = self.resolve(params, "f")
-        threshold = params.get("threshold", 0)
-        if not isinstance(threshold, int) \
-                or isinstance(threshold, bool):
-            raise ProtocolError(E_BAD_REQUEST,
-                                "threshold must be an integer")
-        kwargs: dict[str, Any] = {"threshold": threshold}
+        kwargs: dict[str, Any] = {
+            "threshold": _int_param(params, "threshold", 0)}
         if "quality" in params:
             kwargs["quality"] = float(params["quality"])
         approximation = approximator(f, **kwargs)
@@ -394,24 +402,18 @@ class Session:
                     budget: Budget) -> dict[str, Any]:
         blif = _require(params, "blif", str, "BLIF text")
         method = params.get("method", "bfs")
-        shards = params.get("shards", 1)
-        if not isinstance(shards, int) or shards < 1:
-            raise ProtocolError(E_BAD_REQUEST,
-                                "shards must be a positive integer")
-        selector = params.get("shard_selector", "relation")
-        if selector not in SELECTORS:
-            raise ProtocolError(
-                E_BAD_REQUEST,
-                f"shard_selector must be one of {', '.join(SELECTORS)}")
-        min_frontier = params.get("shard_min_frontier", 2000)
         on_blowup = params.get("on_blowup", "raise")
         if on_blowup not in ON_BLOWUP_MODES:
             raise ProtocolError(
                 E_BAD_REQUEST,
                 f"unknown on_blowup mode {on_blowup!r}; known: "
                 f"{', '.join(ON_BLOWUP_MODES)}")
-        max_iterations = params.get("max_iterations")
-        threshold = params.get("threshold", 0)
+        # Null (the default) runs to the fixpoint.
+        max_iterations: int | None = None
+        if params.get("max_iterations") is not None:
+            max_iterations = _int_param(params, "max_iterations", 0,
+                                        minimum=0)
+        threshold = _int_param(params, "threshold", 0)
         try:
             circuit = parse_blif(blif)
         except BlifError as exc:
@@ -426,52 +428,31 @@ class Session:
                   if on_blowup != "raise" else nullcontext()):
                 tr = TransitionRelation(encoded)
                 init = encoded.initial_states()
-            sharder = nullcontext(None)
-            if shards > 1:
-                # Workers rebuild the relation from the request's own
-                # BLIF text, so a sharded serve query needs no shared
-                # filesystem with the daemon.
-                sharder = FrontierSharder(
-                    tr, ShardConfig(shards=shards, selector=selector,
-                                    min_frontier=min_frontier,
-                                    node_budget=budget.node_budget or 0,
-                                    step_budget=budget.step_budget or 0,
-                                    deadline=budget.deadline or 0.0),
-                    spec=("blif-text", blif))
-            with sharder as sh:
-                if method == "bfs":
-                    result = bfs_reachability(
-                        tr, init, max_iterations=max_iterations,
-                        on_blowup=on_blowup, sharder=sh)
-                elif method in UNDER_APPROXIMATORS:
-                    result = high_density_reachability(
-                        tr, init, UNDER_APPROXIMATORS[method],
-                        threshold=threshold,
-                        max_iterations=max_iterations,
-                        on_blowup=on_blowup, sharder=sh)
-                else:
-                    raise ProtocolError(
-                        E_BAD_REQUEST,
-                        f"unknown reach method {method!r}; known: bfs, "
-                        f"{', '.join(UNDER_APPROXIMATORS)}")
+            if method == "bfs":
+                result = bfs_reachability(
+                    tr, init, max_iterations=max_iterations,
+                    on_blowup=on_blowup)
+            elif method in UNDER_APPROXIMATORS:
+                result = high_density_reachability(
+                    tr, init, UNDER_APPROXIMATORS[method],
+                    threshold=threshold, max_iterations=max_iterations,
+                    on_blowup=on_blowup)
+            else:
+                raise ProtocolError(
+                    E_BAD_REQUEST,
+                    f"unknown reach method {method!r}; known: bfs, "
+                    f"{', '.join(UNDER_APPROXIMATORS)}")
         stats = manager.stats
-        reply = {"circuit": circuit.name,
-                 "method": method,
-                 "iterations": result.iterations,
-                 "complete": result.complete,
-                 "states": count_states(result.reached,
-                                        encoded.state_vars),
-                 "reached_nodes": len(result.reached),
-                 "seconds": result.seconds,
-                 "aborts": stats.total_aborts,
-                 "degradations": stats.total_degradations}
-        if result.shard_stats is not None:
-            reply["shards"] = shards
-            reply["shard_images"] = result.shard_stats["shard_images"]
-            reply["pieces"] = result.shard_stats["pieces"]
-            reply["resplits"] = result.shard_stats["resplits"]
-            reply["fallbacks"] = result.shard_stats["fallbacks"]
-        return reply
+        return {"circuit": circuit.name,
+                "method": method,
+                "iterations": result.iterations,
+                "complete": result.complete,
+                "states": count_states(result.reached,
+                                       encoded.state_vars),
+                "reached_nodes": len(result.reached),
+                "seconds": result.seconds,
+                "aborts": stats.total_aborts,
+                "degradations": stats.total_degradations}
 
     def _require_store(self) -> "BDDStore":
         store = self.config.store

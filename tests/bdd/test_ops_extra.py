@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.bdd import (Manager, conjoin_all, disjoin_all,
-                       essential_variables, swap_variables)
-from repro.bdd import ops_extra
+from repro.bdd import Manager
 
 from ..helpers import fresh_manager
 
@@ -19,37 +15,31 @@ class TestNary:
         expected = m.true
         for f in funcs:
             expected = expected & f
-        assert conjoin_all(m, funcs) == expected
+        assert m.conjoin(funcs) == expected
 
     def test_disjoin_matches_fold(self, random_functions):
         m, funcs = random_functions
         expected = m.false
         for f in funcs:
             expected = expected | f
-        assert disjoin_all(m, funcs) == expected
+        assert m.disjoin(funcs) == expected
 
     def test_empty(self):
         m = Manager()
-        assert conjoin_all(m, []).is_true
-        assert disjoin_all(m, []).is_false
+        assert m.conjoin([]).is_true
+        assert m.disjoin([]).is_false
 
     def test_cross_manager_rejected(self):
         m1, vs1 = fresh_manager(2)
         m2, vs2 = fresh_manager(2)
         with pytest.raises(ValueError):
-            conjoin_all(m1, [vs1[0], vs2[0]])
+            m1.disjoin([vs1[0], vs2[0]])
 
     def test_manager_methods(self, random_functions):
         m, funcs = random_functions
-        assert m.conjoin(funcs) == conjoin_all(m, funcs)
-        assert m.disjoin(funcs) == disjoin_all(m, funcs)
-        assert m.conjoin([]).is_true
-        assert m.disjoin([]).is_false
-
-    def test_module_functions_are_aliases(self, random_functions):
-        m, funcs = random_functions
-        # conjoin_all/disjoin_all stay importable but defer to Manager.
-        assert conjoin_all(m, funcs[:3]) == m.conjoin(funcs[:3])
+        # Any iterable, consumed once, in any order.
+        assert m.conjoin(iter(funcs)) == m.conjoin(funcs[::-1])
+        assert m.disjoin(iter(funcs)) == m.disjoin(funcs[::-1])
 
     def test_manager_method_rejects_foreign(self):
         m1, vs1 = fresh_manager(2)
@@ -63,98 +53,36 @@ class TestSwapVariables:
         m, funcs = random_functions
         pairs = {"x0": "x5", "x2": "x7"}
         for f in funcs[:4]:
-            assert swap_variables(swap_variables(f, pairs), pairs) == f
+            assert f.swap_variables(pairs).swap_variables(pairs) == f
 
     def test_swap_semantics(self):
         m, vs = fresh_manager(4)
         f = vs[0] & ~vs[1]
-        g = swap_variables(f, {"x0": "x1"})
+        g = f.swap_variables({"x0": "x1"})
         assert g == (vs[1] & ~vs[0])
 
     def test_present_next_swap(self):
         m = Manager(vars=["q", "q'"])
         q, qn = m.var("q"), m.var("q'")
         f = q & ~qn
-        assert swap_variables(f, {"q": "q'"}) == (qn & ~q)
+        assert f.swap_variables({"q": "q'"}) == (qn & ~q)
 
 
 class TestEssentialVariables:
     def test_cube(self):
         m, vs = fresh_manager(4)
         cube = vs[0] & ~vs[2]
-        assert essential_variables(cube) == {"x0": True, "x2": False}
+        assert cube.essential_variables() == {"x0": True, "x2": False}
 
     def test_disjunction_has_none(self):
         m, vs = fresh_manager(2)
-        assert essential_variables(vs[0] | vs[1]) == {}
+        assert (vs[0] | vs[1]).essential_variables() == {}
 
     def test_mixed(self):
         m, vs = fresh_manager(3)
         f = vs[0] & (vs[1] | vs[2])
-        assert essential_variables(f) == {"x0": True}
+        assert f.essential_variables() == {"x0": True}
 
     def test_false(self):
         m = Manager(vars=["a"])
-        assert essential_variables(m.false) == {}
-
-
-class TestDeprecationShims:
-    """The ops_extra module-level functions are deprecated aliases:
-    each must emit a DeprecationWarning naming its replacement AND
-    return exactly what the replacement returns."""
-
-    def test_conjoin_all_warns_and_matches(self, random_functions):
-        m, funcs = random_functions
-        with pytest.warns(DeprecationWarning,
-                          match=r"conjoin_all is deprecated.*"
-                                r"Manager\.conjoin"):
-            via_shim = ops_extra.conjoin_all(m, funcs)
-        assert via_shim == m.conjoin(funcs)
-
-    def test_disjoin_all_warns_and_matches(self, random_functions):
-        m, funcs = random_functions
-        with pytest.warns(DeprecationWarning,
-                          match=r"disjoin_all is deprecated.*"
-                                r"Manager\.disjoin"):
-            via_shim = ops_extra.disjoin_all(m, funcs)
-        assert via_shim == m.disjoin(funcs)
-
-    def test_swap_variables_warns_and_matches(self, random_functions):
-        m, funcs = random_functions
-        pairs = {"x1": "x6", "x3": "x9"}
-        for f in funcs[:3]:
-            with pytest.warns(DeprecationWarning,
-                              match=r"swap_variables is deprecated.*"
-                                    r"Function\.swap_variables"):
-                via_shim = ops_extra.swap_variables(f, pairs)
-            assert via_shim == f.swap_variables(pairs)
-
-    def test_essential_variables_warns_and_matches(self):
-        m, vs = fresh_manager(4)
-        f = vs[0] & ~vs[3] & (vs[1] | vs[2])
-        with pytest.warns(
-                DeprecationWarning,
-                match=r"essential_variables is deprecated.*"
-                      r"Function\.essential_variables"):
-            via_shim = ops_extra.essential_variables(f)
-        assert via_shim == f.essential_variables()
-        assert via_shim == {"x0": True, "x3": False}
-
-    def test_warning_points_at_caller(self):
-        """stacklevel is set so the warning blames this file, not the
-        shim module — that is what makes the deprecation actionable."""
-        m, vs = fresh_manager(2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ops_extra.essential_variables(vs[0])
-        assert len(caught) == 1
-        assert caught[0].filename == __file__
-
-    def test_new_apis_do_not_warn(self, random_functions):
-        m, funcs = random_functions
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            m.conjoin(funcs[:3])
-            m.disjoin(funcs[:3])
-            funcs[0].swap_variables({"x0": "x1"})
-            funcs[0].essential_variables()
+        assert m.false.essential_variables() == {}

@@ -214,7 +214,7 @@ def report_pid(payload):
 
 
 class TestWorkerPool:
-    """Persistent workers: the property the sharder relies on."""
+    """Persistent workers: one process serves many runs."""
 
     def test_workers_persist_across_runs(self):
         with WorkerPool(report_pid, jobs=2) as pool:

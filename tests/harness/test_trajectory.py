@@ -148,23 +148,6 @@ class TestCompare:
         assert report.mismatched[0].mismatches \
             == {"backend": ("object", "array")}
 
-    def test_optional_shard_fields_skipped_when_absent(self):
-        # Baselines written before sharded traversal carry no
-        # shards/resplits/shard_fallbacks fields; sharded rows still
-        # compare clean against them — in either direction — but two
-        # sharded files must agree exactly.
-        old = [{"key": "a", "states": 100}]
-        new = [{"key": "a", "states": 100, "shards": 2, "resplits": 1,
-                "shard_fallbacks": 0}]
-        assert compare(payload_with(old), payload_with(new)).ok
-        assert compare(payload_with(new), payload_with(old)).ok
-        other = [{"key": "a", "states": 100, "shards": 2, "resplits": 1,
-                  "shard_fallbacks": 3}]
-        report = compare(payload_with(other), payload_with(new))
-        assert not report.ok
-        assert report.mismatched[0].mismatches \
-            == {"shard_fallbacks": (3, 0)}
-
     def test_floats_and_manager_stats_ignored(self):
         base = [{"key": "a", "density": 0.5,
                  "manager_stats": {"nodes": 1}}]

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.fsm.benchmarks import comm_controller, counter
+from repro.fsm.benchmarks import counter
 from repro.fsm.blif import write_blif
 from repro.serve import MAX_LINE, Client, ClientTimeout, ServerError
 
@@ -208,25 +208,20 @@ def test_reach_rejects_bad_blif(client):
     assert excinfo.value.code == "bad-request"
 
 
-def test_reach_verb_sharded_matches_sequential(client):
-    blif = write_blif(comm_controller(3))
-    sequential = client.reach(blif)
-    sharded = client.reach(blif, shards=2, shard_min_frontier=0)
-    for key in ("states", "iterations", "reached_nodes", "complete"):
-        assert sharded[key] == sequential[key], key
-    assert sharded["shards"] == 2
-    assert sharded["shard_images"] > 0
-    assert sharded["fallbacks"] == 0
-    assert "shards" not in sequential
-
-
-def test_reach_rejects_bad_shard_params(client):
+def test_reach_rejects_bad_int_params(client):
     blif = write_blif(counter(3))
-    for params in ({"shards": 0}, {"shards": "two"},
-                   {"shards": 2, "shard_selector": "nope"}):
+    for params in ({"max_iterations": "3"}, {"max_iterations": True},
+                   {"max_iterations": -1}, {"max_iterations": 2.0},
+                   {"method": "rua", "threshold": "x"},
+                   {"method": "rua", "threshold": False}):
         with pytest.raises(ServerError) as excinfo:
             client.reach(blif, **params)
-        assert excinfo.value.code == "bad-request"
+        assert excinfo.value.code == "bad-request", params
+    # Null is "no limit", 0 stops before the first image.
+    assert client.reach(blif, max_iterations=None)["complete"] is True
+    stopped = client.reach(blif, max_iterations=0)
+    assert stopped["complete"] is False
+    assert stopped["iterations"] == 0
 
 
 def test_hung_server_raises_client_timeout():

@@ -6,8 +6,7 @@ the loop *after* iteration ``k``'s checkpoint exactly like a kill -9
 between iterations would).  A fresh process — new manager, new
 checkpointer with ``resume=True`` — must then finish the traversal and
 produce a reached set whose :func:`repro.bdd.dump` bytes equal an
-uninterrupted oracle's, on both node-store backends, sequential and
-sharded.
+uninterrupted oracle's, on both node-store backends.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from repro.bdd import dump
 from repro.core.approx import remap_under_approx
 from repro.fsm import encode
 from repro.fsm.benchmarks import counter, token_ring
-from repro.reach import (FrontierSharder, ShardConfig,
-                         TransitionRelation, bfs_reachability,
+from repro.reach import (TransitionRelation, bfs_reachability,
                          high_density_reachability)
 from repro.store import BDDStore, ReachCheckpointer, StoreError
 from repro.store.checkpoint import reach_spec
@@ -154,28 +152,4 @@ def test_high_density_resume(backend, tmp_path):
     run(False, max_iterations=2)
     resumed = run(True)
     assert dump(resumed.reached) == dump(oracle.reached)
-    assert resumed.iterations == oracle.iterations
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sharded_resume_matches_sequential(backend, tmp_path):
-    """Kill a sharded traversal, resume it sharded; the reached set
-    equals the sequential uninterrupted oracle's bytes."""
-    oracle = bfs_reachability(*traversal(backend))
-    expected = dump(oracle.reached)
-
-    def run(resume, max_iterations=None):
-        tr, init = traversal(backend)
-        ck = ReachCheckpointer(BDDStore(tmp_path / "s"),
-                               "reach/counter5", spec=SPEC,
-                               resume=resume)
-        with FrontierSharder(tr, ShardConfig(shards=2,
-                                             min_frontier=0)) as sh:
-            return bfs_reachability(tr, init,
-                                    max_iterations=max_iterations,
-                                    sharder=sh, checkpointer=ck)
-
-    run(False, max_iterations=11)
-    resumed = run(True)
-    assert dump(resumed.reached) == expected
     assert resumed.iterations == oracle.iterations

@@ -318,17 +318,35 @@ class TestReachCheckpoint:
         assert "(1 save(s) this run)" in out
 
 
+#: ``repro`` CLI entry that SIGKILLs itself right after the traversal's
+#: first checkpoint save: a kill at a known iteration, not a race
+#: against the process finishing on its own.
+KILL_AFTER_FIRST_SAVE = """
+import os, signal, sys
+from repro.cli import main
+from repro.store.checkpoint import ReachCheckpointer
+
+step = ReachCheckpointer.step
+
+def step_then_die(self, roots, meta):
+    step(self, roots, meta)
+    if self.saves:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+ReachCheckpointer.step = step_then_die
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestKillResume:
     def test_kill9_mid_run_then_resume_byte_identical(self, tmp_path):
-        """The ISSUE.md acceptance scenario end to end: kill -9 a
-        checkpointing reach mid-flight, resume it, and the resumed
-        output (reached set included) matches an uninterrupted
+        """kill -9 a checkpointing reach mid-flight, resume it, and the
+        resumed output (reached set included) matches an uninterrupted
         sequential run exactly."""
         import os
         import signal
         import subprocess
         import sys
-        import time
 
         from repro.fsm.benchmarks import counter
         from repro.fsm.blif import write_blif
@@ -337,6 +355,7 @@ class TestKillResume:
         blif = tmp_path / "counter.blif"
         blif.write_text(write_blif(counter(6)))
         ck = tmp_path / "ck"
+        name = f"reach/{counter(6).name}/bfs"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(
@@ -348,35 +367,17 @@ class TestKillResume:
             capture_output=True, text=True, env=env, timeout=120)
         assert oracle.returncode == 0, oracle.stderr
 
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "reach", str(blif),
-             "--checkpoint", str(ck)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        try:
-            # Kill as soon as the first checkpoint lands on disk —
-            # mid-traversal by construction (counter(6) runs 63
-            # iterations).
-            deadline = time.monotonic() + 60
-            store = None
-            while time.monotonic() < deadline:
-                if process.poll() is not None:
-                    break
-                try:
-                    store = BDDStore(ck, create=False)
-                    if len(store) > 0:
-                        break
-                except Exception:
-                    pass
-                time.sleep(0.01)
-            assert process.poll() is None, (
-                "traversal finished before the kill; enlarge the "
-                "circuit")
-            process.send_signal(signal.SIGKILL)
-            process.wait(timeout=30)
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=30)
+        killed = subprocess.run(
+            [sys.executable, "-c", KILL_AFTER_FIRST_SAVE, "reach",
+             str(blif), "--checkpoint", str(ck)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        # The kill landed mid-traversal (counter(6) runs 63
+        # iterations): the checkpoint holds iteration 1, incomplete.
+        from repro.bdd import Manager
+        _, extra = BDDStore(ck, create=False).load_roots(Manager(), name)
+        assert extra["meta"]["iterations"] == 1
+        assert "complete" not in extra["meta"]
 
         resumed = subprocess.run(
             [sys.executable, "-m", "repro", "reach", str(blif),
@@ -389,14 +390,13 @@ class TestKillResume:
         # Byte-level check on the reached set itself, not just the
         # summary: the final checkpoint's reached-set dump equals a
         # fresh in-process oracle's.
-        from repro.bdd import Manager, dump
+        from repro.bdd import dump
         from repro.fsm import encode
         from repro.reach import TransitionRelation, bfs_reachability
 
         encoded = encode(counter(6))
         result = bfs_reachability(TransitionRelation(encoded),
                                   encoded.initial_states())
-        roots, extra = BDDStore(ck).load_roots(
-            Manager(), f"reach/{counter(6).name}/bfs")
+        roots, extra = BDDStore(ck).load_roots(Manager(), name)
         assert extra["meta"]["complete"] is True
         assert dump(roots["reached"]) == dump(result.reached)

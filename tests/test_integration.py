@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bdd import conjoin_all, dump, load, transfer, Manager
+from repro.bdd import dump, load, transfer, Manager
 from repro.core.approx import (c1, remap_under_approx,
                                short_paths_subset)
 from repro.core.decomp import (conjoin, decompose, mcmillan_decompose)
@@ -62,7 +62,7 @@ class TestFullPipeline:
         factors = mcmillan_decompose(partial.reached)
         assert conjoin(factors) == partial.reached
         manager = partial.reached.manager
-        assert conjoin_all(manager, factors) == partial.reached
+        assert manager.conjoin(factors) == partial.reached
 
     def test_serialize_reached_set_across_managers(self, traversal):
         circuit, encoded, tr, partial = traversal
