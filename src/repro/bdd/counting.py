@@ -81,6 +81,8 @@ def sat_count(function: "Function", nvars: int | None = None) -> int:
     root = function.node
     if nvars is None:
         nvars = manager.num_vars
+    if nvars < 0:
+        raise ValueError(f"nvars={nvars} must be non-negative")
     if store.is_terminal(root):
         return store.value_of(root) << nvars
     level_of = store.level_of

@@ -263,9 +263,10 @@ class Function:
         if self.is_false:
             return out
         for name in self.support():
-            if self.cofactor({name: False}).is_false:
+            x = self.manager.var(name)
+            if self <= x:
                 out[name] = True
-            elif self.cofactor({name: True}).is_false:
+            elif self <= ~x:
                 out[name] = False
         return out
 

@@ -1,7 +1,8 @@
 """Core BDD operations on raw handles: ITE, apply, compose, cofactor.
 
 All functions here are memoized through the manager's op-tagged
-:class:`~repro.bdd.computed.ComputedTable`.
+:class:`~repro.bdd.computed.ComputedTable`, except
+:func:`cofactor_sizes_node`, which builds nothing and returns sizes.
 Results are canonical handles in the same manager.  The node-level API
 is used by the approximation/decomposition algorithms; user code should
 go through :class:`~repro.bdd.function.Function`.
@@ -31,6 +32,7 @@ from typing import TYPE_CHECKING, Any
 
 from .governor import CHECK_STRIDE
 from .manager import Manager
+from .traversal import nodes_by_level
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .backend import NodeStore
@@ -429,6 +431,109 @@ def cofactor_node(manager: Manager, f: Any,
         else:  # _FORWARD: memoize the single child's result as our own
             cache_put("cof", frame[1], values[-1])
     return values[0]
+
+
+def cofactor_sizes_node(manager: Manager,
+                        f: Any) -> dict[int, tuple[int, int]]:
+    """Exact ``(|f_x|, |f_x'|)`` for every support level, building nothing.
+
+    For each support level ``L`` and each phase, the nodes of ``f`` at
+    or above ``L`` are mapped bottom-up to their images in the
+    cofactor: a node at ``L`` maps to its hi (lo) child, a node whose
+    mapped children are equal is reduced away, a node whose children
+    are unchanged maps to itself, and any other node maps to the
+    store's existing node ``(level, hi', lo')`` when there is one, else
+    to a *scratch* node hash-consed per pass on that triple.  Scratch
+    handles are negative ints, so they never equal a real handle on
+    either backend.  Nodes below ``L`` are unchanged.  The cofactor's
+    size is the number of distinct internal images reachable from the
+    root's image, marked top-down in ``f``'s level order.
+
+    O(|support| * |f|) time and O(|f|) scratch memory per pass; no node
+    and no computed-table entry is created, so an abort at the ``"cof"``
+    checkpoint leaves nothing to unwind.
+    """
+    store = manager.store
+    nodes = nodes_by_level(store, f)
+    n = len(nodes)
+    level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
+    find = store.find
+    # f's nodes root-first (a topological order: children always sit at
+    # larger indices), then the two terminals at n and n + 1, so every
+    # arc is a pair of list indices.
+    nodes += (store.zero, store.one)
+    index = {node: i for i, node in enumerate(nodes)}
+    levels = [level_of(node) for node in nodes[:n]]
+    his = [index[hi_of(node)] for node in nodes[:n]]
+    los = [index[lo_of(node)] for node in nodes[:n]]
+    # Index of the first node of each level, then n.
+    starts = [i for i in range(n) if not i or levels[i] != levels[i - 1]]
+    starts.append(n)
+
+    check = manager.governor.checkpoint
+    ticks = 0
+
+    sizes: dict[int, tuple[int, int]] = {}
+    for top, end in zip(starts, starts[1:]):
+        # Rebuilt nodes of this pass, hash-consed: (level, hi', lo') ->
+        # the store's node, or a scratch id when the store has none.
+        made: dict[tuple[int, Any, Any], Any] = {}
+        scratch: set[int] = set()
+        pair: list[int] = []
+        for kids in (his, los):
+            # image[i] is node i's image; rep[i] the index of a node
+            # whose image is the same and carries it as its own (i
+            # itself unless i sits at L or is reduced away).
+            image = nodes[:]
+            rep = list(range(n + 2))
+            for i in range(top, end):
+                rep[i] = kids[i]
+                image[i] = nodes[kids[i]]
+            for i in range(top - 1, -1, -1):
+                ticks += 1
+                if not ticks & _MASK:
+                    check("cof")
+                hi, lo = his[i], los[i]
+                hi_image, lo_image = image[hi], image[lo]
+                if hi_image == lo_image:
+                    image[i] = hi_image
+                    rep[i] = rep[hi]
+                elif hi_image != nodes[hi] or lo_image != nodes[lo]:
+                    key = (levels[i], hi_image, lo_image)
+                    mapped = made.get(key)
+                    if mapped is None:
+                        if hi_image not in scratch \
+                                and lo_image not in scratch:
+                            mapped = find(*key)
+                        if mapped is None:
+                            mapped = -1 - len(scratch)
+                            scratch.add(mapped)
+                        made[key] = mapped
+                    image[i] = mapped
+            # Mark what the root's image reaches.  Above L two nodes
+            # can share an image, so those are counted by handle; below
+            # L every node is its own image.
+            mark = bytearray(n + 2)
+            mark[rep[0]] = 1
+            seen: set[Any] = set()
+            for i in range(top):
+                ticks += 1
+                if not ticks & _MASK:
+                    check("cof")
+                if mark[i]:
+                    seen.add(image[i])
+                    mark[rep[his[i]]] = 1
+                    mark[rep[los[i]]] = 1
+            for i in range(end, n):
+                ticks += 1
+                if not ticks & _MASK:
+                    check("cof")
+                if mark[i]:
+                    mark[his[i]] = 1
+                    mark[los[i]] = 1
+            pair.append(len(seen) + mark.count(1, end, n))
+        sizes[levels[top]] = (pair[0], pair[1])
+    return sizes
 
 
 def vector_compose_node(manager: Manager, f: Any,

@@ -7,22 +7,25 @@ Equation 1 of the paper: for any variable ``x``,
 conjunctively, and dually ``f = (x · f_x) + (x' · f_x')`` disjunctively.
 Following the paper's reimplementation ("*Cofactor*"), the splitting
 variable is the one minimizing the size of the larger of the two
-cofactors; estimating all cofactor sizes costs ``#vars * |f|``.
+cofactors; computing all cofactor sizes costs ``#vars * |f|``.
 """
 
 from __future__ import annotations
 
 from ...bdd.function import Function
+from ...bdd.operations import cofactor_sizes_node
 
 
 def cofactor_sizes(f: Function) -> dict[str, tuple[int, int]]:
-    """Exact (|f_x|, |f_x'|) for every variable in the support."""
-    sizes: dict[str, tuple[int, int]] = {}
-    for name in f.support():
-        hi = f.cofactor({name: True})
-        lo = f.cofactor({name: False})
-        sizes[name] = (len(hi), len(lo))
-    return sizes
+    """Exact (|f_x|, |f_x'|) for every variable in the support.
+
+    Computed by :func:`~repro.bdd.operations.cofactor_sizes_node`
+    without building either cofactor.
+    """
+    manager = f.manager
+    manager.safe_point()
+    return {manager.var_at_level(level): pair for level, pair in
+            cofactor_sizes_node(manager, f.node).items()}
 
 
 def best_split_variable(f: Function) -> str:

@@ -21,7 +21,9 @@ surfaces as a structured ``budget`` error response.
 
 from __future__ import annotations
 
+import inspect
 import itertools
+import math
 from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Iterator, TYPE_CHECKING
 
@@ -102,6 +104,20 @@ def _int_param(params: dict[str, Any], key: str, default: int, *,
         raise ProtocolError(
             E_BAD_REQUEST, f"parameter {key!r} must be an integer{bound}")
     return value
+
+
+def _finite_param(params: dict[str, Any], key: str) -> float:
+    """A finite number parameter: an int or a float, never a bool."""
+    value = params[key]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ProtocolError(E_BAD_REQUEST,
+                        f"parameter {key!r} must be a finite number")
 
 
 class Session:
@@ -329,7 +345,11 @@ class Session:
         kwargs: dict[str, Any] = {
             "threshold": _int_param(params, "threshold", 0)}
         if "quality" in params:
-            kwargs["quality"] = float(params["quality"])
+            if "quality" not in inspect.signature(approximator).parameters:
+                raise ProtocolError(
+                    E_BAD_REQUEST,
+                    f"method {method!r} takes no 'quality' parameter")
+            kwargs["quality"] = _finite_param(params, "quality")
         approximation = approximator(f, **kwargs)
         result = self._function_result(approximation)
         result.update(method=method,
@@ -354,13 +374,16 @@ class Session:
     def _verb_count(self, params: dict[str, Any],
                     budget: Budget) -> dict[str, Any]:
         f = self.resolve(params, "f")
-        nvars = params.get("nvars")
-        if nvars is not None and (not isinstance(nvars, int)
-                                  or isinstance(nvars, bool)):
-            raise ProtocolError(E_BAD_REQUEST,
-                                "nvars must be an integer or absent")
+        # Null (the default) counts over every declared variable.
+        nvars: int | None = None
+        if params.get("nvars") is not None:
+            nvars = _int_param(params, "nvars", 0, minimum=0)
+        try:
+            sat_count = f.sat_count(nvars)
+        except ValueError as exc:  # nvars below the support
+            raise ProtocolError(E_BAD_REQUEST, str(exc))
         return {"nodes": len(f),
-                "sat_count": f.sat_count(nvars),
+                "sat_count": sat_count,
                 "density": f.density(nvars),
                 "support": sorted(f.support())}
 

@@ -20,6 +20,7 @@ from repro.bdd.arraystore import FREE_LEVEL, ArrayStore
 from repro.bdd.backend import (BACKENDS, DEFAULT_BACKEND, ObjectStore,
                                create_store, resolve_backend)
 from repro.bdd.io import dump, load, transfer
+from repro.bdd.operations import cofactor_sizes_node
 from repro.bdd.restrict import constrain, restrict
 
 from ..helpers import random_function, truth_table
@@ -139,6 +140,17 @@ class TestDifferential:
             assert f.support() == g.support()
             assert f.sat_count() == g.sat_count()
             assert len(f) == len(g)
+
+    def test_cofactor_sizes_agree(self):
+        obj, arr = manager_pair()
+        for f, g in zip(seeded_functions(obj, 8), seeded_functions(arr, 8)):
+            sizes = cofactor_sizes_node(obj, f.node)
+            assert cofactor_sizes_node(arr, g.node) == sizes
+            assert set(sizes) == obj.node_support_levels(f.node)
+            for level, pair in sizes.items():
+                name = obj.var_at_level(level)
+                assert pair == (len(g.cofactor({name: True})),
+                                len(g.cofactor({name: False})))
 
     def test_iter_minterms_agree(self):
         obj, arr = manager_pair()

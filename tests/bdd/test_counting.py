@@ -42,6 +42,17 @@ class TestSatCount:
         with pytest.raises(ValueError):
             f.sat_count(0)
 
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_negative_nvars_rejected_on_every_root(self, backend):
+        m = Manager(vars=["a", "b"], backend=backend)
+        for f in (m.true, m.false, m.var("a") & m.var("b")):
+            with pytest.raises(ValueError, match="non-negative"):
+                f.sat_count(-1)
+            with pytest.raises(ValueError, match="non-negative"):
+                f.density(-1)
+        assert m.true.sat_count(0) == 1
+        assert m.false.sat_count(0) == 0
+
     def test_huge_counts_are_exact(self):
         m, vs = fresh_manager(200)
         f = vs[0] | vs[199]

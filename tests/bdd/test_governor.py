@@ -20,6 +20,7 @@ from repro.bdd.governor import CHECK_STRIDE, injection_from_env
 from repro.bdd.io import dump, transfer
 from repro.bdd.restrict import constrain, restrict
 from repro.core.approx.remap import remap_under_approx
+from repro.core.decomp import cofactor_sizes
 
 from ..helpers import fresh_manager, random_function
 
@@ -52,9 +53,11 @@ QVARS = 6
 #: strides always fires.  The ``remap`` workload runs the RUA rebuild
 #: with ``replacements=()`` so markNodes/buildResult traverse the whole
 #: graph — with replacements enabled, an accepted replacement near the
-#: root can collapse the traversal under one checkpoint stride.
+#: root can collapse the traversal under one checkpoint stride.  The
+#: ``cof`` workload computes every cofactor size of ``f``, which builds
+#: no node and returns a dict rather than a function.
 WORKLOADS = ("andex", "apply", "constrain", "exists", "ite", "remap",
-             "restrict")
+             "restrict", "cof")
 
 
 def build_workload(seed: int):
@@ -80,11 +83,12 @@ def build_workload(seed: int):
         "restrict": lambda: restrict(f, care),
         "remap": lambda: remap_under_approx(union, threshold=0,
                                             replacements=()),
+        "cof": lambda: cofactor_sizes(f),
     }
     return manager, ops
 
 
-#: Trials per workload: 7 x 30 = 210 injected aborts per run, each
+#: Trials per workload: 8 x 30 = 240 injected aborts per run, each
 #: sanitizer-swept and re-run — the >= 200 bar of the robustness work.
 TRIALS = 30
 
@@ -120,7 +124,10 @@ def test_injected_aborts_unwind_cleanly(workload):
         rerun = ops[workload]()
         other_manager, other_ops = build_workload(seed)
         expected = other_ops[workload]()
-        assert transfer(rerun, other_manager) == expected
+        if workload == "cof":
+            assert rerun == expected
+        else:
+            assert transfer(rerun, other_manager) == expected
         assert manager.debug_check() == []
 
 
@@ -301,6 +308,7 @@ class TestInjection:
                 f.ite(g, f ^ g)
                 f.and_exists(g, names)
                 f.exists(names)
+                cofactor_sizes(f)
                 manager.computed.clear()
         except InjectedAbort:
             fired = True

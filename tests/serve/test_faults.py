@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.bdd import Manager
+from repro.core.decomp import decompose
 from repro.serve import ServerError
 
 BACKENDS = ("object", "array")
@@ -159,6 +160,35 @@ def test_tiny_budget_then_exact_retry(backend, oracle, server_factory,
     stats = client.stats()
     assert stats["server"]["aborts"] >= 1
     assert stats["server"]["errors"]["budget"] == 1
+
+
+def test_decomp_under_step_budget_then_exact_retry(
+        backend, oracle, server_factory, client_factory):
+    """A starved ``decomp cofactor`` aborts inside the cofactor-size
+    kernel with a structured error; the unbudgeted retry returns the
+    inline oracle's factors."""
+    _, _, expected = oracle
+    server = server_factory(backend=backend)
+    client = client_factory(server.port)
+
+    f = _client_dnf(client.call, _cubes(101))
+    g = _client_dnf(client.call, _cubes(202))
+    conj = client.call("apply", {"op": "and", "f": f, "g": g})["handle"]
+
+    with pytest.raises(ServerError) as excinfo:
+        client.call("decomp", {"method": "cofactor", "f": conj},
+                    budget={"step": 64})
+    assert excinfo.value.code == "budget"
+    assert excinfo.value.kind == "BudgetExceeded"
+    assert "'cof'" in excinfo.value.message
+
+    assert client.check()["ok"] is True
+    decomp = client.decomp("cofactor", conj)
+    for name, factor in zip("gh", decompose(expected, "cofactor")):
+        handle = decomp[name]["handle"]
+        assert client.count(handle, nvars=NVARS)["nodes"] == len(factor)
+        assert client.minterms(handle, names=NAMES) == \
+            [dict(m) for m in factor.iter_minterms(NAMES)]
 
 
 def test_injected_abort_env_does_not_outlive_session(

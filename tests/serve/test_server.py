@@ -129,6 +129,43 @@ def test_unknown_approx_method_is_bad_request(client):
     assert excinfo.value.code == "bad-request"
 
 
+def test_approx_rejects_bad_quality(client):
+    f = client.apply("or", client.var("a"), client.var("b"))
+    for quality in ("x", None, "nan", "1.0", True, [1.0],
+                    float("nan"), float("inf"), -float("inf"), 10**400):
+        with pytest.raises(ServerError) as excinfo:
+            client.call("approx", {"method": "rua", "f": f,
+                                   "quality": quality})
+        assert excinfo.value.code == "bad-request", quality
+    # Only methods whose registered signature takes a quality accept one.
+    for method in ("hb", "sp", "ua"):
+        with pytest.raises(ServerError) as excinfo:
+            client.call("approx", {"method": method, "f": f,
+                                   "quality": 1.0})
+        assert excinfo.value.code == "bad-request", method
+    for method in ("rua", "c1", "c2"):
+        for quality in (1, 1.5, 0.25):
+            result = client.call("approx", {"method": method, "f": f,
+                                            "quality": quality})
+            assert client.apply("leq", result["handle"], f) is True
+
+
+def test_count_rejects_bad_nvars(client):
+    f = client.apply("and", client.var("a"), client.var("b"))
+    for nvars in (1, 0, -1, "2", True, 2.0):
+        with pytest.raises(ServerError) as excinfo:
+            client.call("count", {"f": f, "nvars": nvars})
+        assert excinfo.value.code == "bad-request", nvars
+    true = client.apply("or", f, client.apply("not", f))
+    with pytest.raises(ServerError) as excinfo:
+        client.count(true, nvars=-1)
+    assert excinfo.value.code == "bad-request"
+    assert client.count(true, nvars=0)["sat_count"] == 1
+    assert client.count(f, nvars=2)["sat_count"] == 1
+    assert client.call("count", {"f": f, "nvars": None})["sat_count"] \
+        == client.count(f)["sat_count"]
+
+
 def test_unknown_verb_error(client):
     with pytest.raises(ServerError) as excinfo:
         client.call("frobnicate")
