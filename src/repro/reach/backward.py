@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 
 from ..bdd.function import Function
-from .bfs import ReachResult, TraversalLimit
+from .bfs import ReachResult, TraversalLimit, image_operand
 from .transition import TransitionRelation
 
 
@@ -36,7 +36,7 @@ def backward_reachability(tr: TransitionRelation, target: Function,
                                frontier_trace=frontier_trace,
                                seconds=time.perf_counter() - start,
                                complete=False)
-        preimage = tr.preimage(frontier)
+        preimage = tr.preimage(image_operand(frontier, reached))
         frontier = preimage - reached
         reached = reached | frontier
         iterations += 1

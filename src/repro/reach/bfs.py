@@ -46,6 +46,29 @@ def count_states(reached: Function, state_vars: list[str]) -> int:
     return total >> free
 
 
+def image_operand(new: Function, reached: Function) -> Function:
+    """The set an exact traversal images next: ``reached`` when it has
+    strictly fewer nodes than ``new``, otherwise ``new``.
+
+    Both give the same next frontier.  Let ``new_k ⊆ R_k`` be the
+    frontier and reached set after step ``k``.  ``R_{k-1}`` is the
+    union of the earlier frontiers, each imaged exactly, so
+    ``Img(R_{k-1}) ⊆ R_k``.  Hence for any ``F`` with
+    ``new_k ⊆ F ⊆ R_k``, the part ``F - new_k ⊆ R_{k-1}`` adds only
+    states already in ``R_k``, and ``Img(F) - R_k = Img(new_k) - R_k``.
+    This is the paper's don't-care remapping (Section 2) with the
+    reached states as the don't-cares, and it holds for preimages
+    alike.  The equality needs every earlier image exact.  After a
+    degraded step (the image of a subset of a frontier) imaging
+    ``reached`` can only add more states, all of them reachable, and
+    the traversal still confirms its fixpoint with an exact image of
+    ``reached``.  High-density traversal keeps states it never imaged
+    in ``reached``, so it images ``new``.  Both sizes are memoized per
+    root, so the choice costs no BDD operation.
+    """
+    return reached if len(reached) < len(new) else new
+
+
 def bfs_reachability(tr: TransitionRelation, init: Function,
                      max_iterations: int | None = None,
                      node_limit: int | None = None,
@@ -56,6 +79,9 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
                      checkpointer: "ReachCheckpointer | None" = None
                      ) -> ReachResult:
     """Classic breadth-first fixpoint: reached = lfp(init | image).
+
+    Each step images :func:`image_operand` of the frontier and the
+    reached set; the traces and checkpoints record the frontier.
 
     Raises :class:`TraversalLimit` if a frontier or the reached set
     exceeds ``node_limit`` nodes or the wall-clock ``deadline`` (in
@@ -136,9 +162,11 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
                                seconds=time.perf_counter() - start,
                                complete=False,
                                manager_stats=reached.manager.stats)
-        image, exact = governed_image(tr, frontier, on_blowup=on_blowup,
+        image, exact = governed_image(tr, image_operand(frontier, reached),
+                                      on_blowup=on_blowup,
                                       subset=subset,
-                                      threshold=subset_threshold)
+                                      threshold=subset_threshold,
+                                      frontier=frontier)
         if not exact:
             degraded = True
         with shield(frontier, on_blowup):

@@ -86,13 +86,18 @@ def governed_image(tr: TransitionRelation, states: Function, *,
                    subset: Subsetter | None = None,
                    threshold: int = 0,
                    partial: PartialImagePolicy | None = None,
-                   allow_subset: bool = True) -> tuple[Function, bool]:
+                   allow_subset: bool = True,
+                   frontier: Function | None = None
+                   ) -> tuple[Function, bool]:
     """One image computation under the escalation ladder.
 
     Returns ``(image, exact)``: ``exact`` is False when a subset rung
     was taken, i.e. the result is the image of a *dense subset* of
-    ``states`` rather than of all of them — the caller must schedule a
-    recovery sweep before trusting a fixpoint.
+    ``frontier`` (default ``states``) rather than of all of ``states``
+    — the caller must schedule a recovery sweep before trusting a
+    fixpoint.  An exact traversal that images its reached set in place
+    of its frontier (:func:`~repro.reach.bfs.image_operand`) passes the
+    frontier here, so a degraded image still comes from new states.
 
     With ``on_blowup="raise"`` the ladder is bypassed entirely and any
     governor abort propagates to the caller.
@@ -118,8 +123,9 @@ def governed_image(tr: TransitionRelation, states: Function, *,
     if allow_subset:
         if subset is None:
             subset = _default_subsetter()
-        target = threshold if threshold > 0 else max(1, len(states) // 2)
-        frontier = states
+        if frontier is None:
+            frontier = states
+        target = threshold if threshold > 0 else max(1, len(frontier) // 2)
         for _ in range(MAX_SUBSET_RUNGS):
             with governor.suspended():
                 shrunk = subset(frontier, threshold=target)

@@ -425,6 +425,12 @@ class Session:
                     budget: Budget) -> dict[str, Any]:
         blif = _require(params, "blif", str, "BLIF text")
         method = params.get("method", "bfs")
+        if not isinstance(method, str) or (
+                method != "bfs" and method not in UNDER_APPROXIMATORS):
+            raise ProtocolError(
+                E_BAD_REQUEST,
+                f"unknown reach method {method!r}; known: bfs, "
+                f"{', '.join(UNDER_APPROXIMATORS)}")
         on_blowup = params.get("on_blowup", "raise")
         if on_blowup not in ON_BLOWUP_MODES:
             raise ProtocolError(
@@ -455,16 +461,11 @@ class Session:
                 result = bfs_reachability(
                     tr, init, max_iterations=max_iterations,
                     on_blowup=on_blowup)
-            elif method in UNDER_APPROXIMATORS:
+            else:
                 result = high_density_reachability(
                     tr, init, UNDER_APPROXIMATORS[method],
                     threshold=threshold, max_iterations=max_iterations,
                     on_blowup=on_blowup)
-            else:
-                raise ProtocolError(
-                    E_BAD_REQUEST,
-                    f"unknown reach method {method!r}; known: bfs, "
-                    f"{', '.join(UNDER_APPROXIMATORS)}")
         stats = manager.stats
         return {"circuit": circuit.name,
                 "method": method,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from ..bdd.function import Function
 from ..core.approx import remap_over_approx
 from ..fsm.encode import EncodedCircuit
+from ..reach.bfs import image_operand
 from ..reach.highdensity import Subsetter, high_density_reachability
 from ..reach.transition import TransitionRelation
 
@@ -51,7 +52,7 @@ def check_invariant(encoded: EncodedCircuit, tr: TransitionRelation,
         if max_iterations is not None and iteration >= max_iterations:
             return CheckResult(holds=True, iterations=iteration,
                                reached=reached)
-        frontier = tr.image(rings[-1]) - reached
+        frontier = tr.image(image_operand(rings[-1], reached)) - reached
         if frontier.is_false:
             return CheckResult(holds=True, iterations=iteration,
                                reached=reached)

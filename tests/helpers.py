@@ -5,7 +5,23 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 
+import pytest
+
 from repro.bdd import Function, Manager
+from repro.fsm.am2910 import am2910
+from repro.fsm.benchmarks import counter, shift_queue, token_ring
+
+#: Node-store backends.
+BACKENDS = ["object", "array"]
+
+#: Circuits on which the exact traversals must match reference loops
+#: that image the raw frontier.
+TRAVERSAL_CIRCUITS = [
+    pytest.param(lambda: counter(5), id="counter5"),
+    pytest.param(lambda: token_ring(3), id="token_ring3"),
+    pytest.param(lambda: shift_queue(3, 2), id="shift_queue3x2"),
+    pytest.param(lambda: am2910(3, 2), id="am2910_3x2"),
+]
 
 
 def fresh_manager(nvars: int, prefix: str = "x") -> tuple[Manager,
@@ -44,3 +60,35 @@ def assert_equal_semantics(f: Function, oracle: Callable[..., bool],
     for k in range(1 << n):
         assignment = {names[i]: bool(k >> i & 1) for i in range(n)}
         assert f(**assignment) == oracle(**assignment), assignment
+
+
+def record_operands(tr, method: str) -> list[int]:
+    """Wrap ``tr.<method>`` (``image`` or ``preimage``) to record the
+    node count of every operand it receives."""
+    sizes: list[int] = []
+    original = getattr(tr, method)
+
+    def wrapped(states, *args, **kwargs):
+        sizes.append(len(states))
+        return original(states, *args, **kwargs)
+
+    setattr(tr, method, wrapped)
+    return sizes
+
+
+def raw_frontier_traversal(step, start: Function):
+    """Reference exact fixpoint that applies ``step`` (a transition
+    relation's ``image`` or ``preimage``) to the raw frontier.
+
+    Returns ``(reached, iterations, size_trace, frontier_trace)``.
+    """
+    reached = frontier = start
+    iterations = 0
+    size_trace, frontier_trace = [len(reached)], [len(frontier)]
+    while not frontier.is_false:
+        frontier = step(frontier) - reached
+        reached = reached | frontier
+        iterations += 1
+        size_trace.append(len(reached))
+        frontier_trace.append(len(frontier))
+    return reached, iterations, size_trace, frontier_trace

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.fsm import encode
 from repro.fsm.benchmarks import counter, token_ring
 from repro.reach import TransitionRelation, bfs_reachability
 from repro.reach.backward import backward_reachability, can_reach
+
+from ..helpers import (BACKENDS, TRAVERSAL_CIRCUITS, raw_frontier_traversal,
+                       record_operands)
 
 
 class TestBackward:
@@ -57,3 +62,32 @@ class TestBackward:
                                        "q2": True})
         result = backward_reachability(tr, target, max_iterations=1)
         assert target <= result.reached
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("make", TRAVERSAL_CIRCUITS)
+class TestPreimageOperand:
+    """Backward reachability preimages the smaller of the frontier and
+    the reached set, with results identical to the raw-frontier loop."""
+
+    def test_matches_raw_frontier_loop(self, make, backend):
+        encoded = encode(make(), backend=backend)
+        tr = TransitionRelation(encoded)
+        target = encoded.initial_states()
+        reached, iterations, sizes, frontiers = raw_frontier_traversal(
+            tr.preimage, target)
+        result = backward_reachability(tr, target)
+        assert result.reached == reached
+        assert result.iterations == iterations
+        assert result.size_trace == sizes
+        assert result.frontier_trace == frontiers
+
+    def test_operand_never_exceeds_smaller_set(self, make, backend):
+        encoded = encode(make(), backend=backend)
+        tr = TransitionRelation(encoded)
+        operands = record_operands(tr, "preimage")
+        result = backward_reachability(tr, encoded.initial_states())
+        assert len(operands) == result.iterations
+        for size, new, reached in zip(operands, result.frontier_trace,
+                                      result.size_trace):
+            assert size <= min(new, reached)

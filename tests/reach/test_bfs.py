@@ -8,8 +8,13 @@ from collections import deque
 import pytest
 
 from repro.fsm import encode
+from repro.fsm.am2910 import am2910
 from repro.fsm.benchmarks import counter, shift_queue, token_ring
-from repro.reach import (TraversalLimit, bfs_reachability, count_states)
+from repro.reach import (TransitionRelation, TraversalLimit,
+                         bfs_reachability, count_states)
+
+from ..helpers import (BACKENDS, TRAVERSAL_CIRCUITS, raw_frontier_traversal,
+                       record_operands)
 
 
 def explicit_reachable(circuit) -> set[tuple]:
@@ -100,3 +105,50 @@ class TestBfs:
         result = bfs_reachability(tr, encoded.initial_states())
         assert len(result.size_trace) == result.iterations + 1
         assert result.seconds > 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestImageOperand:
+    """BFS images the smaller of the frontier and the reached set."""
+
+    @pytest.mark.parametrize("make", TRAVERSAL_CIRCUITS)
+    def test_matches_raw_frontier_loop(self, make, backend):
+        encoded = encode(make(), backend=backend)
+        tr = TransitionRelation(encoded)
+        init = encoded.initial_states()
+        reached, iterations, sizes, frontiers = raw_frontier_traversal(
+            tr.image, init)
+        result = bfs_reachability(tr, init)
+        assert result.reached == reached
+        assert result.iterations == iterations
+        assert result.size_trace == sizes
+        assert result.frontier_trace == frontiers
+
+    @pytest.mark.parametrize("make", TRAVERSAL_CIRCUITS)
+    def test_operand_never_exceeds_smaller_set(self, make, backend):
+        encoded = encode(make(), backend=backend)
+        tr = TransitionRelation(encoded)
+        operands = record_operands(tr, "image")
+        result = bfs_reachability(tr, encoded.initial_states())
+        assert len(operands) == result.iterations
+        for size, new, reached in zip(operands, result.frontier_trace,
+                                      result.size_trace):
+            assert size <= min(new, reached)
+
+    def test_fewer_governor_steps_than_raw_frontier(self, backend):
+        def run(traverse):
+            """Governor steps of one traversal on a fresh manager."""
+            encoded = encode(am2910(3, 2), backend=backend)
+            tr = TransitionRelation(encoded)
+            governor = encoded.manager.governor
+            before = governor.steps
+            outcome = traverse(tr, encoded.initial_states())
+            return governor.steps - before, outcome
+
+        raw_steps, _ = run(
+            lambda tr, init: raw_frontier_traversal(tr.image, init))
+        rule_steps, result = run(bfs_reachability)
+        fired = sum(reached < new for new, reached in
+                    zip(result.frontier_trace, result.size_trace))
+        assert fired > 0
+        assert rule_steps < raw_steps

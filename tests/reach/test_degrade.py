@@ -16,6 +16,7 @@ from repro.bdd import Budget, BudgetExceeded, InjectedAbort
 from repro.bdd.governor import CHECK_STRIDE
 from repro.core.approx import remap_under_approx
 from repro.fsm import encode
+from repro.fsm.am2910 import am2910
 from repro.fsm.benchmarks import token_ring
 from repro.reach import (TransitionRelation, bfs_reachability, count_states,
                          high_density_reachability)
@@ -79,24 +80,24 @@ class TestRaisePropagates:
 class _FailingImage:
     """A tr.image stand-in that emulates a budget-bound image.
 
-    With ``fail_first=N`` the first N calls abort and later calls
-    succeed.  With ``fail_first=None`` every call made while the
-    governor is armed aborts — exactly the behaviour of an image whose
-    budget is already exhausted, where only the ladder's
+    With ``fail_calls`` the calls it lists (counted from 1) abort and
+    the others succeed.  With ``fail_calls=None`` every call made
+    while the governor is armed aborts — exactly the behaviour of an
+    image whose budget is already exhausted, where only the ladder's
     suspended-exact bottom rung can complete.
     """
 
-    def __init__(self, tr, fail_first=None):
+    def __init__(self, tr, fail_calls=None):
         self._tr = tr
-        self.fail_first = fail_first
+        self.fail_calls = fail_calls
         self.calls = 0
 
     def image(self, states, partial=None):
         self.calls += 1
-        if self.fail_first is None:
+        if self.fail_calls is None:
             if states.manager.governor.armed:
                 raise BudgetExceeded("stub: budget exhausted")
-        elif self.calls <= self.fail_first:
+        elif self.calls in self.fail_calls:
             raise BudgetExceeded("stub: forced abort")
         return self._tr.image(states, partial=partial)
 
@@ -105,7 +106,7 @@ class TestLadder:
     def test_subset_rung_returns_inexact_image(self):
         enc, tr, manager = make_problem()
         frontier = bfs_reachability(tr, enc.initial_states()).reached
-        fake = _FailingImage(tr, fail_first=2)  # initial try + gc retry
+        fake = _FailingImage(tr, fail_calls={1, 2})  # try + gc retry
         image, exact = governed_image(
             fake, frontier, on_blowup="subset", subset=rua)
         assert not exact  # a subset rung produced it
@@ -208,3 +209,31 @@ class TestTraversalsStayExact:
         assert count_states(result.reached,
                             enc.state_vars) == TOKEN_RING_STATES
         assert manager.stats.degradations["reorder"] > 0
+
+
+class TestImageOperandUnderDegradation:
+    """BFS keeps imaging the smaller of frontier and reached set through
+    the ladder; a subset rung still subsets the frontier."""
+
+    def test_subset_rung_subsets_the_frontier(self):
+        # On am2910(3,2) the second image takes the reached set in
+        # place of the larger frontier.  Its exact attempt and gc
+        # retry (calls 2 and 3) abort, so the subset rung runs there.
+        encoded = encode(am2910(3, 2))
+        tr = TransitionRelation(encoded)
+        init = encoded.initial_states()
+        first = bfs_reachability(tr, init, max_iterations=1)
+        assert first.size_trace[1] < first.frontier_trace[1]
+        subsetted = []
+
+        def recording_rua(f, *, threshold=0):
+            subsetted.append(f)
+            return rua(f, threshold=threshold)
+
+        fake = _FailingImage(tr, fail_calls={2, 3})
+        result = bfs_reachability(fake, init, on_blowup="subset",
+                                  subset=recording_rua)
+        assert subsetted[0] == first.reached - init
+        assert count_states(result.reached,
+                            encoded.state_vars) == 12288
+        assert result.reached == bfs_reachability(tr, init).reached

@@ -250,7 +250,9 @@ def test_reach_rejects_bad_int_params(client):
     for params in ({"max_iterations": "3"}, {"max_iterations": True},
                    {"max_iterations": -1}, {"max_iterations": 2.0},
                    {"method": "rua", "threshold": "x"},
-                   {"method": "rua", "threshold": False}):
+                   {"method": "rua", "threshold": False},
+                   {"method": []}, {"method": {}},
+                   {"on_blowup": []}, {"on_blowup": {}}):
         with pytest.raises(ServerError) as excinfo:
             client.reach(blif, **params)
         assert excinfo.value.code == "bad-request", params

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.core.approx import remap_under_approx
 from repro.fsm import encode
 from repro.fsm.benchmarks import counter, token_ring
 from repro.reach import TransitionRelation
-from repro.verify import (check_invariant, hunt_invariant_violation,
+from repro.verify import (CheckResult, check_invariant,
+                          hunt_invariant_violation,
                           prove_by_over_approximation)
+from repro.verify.invariants import _extract_trace
+
+from ..helpers import BACKENDS, TRAVERSAL_CIRCUITS, record_operands
 
 
 def counter_setup(width: int):
@@ -113,3 +118,71 @@ class TestOverApproxProof:
         five = encoded.manager.cube({"q0": True, "q1": False,
                                      "q2": True})
         assert prove_by_over_approximation(encoded, tr, ~five) is None
+
+
+def not_all_ones(encoded):
+    """The invariant "some state bit is 0"."""
+    return ~encoded.manager.cube({name: True
+                                  for name in encoded.state_vars})
+
+
+def raw_frontier_check(encoded, tr, invariant, bounds=None):
+    """Reference onion-ring check that always images the raw ring.
+
+    Appends ``min(|ring|, |reached|)`` of every image to ``bounds``.
+    """
+    init = encoded.initial_states()
+    bad = ~invariant
+    rings = [init]
+    reached = init
+    violation = init & bad
+    while violation.is_false:
+        if bounds is not None:
+            bounds.append(min(len(rings[-1]), len(reached)))
+        frontier = tr.image(rings[-1]) - reached
+        if frontier.is_false:
+            return CheckResult(holds=True, iterations=len(rings) - 1,
+                               reached=reached)
+        reached = reached | frontier
+        rings.append(frontier)
+        violation = frontier & bad
+    return CheckResult(holds=False, iterations=len(rings) - 1,
+                       trace=_extract_trace(encoded, tr, rings, violation),
+                       reached=reached)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestRingImageOperand:
+    """The onion-ring loop images the smaller of the newest ring and
+    the reached set, with results identical to imaging the ring."""
+
+    @pytest.mark.parametrize("make", TRAVERSAL_CIRCUITS)
+    def test_matches_raw_frontier_check(self, make, backend):
+        encoded = encode(make(), backend=backend)
+        tr = TransitionRelation(encoded)
+        invariant = not_all_ones(encoded)
+        assert check_invariant(encoded, tr, invariant) \
+            == raw_frontier_check(encoded, tr, invariant)
+
+    def test_same_counterexample(self, backend):
+        encoded = encode(counter(4), backend=backend)
+        tr = TransitionRelation(encoded)
+        invariant = not_all_ones(encoded)
+        result = check_invariant(encoded, tr, invariant)
+        assert not result.holds
+        assert len(result.trace) == 16
+        assert result.trace == raw_frontier_check(encoded, tr,
+                                                  invariant).trace
+
+    @pytest.mark.parametrize("make", TRAVERSAL_CIRCUITS)
+    def test_operand_never_exceeds_smaller_set(self, make, backend):
+        encoded = encode(make(), backend=backend)
+        tr = TransitionRelation(encoded)
+        invariant = not_all_ones(encoded)
+        bounds: list[int] = []
+        raw_frontier_check(encoded, tr, invariant, bounds)
+        operands = record_operands(tr, "image")
+        check_invariant(encoded, tr, invariant)
+        assert len(operands) == len(bounds)
+        for size, bound in zip(operands, bounds):
+            assert size <= bound
