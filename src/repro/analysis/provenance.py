@@ -48,7 +48,6 @@ _CONSTRUCTORS = {
     "Session": SESSION,
     "Client": CLIENT,
     "create_store": STORE,
-    "ObjectStore": STORE,
     "ArrayStore": STORE,
 }
 
@@ -58,8 +57,6 @@ _ANNOTATIONS = {
     "Function": FUNCTION,
     "Session": SESSION,
     "Client": CLIENT,
-    "NodeStore": STORE,
-    "ObjectStore": STORE,
     "ArrayStore": STORE,
 }
 

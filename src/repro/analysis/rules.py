@@ -10,14 +10,12 @@ RPR001
     reported as a warning: it does not gate CI but marks depth-unsafe
     helpers.
 RPR002
-    ``Node`` objects may only be constructed by the unique table
-    (the node-store modules ``backend.py``/``node.py``, plus
-    ``manager.py``).  A node built anywhere else bypasses hash-consing
-    and breaks canonicity — the silent-wrong-results failure mode the
-    sanitizer exists for.  The same applies to the node-store backends
-    themselves: ``ObjectStore``/``ArrayStore`` must be created through
-    :func:`repro.bdd.backend.create_store` (or ``Manager(backend=...)``)
-    so the registry stays the single construction point.
+    The node store (``ArrayStore``) may only be constructed by the
+    store modules themselves — everywhere else through
+    :func:`repro.bdd.backend.create_store` or ``Manager()`` — so a store
+    always belongs to a manager that flushes its computed table when
+    ids are recycled.  Nodes are never constructed directly: they are
+    columns of the store, made by its unique table (``mk``).
 RPR003
     Computed-table inserts/lookups must use a registered op tag
     (:data:`repro.bdd.computed.REGISTERED_OPS`), keeping per-op cache
@@ -68,20 +66,18 @@ KERNEL_MODULE_SUFFIXES = (
     "repro/core/decomp/points.py",
 )
 
-#: Modules allowed to construct Node objects directly: the unique table
-#: implementations and the node definition.
+#: The node-store modules: the only ones allowed to construct the store,
+#: and the ones that own reference counts (RPR011).
 NODE_FACTORY_SUFFIXES = (
     "repro/bdd/manager.py",
-    "repro/bdd/node.py",
     "repro/bdd/backend.py",
     "repro/bdd/arraystore.py",
 )
 
-#: Node-store classes that must only be constructed by the backend
-#: registry (:func:`repro.bdd.backend.create_store`); a store built
-#: anywhere else escapes backend selection and the Manager's
-#: bookkeeping.
-STORE_CLASS_NAMES = ("ObjectStore", "ArrayStore")
+#: Node-store classes that must only be constructed through
+#: :func:`repro.bdd.backend.create_store`; a store built anywhere else
+#: escapes the Manager's bookkeeping.
+STORE_CLASS_NAMES = ("ArrayStore",)
 
 
 def _path_matches(path: str, suffixes: tuple[str, ...]) -> bool:
@@ -232,15 +228,14 @@ def check_no_kernel_recursion(ctx: FileContext) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
-# RPR002 — Node construction only through the unique table
+# RPR002 — node-store construction only through the factory
 # ----------------------------------------------------------------------
 
 @register_rule(
     "RPR002", "no-direct-node-construction", "error",
-    "Direct Node(...) construction outside the node-store modules "
-    "bypasses the unique table and breaks canonicity (use "
-    "Manager.mk()); direct ObjectStore/ArrayStore construction "
-    "bypasses the backend registry (use create_store()).")
+    "Direct ArrayStore(...) construction outside the node-store "
+    "modules bypasses the Manager's bookkeeping (use create_store() "
+    "or Manager()).")
 def check_no_direct_node(ctx: FileContext) -> Iterator[Violation]:
     if _path_matches(ctx.path, NODE_FACTORY_SUFFIXES):
         return
@@ -250,17 +245,12 @@ def check_no_direct_node(ctx: FileContext) -> Iterator[Violation]:
         func = node.func
         name = func.id if isinstance(func, ast.Name) else \
             func.attr if isinstance(func, ast.Attribute) else None
-        if name == "Node":
+        if name in STORE_CLASS_NAMES:
             yield ctx.violation(
                 "RPR002", node,
-                "direct Node construction bypasses the unique table; "
-                "use Manager.mk(level, hi, lo)")
-        elif name in STORE_CLASS_NAMES:
-            yield ctx.violation(
-                "RPR002", node,
-                f"direct {name} construction bypasses the backend "
-                f"registry; use repro.bdd.backend.create_store() or "
-                f"Manager(backend=...)")
+                f"direct {name} construction bypasses the Manager's "
+                f"bookkeeping; use repro.bdd.backend.create_store() or "
+                f"Manager()")
 
 
 # ----------------------------------------------------------------------

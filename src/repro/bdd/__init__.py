@@ -13,14 +13,12 @@ Public entry points:
 The raw-node layer (``manager.mk``, ``function.node``, the traversal and
 counting helpers) is an *internal* advanced API used by the
 approximation and decomposition algorithms in :mod:`repro.core`.  It
-manipulates opaque node handles owned by the manager's node store —
-see :mod:`repro.bdd.backend` (``docs/backends.md``) for the store
-protocol and the available backends (``object`` and ``array``).
+manipulates int node ids owned by the manager's node store — see
+:mod:`repro.bdd.arraystore` (``docs/backends.md``).
 """
 
-from .arraystore import ArrayStore
-from .backend import (BACKENDS, DEFAULT_BACKEND, NodeStore, ObjectStore,
-                      create_store, resolve_backend)
+from .arraystore import TERMINAL_LEVEL
+from .backend import DEFAULT_BACKEND, create_store, resolve_backend
 from .computed import CacheOpStats, ComputedTable, register_op
 from .counting import bdd_size, density, log2int, sat_count, shared_size
 from .dot import to_dot
@@ -30,17 +28,12 @@ from .governor import (Budget, BudgetExceeded, DeadlineExceeded, Governor,
                        InjectedAbort, ResourceError)
 from .io import LoadError, dump, dumps_many, load, loads_many, transfer
 from .manager import Manager, ManagerStats
-from .node import TERMINAL_LEVEL, Node
 from .restrict import constrain, restrict
 from .sanitize import Diagnostic, SanitizerError
 
 __all__ = [
     "Manager",
     "ManagerStats",
-    "NodeStore",
-    "ObjectStore",
-    "ArrayStore",
-    "BACKENDS",
     "DEFAULT_BACKEND",
     "create_store",
     "resolve_backend",
@@ -56,7 +49,6 @@ __all__ = [
     "DeadlineExceeded",
     "InjectedAbort",
     "Function",
-    "Node",
     "TERMINAL_LEVEL",
     "constrain",
     "restrict",

@@ -1,21 +1,26 @@
-"""Flat array-backed node store: struct-of-arrays over ``array('q')``.
+"""The node store: struct-of-arrays over ``array('q')`` columns.
 
 Handles are plain ``int`` node ids.  Ids 0 and 1 are the FALSE/TRUE
 terminals; internal nodes start at id 2.  The four node fields live in
-parallel signed 64-bit columns::
+parallel signed 64-bit columns, public so the kernels can bind them as
+locals and index them directly::
 
-    _level[id]   physical level (TERMINAL_LEVEL for terminals,
+    level[id]    physical level (TERMINAL_LEVEL for terminals,
                  FREE_LEVEL for recycled slots)
-    _hi[id]      id of the hi child (-1 for terminals)
-    _lo[id]      id of the lo child (-1 for terminals)
-    _ref[id]     structural reference count
+    hi[id]       id of the hi child (-1 for terminals)
+    lo[id]       id of the lo child (-1 for terminals)
+    ref[id]      structural reference count
 
 The unique table is one ``dict[int, int]`` per level mapping the packed
 child pair ``(hi << 32) | lo`` to the node id — Python dicts hash small
 ints essentially for free, which stands in for the open-addressed table
 of a C implementation while keeping collision handling out of our
 hands.  The packing assumes ids stay below 2**32 (4 billion nodes —
-far past what this interpreter-bound code can hold in memory).
+far past what this interpreter-bound code can hold in memory); the
+computed table packs its keys on the same assumption
+(:mod:`repro.bdd.computed`).  Nothing here is a per-node Python object,
+and a dict holding only ints is not tracked by CPython's cyclic garbage
+collector, so the node graph costs the collector nothing.
 
 Swept slots go on a free list and are recycled by later ``mk`` calls,
 so the columns never need compaction.  Recycling is sound because the
@@ -25,83 +30,83 @@ stale id can therefore never be confused with its new occupant.  Freed
 slots carry the ``FREE_LEVEL`` sentinel, so dereferencing a stale
 handle fails the ``mk`` level check instead of silently mixing nodes.
 
-Compared with :class:`~repro.bdd.backend.ObjectStore` this trades
-per-node Python objects (56+ bytes, pointer chasing, refcount traffic
-on every access) for 32 bytes across four C arrays and int arithmetic
-— see ``docs/backends.md`` for the measured difference.  When numpy is
-importable, garbage collection additionally sweeps the columns with
-zero-copy vectorized scans (``_sweep_vectorized``); a pure-Python
-fallback keeps the store dependency-free.
+When numpy is installed, garbage collection sweeps the columns with
+zero-copy vectorized scans (``_sweep_vectorized``) and
+``sat_count_vector`` counts with them; both import numpy on first use,
+so it stays off the import path, and a pure-Python fallback keeps the
+store dependency-free.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from operator import gt
 from typing import Any
 
-from .backend import NodeStore
-from .node import TERMINAL_LEVEL
+__all__ = ["ArrayStore", "FREE_LEVEL", "TERMINAL_LEVEL"]
 
-try:  # Optional: vectorized GC sweep over the columns (see collect).
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None  # type: ignore[assignment]
-
-__all__ = ["ArrayStore", "FREE_LEVEL", "VECTOR_SWEEP"]
+#: Level of the two terminals.  It compares greater than any variable
+#: level, so ``min`` over levels always finds the top variable.
+TERMINAL_LEVEL: int = sys.maxsize
 
 #: Level sentinel stored in recycled slots; no valid level is negative,
 #: so any structural check on a stale handle fails fast.
 FREE_LEVEL = -1
 
-#: True when garbage collection uses the numpy column scans; False on
-#: interpreters without numpy (the portable sweep takes over).
-VECTOR_SWEEP = _np is not None
-
 _LO_MASK = (1 << 32) - 1
 
 
-class ArrayStore(NodeStore):
-    """Struct-of-arrays node store with integer handles."""
+class ArrayStore:
+    """Struct-of-arrays node store with integer handles.
+
+    Attributes
+    ----------
+    name:
+        ``"array"``, the one name ``Manager(backend=...)`` accepts.
+    zero, one:
+        The terminal ids 0 and 1.  Terminals are permanent: they always
+        carry one artificial reference.
+    level, hi, lo, ref:
+        The node columns, indexed by id (see the module docstring).
+    level_of, hi_of, lo_of:
+        The columns' bound ``__getitem__``, for code that passes a
+        single-argument accessor around; the kernels index the columns.
+    is_terminal:
+        ``h < 2`` as a C-level callable.
+    """
 
     name = "array"
-    # Cache keys mix node ids with op tags and plain ints (levels,
-    # frozensets of levels); the store cannot tell which ints are
-    # handles, so the sanitizer's cache-liveness sweep is skipped.
-    # Sound because the computed table is cleared wholesale whenever
-    # ids can be recycled.
-    checks_cache_liveness = False
 
     def __init__(self) -> None:
         self.zero = 0
         self.one = 1
-        self._level = array("q", (TERMINAL_LEVEL, TERMINAL_LEVEL))
-        self._hi = array("q", (-1, -1))
-        self._lo = array("q", (-1, -1))
+        self.level = array("q", (TERMINAL_LEVEL, TERMINAL_LEVEL))
+        self.hi = array("q", (-1, -1))
+        self.lo = array("q", (-1, -1))
         # Terminals are permanent: one artificial reference each.
-        self._ref = array("q", (1, 1))
+        self.ref = array("q", (1, 1))
         #: tables[level] maps (hi << 32) | lo -> node id
         self._tables: list[dict[int, int]] = []
         self._free: list[int] = []
         self._count = 0
         self._peak = 0
-        # Hot accessors: bound C-level array subscript (stable across
+        # Accessors: bound C-level array subscript (stable across
         # appends — the array object itself never changes).
-        self.level_of = self._level.__getitem__
-        self.hi_of = self._hi.__getitem__
-        self.lo_of = self._lo.__getitem__
-        self.ref_of = self._ref.__getitem__
+        self.level_of = self.level.__getitem__
+        self.hi_of = self.hi.__getitem__
+        self.lo_of = self.lo.__getitem__
         # partial(gt, 2)(h) == (2 > h): terminal test without a Python
         # frame, and a TypeError (not a silent truthy NotImplemented)
         # on a non-int handle.
         self.is_terminal = partial(gt, 2)
-        self.key_of = int
 
     # -- node construction and lookup ----------------------------------
 
     def mk(self, level: int, hi: int, lo: int) -> int:
+        """Find-or-create the reduced node ``(level, hi, lo)``."""
         if hi == lo:
             return hi
         table = self._tables[level]
@@ -113,23 +118,23 @@ class ArrayStore(NodeStore):
             # counts, so the level check below could never fire here —
             # skipping it keeps the hot path to one dict probe.
             return node
-        levels = self._level
+        levels = self.level
         if levels[hi] <= level or levels[lo] <= level:
             raise ValueError("children must be below the node level")
         if self._free:
             node = self._free.pop()
             levels[node] = level
-            self._hi[node] = hi
-            self._lo[node] = lo
-            self._ref[node] = 0
+            self.hi[node] = hi
+            self.lo[node] = lo
+            self.ref[node] = 0
         else:
             node = len(levels)
             levels.append(level)
-            self._hi.append(hi)
-            self._lo.append(lo)
-            self._ref.append(0)
-        self._ref[hi] += 1
-        self._ref[lo] += 1
+            self.hi.append(hi)
+            self.lo.append(lo)
+            self.ref.append(0)
+        self.ref[hi] += 1
+        self.ref[lo] += 1
         table[key] = node
         self._count += 1
         if self._count > self._peak:
@@ -137,54 +142,73 @@ class ArrayStore(NodeStore):
         return node
 
     def find(self, level: int, hi: int, lo: int) -> int | None:
+        """Unique-table lookup without creating (None on a miss)."""
         if hi == lo:
             return hi
         return self._tables[level].get((hi << 32) | lo)
 
     def value_of(self, handle: int) -> int | None:
+        """0/1 for terminals, None for internal handles."""
         return handle if handle < 2 else None
 
     # -- size accounting -----------------------------------------------
 
     @property
     def num_nodes(self) -> int:
+        """Live internal nodes."""
         return self._count
 
     @property
     def peak_nodes(self) -> int:
+        """Historical maximum of live internal nodes."""
         return self._peak
 
     @property
     def num_levels(self) -> int:
+        """Number of declared levels (variables)."""
         return len(self._tables)
 
     def level_sizes(self) -> list[int]:
+        """Nodes per level, root-most first."""
         return [len(t) for t in self._tables]
 
     def add_level(self, level: int) -> None:
+        """Insert an empty level at position ``level``.
+
+        The manager guarantees insertion above existing levels only
+        happens while the store holds no internal nodes.
+        """
         self._tables.insert(level, {})
 
     # -- iteration -----------------------------------------------------
 
     def iter_nodes(self) -> Iterator[int]:
+        """Every live internal id, level by level."""
         for table in self._tables:
             yield from table.values()
 
     def iter_table(self) -> Iterator[tuple[int, int, int, int]]:
+        """Unique-table rows as ``(level, key_hi, key_lo, id)``.
+
+        ``key_hi``/``key_lo`` are the children *as recorded in the
+        table key*; on a healthy store they equal ``hi[id]`` /
+        ``lo[id]``, and the sanitizer diffs them.
+        """
         for level, table in enumerate(self._tables):
             for key, node in table.items():
                 yield level, key >> 32, key & _LO_MASK, node
 
     def is_live(self, handle: Any) -> bool:
+        """A terminal, or an id present in the unique table."""
         if not isinstance(handle, int) \
-                or not 0 <= handle < len(self._level):
+                or not 0 <= handle < len(self.level):
             return False
         if handle < 2:
             return True
-        level = self._level[handle]
+        level = self.level[handle]
         if not 0 <= level < len(self._tables):
             return False
-        key = (self._hi[handle] << 32) | self._lo[handle]
+        key = (self.hi[handle] << 32) | self.lo[handle]
         return self._tables[level].get(key, -1) == handle
 
     # -- vectorized analytics ------------------------------------------
@@ -214,25 +238,30 @@ class ArrayStore(NodeStore):
             return None
         if root < 2:
             return root << nvars
-        hi_col, lo_col = self._hi, self._lo
+        hi_col, lo_col = self.hi, self.lo
         # int64 gathers: counts reach 2^nvars and sums 2^(nvars+1), so
         # the numpy path is exact only through nvars == 61; beyond
         # that, arbitrary-precision Python takes over.
-        if _np is not None and nvars <= 61:
-            counts = _np.zeros(len(self._level), dtype=_np.int64)
-            counts[1] = 1 << nvars
-            hi_np = _np.frombuffer(hi_col, dtype=_np.int64)
-            lo_np = _np.frombuffer(lo_col, dtype=_np.int64)
-            for level in range(len(tables) - 1, -1, -1):
-                table = tables[level]
-                if not table:
-                    continue
-                ids = _np.fromiter(table.values(), dtype=_np.int64,
-                                   count=len(table))
-                counts[ids] = (counts[hi_np[ids]]
-                               + counts[lo_np[ids]]) >> 1
-            return int(counts[root])
-        counts_list = [0] * len(self._level)
+        if nvars <= 61:
+            try:
+                import numpy as np
+            except ImportError:  # pragma: no cover - numpy is optional
+                pass
+            else:
+                counts = np.zeros(len(self.level), dtype=np.int64)
+                counts[1] = 1 << nvars
+                hi_np = np.frombuffer(hi_col, dtype=np.int64)
+                lo_np = np.frombuffer(lo_col, dtype=np.int64)
+                for level in range(len(tables) - 1, -1, -1):
+                    table = tables[level]
+                    if not table:
+                        continue
+                    ids = np.fromiter(table.values(), dtype=np.int64,
+                                      count=len(table))
+                    counts[ids] = (counts[hi_np[ids]]
+                                   + counts[lo_np[ids]]) >> 1
+                return int(counts[root])
+        counts_list = [0] * len(self.level)
         counts_list[1] = 1 << nvars
         for level in range(len(tables) - 1, -1, -1):
             for node in tables[level].values():
@@ -243,13 +272,19 @@ class ArrayStore(NodeStore):
     # -- garbage collection and reordering -----------------------------
 
     def collect(self, roots: Iterable[int]) -> int:
+        """Sweep nodes unreachable from ``roots``; returns the count.
+
+        Also recomputes every structural reference count from scratch
+        (parent arcs, plus one per root, plus the permanent terminal
+        reference).  The ids of swept nodes are recycled by later
+        :meth:`mk` calls, which is why the manager clears the computed
+        table and metric caches at every collection.
+        """
         roots = list(roots)
-        hi_col, lo_col = self._hi, self._lo
+        hi_col, lo_col = self.hi, self.lo
         # Dense int ids let the mark set be a flat byte map — O(1)
-        # unhashed probes, no per-entry allocation.  Object stores
-        # cannot do this; it is one of the structural wins of the flat
-        # layout (docs/backends.md).
-        marked = bytearray(len(self._level))
+        # unhashed probes, no per-entry allocation.
+        marked = bytearray(len(self.level))
         stack = [root for root in roots if root >= 2]
         while stack:
             node = stack.pop()
@@ -262,37 +297,40 @@ class ArrayStore(NodeStore):
             lo = lo_col[node]
             if lo >= 2 and not marked[lo]:
                 stack.append(lo)
-        if _np is not None:
-            reclaimed = self._sweep_vectorized(marked, roots)
-        else:
+        reclaimed = self._sweep_vectorized(marked, roots)
+        if reclaimed is None:  # numpy is not installed
             reclaimed = self._sweep_portable(marked)
             self._recount_refs(roots)
         self._count -= reclaimed
         return reclaimed
 
     def _sweep_vectorized(self, marked: bytearray,
-                          roots: list[int]) -> int:
+                          roots: list[int]) -> int | None:
         """Dead-slot sweep and ref recount as C-speed column scans.
 
         ``numpy.frombuffer`` gives zero-copy int64 views over the
         ``array('q')`` columns, so finding dead slots is one boolean
-        scan and the reference recount is two ``bincount`` histograms —
-        both proportional work that an object graph has to do one
-        attribute access at a time.  The views are function-local:
-        nothing appends to the columns while they exist (appending
-        would raise ``BufferError`` on an exporting array).
+        scan and the reference recount is two ``bincount`` histograms.
+        The views are function-local: nothing appends to the columns
+        while they exist (appending would raise ``BufferError`` on an
+        exporting array).  Returns None, touching nothing, when numpy
+        is not installed.
         """
-        n = len(self._level)
-        level_np = _np.frombuffer(self._level, dtype=_np.int64)
-        hi_np = _np.frombuffer(self._hi, dtype=_np.int64)
-        lo_np = _np.frombuffer(self._lo, dtype=_np.int64)
-        ref_np = _np.frombuffer(self._ref, dtype=_np.int64)
+        try:
+            import numpy as np
+        except ImportError:
+            return None
+        n = len(self.level)
+        level_np = np.frombuffer(self.level, dtype=np.int64)
+        hi_np = np.frombuffer(self.hi, dtype=np.int64)
+        lo_np = np.frombuffer(self.lo, dtype=np.int64)
+        ref_np = np.frombuffer(self.ref, dtype=np.int64)
         live = level_np >= 0  # terminals carry TERMINAL_LEVEL >= 0
         live[:2] = False
-        marked_np = _np.frombuffer(marked, dtype=_np.uint8) != 0
-        dead_ids = _np.nonzero(live & ~marked_np)[0]
-        survivors = _np.nonzero(live & marked_np)[0]
-        levels, hi_col, lo_col = self._level, self._hi, self._lo
+        marked_np = np.frombuffer(marked, dtype=np.uint8) != 0
+        dead_ids = np.nonzero(live & ~marked_np)[0]
+        survivors = np.nonzero(live & marked_np)[0]
+        levels, hi_col, lo_col = self.level, self.hi, self.lo
         tables = self._tables
         for node in dead_ids.tolist():
             # Packed keys are arbitrary-precision Python ints; rebuild
@@ -302,10 +340,10 @@ class ArrayStore(NodeStore):
                                      | lo_col[node]]
         level_np[dead_ids] = FREE_LEVEL
         self._free.extend(dead_ids.tolist())
-        counts = _np.bincount(hi_np[survivors], minlength=n)
-        counts += _np.bincount(lo_np[survivors], minlength=n)
+        counts = np.bincount(hi_np[survivors], minlength=n)
+        counts += np.bincount(lo_np[survivors], minlength=n)
         ref_np[:] = counts
-        ref = self._ref
+        ref = self.ref
         for root in roots:
             ref[root] += 1
         ref[0] += 1
@@ -315,7 +353,7 @@ class ArrayStore(NodeStore):
     def _sweep_portable(self, marked: bytearray) -> int:
         """Pure-Python dead-slot sweep (no-numpy fallback)."""
         reclaimed = 0
-        levels = self._level
+        levels = self.level
         free = self._free
         for table in self._tables:
             dead = [key for key, node in table.items()
@@ -329,11 +367,11 @@ class ArrayStore(NodeStore):
 
     def _recount_refs(self, roots: list[int]) -> None:
         """Recompute structural reference counts from scratch."""
-        ref = self._ref
+        ref = self.ref
         # Zero the whole column in one C-level copy (a memset, in
         # effect) instead of a Python loop over every slot.
         ref[:] = array("q", bytes(ref.itemsize * len(ref)))
-        hi_col, lo_col = self._hi, self._lo
+        hi_col, lo_col = self.hi, self.lo
         for table in self._tables:
             for node in table.values():
                 ref[hi_col[node]] += 1
@@ -344,10 +382,18 @@ class ArrayStore(NodeStore):
         ref[1] += 1
 
     def swap_adjacent(self, level: int) -> None:
+        """Exchange levels ``level`` and ``level + 1`` in place.
+
+        Every id keeps denoting the same boolean function.  Structural
+        reference counts must be accurate on entry and are maintained;
+        nodes orphaned by the rewrite are reclaimed.  The manager
+        wrapper (:func:`repro.bdd.reorder.swap_adjacent`) owns cache
+        invalidation and the variable-name maps.
+        """
         upper = self._tables[level]
         lower = self._tables[level + 1]
         levels, hi_col, lo_col, ref = \
-            self._level, self._hi, self._lo, self._ref
+            self.level, self.hi, self.lo, self.ref
 
         # Phase 1: classify the upper-level nodes before touching
         # anything.
@@ -403,7 +449,7 @@ class ArrayStore(NodeStore):
     def _reclaim(self, node: int) -> None:
         """Free ``node`` and recursively its orphaned descendants."""
         levels, hi_col, lo_col, ref = \
-            self._level, self._hi, self._lo, self._ref
+            self.level, self.hi, self.lo, self.ref
         stack = [node]
         while stack:
             node = stack.pop()
@@ -430,43 +476,49 @@ class ArrayStore(NodeStore):
     # -- sanitizer support ---------------------------------------------
 
     def describe(self, handle: object) -> str:
+        """Short human-readable tag for diagnostics."""
         if not isinstance(handle, int):
             return f"non-handle {handle!r}"
         if handle < 2:
             return f"terminal {handle}"
-        if 0 <= handle < len(self._level):
-            return f"id {handle} L{self._level[handle]}"
+        if 0 <= handle < len(self.level):
+            return f"id {handle} L{self.level[handle]}"
         return f"id {handle} (out of range)"
 
     def check(self, report: Callable[[str, str], None]) -> None:
-        n = len(self._level)
-        if not len(self._hi) == len(self._lo) == len(self._ref) == n:
+        """Representation checks: column lengths, terminals, free list.
+
+        ``report(check_name, message)`` records one diagnostic; the
+        graph checks live in :mod:`repro.bdd.sanitize`.
+        """
+        n = len(self.level)
+        if not len(self.hi) == len(self.lo) == len(self.ref) == n:
             report("table",
                    f"column length mismatch: level={n} "
-                   f"hi={len(self._hi)} lo={len(self._lo)} "
-                   f"ref={len(self._ref)}")
+                   f"hi={len(self.hi)} lo={len(self.lo)} "
+                   f"ref={len(self.ref)}")
             return
         for terminal in (0, 1):
-            if self._level[terminal] != TERMINAL_LEVEL \
-                    or self._hi[terminal] != -1 \
-                    or self._lo[terminal] != -1:
+            if self.level[terminal] != TERMINAL_LEVEL \
+                    or self.hi[terminal] != -1 \
+                    or self.lo[terminal] != -1:
                 report("terminal",
                        f"terminal {terminal} corrupted: "
-                       f"level={self._level[terminal]} "
-                       f"hi={self._hi[terminal]} "
-                       f"lo={self._lo[terminal]}")
+                       f"level={self.level[terminal]} "
+                       f"hi={self.hi[terminal]} "
+                       f"lo={self.lo[terminal]}")
         for slot in self._free:
             if not 2 <= slot < n:
                 report("table", f"free-list id {slot} out of range")
-            elif self._level[slot] != FREE_LEVEL:
+            elif self.level[slot] != FREE_LEVEL:
                 report("table",
                        f"free-list id {slot} has live level "
-                       f"{self._level[slot]}")
+                       f"{self.level[slot]}")
         # Every allocated slot is either a terminal, free, or in the
         # unique table at its recorded level.
         in_free = set(self._free)
         for slot in range(2, n):
-            if self._level[slot] == FREE_LEVEL:
+            if self.level[slot] == FREE_LEVEL:
                 if slot not in in_free:
                     report("table",
                            f"id {slot} freed but not on the free list")
@@ -474,8 +526,3 @@ class ArrayStore(NodeStore):
                 report("table",
                        f"id {slot} allocated but absent from the "
                        f"unique table")
-
-    def cache_handles(self, value: Any) -> Iterator[int]:
-        # Integer handles are indistinguishable from other ints inside
-        # cache keys; see ``checks_cache_liveness``.
-        return iter(())

@@ -1,502 +1,37 @@
-"""The NodeStore backend API: the Manager <-> kernel boundary.
+"""Store selection: the one node store, by name.
 
-A *node store* owns the physical representation of the BDD node graph
-— the unique table, the reference counts, the terminal constants — and
-hands out opaque **handles**.  Everything above the store (the manager,
-the kernels, the approximation/decomposition algorithms) manipulates
-handles exclusively through the store's accessors, so the node layout
-can change without touching a single algorithm:
-
-* :class:`ObjectStore` (the reference backend) keeps one
-  :class:`~repro.bdd.node.Node` object per BDD node; handles *are* the
-  node objects, exactly the seed representation.
-* :class:`~repro.bdd.arraystore.ArrayStore` keeps ``level``/``hi``/
-  ``lo``/``ref`` in flat ``array('q')`` columns indexed by node id;
-  handles are plain ``int`` ids and the terminals are the fixed ids
-  0 and 1.
-
-Handle contract
----------------
-Handles are equality-comparable and hashable; two handles are equal iff
-they denote the same node (hash-consing makes this function equality).
-Code must compare handles with ``==``, **never** ``is`` — identity
-holds for ``Node`` objects but not for ``int`` ids (CPython only
-interns small integers).  ``store.key_of(h)`` returns a stable integer
-for ordering and identity-keyed maps (``id`` for objects, the id
-itself for ints).
-
-Hot accessors (``level_of``, ``hi_of``, ``lo_of``, ``mk``, ...) are
-*bound callables* published as instance attributes, so kernels can
-lift them into locals before their loops — the same idiom they already
-use for the computed table.
-
-Backend selection
------------------
-``Manager(..., backend="array")`` picks a store explicitly; otherwise
-the ``REPRO_BACKEND`` environment variable decides (default
-``"object"``).  :func:`create_store` is the factory; third-party
-backends can be added to :data:`BACKENDS`.
+``Manager(backend=...)``, the serve daemon's ``SessionConfig`` and the
+benchmark records name the node store they run on.  One store ships —
+:class:`~repro.bdd.arraystore.ArrayStore`, named ``"array"`` — so
+``None`` (the default) and ``"array"`` are the only accepted names;
+``docs/backends.md`` describes the store.
 """
 
 from __future__ import annotations
 
-import os
-from collections.abc import Callable, Iterable, Iterator
-from operator import attrgetter
-from typing import Any
+from .arraystore import ArrayStore
 
-from .node import Node, TERMINAL_LEVEL
+__all__ = ["DEFAULT_BACKEND", "resolve_backend", "create_store"]
 
-__all__ = [
-    "NodeStore",
-    "ObjectStore",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "resolve_backend",
-    "create_store",
-]
-
-#: Backend chosen when neither the ``backend=`` argument nor the
-#: ``REPRO_BACKEND`` environment variable says otherwise.
-DEFAULT_BACKEND = "object"
-
-
-class NodeStore:
-    """Abstract node-store protocol (see the module docstring).
-
-    Subclasses must initialize the public attributes below and
-    implement every method.  Handles are backend-defined opaque values
-    (``Node`` objects, ``int`` ids, ...).
-
-    Attributes
-    ----------
-    name:
-        Backend name as used by ``Manager(backend=...)``.
-    zero, one:
-        Handles of the constant FALSE / TRUE terminals.  Terminals are
-        permanent: they always carry one artificial reference.
-    level_of, hi_of, lo_of, ref_of:
-        Single-argument accessor callables mapping a handle to its
-        field.  Terminals carry :data:`~repro.bdd.node.TERMINAL_LEVEL`.
-    key_of:
-        Handle -> stable int; identity key for ordering, hashing and
-        mark sets (``id`` for object handles, the id itself for ints).
-    checks_cache_liveness:
-        True when :meth:`cache_handles` can recover every handle buried
-        in a computed-table entry, enabling the sanitizer's
-        cache-liveness sweep.  Integer-handle stores cannot tell a
-        handle from any other int in a key, so they opt out (sound
-        because the computed table is cleared wholesale at every point
-        where ids are recycled — GC and variable swaps).
-    """
-
-    name: str
-    zero: Any
-    one: Any
-    level_of: Callable[[Any], int]
-    hi_of: Callable[[Any], Any]
-    lo_of: Callable[[Any], Any]
-    ref_of: Callable[[Any], int]
-    key_of: Callable[[Any], int]
-    #: handle -> True for the two constant handles
-    is_terminal: Callable[[Any], bool]
-    checks_cache_liveness: bool = True
-
-    # -- node construction and lookup ----------------------------------
-
-    def mk(self, level: int, hi: Any, lo: Any) -> Any:
-        """Find-or-create the reduced node ``(level, hi, lo)``."""
-        raise NotImplementedError
-
-    def find(self, level: int, hi: Any, lo: Any) -> Any | None:
-        """Unique-table lookup without creating (None on a miss)."""
-        raise NotImplementedError
-
-    def value_of(self, handle: Any) -> int | None:
-        """0/1 for terminals, None for internal handles."""
-        raise NotImplementedError
-
-    # -- size accounting -----------------------------------------------
-
-    @property
-    def num_nodes(self) -> int:
-        """Live internal nodes."""
-        raise NotImplementedError
-
-    @property
-    def peak_nodes(self) -> int:
-        """Historical maximum of live internal nodes."""
-        raise NotImplementedError
-
-    @property
-    def num_levels(self) -> int:
-        """Number of declared levels (variables)."""
-        raise NotImplementedError
-
-    def level_sizes(self) -> list[int]:
-        """Nodes per level, root-most first."""
-        raise NotImplementedError
-
-    def add_level(self, level: int) -> None:
-        """Insert an empty level at position ``level``.
-
-        The manager guarantees insertion above existing levels only
-        happens while the store holds no internal nodes.
-        """
-        raise NotImplementedError
-
-    # -- iteration (sanitize / reorder / io) ---------------------------
-
-    def iter_nodes(self) -> Iterator[Any]:
-        """Every live internal handle, level by level."""
-        raise NotImplementedError
-
-    def iter_table(self) -> Iterator[tuple[int, Any, Any, Any]]:
-        """Unique-table rows as ``(level, key_hi, key_lo, handle)``.
-
-        ``key_hi``/``key_lo`` are the children *as recorded in the
-        table key* — on a healthy store they equal ``hi_of(handle)`` /
-        ``lo_of(handle)``; the sanitizer diffs them.
-        """
-        raise NotImplementedError
-
-    def is_live(self, handle: Any) -> bool:
-        """A terminal of this store, or present in its unique table."""
-        raise NotImplementedError
-
-    # -- garbage collection and reordering -----------------------------
-
-    def collect(self, roots: Iterable[Any]) -> int:
-        """Sweep nodes unreachable from ``roots``; returns the count.
-
-        Also recomputes every structural reference count from scratch
-        (parent arcs, plus one per root, plus the permanent terminal
-        reference).  Handle identity of surviving nodes is preserved
-        for object handles; integer ids of swept nodes may be recycled
-        by later :meth:`mk` calls — which is why the manager clears the
-        computed table and metric caches at every collection.
-        """
-        raise NotImplementedError
-
-    def swap_adjacent(self, level: int) -> None:
-        """Exchange levels ``level`` and ``level + 1`` in place.
-
-        Every handle keeps denoting the same boolean function.
-        Structural reference counts must be accurate on entry and are
-        maintained; nodes orphaned by the rewrite are reclaimed.  The
-        manager wrapper (:func:`repro.bdd.reorder.swap_adjacent`) owns
-        cache invalidation and the variable-name maps.
-        """
-        raise NotImplementedError
-
-    # -- sanitizer support ---------------------------------------------
-
-    def describe(self, handle: Any) -> str:
-        """Short human-readable tag for diagnostics."""
-        raise NotImplementedError
-
-    def check(self, report: Callable[[str, str], None]) -> None:
-        """Backend-specific invariant checks (terminals, columns).
-
-        ``report(check_name, message)`` records one diagnostic; the
-        generic graph checks live in :mod:`repro.bdd.sanitize`.
-        """
-        raise NotImplementedError
-
-    def cache_handles(self, value: Any) -> Iterator[Any]:
-        """Handles buried in a computed-table key or result.
-
-        Only meaningful when :attr:`checks_cache_liveness` is True.
-        """
-        raise NotImplementedError
-
-
-class ObjectStore(NodeStore):
-    """The reference backend: one ``Node`` object per BDD node.
-
-    Handles are the :class:`~repro.bdd.node.Node` objects themselves —
-    identity-hashed, so handle equality is object identity.  The unique
-    table is one dict per level keyed by the ``(hi, lo)`` child pair,
-    exactly the seed representation.
-    """
-
-    name = "object"
-    checks_cache_liveness = True
-
-    def __init__(self) -> None:
-        self.zero = Node(TERMINAL_LEVEL, None, None, value=0)
-        self.one = Node(TERMINAL_LEVEL, None, None, value=1)
-        # Terminals must never be collected.
-        self.zero.ref = 1
-        self.one.ref = 1
-        #: subtables[level] maps (hi, lo) -> Node
-        self._subtables: list[dict[tuple[Node, Node], Node]] = []
-        self._count = 0
-        self._peak = 0
-        # Hot accessors as C-level callables (attribute getters).
-        self.level_of = attrgetter("level")
-        self.hi_of = attrgetter("hi")
-        self.lo_of = attrgetter("lo")
-        self.ref_of = attrgetter("ref")
-        self.is_terminal = attrgetter("is_terminal")
-        self.key_of = id
-
-    # -- node construction and lookup ----------------------------------
-
-    def mk(self, level: int, hi: Node, lo: Node) -> Node:
-        if hi is lo:
-            return hi
-        if hi.level <= level or lo.level <= level:
-            raise ValueError("children must be below the node level")
-        subtable = self._subtables[level]
-        key = (hi, lo)
-        node = subtable.get(key)
-        if node is None:
-            node = Node(level, hi, lo)
-            hi.ref += 1
-            lo.ref += 1
-            subtable[key] = node
-            self._count += 1
-            if self._count > self._peak:
-                self._peak = self._count
-        return node
-
-    def find(self, level: int, hi: Node, lo: Node) -> Node | None:
-        if hi is lo:
-            return hi
-        return self._subtables[level].get((hi, lo))
-
-    def value_of(self, handle: Node) -> int | None:
-        return handle.value
-
-    # -- size accounting -----------------------------------------------
-
-    @property
-    def num_nodes(self) -> int:
-        return self._count
-
-    @property
-    def peak_nodes(self) -> int:
-        return self._peak
-
-    @property
-    def num_levels(self) -> int:
-        return len(self._subtables)
-
-    def level_sizes(self) -> list[int]:
-        return [len(t) for t in self._subtables]
-
-    def add_level(self, level: int) -> None:
-        self._subtables.insert(level, {})
-
-    # -- iteration -----------------------------------------------------
-
-    def iter_nodes(self) -> Iterator[Node]:
-        for subtable in self._subtables:
-            yield from subtable.values()
-
-    def iter_table(self) -> Iterator[tuple[int, Node, Node, Node]]:
-        for level, subtable in enumerate(self._subtables):
-            for key, node in subtable.items():
-                # A corrupt table can hold malformed keys; keep the
-                # sweep total so the sanitizer reports instead of
-                # crashing.
-                if isinstance(key, tuple) and len(key) == 2:
-                    yield level, key[0], key[1], node
-                else:  # pragma: no cover - pathological corruption
-                    yield level, None, None, node
-
-    def is_live(self, handle: Node) -> bool:
-        if handle is self.zero or handle is self.one:
-            return True
-        if handle.value is not None \
-                or not 0 <= handle.level < len(self._subtables):
-            return False
-        return self._subtables[handle.level].get(
-            (handle.hi, handle.lo)) is handle
-
-    # -- garbage collection and reordering -----------------------------
-
-    def collect(self, roots: Iterable[Node]) -> int:
-        roots = list(roots)
-        marked: set[int] = set()
-        stack = list(roots)
-        while stack:
-            node = stack.pop()
-            if id(node) in marked or node.value is not None:
-                continue
-            marked.add(id(node))
-            stack.append(node.hi)
-            stack.append(node.lo)
-        reclaimed = 0
-        for subtable in self._subtables:
-            dead = [key for key, node in subtable.items()
-                    if id(node) not in marked]
-            for key in dead:
-                del subtable[key]
-                reclaimed += 1
-        self._count -= reclaimed
-        self._recount_refs(roots)
-        return reclaimed
-
-    def _recount_refs(self, roots: list[Node]) -> None:
-        """Recompute structural reference counts from scratch."""
-        for subtable in self._subtables:
-            for node in subtable.values():
-                node.ref = 0
-        self.zero.ref = 0
-        self.one.ref = 0
-        for subtable in self._subtables:
-            for node in subtable.values():
-                node.hi.ref += 1
-                node.lo.ref += 1
-        for root in roots:
-            root.ref += 1
-        self.zero.ref += 1
-        self.one.ref += 1
-
-    def swap_adjacent(self, level: int) -> None:
-        upper = self._subtables[level]
-        lower = self._subtables[level + 1]
-
-        # Phase 1: classify the upper-level nodes before touching
-        # anything.
-        dependent: list[tuple[Node, ...]] = []
-        independent: list[Node] = []
-        for node in list(upper.values()):
-            hi, lo = node.hi, node.lo
-            if hi.level == level + 1 or lo.level == level + 1:
-                if hi.level == level + 1:
-                    f11, f10 = hi.hi, hi.lo
-                else:
-                    f11 = f10 = hi
-                if lo.level == level + 1:
-                    f01, f00 = lo.hi, lo.lo
-                else:
-                    f01 = f00 = lo
-                dependent.append((node, hi, lo, f11, f10, f01, f00))
-            else:
-                independent.append(node)
-
-        # Phase 2: relabel.  Lower-level nodes (testing the variable
-        # that moves up) rise to `level`; independent upper nodes sink
-        # to `level + 1`.  Functions are untouched — only the physical
-        # level changes along with the variable it denotes.
-        risen = list(lower.values())
-        upper.clear()
-        lower.clear()
-        for node in risen:
-            node.level = level
-            upper[(node.hi, node.lo)] = node
-        for node in independent:
-            node.level = level + 1
-            lower[(node.hi, node.lo)] = node
-
-        # Phase 3: rewrite dependent nodes in place.  Each becomes a
-        # node testing the risen variable, with children testing the
-        # sunk one.
-        maybe_dead: list[Node] = []
-        for node, old_hi, old_lo, f11, f10, f01, f00 in dependent:
-            new_hi = self.mk(level + 1, f11, f01)
-            new_lo = self.mk(level + 1, f10, f00)
-            new_hi.ref += 1
-            new_lo.ref += 1
-            old_hi.ref -= 1
-            old_lo.ref -= 1
-            maybe_dead.append(old_hi)
-            maybe_dead.append(old_lo)
-            node.hi = new_hi
-            node.lo = new_lo
-            upper[(new_hi, new_lo)] = node
-
-        # Phase 4: reclaim nodes orphaned by the rewrites.
-        for node in maybe_dead:
-            self._reclaim(node)
-
-    def _reclaim(self, node: Node) -> None:
-        """Delete ``node`` and recursively its orphaned descendants."""
-        stack = [node]
-        while stack:
-            node = stack.pop()
-            if node.ref or node.value is not None:
-                continue
-            subtable = self._subtables[node.level]
-            key = (node.hi, node.lo)
-            if subtable.get(key) is not node:
-                # Already reclaimed via another parent (the stack can
-                # reach a shared dead descendant more than once).
-                continue
-            del subtable[key]
-            self._count -= 1
-            node.hi.ref -= 1
-            node.lo.ref -= 1
-            stack.append(node.hi)
-            stack.append(node.lo)
-
-    # -- sanitizer support ---------------------------------------------
-
-    def describe(self, handle: object) -> str:
-        if not isinstance(handle, Node):
-            # A corrupt table can hold anything; describe, don't crash.
-            return f"non-node {handle!r}"
-        if handle.is_terminal:
-            return f"terminal {handle.value}"
-        return f"node@{id(handle):#x} L{handle.level}"
-
-    def check(self, report: Callable[[str, str], None]) -> None:
-        for terminal, value in ((self.zero, 0), (self.one, 1)):
-            if terminal.value != value or terminal.hi is not None \
-                    or terminal.lo is not None:
-                report("terminal",
-                       f"terminal {value} corrupted: "
-                       f"value={terminal.value!r} hi={terminal.hi!r} "
-                       f"lo={terminal.lo!r}")
-
-    def cache_handles(self, value: Any) -> Iterator[Node]:
-        """Every Node buried in a (possibly nested) cache entry."""
-        stack = [value]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, Node):
-                yield item
-            elif isinstance(item, (tuple, list, frozenset, set)):
-                stack.extend(item)
-            elif isinstance(item, dict):
-                stack.extend(item.keys())
-                stack.extend(item.values())
-
-
-#: Backend registry: name -> zero-argument store factory.  "array" is
-#: resolved lazily to keep this module import-light.
-BACKENDS: dict[str, Callable[[], NodeStore]] = {
-    "object": ObjectStore,
-}
+#: The name of the one node store.
+DEFAULT_BACKEND = ArrayStore.name
 
 
 def resolve_backend(backend: str | None = None) -> str:
-    """Pick the backend name: argument, then env, then the default."""
+    """The store name for ``backend`` (None means the default).
+
+    Unknown names raise ``ValueError``.
+    """
     if backend is None:
-        backend = os.environ.get("REPRO_BACKEND", "").strip() \
-            or DEFAULT_BACKEND
+        return DEFAULT_BACKEND
+    if backend != DEFAULT_BACKEND:
+        raise ValueError(f"unknown BDD backend {backend!r} "
+                         f"(known: {DEFAULT_BACKEND})")
     return backend
 
 
-def create_store(backend: str | None = None) -> NodeStore:
-    """Instantiate the node store selected by ``backend``.
-
-    ``None`` defers to the ``REPRO_BACKEND`` environment variable and
-    then to :data:`DEFAULT_BACKEND`.  Unknown names raise ``ValueError``
-    with the registered alternatives.
-    """
-    name = resolve_backend(backend)
-    if name == "array" and "array" not in BACKENDS:
-        from .arraystore import ArrayStore
-
-        BACKENDS["array"] = ArrayStore
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        known = ", ".join(sorted(set(BACKENDS) | {"array"}))
-        raise ValueError(
-            f"unknown BDD backend {name!r} (known: {known})") from None
-    return factory()
+def create_store(backend: str | None = None) -> ArrayStore:
+    """A fresh node store; ``backend`` is checked by
+    :func:`resolve_backend`."""
+    resolve_backend(backend)
+    return ArrayStore()

@@ -7,14 +7,33 @@ table re-canonicalizes anything that is re-derived.  This module
 reproduces that policy:
 
 * ``limit=None`` — unbounded ``dict`` storage (the seed behaviour).
-* ``limit=N`` — a fixed array of ``N`` buckets indexed by ``hash(key)
-  % N``; inserting into an occupied bucket evicts the previous entry
+* ``limit=N`` — a fixed array of ``N`` buckets indexed by a hash of the
+  key; inserting into an occupied bucket evicts the previous entry
   (CUDD's "overwrite on collision").
 
-Every lookup/insert carries an *op tag* (``"and"``, ``"ite"``,
+Packed keys
+-----------
+Like CUDD's fixed-size cache records, every key is one ``int``: a small
+*opcode* in the low :data:`OP_BITS` bits and up to three operand fields
+of :data:`FIELD_BITS` bits each above it (the width the unique table
+already assumes for node ids)::
+
+    key = opcode | a << 8 | b << 40 | c << 72
+
+An operand is a node id, or an *interned id* standing for a value that
+is not a node — a quantified level set, a cofactor assignment, a
+substitution.  :meth:`ComputedTable.intern` maps such a value to a
+small int that stays valid until the next :meth:`ComputedTable.clear`,
+which flushes the interned values together with the entries.  Keys and
+results are plain ints, so neither the entries nor the dict holding
+them are tracked by CPython's cyclic garbage collector.
+
+Every lookup/insert also carries the op tag (``"and"``, ``"ite"``,
 ``"exists"``, ...) so hit/miss/eviction counts are kept per operation;
 :meth:`ComputedTable.stats` snapshots them for
-:attr:`repro.bdd.manager.Manager.stats`.
+:attr:`repro.bdd.manager.Manager.stats`.  :func:`register_op` assigns
+each tag its opcode and records the key layout the graph sanitizer uses
+to decode entries (:func:`entry_handles`).
 """
 
 from __future__ import annotations
@@ -23,32 +42,109 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any, Hashable
 
-#: Canonical op tags.  Every computed-table insert must use a tag from
-#: this registry (lint rule RPR003 checks literal tags statically; the
-#: graph sanitizer checks stored entries at runtime), so per-op cache
-#: statistics stay meaningful and a rogue insert is attributable.
-REGISTERED_OPS: set[str] = {
-    # binary operators (repro.bdd.operations._OP_TABLES)
-    "and", "or", "xor", "xnor", "nand", "nor", "imp", "diff",
-    # unary / ternary kernels
-    "not", "ite", "cof", "vcomp",
-    # containment predicate
-    "leq",
-    # quantification kernels
-    "exists", "forall", "andex",
-    # generalized-cofactor kernels
-    "constrain", "restrict",
-}
+#: Low key bits holding the opcode.
+OP_BITS = 8
+#: Bits of each operand field (node ids stay below 2**32).
+FIELD_BITS = 32
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+_OP_MASK = (1 << OP_BITS) - 1
+#: Multiplier spreading packed keys over the buckets of a bounded
+#: table (Fibonacci hashing: a key's low bits are its opcode, so the
+#: key itself is a poor bucket index).
+_MIX = 0x9E3779B97F4A7C15
+
+#: Canonical op tags -> opcode.  Every computed-table insert must use a
+#: tag from this registry (lint rule RPR003 checks literal tags
+#: statically; the graph sanitizer checks stored entries at runtime), so
+#: per-op cache statistics stay meaningful and a rogue insert is
+#: attributable.
+REGISTERED_OPS: dict[str, int] = {}
+
+#: opcode -> (tag, operand layout, result kind); see :func:`register_op`.
+_LAYOUTS: list[tuple[str, str, str]] = []
 
 
-def register_op(tag: str) -> str:
+def register_op(tag: str, layout: str = "nn>n") -> str:
     """Register (and return) a computed-table op tag.
 
+    ``layout`` describes the tag's packed keys for the sanitizer: one
+    letter per operand field (``n`` a node id, ``i`` an interned id),
+    then ``>`` and the result kind (``n`` a node id, ``b`` a bool).
     Idempotent; call at import time next to the kernel that uses the
     tag.  Returns the tag so it can be bound to a module constant.
     """
-    REGISTERED_OPS.add(tag)
+    fields, _, result = layout.partition(">")
+    if len(fields) > 3 or set(fields) - {"n", "i"} \
+            or result not in ("n", "b"):
+        raise ValueError(f"bad computed-table key layout {layout!r}")
+    code = REGISTERED_OPS.get(tag)
+    if code is not None:
+        if _LAYOUTS[code][1:] != (fields, result):
+            raise ValueError(f"op tag {tag!r} already registered with "
+                             f"layout {'>'.join(_LAYOUTS[code][1:])!r}")
+        return tag
+    if len(_LAYOUTS) > _OP_MASK:
+        raise ValueError("computed-table opcode space exhausted")
+    REGISTERED_OPS[tag] = len(_LAYOUTS)
+    _LAYOUTS.append((tag, fields, result))
     return tag
+
+
+# Binary operators (repro.bdd.operations._OP_TABLES) and the other
+# kernels' tags.
+for _tag in ("and", "or", "xor", "xnor", "nand", "nor", "imp", "diff",
+             "constrain", "restrict"):
+    register_op(_tag)
+register_op("not", "n>n")
+register_op("ite", "nnn>n")
+register_op("leq", "nn>b")
+# Cofactor assignments, substitutions and quantified level sets are
+# interned.
+register_op("cof", "ni>n")
+register_op("vcomp", "ni>n")
+register_op("exists", "ni>n")
+register_op("forall", "ni>n")
+register_op("andex", "nni>n")
+
+
+def pack(tag: str, *fields: int) -> int:
+    """The packed key of ``tag`` over the given operand fields.
+
+    Kernels inline this arithmetic in their hot loops; it is spelled
+    out here for everything else.
+    """
+    key = REGISTERED_OPS[tag]
+    for i, field in enumerate(fields):
+        key |= field << (OP_BITS + i * FIELD_BITS)
+    return key
+
+
+def op_of(key: Hashable) -> str:
+    """The op tag a stored key was packed for (a placeholder tag that
+    is not registered when the key is not a packed int)."""
+    if not isinstance(key, int) or key < 0:
+        return "?"
+    code = key & _OP_MASK
+    return _LAYOUTS[code][0] if code < len(_LAYOUTS) \
+        else f"<opcode {code}>"
+
+
+def entry_handles(key: int, result: Any) -> tuple[list[int], list[int]]:
+    """``(node ids, interned ids)`` a stored entry refers to.
+
+    Node ids come from the key's node fields and, for node-valued ops,
+    the result (unless it is None, the sanitizer's "incomplete" case).
+    Used by the graph sanitizer's cache-liveness sweep.
+    """
+    _, fields, result_kind = _LAYOUTS[key & _OP_MASK]
+    nodes: list[int] = []
+    interned: list[int] = []
+    for i, kind in enumerate(fields):
+        value = key >> (OP_BITS + i * FIELD_BITS) & _FIELD_MASK
+        (nodes if kind == "n" else interned).append(value)
+    if result_kind == "n" and result is not None:
+        nodes.append(result)
+    return nodes, interned
 
 
 @dataclass(frozen=True)
@@ -78,27 +174,29 @@ _HITS, _MISSES, _EVICTIONS = 0, 1, 2
 class ComputedTable:
     """Memoization table shared by all manager-level BDD operations.
 
-    Keys are arbitrary hashable tuples built by the operation
-    implementations (by convention ``(op, operand, ...)``); values are
-    canonical nodes — or plain values for predicate caches such as the
-    containment test.  The ``op`` argument of :meth:`lookup` and
-    :meth:`insert` only attributes statistics; it does not partition the
-    key space.
+    Keys are packed ints (see the module docstring); values are node
+    ids — or plain values for predicate caches such as the containment
+    test.  The ``op`` argument of :meth:`lookup` and :meth:`insert` only
+    attributes statistics; the key's opcode already partitions the key
+    space.
     """
 
-    __slots__ = ("_limit", "_entries", "_slots", "_occupied", "_ops")
+    __slots__ = ("_limit", "_entries", "_keys", "_results", "_occupied",
+                 "_ops", "_interned")
 
     def __init__(self, limit: int | None = None) -> None:
         if limit is not None and limit <= 0:
             raise ValueError("cache_limit must be positive or None")
         self._limit = limit
-        self._entries: dict[Hashable, Any] = {}
-        #: bounded storage: (key, result, op) per bucket
-        self._slots: list[tuple[Hashable, Any, str] | None] = \
-            [None] * limit if limit is not None else []
+        self._entries: dict[int, Any] = {}
+        #: bounded storage: key and result per bucket
+        self._keys: list[int | None] = [None] * (limit or 0)
+        self._results: list[Any] = [None] * (limit or 0)
         self._occupied = 0
         #: op tag -> [hits, misses, evictions]
         self._ops: dict[str, list[int]] = {}
+        #: interned value -> its id in packed keys
+        self._interned: dict[Hashable, int] = {}
 
     # ------------------------------------------------------------------
     # Configuration
@@ -112,39 +210,45 @@ class ComputedTable:
     def set_limit(self, limit: int | None) -> None:
         """Re-bound the table, rehashing the entries that still fit.
 
-        Statistics are preserved; shrinking may silently drop entries
-        whose buckets collide (not counted as evictions — resizing is a
-        policy change, not a capacity decision).
+        Statistics and interned values are preserved; shrinking may
+        silently drop entries whose buckets collide (not counted as
+        evictions — resizing is a policy change, not a capacity
+        decision).
         """
         if limit is not None and limit <= 0:
             raise ValueError("cache_limit must be positive or None")
-        if self._limit is None:
-            # Unbounded storage does not record op tags; recover them
-            # from the conventional ``(op, ...)`` key shape.
-            survivors = [(key, result,
-                          key[0] if isinstance(key, tuple) and key
-                          and isinstance(key[0], str) else "?")
-                         for key, result in self._entries.items()]
-        else:
-            survivors = [slot for slot in self._slots if slot is not None]
+        survivors = [(key, result) for _, key, result in self.entries()]
         self._limit = limit
         self._entries = {}
-        self._slots = [None] * limit if limit is not None else []
+        self._keys = [None] * (limit or 0)
+        self._results = [None] * (limit or 0)
         self._occupied = 0
-        for key, result, op in survivors:
+        for key, result in survivors:
             if limit is None:
                 self._entries[key] = result
             else:
-                index = hash(key) % limit
-                if self._slots[index] is None:
+                index = (key * _MIX >> 64) % limit
+                if self._keys[index] is None:
                     self._occupied += 1
-                self._slots[index] = (key, result, op)
+                self._keys[index] = key
+                self._results[index] = result
 
     # ------------------------------------------------------------------
     # The memoization protocol
     # ------------------------------------------------------------------
 
-    def lookup(self, op: str, key: Hashable) -> Any | None:
+    def intern(self, value: Hashable) -> int:
+        """Small int standing for ``value`` in packed keys.
+
+        Valid until the next :meth:`clear`, which drops every entry
+        that could still refer to it.
+        """
+        ident = self._interned.get(value)
+        if ident is None:
+            ident = self._interned[value] = len(self._interned)
+        return ident
+
+    def lookup(self, op: str, key: int) -> Any | None:
         """Return the memoized result for ``key``, or None on a miss."""
         record = self._ops.get(op)
         if record is None:
@@ -156,31 +260,34 @@ class ComputedTable:
             else:
                 record[_HITS] += 1
             return result
-        slot = self._slots[hash(key) % self._limit]
-        if slot is not None and slot[0] == key:
+        index = (key * _MIX >> 64) % self._limit
+        if self._keys[index] == key:
             record[_HITS] += 1
-            return slot[1]
+            return self._results[index]
         record[_MISSES] += 1
         return None
 
-    def insert(self, op: str, key: Hashable, result: Any) -> None:
+    def insert(self, op: str, key: int, result: Any) -> None:
         """Memoize ``result`` under ``key``, evicting on bucket clash."""
         if self._limit is None:
             self._entries[key] = result
             return
-        index = hash(key) % self._limit
-        slot = self._slots[index]
-        if slot is None:
+        index = (key * _MIX >> 64) % self._limit
+        incumbent = self._keys[index]
+        if incumbent is None:
             self._occupied += 1
-        elif slot[0] != key:
-            record = self._ops.get(slot[2])
+        elif incumbent != key:
+            evicted = op_of(incumbent)
+            record = self._ops.get(evicted)
             if record is None:
-                record = self._ops[slot[2]] = [0, 0, 0]
+                record = self._ops[evicted] = [0, 0, 0]
             record[_EVICTIONS] += 1
-        self._slots[index] = (key, result, op)
+        self._keys[index] = key
+        self._results[index] = result
 
     def clear(self) -> int:
-        """Drop every entry (GC / reordering flush); returns the count.
+        """Drop every entry and interned value (GC / reordering flush);
+        returns the number of entries dropped.
 
         Flushes are not counted as evictions: an eviction is a capacity
         decision, a flush invalidates results whose nodes may die.
@@ -189,32 +296,34 @@ class ComputedTable:
         if self._limit is None:
             self._entries.clear()
         else:
-            self._slots = [None] * self._limit
+            self._keys = [None] * self._limit
+            self._results = [None] * self._limit
             self._occupied = 0
+        self._interned.clear()
         return dropped
 
     def __len__(self) -> int:
         return self._occupied if self._limit is not None \
             else len(self._entries)
 
-    def entries(self) -> Iterator[tuple[str, Hashable, Any]]:
+    @property
+    def interned_count(self) -> int:
+        """Values interned since the last flush (valid ids are below)."""
+        return len(self._interned)
+
+    def entries(self) -> Iterator[tuple[str, int, Any]]:
         """Iterate ``(op, key, result)`` over the stored entries.
 
-        Bounded storage records the op tag per slot; unbounded storage
-        recovers it from the conventional ``(op, ...)`` key shape (a
-        non-conforming key yields ``"?"``).  Used by the graph
-        sanitizer; not a hot path.
+        The op tag is decoded from the key's opcode (:func:`op_of`).
+        Used by the graph sanitizer; not a hot path.
         """
         if self._limit is None:
             for key, result in self._entries.items():
-                op = key[0] if isinstance(key, tuple) and key \
-                    and isinstance(key[0], str) else "?"
-                yield op, key, result
-        else:
-            for slot in self._slots:
-                if slot is not None:
-                    key, result, op = slot
-                    yield op, key, result
+                yield op_of(key), key, result
+            return
+        for slot, result in zip(self._keys, self._results):
+            if slot is not None:
+                yield op_of(slot), slot, result
 
     # ------------------------------------------------------------------
     # Statistics

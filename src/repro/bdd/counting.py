@@ -4,8 +4,8 @@ Minterm counts are exact Python integers (the paper's experiments report
 counts around 1e45, far beyond doubles).  ``density`` is the paper's
 ranking measure  delta(g) = ||g|| / |g|  (Section 2).
 
-Node-level functions take the node store first and manipulate opaque
-handles; the Function-level entry points (:func:`sat_count`,
+Node-level functions take the node store first and manipulate int node
+ids; the Function-level entry points (:func:`sat_count`,
 :func:`density`) keep their original signatures.
 """
 
@@ -17,19 +17,19 @@ from typing import TYPE_CHECKING, Any
 from .traversal import collect_nodes, nodes_by_level
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .backend import NodeStore
+    from .arraystore import ArrayStore
     from .function import Function
 
 #: Distance value meaning "no path".
 INFINITY = math.inf
 
 
-def bdd_size(store: "NodeStore", root: Any) -> int:
+def bdd_size(store: "ArrayStore", root: Any) -> int:
     """Number of internal nodes — the paper's ``|f|``."""
     return len(collect_nodes(store, root))
 
 
-def shared_size(store: "NodeStore", roots: list[Any]) -> int:
+def shared_size(store: "ArrayStore", roots: list[Any]) -> int:
     """Number of distinct internal nodes among several functions."""
     seen: set[Any] = set()
     for root in roots:
@@ -37,7 +37,7 @@ def shared_size(store: "NodeStore", roots: list[Any]) -> int:
     return len(seen)
 
 
-def minterm_count_map(store: "NodeStore", root: Any,
+def minterm_count_map(store: "ArrayStore", root: Any,
                       nvars: int) -> dict[Any, int]:
     """Exact minterm count of the function rooted at each node.
 
@@ -69,8 +69,7 @@ def minterm_count_map(store: "NodeStore", root: Any,
 def sat_count(function: "Function", nvars: int | None = None) -> int:
     """Exact ``||f||`` over ``nvars`` variables (default: all declared).
 
-    On stores exposing ``sat_count_vector`` (the flat array backend),
-    functions spanning a sizeable fraction of the store — a
+    Functions spanning a sizeable fraction of the store — a
     traversal's reached set, typically — are counted by vectorized
     column sweeps instead of a per-node Python dict pass; the result
     is identical.  Small functions in a big store keep the per-node
@@ -91,9 +90,8 @@ def sat_count(function: "Function", nvars: int | None = None) -> int:
     if nvars <= support_max:
         raise ValueError(
             f"nvars={nvars} smaller than support (level {support_max})")
-    vector = getattr(store, "sat_count_vector", None)
-    if vector is not None and 4 * len(nodes) >= store.num_nodes:
-        count = vector(root, nvars)
+    if 4 * len(nodes) >= store.num_nodes:
+        count = store.sat_count_vector(root, nvars)
         if count is not None:
             return count
     counts = minterm_count_map(store, root, nvars)
@@ -126,7 +124,7 @@ def log2int(n: int) -> float:
     return math.log2(n >> shift) + shift
 
 
-def distance_from_root(store: "NodeStore", root: Any) -> dict[Any, int]:
+def distance_from_root(store: "ArrayStore", root: Any) -> dict[Any, int]:
     """Shortest number of arcs from the root to each reachable node.
 
     Terminals included.  The root has distance 0.
@@ -145,7 +143,7 @@ def distance_from_root(store: "NodeStore", root: Any) -> dict[Any, int]:
     return dist
 
 
-def distance_to_one(store: "NodeStore", root: Any) -> dict[Any, float]:
+def distance_to_one(store: "ArrayStore", root: Any) -> dict[Any, float]:
     """Shortest number of arcs from each node to the ONE terminal.
 
     Nodes with no path to ONE map to :data:`INFINITY`.
@@ -168,7 +166,7 @@ def distance_to_one(store: "NodeStore", root: Any) -> dict[Any, float]:
     return dist
 
 
-def height_map(store: "NodeStore", root: Any) -> dict[Any, int]:
+def height_map(store: "ArrayStore", root: Any) -> dict[Any, int]:
     """Longest number of arcs from each node down to a terminal.
 
     The paper's *Band* decomposition-point selector uses the distance of
@@ -187,7 +185,7 @@ def height_map(store: "NodeStore", root: Any) -> dict[Any, int]:
     return heights
 
 
-def path_count(store: "NodeStore", root: Any) -> int:
+def path_count(store: "ArrayStore", root: Any) -> int:
     """Number of root-to-terminal paths (both terminals)."""
     is_term = store.is_terminal
     hi_of, lo_of = store.hi_of, store.lo_of

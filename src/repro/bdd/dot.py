@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from .traversal import nodes_by_level
 
@@ -19,20 +19,18 @@ def to_dot(function: "Function", name: str = "f") -> str:
     manager = function.manager
     store = manager.store
     level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
-    is_term, value_of, key_of = \
-        store.is_terminal, store.value_of, store.key_of
+    is_term, value_of = store.is_terminal, store.value_of
     root = function.node
     lines = [f"digraph {name} {{", "  rankdir=TB;"]
-    ids: dict[Any, str] = {}
+    ids: dict[int, str] = {}
 
-    def node_id(node: Any) -> str:
-        key = key_of(node)
-        if key not in ids:
+    def node_id(node: int) -> str:
+        if node not in ids:
             if is_term(node):
-                ids[key] = f"t{value_of(node)}"
+                ids[node] = f"t{value_of(node)}"
             else:
-                ids[key] = f"n{len(ids)}"
-        return ids[key]
+                ids[node] = f"n{len(ids)}"
+        return ids[node]
 
     internal = nodes_by_level(store, root)
     by_level: dict[int, list] = {}
@@ -46,7 +44,7 @@ def to_dot(function: "Function", name: str = "f") -> str:
             lines.append(f'  "{node_id(node)}" [label="{var}"];')
     for value in (0, 1):
         terminal = store.one if value else store.zero
-        if key_of(terminal) in ids or root == terminal:
+        if terminal in ids or root == terminal:
             lines.append(f'  "t{value}" [shape=box,label="{value}"];')
     for node in internal:
         lines.append(f'  "{node_id(node)}" -> "{node_id(hi_of(node))}";')

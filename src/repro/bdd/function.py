@@ -9,9 +9,8 @@ It overloads the Python boolean operators, so formulas read naturally::
 
 Handles referring to the same manager compare equal iff their root
 handles are equal — which, by canonicity, means the functions are
-equal.  The root handle's concrete type is backend-defined (a ``Node``
-object on the object store, an ``int`` id on the array store); code
-below never touches node fields directly, only the store's accessors.
+equal.  The root handle is an ``int`` node id; code below reads node
+fields only through the store's accessors.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ class Function:
     def handle(self) -> Any:
         """The root handle in the manager's node store (internal API).
 
-        Preferred, backend-neutral spelling of :attr:`node`; inspect it
-        through ``function.manager.store``'s accessors.
+        Preferred spelling of :attr:`node`; inspect it through
+        ``function.manager.store``'s columns and accessors.
         """
         return self.node
 
@@ -55,8 +54,7 @@ class Function:
         return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self) -> int:
-        return hash((id(self.manager),
-                     self.manager.store.key_of(self.node)))
+        return hash((id(self.manager), self.node))
 
     @property
     def is_true(self) -> bool:

@@ -6,9 +6,7 @@ line per node in a bottom-up order, ``index variable hi lo`` with
 Variables are stored by *name*, so a dump can be loaded into a manager
 with a different variable order (the BDD is rebuilt with ITE).
 
-``transfer`` copies a function into another manager directly.  Both
-managers may use different node-store backends — everything goes
-through store accessors and opaque handles.
+``transfer`` copies a function into another manager directly.
 """
 
 from __future__ import annotations
@@ -42,17 +40,15 @@ def dump(function: Function) -> str:
     manager = function.manager
     store = manager.store
     level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
-    key_of = store.key_of
     lines = [FORMAT_HEADER]
-    index: dict[Any, int] = {key_of(store.zero): 0,
-                             key_of(store.one): 1}
+    index: dict[int, int] = {store.zero: 0, store.one: 1}
     ordered = list(reversed(nodes_by_level(store, function.node)))
     for position, node in enumerate(ordered, start=2):
-        index[key_of(node)] = position
+        index[node] = position
         name = manager.var_at_level(level_of(node))
-        lines.append(f"{position} {name} {index[key_of(hi_of(node))]} "
-                     f"{index[key_of(lo_of(node))]}")
-    lines.append(f"root {index[key_of(function.node)]}")
+        lines.append(f"{position} {name} {index[hi_of(node)]} "
+                     f"{index[lo_of(node)]}")
+    lines.append(f"root {index[function.node]}")
     return "\n".join(lines) + "\n"
 
 
@@ -182,8 +178,7 @@ def transfer(function: Function, target: Manager,
         return function
     src = source.store
     level_of, hi_of, lo_of = src.level_of, src.hi_of, src.lo_of
-    key_of = src.key_of
-    cache: dict[Any, Any] = {}
+    cache: dict[int, int] = {}
 
     # Explicit post-order walk (no recursion): expand frames (flag 0)
     # copy leaves or queue the children; rebuild frames (flag 1) pop the
@@ -200,8 +195,8 @@ def transfer(function: Function, target: Manager,
             if node == src.one:
                 values.append(target.one_node)
                 continue
-            if key_of(node) in cache:
-                values.append(cache[key_of(node)])
+            if node in cache:
+                values.append(cache[node])
                 continue
             name = source.var_at_level(level_of(node))
             if name not in target._var_to_level:
@@ -216,6 +211,6 @@ def transfer(function: Function, target: Manager,
             hi = values.pop()
             var = target.var_handle(source.var_at_level(level_of(node)))
             result = ite_node(target, var, hi, lo)
-            cache[key_of(node)] = result
+            cache[node] = result
             values.append(result)
     return Function(target, values[0])

@@ -2,17 +2,11 @@
 
 The manager owns the semantic state — variable names and order, the
 computed table, Function-handle roots, statistics, the governor — and
-delegates the physical node graph to a pluggable *node store* backend
-(:mod:`repro.bdd.backend`).  Canonicity is enforced by hash-consing in
-the store's unique table, exactly like CUDD's; per-level subtables make
-the adjacent-level swap of dynamic reordering straightforward.
-
-Two stores ship: the reference ``ObjectStore`` (one
-:class:`~repro.bdd.node.Node` object per BDD node, handles are the
-nodes) and the flat ``ArrayStore`` (``array('q')`` columns, handles are
-int ids).  ``Manager(backend="array")``, the ``REPRO_BACKEND``
-environment variable, or the ``--backend`` CLI flag select one; every
-algorithm goes through the store's accessors and works on both.
+delegates the physical node graph to the node store
+(:class:`~repro.bdd.arraystore.ArrayStore`: ``array('q')`` columns,
+handles are int ids).  Canonicity is enforced by hash-consing in the
+store's unique table, exactly like CUDD's; per-level subtables make the
+adjacent-level swap of dynamic reordering straightforward.
 
 Reference counting is *structural*: a node's count tracks parent arcs
 plus external references.  Normal operation only ever increments;
@@ -48,7 +42,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, TYPE_CHECKING
 
-from .backend import NodeStore, create_store
+from .arraystore import ArrayStore
+from .backend import create_store
 from .computed import CacheOpStats, ComputedTable
 from .governor import Budget, Governor
 from .sanitize import (Diagnostic, SanitizerError, check_manager,
@@ -97,8 +92,8 @@ class ManagerStats:
     budget_peak_nodes: int = 0
     #: highest step count observed inside one armed budget window
     budget_peak_steps: int = 0
-    #: node-store backend the manager runs on ("object", "array", ...)
-    backend: str = "object"
+    #: node store the manager runs on (always "array")
+    backend: str = "array"
 
     @property
     def total_aborts(self) -> int:
@@ -164,9 +159,8 @@ class Manager:
         disables automatic GC — :meth:`collect_garbage` stays available
         for explicit calls.
     backend:
-        Node-store backend name (``"object"`` or ``"array"``); None
-        (default) defers to the ``REPRO_BACKEND`` environment variable
-        and then to ``"object"``.  See :mod:`repro.bdd.backend`.
+        Node-store name; None (default) or ``"array"``, the one store.
+        See :mod:`repro.bdd.backend`.
 
     Example
     -------
@@ -181,8 +175,8 @@ class Manager:
                  cache_limit: int | None = None,
                  gc_threshold: int | None = None,
                  backend: str | None = None) -> None:
-        #: the node-store backend owning the physical node graph
-        self.store: NodeStore = create_store(backend)
+        #: the node store owning the physical node graph
+        self.store: ArrayStore = create_store(backend)
         self._level_to_var: list[str] = []
         self._var_to_level: dict[str, int] = {}
         #: computed table shared by every memoized operation
@@ -222,12 +216,12 @@ class Manager:
             self.add_var(name)
 
     # ------------------------------------------------------------------
-    # Backend plumbing
+    # Store plumbing
     # ------------------------------------------------------------------
 
     @property
     def backend(self) -> str:
-        """Name of the active node-store backend."""
+        """Name of the node store (always ``"array"``)."""
         return self.store.name
 
     @property
@@ -257,16 +251,6 @@ class Manager:
     @_peak_nodes.setter
     def _peak_nodes(self, value: int) -> None:
         self.store._peak = value
-
-    @property
-    def _subtables(self):
-        """The ObjectStore's per-level unique tables.
-
-        Object-backend-only escape hatch for tests that inspect or
-        corrupt the raw tables; the array backend has no equivalent
-        attribute.
-        """
-        return self.store._subtables
 
     # ------------------------------------------------------------------
     # Variable management
@@ -335,12 +319,8 @@ class Manager:
         return self._var_to_level[name]
 
     def var_handle(self, name: str) -> Any:
-        """Raw projection handle of ``name`` (internal node-level API).
-
-        The handle type is backend-defined (a ``Node`` on the object
-        store, an ``int`` id on the array store); use the store's
-        accessors to inspect it.
-        """
+        """Raw projection handle (int node id) of ``name`` (internal
+        node-level API)."""
         return self.store.mk(self._var_to_level[name], self.store.one,
                              self.store.zero)
 
@@ -570,8 +550,8 @@ class Manager:
 
         Returns the number of nodes reclaimed.  The computed table is
         dropped wholesale, so the next operations re-derive results —
-        mandatory on stores that recycle node ids, where a stale cache
-        entry could otherwise alias a fresh node.
+        mandatory because the store recycles the ids of swept nodes,
+        and a stale cache entry could otherwise alias a fresh node.
 
         Only call this at a *safe point*: any raw node handle held
         outside a Function handle is invalidated.
@@ -761,7 +741,6 @@ class Manager:
         ordering along arcs, reduction, unique-table hash-consing
         consistency, computed-table liveness and op-tag registration,
         and GC/root bookkeeping against a fresh reachability sweep.
-        Works on every store backend through the store protocol.
 
         Returns the diagnostics found (empty list: graph is sound).
         With ``raise_on_error`` (the default) a non-empty result raises
@@ -778,19 +757,17 @@ class Manager:
     def check_invariants(self) -> None:
         """Verify structural invariants (used by the test suite)."""
         store = self.store
-        level_of = store.level_of
-        hi_of, lo_of = store.hi_of, store.lo_of
-        key_of = store.key_of
+        levels, his, los = store.level, store.hi, store.lo
         seen: set[int] = set()
         count = 0
         for level, key_hi, key_lo, node in store.iter_table():
-            assert level_of(node) == level, "level field out of sync"
-            assert hi_of(node) == key_hi and lo_of(node) == key_lo, \
+            assert levels[node] == level, "level field out of sync"
+            assert his[node] == key_hi and los[node] == key_lo, \
                 "key out of sync"
             assert key_hi != key_lo, "redundant node"
-            assert level_of(key_hi) > level and level_of(key_lo) > level, \
+            assert levels[key_hi] > level and levels[key_lo] > level, \
                 "order violation"
-            assert key_of(node) not in seen, "duplicate node"
-            seen.add(key_of(node))
+            assert node not in seen, "duplicate node"
+            seen.add(node)
             count += 1
         assert count == store.num_nodes, "node count out of sync"

@@ -7,13 +7,15 @@ Results are canonical handles in the same manager.  The node-level API
 is used by the approximation/decomposition algorithms; user code should
 go through :class:`~repro.bdd.function.Function`.
 
-Every kernel is *generic over the node store*: it lifts the store's
-accessor callables (``level_of``, ``hi_of``, ``lo_of``, ``mk``, ...)
-into locals at entry and manipulates opaque handles from there — the
-same loop runs over ``Node`` objects on the object backend and over
-plain ints on the array backend.  Handles are compared with ``==``
-(never ``is``: int ids are not identity-stable), and commutative cache
-keys are normalized by ``store.key_of`` order.
+Every kernel binds the store's ``level``/``hi``/``lo`` columns and
+``mk`` as locals at entry and indexes the columns directly: handles are
+int node ids, the terminals are the ids 0 (FALSE) and 1 (TRUE), so
+``f < 2`` is the terminal test and a terminal is its own value.
+Handles are compared with ``==`` (never ``is``: int ids are not
+identity-stable), and commutative cache keys are normalized by id
+order.  Computed-table keys are packed ints, ``opcode | f << 8 |
+g << 40 | h << 72``; quantified level sets, cofactor assignments and
+substitutions enter them as interned ids (:mod:`repro.bdd.computed`).
 
 Every kernel is also *iterative*: recursion frames live on an explicit
 Python list instead of the interpreter stack, so operations work on
@@ -28,14 +30,15 @@ table, and memoizes.  See docs/algorithms.md, "Iterative kernels".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
+from .computed import REGISTERED_OPS
 from .governor import CHECK_STRIDE
 from .manager import Manager
 from .traversal import nodes_by_level
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .backend import NodeStore
+    from .arraystore import ArrayStore
     from .computed import ComputedTable
 
 #: Strided-checkpoint mask: kernels tally loop iterations in a local
@@ -67,35 +70,32 @@ _COMMUTATIVE = frozenset({"and", "or", "xor", "xnor", "nand", "nor"})
 _EXPAND, _REBUILD, _FORWARD, _AFTER_HI = 0, 1, 2, 3
 
 
-def top_level(store: "NodeStore", *nodes: Any) -> int:
+def top_level(store: "ArrayStore", *nodes: int) -> int:
     """Root-most level among the arguments."""
-    level_of = store.level_of
-    return min(level_of(node) for node in nodes)
+    level = store.level
+    return min(level[node] for node in nodes)
 
 
-def cofactors_at(store: "NodeStore", node: Any,
-                 level: int) -> tuple[Any, Any]:
+def cofactors_at(store: "ArrayStore", node: int,
+                 level: int) -> tuple[int, int]:
     """(hi, lo) cofactors of ``node`` with respect to ``level``."""
-    if store.level_of(node) == level:
-        return store.hi_of(node), store.lo_of(node)
+    if store.level[node] == level:
+        return store.hi[node], store.lo[node]
     return node, node
 
 
-def apply_node(manager: Manager, op: str, f: Any, g: Any) -> Any:
+def apply_node(manager: Manager, op: str, f: int, g: int) -> int:
     """Apply a named binary boolean operator to two BDDs."""
     try:
         table = _OP_TABLES[op]
     except KeyError:
         raise ValueError(f"unknown operator {op!r}") from None
     store = manager.store
-    one, zero = store.one, store.zero
-    terminals = (zero, one)
-    level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
-    is_term, value_of = store.is_terminal, store.value_of
-    key_of = store.key_of
+    level, hi, lo = store.level, store.hi, store.lo
     cache_get = manager.computed.lookup
     cache_put = manager.computed.insert
     mk = store.mk
+    code = REGISTERED_OPS[op]
 
     commutative = op in _COMMUTATIVE
     check = manager.governor.checkpoint
@@ -103,7 +103,7 @@ def apply_node(manager: Manager, op: str, f: Any, g: Any) -> Any:
 
     stack: list[tuple] = [(_EXPAND, f, g)]
     push = stack.append
-    values: list[Any] = []
+    values: list[int] = []
     emit = values.append
     while stack:
         ticks += 1
@@ -112,80 +112,79 @@ def apply_node(manager: Manager, op: str, f: Any, g: Any) -> Any:
         frame = stack.pop()
         if frame[0] == _EXPAND:
             f, g = frame[1], frame[2]
-            if is_term(f) and is_term(g):
-                emit(terminals[table[2 * value_of(f) + value_of(g)]])
+            if f < 2 and g < 2:
+                # A terminal id is its own value.
+                emit(table[2 * f + g])
                 continue
             # Operator-specific terminal shortcuts.
             result = None
             if op == "and":
-                if f == zero or g == zero:
-                    result = zero
-                elif f == one:
+                if f == 0 or g == 0:
+                    result = 0
+                elif f == 1:
                     result = g
-                elif g == one or f == g:
+                elif g == 1 or f == g:
                     result = f
             elif op == "or":
-                if f == one or g == one:
-                    result = one
-                elif f == zero:
+                if f == 1 or g == 1:
+                    result = 1
+                elif f == 0:
                     result = g
-                elif g == zero or f == g:
+                elif g == 0 or f == g:
                     result = f
             elif op == "xor":
-                if f == zero:
+                if f == 0:
                     result = g
-                elif g == zero:
+                elif g == 0:
                     result = f
                 elif f == g:
-                    result = zero
+                    result = 0
             elif op == "diff":
-                if f == zero or g == one or f == g:
-                    result = zero
-                elif g == zero:
+                if f == 0 or g == 1 or f == g:
+                    result = 0
+                elif g == 0:
                     result = f
             if result is not None:
                 emit(result)
                 continue
-            if commutative and key_of(f) > key_of(g):
+            if commutative and f > g:
                 f, g = g, f
-            key = (op, f, g)
+            key = code | f << 8 | g << 40
             cached = cache_get(op, key)
             if cached is not None:
                 emit(cached)
                 continue
-            f_level, g_level = level_of(f), level_of(g)
-            level = f_level if f_level < g_level else g_level
-            f_hi, f_lo = (hi_of(f), lo_of(f)) if f_level == level \
-                else (f, f)
-            g_hi, g_lo = (hi_of(g), lo_of(g)) if g_level == level \
-                else (g, g)
-            push((_REBUILD, key, level))
+            f_level, g_level = level[f], level[g]
+            top = f_level if f_level < g_level else g_level
+            f_hi, f_lo = (hi[f], lo[f]) if f_level == top else (f, f)
+            g_hi, g_lo = (hi[g], lo[g]) if g_level == top else (g, g)
+            push((_REBUILD, key, top))
             push((_EXPAND, f_lo, g_lo))
             push((_EXPAND, f_hi, g_hi))
         else:  # _REBUILD
-            lo = values.pop()
-            hi = values.pop()
-            result = mk(frame[2], hi, lo)
+            low = values.pop()
+            high = values.pop()
+            result = mk(frame[2], high, low)
             cache_put(op, frame[1], result)
             emit(result)
     return values[0]
 
 
-def not_node(manager: Manager, f: Any) -> Any:
+def not_node(manager: Manager, f: int) -> int:
     """Complement a BDD (no complement arcs: O(|f|) new nodes)."""
     store = manager.store
-    one, zero = store.one, store.zero
-    level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
+    level, hi, lo = store.level, store.hi, store.lo
     cache_get = manager.computed.lookup
     cache_put = manager.computed.insert
     mk = store.mk
+    code = REGISTERED_OPS["not"]
 
     check = manager.governor.checkpoint
     ticks = 0
 
     stack: list[tuple] = [(_EXPAND, f)]
     push = stack.append
-    values: list[Any] = []
+    values: list[int] = []
     emit = values.append
     while stack:
         ticks += 1
@@ -194,46 +193,43 @@ def not_node(manager: Manager, f: Any) -> Any:
         frame = stack.pop()
         if frame[0] == _EXPAND:
             f = frame[1]
-            if f == zero:
-                emit(one)
+            if f < 2:
+                emit(1 - f)
                 continue
-            if f == one:
-                emit(zero)
-                continue
-            key = ("not", f)
+            key = code | f << 8
             cached = cache_get("not", key)
             if cached is not None:
                 emit(cached)
                 continue
             push((_REBUILD, key, f))
-            push((_EXPAND, lo_of(f)))
-            push((_EXPAND, hi_of(f)))
+            push((_EXPAND, lo[f]))
+            push((_EXPAND, hi[f]))
         else:  # _REBUILD
             f = frame[2]
-            lo = values.pop()
-            hi = values.pop()
-            result = mk(level_of(f), hi, lo)
+            low = values.pop()
+            high = values.pop()
+            result = mk(level[f], high, low)
             cache_put("not", frame[1], result)
-            cache_put("not", ("not", result), f)
+            cache_put("not", code | result << 8, f)
             emit(result)
     return values[0]
 
 
-def ite_node(manager: Manager, f: Any, g: Any, h: Any) -> Any:
+def ite_node(manager: Manager, f: int, g: int, h: int) -> int:
     """If-then-else ``f·g + f'·h`` with standard terminal cases."""
     store = manager.store
-    one, zero = store.one, store.zero
-    level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
+    level, hi, lo = store.level, store.hi, store.lo
     cache_get = manager.computed.lookup
     cache_put = manager.computed.insert
     mk = store.mk
+    code = REGISTERED_OPS["ite"]
 
     check = manager.governor.checkpoint
     ticks = 0
 
     stack: list[tuple] = [(_EXPAND, f, g, h)]
     push = stack.append
-    values: list[Any] = []
+    values: list[int] = []
     emit = values.append
     while stack:
         ticks += 1
@@ -242,51 +238,48 @@ def ite_node(manager: Manager, f: Any, g: Any, h: Any) -> Any:
         frame = stack.pop()
         if frame[0] == _EXPAND:
             f, g, h = frame[1], frame[2], frame[3]
-            if f == one:
+            if f == 1:
                 emit(g)
                 continue
-            if f == zero:
+            if f == 0:
                 emit(h)
                 continue
             if g == h:
                 emit(g)
                 continue
-            if g == one and h == zero:
+            if g == 1 and h == 0:
                 emit(f)
                 continue
-            if g == zero and h == one:
+            if g == 0 and h == 1:
                 emit(not_node(manager, f))
                 continue
             if f == g:  # ite(f, f, h) = f + h
-                g = one
+                g = 1
             elif f == h:  # ite(f, g, f) = f & g
-                h = zero
-            key = ("ite", f, g, h)
+                h = 0
+            key = code | f << 8 | g << 40 | h << 72
             cached = cache_get("ite", key)
             if cached is not None:
                 emit(cached)
                 continue
-            f_level = level_of(f)
-            g_level = level_of(g)
-            h_level = level_of(h)
-            level = f_level
-            if g_level < level:
-                level = g_level
-            if h_level < level:
-                level = h_level
-            f_hi, f_lo = (hi_of(f), lo_of(f)) if f_level == level \
-                else (f, f)
-            g_hi, g_lo = (hi_of(g), lo_of(g)) if g_level == level \
-                else (g, g)
-            h_hi, h_lo = (hi_of(h), lo_of(h)) if h_level == level \
-                else (h, h)
-            push((_REBUILD, key, level))
+            f_level = level[f]
+            g_level = level[g]
+            h_level = level[h]
+            top = f_level
+            if g_level < top:
+                top = g_level
+            if h_level < top:
+                top = h_level
+            f_hi, f_lo = (hi[f], lo[f]) if f_level == top else (f, f)
+            g_hi, g_lo = (hi[g], lo[g]) if g_level == top else (g, g)
+            h_hi, h_lo = (hi[h], lo[h]) if h_level == top else (h, h)
+            push((_REBUILD, key, top))
             push((_EXPAND, f_lo, g_lo, h_lo))
             push((_EXPAND, f_hi, g_hi, h_hi))
         else:  # _REBUILD
-            lo = values.pop()
-            hi = values.pop()
-            result = mk(frame[2], hi, lo)
+            low = values.pop()
+            high = values.pop()
+            result = mk(frame[2], high, low)
             cache_put("ite", frame[1], result)
             emit(result)
     return values[0]
@@ -301,19 +294,20 @@ class _ManagerLeqCache:
     def __init__(self, computed: "ComputedTable") -> None:
         self._computed = computed
 
-    def get(self, key: tuple[Any, Any]) -> bool | None:
-        return self._computed.lookup("leq", ("leq", key[0], key[1]))
+    def get(self, key: int) -> bool | None:
+        return self._computed.lookup("leq", key)
 
-    def __setitem__(self, key: tuple[Any, Any], value: bool) -> None:
-        self._computed.insert("leq", ("leq", key[0], key[1]), value)
+    def __setitem__(self, key: int, value: bool) -> None:
+        self._computed.insert("leq", key, value)
 
 
-def leq_node(manager: Manager, f: Any, g: Any,
-             cache: dict[tuple[Any, Any], bool] | None = None) -> bool:
+def leq_node(manager: Manager, f: int, g: int,
+             cache: dict[int, bool] | None = None) -> bool:
     """Containment test ``f <= g`` (f implies g) without building BDDs.
 
     ``cache`` may be supplied to share memoization across many queries
-    (RUA's markNodes performs one containment test per node); by default
+    (RUA's markNodes performs one containment test per node); its keys
+    are the packed ``"leq"`` keys of the computed table.  By default
     queries memoize in the manager's computed table.
 
     The conjunction short-circuits like the recursive formulation did:
@@ -321,11 +315,11 @@ def leq_node(manager: Manager, f: Any, g: Any,
     explored.
     """
     store = manager.store
-    one, zero = store.one, store.zero
-    level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
+    level, hi, lo = store.level, store.hi, store.lo
     if cache is None:
         cache = _ManagerLeqCache(manager.computed)
     cache_get = cache.get
+    code = REGISTERED_OPS["leq"]
     check = manager.governor.checkpoint
     ticks = 0
 
@@ -341,23 +335,21 @@ def leq_node(manager: Manager, f: Any, g: Any,
         tag = frame[0]
         if tag == _EXPAND:
             f, g = frame[1], frame[2]
-            if f == zero or g == one or f == g:
+            if f == 0 or g == 1 or f == g:
                 emit(True)
                 continue
-            if f == one or g == zero:
+            if f == 1 or g == 0:
                 emit(False)
                 continue
-            key = (f, g)
+            key = code | f << 8 | g << 40
             cached = cache_get(key)
             if cached is not None:
                 emit(cached)
                 continue
-            f_level, g_level = level_of(f), level_of(g)
-            level = f_level if f_level < g_level else g_level
-            f_hi, f_lo = (hi_of(f), lo_of(f)) if f_level == level \
-                else (f, f)
-            g_hi, g_lo = (hi_of(g), lo_of(g)) if g_level == level \
-                else (g, g)
+            f_level, g_level = level[f], level[g]
+            top = f_level if f_level < g_level else g_level
+            f_hi, f_lo = (hi[f], lo[f]) if f_level == top else (f, f)
+            g_hi, g_lo = (hi[g], lo[g]) if g_level == top else (g, g)
             push((_AFTER_HI, key, f_lo, g_lo))
             push((_EXPAND, f_hi, g_hi))
         elif tag == _AFTER_HI:
@@ -374,26 +366,26 @@ def leq_node(manager: Manager, f: Any, g: Any,
     return values[0]
 
 
-def cofactor_node(manager: Manager, f: Any,
-                  levels: dict[int, bool]) -> Any:
+def cofactor_node(manager: Manager, f: int,
+                  levels: dict[int, bool]) -> int:
     """Restrict the variables at ``levels`` to the given constants."""
     if not levels:
         return f
     frozen = tuple(sorted(levels.items()))
     max_level = frozen[-1][0]
     store = manager.store
-    level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
-    is_term = store.is_terminal
+    level, hi, lo = store.level, store.hi, store.lo
     cache_get = manager.computed.lookup
     cache_put = manager.computed.insert
     mk = store.mk
+    code = REGISTERED_OPS["cof"] | manager.computed.intern(frozen) << 40
 
     check = manager.governor.checkpoint
     ticks = 0
 
     stack: list[tuple] = [(_EXPAND, f)]
     push = stack.append
-    values: list[Any] = []
+    values: list[int] = []
     emit = values.append
     while stack:
         ticks += 1
@@ -403,29 +395,29 @@ def cofactor_node(manager: Manager, f: Any,
         tag = frame[0]
         if tag == _EXPAND:
             f = frame[1]
-            if is_term(f) or level_of(f) > max_level:
+            if f < 2 or level[f] > max_level:
                 emit(f)
                 continue
-            key = ("cof", f, frozen)
+            key = code | f << 8
             cached = cache_get("cof", key)
             if cached is not None:
                 emit(cached)
                 continue
-            value = levels.get(level_of(f))
+            value = levels.get(level[f])
             if value is None:
-                push((_REBUILD, key, level_of(f)))
-                push((_EXPAND, lo_of(f)))
-                push((_EXPAND, hi_of(f)))
+                push((_REBUILD, key, level[f]))
+                push((_EXPAND, lo[f]))
+                push((_EXPAND, hi[f]))
             elif value:
                 push((_FORWARD, key))
-                push((_EXPAND, hi_of(f)))
+                push((_EXPAND, hi[f]))
             else:
                 push((_FORWARD, key))
-                push((_EXPAND, lo_of(f)))
+                push((_EXPAND, lo[f]))
         elif tag == _REBUILD:
-            lo = values.pop()
-            hi = values.pop()
-            result = mk(frame[2], hi, lo)
+            low = values.pop()
+            high = values.pop()
+            result = mk(frame[2], high, low)
             cache_put("cof", frame[1], result)
             emit(result)
         else:  # _FORWARD: memoize the single child's result as our own
@@ -434,7 +426,7 @@ def cofactor_node(manager: Manager, f: Any,
 
 
 def cofactor_sizes_node(manager: Manager,
-                        f: Any) -> dict[int, tuple[int, int]]:
+                        f: int) -> dict[int, tuple[int, int]]:
     """Exact ``(|f_x|, |f_x'|)`` for every support level, building nothing.
 
     For each support level ``L`` and each phase, the nodes of ``f`` at
@@ -444,8 +436,8 @@ def cofactor_sizes_node(manager: Manager,
     are unchanged maps to itself, and any other node maps to the
     store's existing node ``(level, hi', lo')`` when there is one, else
     to a *scratch* node hash-consed per pass on that triple.  Scratch
-    handles are negative ints, so they never equal a real handle on
-    either backend.  Nodes below ``L`` are unchanged.  The cofactor's
+    handles are negative ints, so they never equal a real handle.
+    Nodes below ``L`` are unchanged.  The cofactor's
     size is the number of distinct internal images reachable from the
     root's image, marked top-down in ``f``'s level order.
 
@@ -456,16 +448,16 @@ def cofactor_sizes_node(manager: Manager,
     store = manager.store
     nodes = nodes_by_level(store, f)
     n = len(nodes)
-    level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
+    level, hi, lo = store.level, store.hi, store.lo
     find = store.find
     # f's nodes root-first (a topological order: children always sit at
     # larger indices), then the two terminals at n and n + 1, so every
     # arc is a pair of list indices.
-    nodes += (store.zero, store.one)
+    nodes += (0, 1)
     index = {node: i for i, node in enumerate(nodes)}
-    levels = [level_of(node) for node in nodes[:n]]
-    his = [index[hi_of(node)] for node in nodes[:n]]
-    los = [index[lo_of(node)] for node in nodes[:n]]
+    levels = [level[node] for node in nodes[:n]]
+    his = [index[hi[node]] for node in nodes[:n]]
+    los = [index[lo[node]] for node in nodes[:n]]
     # Index of the first node of each level, then n.
     starts = [i for i in range(n) if not i or levels[i] != levels[i - 1]]
     starts.append(n)
@@ -477,7 +469,7 @@ def cofactor_sizes_node(manager: Manager,
     for top, end in zip(starts, starts[1:]):
         # Rebuilt nodes of this pass, hash-consed: (level, hi', lo') ->
         # the store's node, or a scratch id when the store has none.
-        made: dict[tuple[int, Any, Any], Any] = {}
+        made: dict[tuple[int, int, int], int] = {}
         scratch: set[int] = set()
         pair: list[int] = []
         for kids in (his, los):
@@ -515,7 +507,7 @@ def cofactor_sizes_node(manager: Manager,
             # L every node is its own image.
             mark = bytearray(n + 2)
             mark[rep[0]] = 1
-            seen: set[Any] = set()
+            seen: set[int] = set()
             for i in range(top):
                 ticks += 1
                 if not ticks & _MASK:
@@ -536,8 +528,8 @@ def cofactor_sizes_node(manager: Manager,
     return sizes
 
 
-def vector_compose_node(manager: Manager, f: Any,
-                        substitution: dict[int, Any]) -> Any:
+def vector_compose_node(manager: Manager, f: int,
+                        substitution: dict[int, int]) -> int:
     """Simultaneously substitute ``substitution[level]`` for each variable.
 
     Implemented by the standard formulation:
@@ -550,19 +542,18 @@ def vector_compose_node(manager: Manager, f: Any,
     frozen = tuple(sorted(substitution.items()))
     max_level = frozen[-1][0]
     store = manager.store
-    one, zero = store.one, store.zero
-    level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
-    is_term = store.is_terminal
+    level, hi, lo = store.level, store.hi, store.lo
     cache_get = manager.computed.lookup
     cache_put = manager.computed.insert
     mk = store.mk
+    code = REGISTERED_OPS["vcomp"] | manager.computed.intern(frozen) << 40
 
     check = manager.governor.checkpoint
     ticks = 0
 
     stack: list[tuple] = [(_EXPAND, f)]
     push = stack.append
-    values: list[Any] = []
+    values: list[int] = []
     emit = values.append
     while stack:
         ticks += 1
@@ -571,29 +562,29 @@ def vector_compose_node(manager: Manager, f: Any,
         frame = stack.pop()
         if frame[0] == _EXPAND:
             f = frame[1]
-            if is_term(f) or level_of(f) > max_level:
+            if f < 2 or level[f] > max_level:
                 emit(f)
                 continue
-            key = ("vcomp", f, frozen)
+            key = code | f << 8
             cached = cache_get("vcomp", key)
             if cached is not None:
                 emit(cached)
                 continue
-            push((_REBUILD, key, level_of(f)))
-            push((_EXPAND, lo_of(f)))
-            push((_EXPAND, hi_of(f)))
+            push((_REBUILD, key, level[f]))
+            push((_EXPAND, lo[f]))
+            push((_EXPAND, hi[f]))
         else:  # _REBUILD
-            level = frame[2]
-            lo = values.pop()
-            hi = values.pop()
-            replacement = substitution.get(level)
+            var_level = frame[2]
+            low = values.pop()
+            high = values.pop()
+            replacement = substitution.get(var_level)
             if replacement is None:
                 # The variable itself survives; rebuild with ITE because
-                # hi/lo may now depend on variables at or above level.
-                var = mk(level, one, zero)
-                result = ite_node(manager, var, hi, lo)
+                # high/low may now depend on variables at or above it.
+                var = mk(var_level, 1, 0)
+                result = ite_node(manager, var, high, low)
             else:
-                result = ite_node(manager, replacement, hi, lo)
+                result = ite_node(manager, replacement, high, low)
             cache_put("vcomp", frame[1], result)
             emit(result)
     return values[0]

@@ -10,15 +10,14 @@ it early.
 
 Like the core kernels in :mod:`~repro.bdd.operations`, all three
 traversals run on explicit stacks (so quantification over arbitrarily
-deep BDDs never hits the interpreter recursion limit) and are generic
-over the node-store backend: handles are manipulated through the
-store's accessor callables and compared with ``==``.
+deep BDDs never hits the interpreter recursion limit), index the
+store's columns directly, and key the computed table with packed ints;
+the quantified level set enters the key as an interned id.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
+from .computed import REGISTERED_OPS
 from .governor import CHECK_STRIDE
 from .manager import Manager
 from .operations import apply_node
@@ -31,37 +30,37 @@ _MASK = CHECK_STRIDE - 1
 _EXPAND, _REBUILD, _AFTER_HI, _DISJOIN = 0, 1, 2, 3
 
 
-def exists_node(manager: Manager, f: Any,
-                levels: frozenset[int]) -> Any:
+def exists_node(manager: Manager, f: int,
+                levels: frozenset[int]) -> int:
     """Existentially quantify the variables at ``levels`` out of ``f``."""
     return _quantify(manager, f, levels, "exists", "or")
 
 
-def forall_node(manager: Manager, f: Any,
-                levels: frozenset[int]) -> Any:
+def forall_node(manager: Manager, f: int,
+                levels: frozenset[int]) -> int:
     """Universally quantify the variables at ``levels`` out of ``f``."""
     return _quantify(manager, f, levels, "forall", "and")
 
 
-def _quantify(manager: Manager, f: Any, levels: frozenset[int],
-              tag: str, combine_op: str) -> Any:
+def _quantify(manager: Manager, f: int, levels: frozenset[int],
+              tag: str, combine_op: str) -> int:
     """Shared exists/forall walk: merge children with ``combine_op`` at
     quantified levels, rebuild through the unique table elsewhere."""
     if not levels:
         return f
     max_level = max(levels)
     store = manager.store
-    level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
-    is_term = store.is_terminal
+    level, hi, lo = store.level, store.hi, store.lo
     cache_get = manager.computed.lookup
     cache_put = manager.computed.insert
     mk = store.mk
+    code = REGISTERED_OPS[tag] | manager.computed.intern(levels) << 40
     check = manager.governor.checkpoint
     ticks = 0
 
     stack: list[tuple] = [(_EXPAND, f)]
     push = stack.append
-    values: list[Any] = []
+    values: list[int] = []
     emit = values.append
     while stack:
         ticks += 1
@@ -70,49 +69,48 @@ def _quantify(manager: Manager, f: Any, levels: frozenset[int],
         frame = stack.pop()
         if frame[0] == _EXPAND:
             f = frame[1]
-            if is_term(f) or level_of(f) > max_level:
+            if f < 2 or level[f] > max_level:
                 emit(f)
                 continue
-            key = (tag, f, levels)
+            key = code | f << 8
             cached = cache_get(tag, key)
             if cached is not None:
                 emit(cached)
                 continue
-            push((_REBUILD, key, level_of(f)))
-            push((_EXPAND, lo_of(f)))
-            push((_EXPAND, hi_of(f)))
+            push((_REBUILD, key, level[f]))
+            push((_EXPAND, lo[f]))
+            push((_EXPAND, hi[f]))
         else:  # _REBUILD
-            level = frame[2]
-            lo = values.pop()
-            hi = values.pop()
-            if level in levels:
-                result = apply_node(manager, combine_op, hi, lo)
+            var_level = frame[2]
+            low = values.pop()
+            high = values.pop()
+            if var_level in levels:
+                result = apply_node(manager, combine_op, high, low)
             else:
-                result = mk(level, hi, lo)
+                result = mk(var_level, high, low)
             cache_put(tag, frame[1], result)
             emit(result)
     return values[0]
 
 
-def and_exists_node(manager: Manager, f: Any, g: Any,
-                    levels: frozenset[int]) -> Any:
+def and_exists_node(manager: Manager, f: int, g: int,
+                    levels: frozenset[int]) -> int:
     """Relational product ``exists levels . f & g`` in one pass."""
-    store = manager.store
-    one, zero = store.one, store.zero
     if not levels:
         return apply_node(manager, "and", f, g)
     max_level = max(levels)
-    level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
-    key_of = store.key_of
+    store = manager.store
+    level, hi, lo = store.level, store.hi, store.lo
     cache_get = manager.computed.lookup
     cache_put = manager.computed.insert
     mk = store.mk
+    code = REGISTERED_OPS["andex"] | manager.computed.intern(levels) << 72
     check = manager.governor.checkpoint
     ticks = 0
 
     stack: list[tuple] = [(_EXPAND, f, g)]
     push = stack.append
-    values: list[Any] = []
+    values: list[int] = []
     emit = values.append
     while stack:
         ticks += 1
@@ -122,62 +120,60 @@ def and_exists_node(manager: Manager, f: Any, g: Any,
         tag = frame[0]
         if tag == _EXPAND:
             f, g = frame[1], frame[2]
-            if f == zero or g == zero:
-                emit(zero)
+            if f == 0 or g == 0:
+                emit(0)
                 continue
-            if f == one and g == one:
-                emit(one)
+            if f == 1 and g == 1:
+                emit(1)
                 continue
-            f_level, g_level = level_of(f), level_of(g)
+            f_level, g_level = level[f], level[g]
             if f_level > max_level and g_level > max_level:
                 emit(apply_node(manager, "and", f, g))
                 continue
-            if f == one:
+            if f == 1:
                 emit(exists_node(manager, g, levels))
                 continue
-            if g == one or f == g:
+            if g == 1 or f == g:
                 emit(exists_node(manager, f, levels))
                 continue
-            if key_of(f) > key_of(g):
+            if f > g:
                 f, g = g, f
                 f_level, g_level = g_level, f_level
-            key = ("andex", f, g, levels)
+            key = code | f << 8 | g << 40
             cached = cache_get("andex", key)
             if cached is not None:
                 emit(cached)
                 continue
-            level = f_level if f_level < g_level else g_level
-            f_hi, f_lo = (hi_of(f), lo_of(f)) if f_level == level \
-                else (f, f)
-            g_hi, g_lo = (hi_of(g), lo_of(g)) if g_level == level \
-                else (g, g)
-            if level in levels:
+            top = f_level if f_level < g_level else g_level
+            f_hi, f_lo = (hi[f], lo[f]) if f_level == top else (f, f)
+            g_hi, g_lo = (hi[g], lo[g]) if g_level == top else (g, g)
+            if top in levels:
                 # Quantified level: the else pair is only explored when
                 # the then result falls short of ONE (short-circuit).
                 push((_AFTER_HI, key, f_lo, g_lo))
                 push((_EXPAND, f_hi, g_hi))
             else:
-                push((_REBUILD, key, level))
+                push((_REBUILD, key, top))
                 push((_EXPAND, f_lo, g_lo))
                 push((_EXPAND, f_hi, g_hi))
         elif tag == _AFTER_HI:
             key = frame[1]
-            hi = values.pop()
-            if hi == one:
-                cache_put("andex", key, one)
-                emit(one)
+            high = values.pop()
+            if high == 1:
+                cache_put("andex", key, 1)
+                emit(1)
                 continue
-            push((_DISJOIN, key, hi))
+            push((_DISJOIN, key, high))
             push((_EXPAND, frame[2], frame[3]))
         elif tag == _DISJOIN:
-            lo = values.pop()
-            result = apply_node(manager, "or", frame[2], lo)
+            low = values.pop()
+            result = apply_node(manager, "or", frame[2], low)
             cache_put("andex", frame[1], result)
             emit(result)
         else:  # _REBUILD
-            lo = values.pop()
-            hi = values.pop()
-            result = mk(frame[2], hi, lo)
+            low = values.pop()
+            high = values.pop()
+            result = mk(frame[2], high, low)
             cache_put("andex", frame[1], result)
             emit(result)
     return values[0]

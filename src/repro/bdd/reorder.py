@@ -6,15 +6,15 @@ turned on".  A swap of levels ``l`` and ``l+1`` rewrites the affected
 nodes *in place*, preserving handle identity (and therefore every live
 :class:`~repro.bdd.function.Function` handle) while exchanging the two
 variables in the order.  The physical rewrite (phases 1–4) lives in the
-node store — :meth:`~repro.bdd.backend.NodeStore.swap_adjacent` — and
+node store — :meth:`~repro.bdd.arraystore.ArrayStore.swap_adjacent` — and
 this module owns the semantic bookkeeping around it: cache
 invalidation and the variable-name maps.
 
 Reordering is a *safe-point* operation: raw node handles held outside
 Function handles must not be kept across a call, and the computed table
-is invalidated — on every single swap, because stores with integer
-handles recycle the ids of nodes the swap reclaims, and a stale cache
-entry could otherwise alias a fresh node.
+is invalidated — on every single swap, because the store recycles the
+ids of nodes the swap reclaims, and a stale cache entry could otherwise
+alias a fresh node.
 """
 
 from __future__ import annotations

@@ -15,14 +15,15 @@ restrict, ``exists . constrain`` laws), but it may *grow* the BDD because
 it can pull variables not in the support of ``f`` into the result.
 
 Both traversals run on explicit stacks (docs/algorithms.md, "Iterative
-kernels") and are generic over the node-store backend — handles go
-through the store's accessor callables and compare with ``==``.
+kernels"), index the store's columns directly and key the computed
+table with packed ints, like the kernels in :mod:`~repro.bdd.operations`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
+from .computed import REGISTERED_OPS
 from .governor import CHECK_STRIDE
 from .manager import Manager
 from .quantify import exists_node
@@ -38,21 +39,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _EXPAND, _REBUILD, _FORWARD = 0, 1, 2
 
 
-def constrain_node(manager: Manager, f: Any, c: Any) -> Any:
+def constrain_node(manager: Manager, f: int, c: int) -> int:
     """Coudert–Madre generalized cofactor ``f || c``."""
     store = manager.store
-    one, zero = store.one, store.zero
-    level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
-    is_term = store.is_terminal
+    level, hi, lo = store.level, store.hi, store.lo
     cache_get = manager.computed.lookup
     cache_put = manager.computed.insert
     mk = store.mk
+    code = REGISTERED_OPS["constrain"]
     check = manager.governor.checkpoint
     ticks = 0
 
     stack: list[tuple] = [(_EXPAND, f, c)]
     push = stack.append
-    values: list[Any] = []
+    values: list[int] = []
     emit = values.append
     while stack:
         ticks += 1
@@ -62,7 +62,7 @@ def constrain_node(manager: Manager, f: Any, c: Any) -> Any:
         tag = frame[0]
         if tag == _EXPAND:
             f, c = frame[1], frame[2]
-            if c == zero:
+            if c == 0:
                 # The care set is empty: the result is arbitrary; return
                 # f to keep the walk total (callers never use this
                 # branch's value on the care set, which is empty).
@@ -71,36 +71,34 @@ def constrain_node(manager: Manager, f: Any, c: Any) -> Any:
             if f == c:
                 # The function and the care set coincide: on the care
                 # set the value is 1, and off it the value is free.
-                emit(one)
+                emit(1)
                 continue
-            if c == one or is_term(f):
+            if c == 1 or f < 2:
                 emit(f)
                 continue
-            key = ("constrain", f, c)
+            key = code | f << 8 | c << 40
             cached = cache_get("constrain", key)
             if cached is not None:
                 emit(cached)
                 continue
-            f_level, c_level = level_of(f), level_of(c)
-            level = f_level if f_level < c_level else c_level
-            f_hi, f_lo = (hi_of(f), lo_of(f)) if f_level == level \
-                else (f, f)
-            c_hi, c_lo = (hi_of(c), lo_of(c)) if c_level == level \
-                else (c, c)
-            if c_hi == zero:
+            f_level, c_level = level[f], level[c]
+            top = f_level if f_level < c_level else c_level
+            f_hi, f_lo = (hi[f], lo[f]) if f_level == top else (f, f)
+            c_hi, c_lo = (hi[c], lo[c]) if c_level == top else (c, c)
+            if c_hi == 0:
                 push((_FORWARD, key))
                 push((_EXPAND, f_lo, c_lo))
-            elif c_lo == zero:
+            elif c_lo == 0:
                 push((_FORWARD, key))
                 push((_EXPAND, f_hi, c_hi))
             else:
-                push((_REBUILD, key, level))
+                push((_REBUILD, key, top))
                 push((_EXPAND, f_lo, c_lo))
                 push((_EXPAND, f_hi, c_hi))
         elif tag == _REBUILD:
-            lo = values.pop()
-            hi = values.pop()
-            result = mk(frame[2], hi, lo)
+            low = values.pop()
+            high = values.pop()
+            result = mk(frame[2], high, low)
             cache_put("constrain", frame[1], result)
             emit(result)
         else:  # _FORWARD: one-branch descent, memoized under our key
@@ -108,7 +106,7 @@ def constrain_node(manager: Manager, f: Any, c: Any) -> Any:
     return values[0]
 
 
-def restrict_node(manager: Manager, f: Any, c: Any) -> Any:
+def restrict_node(manager: Manager, f: int, c: int) -> int:
     """Coudert–Madre restrict ``f ⇓ c`` (the "remapping" minimizer).
 
     Unlike constrain, when the care set splits on a variable that ``f``
@@ -117,18 +115,17 @@ def restrict_node(manager: Manager, f: Any, c: Any) -> Any:
     the support of ``f`` and the result is usually no larger.
     """
     store = manager.store
-    one, zero = store.one, store.zero
-    level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
-    is_term = store.is_terminal
+    level, hi, lo = store.level, store.hi, store.lo
     cache_get = manager.computed.lookup
     cache_put = manager.computed.insert
     mk = store.mk
+    code = REGISTERED_OPS["restrict"]
     check = manager.governor.checkpoint
     ticks = 0
 
     stack: list[tuple] = [(_EXPAND, f, c)]
     push = stack.append
-    values: list[Any] = []
+    values: list[int] = []
     emit = values.append
     while stack:
         ticks += 1
@@ -138,21 +135,21 @@ def restrict_node(manager: Manager, f: Any, c: Any) -> Any:
         tag = frame[0]
         if tag == _EXPAND:
             f, c = frame[1], frame[2]
-            if c == zero:
+            if c == 0:
                 emit(f)
                 continue
             if f == c:
-                emit(one)
+                emit(1)
                 continue
-            if c == one or is_term(f):
+            if c == 1 or f < 2:
                 emit(f)
                 continue
-            key = ("restrict", f, c)
+            key = code | f << 8 | c << 40
             cached = cache_get("restrict", key)
             if cached is not None:
                 emit(cached)
                 continue
-            f_level, c_level = level_of(f), level_of(c)
+            f_level, c_level = level[f], level[c]
             if c_level < f_level:
                 # f does not depend on the top variable of c: merge the
                 # care branches and retry on the merged care set.
@@ -160,26 +157,24 @@ def restrict_node(manager: Manager, f: Any, c: Any) -> Any:
                 push((_FORWARD, key))
                 push((_EXPAND, f, merged))
                 continue
-            level = f_level
-            f_hi, f_lo = hi_of(f), lo_of(f)
-            c_hi, c_lo = (hi_of(c), lo_of(c)) if c_level == level \
-                else (c, c)
-            if c_hi == zero:
+            f_hi, f_lo = hi[f], lo[f]
+            c_hi, c_lo = (hi[c], lo[c]) if c_level == f_level else (c, c)
+            if c_hi == 0:
                 # Remapping step (Figure 1): the then-branch is don't
                 # care, replace the whole node by the else cofactor.
                 push((_FORWARD, key))
                 push((_EXPAND, f_lo, c_lo))
-            elif c_lo == zero:
+            elif c_lo == 0:
                 push((_FORWARD, key))
                 push((_EXPAND, f_hi, c_hi))
             else:
-                push((_REBUILD, key, level))
+                push((_REBUILD, key, f_level))
                 push((_EXPAND, f_lo, c_lo))
                 push((_EXPAND, f_hi, c_hi))
         elif tag == _REBUILD:
-            lo = values.pop()
-            hi = values.pop()
-            result = mk(frame[2], hi, lo)
+            low = values.pop()
+            high = values.pop()
+            result = mk(frame[2], high, low)
             cache_put("restrict", frame[1], result)
             emit(result)
         else:  # _FORWARD

@@ -12,22 +12,17 @@ invariant the algorithms assume:
 * **dangling arcs** — every child of a table node is a terminal of this
   manager or itself present in its unique table;
 * **computed-table hygiene** — every cached entry references only live
-  nodes (on stores that can recover handles from cache entries; see
-  ``NodeStore.checks_cache_liveness``), carries a registered op tag
+  nodes and current interned ids (its packed key is decoded by the
+  layout its op tag registered, :func:`~repro.bdd.computed.
+  entry_handles`), carries a registered op tag
   (:data:`~repro.bdd.computed.REGISTERED_OPS`), and holds a completed
   result (never ``None`` — kernels must not leave in-progress markers
   behind, in particular not across a governor abort);
 * **bookkeeping** — the node counter matches the unique table, every
   live GC root is present, and no node's structural reference count is
   below a fresh parent-arc recount;
-* **backend extras** — each store contributes its own representation
-  checks (terminal fields; for the array store also column lengths and
-  free-list consistency) via ``NodeStore.check``.
-
-The sweep itself is generic over the node-store protocol
-(:mod:`repro.bdd.backend`): it walks ``store.iter_table()`` and reads
-handles through the store's accessors, so the same checks run on the
-object graph and on the flat array store.
+* **representation** — the store's own checks (column lengths,
+  terminal fields, free-list consistency) via ``ArrayStore.check``.
 
 Diagnostics are precise (level, repr, counts) so a mutation test — or a
 real regression — pins the corruption to the check that caught it.
@@ -46,7 +41,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from .computed import REGISTERED_OPS
+from .computed import REGISTERED_OPS, entry_handles
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .manager import Manager
@@ -116,12 +111,11 @@ def check_manager(manager: "Manager",
     report = out.append
     store = manager.store
     level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
-    ref_of, key_of = store.ref_of, store.key_of
     is_term = store.is_terminal
     is_live = store.is_live
     describe = store.describe
 
-    # -- backend-specific representation checks ------------------------
+    # -- the store's representation checks -----------------------------
     store.check(lambda check, message: report(Diagnostic(check, message)))
 
     def fields_of(handle: Any) -> tuple[int, bool] | None:
@@ -194,20 +188,16 @@ def check_manager(manager: "Manager",
                     f"{where}: {label} child {describe(child)} "
                     f"is not in the unique table"))
             arcs[child] = arcs.get(child, 0) + 1
-        try:
-            triple = (node_level, key_of(hi), key_of(lo))
-        except (TypeError, ValueError):
-            triple = None
-        if triple is not None:
-            other = triples.get(triple)
-            if other is not None and not other == node:
-                report(Diagnostic(
-                    "duplicate",
-                    f"duplicate (level, hi, lo) triple at level "
-                    f"{node_level}: {where} duplicates "
-                    f"{describe(other)} — hash-consing is broken"))
-            else:
-                triples[triple] = node
+        triple = (node_level, hi, lo)
+        other = triples.get(triple)
+        if other is not None and not other == node:
+            report(Diagnostic(
+                "duplicate",
+                f"duplicate (level, hi, lo) triple at level "
+                f"{node_level}: {where} duplicates "
+                f"{describe(other)} — hash-consing is broken"))
+        else:
+            triples[triple] = node
 
     # -- node accounting ----------------------------------------------
     if count != manager._num_nodes:
@@ -220,12 +210,13 @@ def check_manager(manager: "Manager",
     # Structural refs only ever exceed the fresh parent-arc recount
     # (external Function roots are added on top at GC time), so a ref
     # below the recount means a decrement was lost or misapplied.
+    ref = store.ref
     for node in store.iter_nodes():
         expected = arcs.get(node, 0)
-        if ref_of(node) < expected:
+        if ref[node] < expected:
             report(Diagnostic(
                 "refcount",
-                f"{describe(node)}: ref={ref_of(node)} below its "
+                f"{describe(node)}: ref={ref[node]} below its "
                 f"{expected} parent arc(s)"))
 
     # -- root tracking vs. a fresh reachability sweep -------------------
@@ -240,9 +231,9 @@ def check_manager(manager: "Manager",
     while stack:
         node = stack.pop()
         if node is None or fields_of(node) is None or is_term(node) \
-                or key_of(node) in reachable:
+                or node in reachable:
             continue
-        reachable.add(key_of(node))
+        reachable.add(node)
         stack.append(hi_of(node))
         stack.append(lo_of(node))
     if len(reachable) > count:
@@ -253,7 +244,7 @@ def check_manager(manager: "Manager",
 
     # -- computed table ------------------------------------------------
     if check_cache:
-        cache_liveness = store.checks_cache_liveness
+        interned = manager.computed.interned_count
         for op, key, result in manager.computed.entries():
             if result is None:
                 # lookup() signals a miss with None, so a None result is
@@ -263,18 +254,21 @@ def check_manager(manager: "Manager",
                     "cache-incomplete",
                     f"computed-table entry for op {op!r} key {key!r} "
                     f"holds None instead of a completed result"))
-            if op != "?" and op not in REGISTERED_OPS:
+            if op not in REGISTERED_OPS:
                 report(Diagnostic(
                     "cache-op",
                     f"computed-table entry {key!r} uses unregistered "
                     f"op tag {op!r}"))
-            if cache_liveness:
-                for node in store.cache_handles((key, result)):
-                    if not is_live(node):
-                        report(Diagnostic(
-                            "cache-dangling",
-                            f"computed-table entry for op {op!r} "
-                            f"references {describe(node)} which is "
-                            f"not in the unique table"))
-                        break
+                continue
+            nodes, idents = entry_handles(key, result)
+            stale = [describe(node) for node in nodes
+                     if not is_live(node)]
+            stale += [f"interned id {ident}" for ident in idents
+                      if ident >= interned]
+            if stale:
+                report(Diagnostic(
+                    "cache-dangling",
+                    f"computed-table entry for op {op!r} references "
+                    f"{', '.join(stale)}, which "
+                    f"{'is' if len(stale) == 1 else 'are'} not live"))
     return out

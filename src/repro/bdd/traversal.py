@@ -5,9 +5,8 @@ node set of a function, counting internal references (the paper's
 *functionRef*), and iterating nodes in level order.
 
 Every function takes the node store as its first argument and works on
-opaque handles through the store's accessors — the same code serves the
-object and array backends.  Result containers are keyed by handle
-(``Node`` objects hash by identity, int ids by value).
+int node ids through the store's accessors.  Result containers are
+keyed by id.
 """
 
 from __future__ import annotations
@@ -16,10 +15,10 @@ from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .backend import NodeStore
+    from .arraystore import ArrayStore
 
 
-def collect_nodes(store: "NodeStore", root: Any) -> list[Any]:
+def collect_nodes(store: "ArrayStore", root: Any) -> list[Any]:
     """All internal nodes reachable from ``root`` (excludes terminals)."""
     is_term = store.is_terminal
     hi_of, lo_of = store.hi_of, store.lo_of
@@ -37,18 +36,18 @@ def collect_nodes(store: "NodeStore", root: Any) -> list[Any]:
     return out
 
 
-def collect_node_set(store: "NodeStore", root: Any) -> set[Any]:
+def collect_node_set(store: "ArrayStore", root: Any) -> set[Any]:
     """Set of internal nodes reachable from ``root``."""
     return set(collect_nodes(store, root))
 
 
-def support_levels(store: "NodeStore", root: Any) -> set[int]:
+def support_levels(store: "ArrayStore", root: Any) -> set[int]:
     """Levels of the variables the function depends on."""
     level_of = store.level_of
     return {level_of(node) for node in collect_nodes(store, root)}
 
 
-def function_refs(store: "NodeStore", root: Any) -> dict[Any, int]:
+def function_refs(store: "ArrayStore", root: Any) -> dict[Any, int]:
     """Number of arcs into each node from *within* the function.
 
     This is the paper's *functionRef*: for every node reachable from
@@ -63,7 +62,7 @@ def function_refs(store: "NodeStore", root: Any) -> dict[Any, int]:
     return refs
 
 
-def nodes_by_level(store: "NodeStore", root: Any) -> list[Any]:
+def nodes_by_level(store: "ArrayStore", root: Any) -> list[Any]:
     """Reachable internal nodes sorted by level (a topological order).
 
     Arcs always point from a smaller to a strictly larger level, so level
@@ -72,7 +71,7 @@ def nodes_by_level(store: "NodeStore", root: Any) -> list[Any]:
     return sorted(collect_nodes(store, root), key=store.level_of)
 
 
-def iter_paths(store: "NodeStore", root: Any
+def iter_paths(store: "ArrayStore", root: Any
                ) -> Iterator[tuple[dict[int, bool], int]]:
     """Iterate (partial level assignment, terminal value) per BDD path.
 

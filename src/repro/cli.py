@@ -47,9 +47,7 @@ All commands read BLIF; the benchmark generators can export BLIF via
 ``repro.fsm.blif.write_blif`` for experimentation.
 
 Runtime options shared by every command configure the manager's memory
-policy and observability: ``--backend`` selects the node-store backend
-(``object`` or ``array``, exported as ``REPRO_BACKEND`` so engine
-workers agree), ``--cache-limit`` bounds the computed table,
+policy and observability: ``--cache-limit`` bounds the computed table,
 ``--gc-threshold`` arms automatic garbage collection, ``--stats``
 prints the :attr:`~repro.bdd.manager.Manager.stats` snapshot after the
 command body, and ``--jobs`` (or ``REPRO_BENCH_JOBS``) fans per-function
@@ -69,11 +67,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import nullcontext
 
-from .bdd.backend import resolve_backend
 from .bdd.counting import density
 from .bdd.governor import Budget, ResourceError
 from .core.approx import UNDER_APPROXIMATORS
@@ -249,7 +245,7 @@ def cmd_load(args) -> int:
         print(format_table(["name", "nodes", "vars", "tags", "object"],
                            rows, title=str(store.root)))
         return 0
-    manager = Manager(backend=args.backend)
+    manager = Manager()
     function = store.load(manager, args.name)
     if args.dump:
         sys.stdout.write(dump(function))
@@ -486,17 +482,9 @@ def cmd_serve(args) -> int:
 
     from .serve.server import Server, serve_main
 
-    # Resolve the backend *here* and export it: sessions receive it
-    # explicitly (never re-reading the environment at accept time),
-    # and any worker processes the daemon's requests spawn inherit the
-    # same selection.  Before this round-trip fix a `repro serve
-    # --backend array` subprocess could encode `reach` circuits on the
-    # object store while its sessions ran on the array store.
-    backend = resolve_backend(getattr(args, "backend", None))
-    os.environ["REPRO_BACKEND"] = backend
     try:
         server = Server(
-            host=args.host, port=args.port, backend=backend,
+            host=args.host, port=args.port,
             cache_limit=args.cache_limit,
             gc_threshold=args.gc_threshold,
             node_budget=args.node_budget,
@@ -569,12 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     runtime.add_argument("--gc-threshold", type=int, default=None,
                          help="enable automatic GC above this many live "
                               "nodes (default: disabled)")
-    runtime.add_argument("--backend", default=None,
-                         choices=["object", "array"],
-                         help="node-store backend for every manager the "
-                              "command creates, including engine "
-                              "workers (default: REPRO_BACKEND or "
-                              "object)")
     runtime.add_argument("--jobs", type=int, default=None,
                          help="worker processes for per-function fan-out "
                               "(default: REPRO_BENCH_JOBS or 1; <=0 "
@@ -661,11 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--dump", action="store_true",
                         help="print the loaded function as a textual "
                              "node list (repro.bdd.io format)")
-    p_load.add_argument("--backend", default=None,
-                        choices=["object", "array"],
-                        help="node-store backend for the manager the "
-                             "function is loaded into (default: "
-                             "REPRO_BACKEND or object)")
     p_load.set_defaults(func=cmd_load)
 
     p_approx = sub.add_parser("approx", parents=[runtime],
@@ -691,11 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=0,
                          help="TCP port; 0 picks an ephemeral port "
                               "and prints it (default: 0)")
-    p_serve.add_argument("--backend", default=None,
-                         choices=["object", "array"],
-                         help="node-store backend for every session "
-                              "manager (default: REPRO_BACKEND or "
-                              "object)")
     p_serve.add_argument("--workers", type=int, default=1,
                          help="kernel worker threads shared round-"
                               "robin across sessions (default: 1)")
@@ -806,11 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "backend", None):
-        # Exported rather than threaded through every Manager() call:
-        # engine worker processes inherit the environment, so their
-        # rebuilt managers pick the same store.
-        os.environ["REPRO_BACKEND"] = args.backend
     try:
         return args.func(args)
     except ResourceError as exc:

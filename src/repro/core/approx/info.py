@@ -5,9 +5,9 @@ This module implements the *analyze* pass of Figure 2 and the
 path-flow bookkeeping of Section 2.1.2 used to count minterms lost
 exactly.
 
-Everything here manipulates opaque node-store handles through the
-store's accessors (see :mod:`repro.bdd.backend`); the store that owns
-the handles rides along in :attr:`ApproxInfo.store`.
+Everything here manipulates int node ids through the store's accessors
+(see :mod:`repro.bdd.arraystore`); the store that owns them rides along
+in :attr:`ApproxInfo.store`.
 
 Quantities
 ----------
@@ -37,7 +37,7 @@ from ...bdd.counting import minterm_count_map
 from ...bdd.traversal import collect_nodes, function_refs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ...bdd.backend import NodeStore
+    from ...bdd.arraystore import ArrayStore
 
 
 @dataclass
@@ -45,7 +45,7 @@ class ApproxInfo:
     """The paper's *info* record threaded through the three passes."""
 
     #: the node store owning every handle below
-    store: "NodeStore"
+    store: "ArrayStore"
     nvars: int
     #: minterm counts per node (over the variables below the node level)
     counts: dict[Any, int]
@@ -69,7 +69,7 @@ REPLACE_REMAP = "remap"
 REPLACE_GRANDCHILD = "grandchild"
 
 
-def analyze(store: "NodeStore", root: Any, nvars: int) -> ApproxInfo:
+def analyze(store: "ArrayStore", root: Any, nvars: int) -> ApproxInfo:
     """First pass of Figure 2: minterm counts and reference counts."""
     counts = minterm_count_map(store, root, nvars)
     refs = function_refs(store, root)

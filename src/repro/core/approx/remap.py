@@ -15,8 +15,9 @@ Three passes (Figure 2):
 With ``quality >= 1`` the algorithm is *safe* (Definition 1):
 ``density(rua(f)) >= density(f)``.
 
-All passes manipulate opaque node-store handles (compared with ``==``,
-never ``is``), so they run unchanged on every backend.
+All passes manipulate int node ids (compared with ``==``, never
+``is``) and index the store's ``level``/``hi``/``lo`` columns directly;
+the terminals are the ids 0 and 1.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
 
 from ...bdd.function import Function
 from ...bdd.governor import CHECK_STRIDE
@@ -49,11 +49,11 @@ class Replacement:
     #: lower bound on the number of nodes saved (may be <= 0)
     saved: int
     #: nodes that die if accepted
-    dead: set[Any]
+    dead: set[int]
     #: surviving function root the node is remapped to (remap only)
-    kept: Any = None
+    kept: int | None = None
     #: (child level, use_then_branch, shared grandchild) for grandchild
-    grandchild: tuple[int, bool, Any] | None = None
+    grandchild: tuple[int, bool, int] | None = None
 
 
 #: All replacement types, in the order findReplacement tries them.
@@ -82,10 +82,9 @@ def remap_under_approx(f: Function, threshold: int = 0,
         studies (default: all three of the paper's types).
     """
     manager, root = f.manager, f.node
-    store = manager.store
-    if store.is_terminal(root):
+    if root < 2:
         return f
-    info = analyze(store, root, manager.num_vars)
+    info = analyze(manager.store, root, manager.num_vars)
     mark_nodes(manager, root, info, threshold, quality,
                replacements=replacements)
     return Function(manager, build_result(manager, root, info))
@@ -101,28 +100,27 @@ def remap_over_approx(f: Function, threshold: int = 0,
 # Pass 2: markNodes (Figure 3)
 # ----------------------------------------------------------------------
 
-def mark_nodes(manager: Manager, root: Any, info: ApproxInfo,
+def mark_nodes(manager: Manager, root: int, info: ApproxInfo,
                threshold: int, quality: float,
                replacements: tuple = (REPLACE_REMAP,
                                       REPLACE_GRANDCHILD,
                                       REPLACE_ZERO)) -> None:
     """Decide a replacement status for every node, top-down by level."""
     store = manager.store
-    is_term, level_of = store.is_terminal, store.level_of
-    hi_of, lo_of = store.hi_of, store.lo_of
+    level, hi, lo = store.level, store.hi, store.lo
     q = Fraction(quality)
-    leq_cache: dict[tuple[Any, Any], bool] = {}
+    leq_cache: dict[int, bool] = {}
     counter = itertools.count()
-    queue: list[tuple[int, int, Any]] = []
-    entered: set[Any] = set()
+    queue: list[tuple[int, int, int]] = []
+    entered: set[int] = set()
 
-    def enqueue(node: Any) -> None:
-        if is_term(node) or node in entered:
+    def enqueue(node: int) -> None:
+        if node < 2 or node in entered:
             return
         entered.add(node)
-        heapq.heappush(queue, (level_of(node), next(counter), node))
+        heapq.heappush(queue, (level[node], next(counter), node))
 
-    info.flow[root] = 1 << level_of(root)
+    info.flow[root] = 1 << level[root]
     enqueue(root)
     done = False
     check = manager.governor.checkpoint
@@ -146,12 +144,11 @@ def mark_nodes(manager: Manager, root: Any, info: ApproxInfo,
                 replacement = None
         if replacement is None:
             # Keep the node: flow passes to both children.
-            level = level_of(node)
-            hi, lo = hi_of(node), lo_of(node)
-            add_flow(info, hi, child_flow(info, flow, level, hi))
-            add_flow(info, lo, child_flow(info, flow, level, lo))
-            enqueue(hi)
-            enqueue(lo)
+            node_level, high, low = level[node], hi[node], lo[node]
+            add_flow(info, high, child_flow(info, flow, node_level, high))
+            add_flow(info, low, child_flow(info, flow, node_level, low))
+            enqueue(high)
+            enqueue(low)
             continue
         _commit(manager, node, flow, replacement, info)
         if replacement.kind == REPLACE_REMAP:
@@ -172,11 +169,10 @@ def _accept(rep: Replacement, info: ApproxInfo, q: Fraction) -> bool:
             > info.minterms * new_size * q.numerator)
 
 
-def _commit(manager: Manager, node: Any, flow: int, rep: Replacement,
+def _commit(manager: Manager, node: int, flow: int, rep: Replacement,
             info: ApproxInfo) -> None:
     """updateInfo: record the replacement and update all bookkeeping."""
-    store = manager.store
-    is_term, level_of = store.is_terminal, store.level_of
+    level = manager.store.level
     apply_death(info, rep.dead)
     info.size -= rep.saved
     info.minterms -= rep.lost
@@ -187,33 +183,32 @@ def _commit(manager: Manager, node: Any, flow: int, rep: Replacement,
         kept = rep.kept
         info.status[node] = (REPLACE_REMAP, kept)
         # Arcs into `node` now point at `kept`.
-        if not is_term(kept):
+        if kept >= 2:
             info.refs[kept] = info.refs.get(kept, 0) + info.refs[node]
-            add_flow(info, kept,
-                     flow << (level_of(kept) - level_of(node)))
+            add_flow(info, kept, flow << (level[kept] - level[node]))
         return
-    level, use_then, shared = rep.grandchild
-    info.status[node] = (REPLACE_GRANDCHILD, level, use_then, shared)
-    if not is_term(shared):
-        # The new node at `level` references the shared grandchild.
+    child_level, use_then, shared = rep.grandchild
+    info.status[node] = (REPLACE_GRANDCHILD, child_level, use_then, shared)
+    if shared >= 2:
+        # The new node at `child_level` references the shared
+        # grandchild.
         info.refs[shared] = info.refs.get(shared, 0) + 1
         add_flow(info, shared,
-                 flow << (level_of(shared) - level_of(node) - 1))
+                 flow << (level[shared] - level[node] - 1))
 
 
 # ----------------------------------------------------------------------
 # findReplacement (Section 2.1.1)
 # ----------------------------------------------------------------------
 
-def _count_from(info: ApproxInfo, node: Any, level: int) -> int:
+def _count_from(info: ApproxInfo, node: int, level: int) -> int:
     """Minterm count of ``node`` over the variables at ``level`` down."""
-    store = info.store
-    if store.is_terminal(node):
-        return store.value_of(node) << (info.nvars - level)
-    return info.counts[node] << (store.level_of(node) - level)
+    if node < 2:
+        return node << (info.nvars - level)
+    return info.counts[node] << (info.store.level[node] - level)
 
 
-def find_replacement(manager: Manager, node: Any, flow: int,
+def find_replacement(manager: Manager, node: int, flow: int,
                      info: ApproxInfo, leq_cache: dict,
                      replacements: tuple = (REPLACE_REMAP,
                                             REPLACE_GRANDCHILD,
@@ -225,21 +220,20 @@ def find_replacement(manager: Manager, node: Any, flow: int,
     decision is the caller's); None when no enabled type applies.
     """
     store = manager.store
-    is_term, level_of = store.is_terminal, store.level_of
-    hi_of, lo_of = store.hi_of, store.lo_of
-    hi, lo = hi_of(node), lo_of(node)
-    node_level = level_of(node)
+    level, hi, lo = store.level, store.hi, store.lo
+    high, low = hi[node], lo[node]
+    node_level = level[node]
     count_here = info.counts[node]
 
     # --- remap: requires one child's function contained in the other's.
     kept = None
     if REPLACE_REMAP in replacements:
-        if leq_node(manager, lo, hi, leq_cache):
-            kept, dropped = lo, hi
-        elif leq_node(manager, hi, lo, leq_cache):
-            kept, dropped = hi, lo
+        if leq_node(manager, low, high, leq_cache):
+            kept = low
+        elif leq_node(manager, high, low, leq_cache):
+            kept = high
     if kept is not None:
-        protected = frozenset() if is_term(kept) else frozenset({kept})
+        protected = frozenset() if kept < 2 else frozenset({kept})
         dead = nodes_saved(node, info, protected)
         lost = flow * (count_here
                        - _count_from(info, kept, node_level))
@@ -248,15 +242,15 @@ def find_replacement(manager: Manager, node: Any, flow: int,
 
     # --- replace-by-grandchild: children at the same level sharing a
     # grandchild on the same side.
-    if REPLACE_GRANDCHILD in replacements and not is_term(hi) \
-            and not is_term(lo) and level_of(hi) == level_of(lo):
+    if REPLACE_GRANDCHILD in replacements and high >= 2 and low >= 2 \
+            and level[high] == level[low]:
         shared = None
-        if hi_of(hi) == hi_of(lo):
-            shared, use_then = hi_of(hi), True
-        elif lo_of(hi) == lo_of(lo):
-            shared, use_then = lo_of(hi), False
+        if hi[high] == hi[low]:
+            shared, use_then = hi[high], True
+        elif lo[high] == lo[low]:
+            shared, use_then = lo[high], False
         if shared is not None:
-            protected = frozenset() if is_term(shared) \
+            protected = frozenset() if shared < 2 \
                 else frozenset({shared})
             dead = nodes_saved(node, info, protected)
             # Replacement function y·shared (or y'·shared) over the
@@ -268,7 +262,7 @@ def find_replacement(manager: Manager, node: Any, flow: int,
                 kind=REPLACE_GRANDCHILD, lost=lost,
                 saved=len(dead) - 1,  # the replacement node may be new
                 dead=dead,
-                grandchild=(level_of(hi), use_then, shared))
+                grandchild=(level[high], use_then, shared))
 
     # --- replace-by-0: always applies (when enabled).
     if REPLACE_ZERO not in replacements:
@@ -282,7 +276,7 @@ def find_replacement(manager: Manager, node: Any, flow: int,
 # Pass 3: buildResult
 # ----------------------------------------------------------------------
 
-def build_result(manager: Manager, root: Any, info: ApproxInfo) -> Any:
+def build_result(manager: Manager, root: int, info: ApproxInfo) -> int:
     """Rebuild the BDD bottom-up applying the recorded replacements.
 
     Explicit post-order walk (no recursion, so replacement chains of any
@@ -291,24 +285,22 @@ def build_result(manager: Manager, root: Any, info: ApproxInfo) -> Any:
     rebuild frames (flag 1) pop the finished pieces off the value stack.
     """
     store = manager.store
-    is_term, level_of = store.is_terminal, store.level_of
-    hi_of, lo_of = store.hi_of, store.lo_of
+    level, hi, lo = store.level, store.hi, store.lo
     mk = store.mk
-    memo: dict[Any, Any] = {}
+    memo: dict[int, int] = {}
     status_of = info.status
-    zero = store.zero
 
     check = manager.governor.checkpoint
     ticks = 0
-    stack: list[tuple[int, Any]] = [(0, root)]
-    values: list[Any] = []
+    stack: list[tuple[int, int]] = [(0, root)]
+    values: list[int] = []
     while stack:
         ticks += 1
         if not ticks & _MASK:
             check("remap")
         flag, node = stack.pop()
         if flag == 0:
-            if is_term(node):
+            if node < 2:
                 values.append(node)
                 continue
             if node in memo:
@@ -316,13 +308,13 @@ def build_result(manager: Manager, root: Any, info: ApproxInfo) -> Any:
                 continue
             status = status_of.get(node)
             if status is not None and status[0] == REPLACE_ZERO:
-                memo[node] = zero
-                values.append(zero)
+                memo[node] = 0
+                values.append(0)
                 continue
             stack.append((1, node))
             if status is None:
-                stack.append((0, lo_of(node)))
-                stack.append((0, hi_of(node)))
+                stack.append((0, lo[node]))
+                stack.append((0, hi[node]))
             elif status[0] == REPLACE_REMAP:
                 stack.append((0, status[1]))
             else:
@@ -330,18 +322,18 @@ def build_result(manager: Manager, root: Any, info: ApproxInfo) -> Any:
         else:
             status = status_of.get(node)
             if status is None:
-                lo = values.pop()
-                hi = values.pop()
-                result = mk(level_of(node), hi, lo)
+                low = values.pop()
+                high = values.pop()
+                result = mk(level[node], high, low)
             elif status[0] == REPLACE_REMAP:
                 result = values.pop()
             else:
-                _, level, use_then, _ = status
+                _, child_level, use_then, _ = status
                 branch = values.pop()
                 if use_then:
-                    result = mk(level, branch, zero)
+                    result = mk(child_level, branch, 0)
                 else:
-                    result = mk(level, zero, branch)
+                    result = mk(child_level, 0, branch)
             memo[node] = result
             values.append(result)
     return values[0]

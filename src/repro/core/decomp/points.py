@@ -22,7 +22,7 @@ from ...bdd.function import Function
 from ...bdd.traversal import collect_node_set, collect_nodes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ...bdd.backend import NodeStore
+    from ...bdd.arraystore import ArrayStore
 
 
 def band_points(f: Function, low: float = 0.35,
@@ -59,7 +59,7 @@ class DisjointScore:
     balance: float
 
 
-def score_disjointness(store: "NodeStore", node: Any) -> DisjointScore:
+def score_disjointness(store: "ArrayStore", node: Any) -> DisjointScore:
     """Measure child sharing and balance of one node (one BDD pass)."""
     hi_nodes = collect_node_set(store, store.hi_of(node))
     lo_nodes = collect_node_set(store, store.lo_of(node))

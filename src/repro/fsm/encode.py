@@ -69,9 +69,8 @@ def encode(circuit: Circuit, manager: Manager | None = None,
     variables adjacent to their partners keeps the y -> x renaming and
     the transition-relation BDDs small.
 
-    ``backend`` picks the node-store backend for a freshly created
-    manager (ignored when ``manager`` is passed); None defers to
-    ``REPRO_BACKEND`` and then ``"object"``.
+    ``backend`` names the node store of a freshly created manager
+    (ignored when ``manager`` is passed); see :mod:`repro.bdd.backend`.
     """
     if manager is None:
         manager = Manager(backend=backend)

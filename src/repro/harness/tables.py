@@ -39,7 +39,7 @@ def format_manager_stats(stats) -> str:
                          rows, title="computed table")
     limit = "unbounded" if stats.cache_limit is None else stats.cache_limit
     lines = [
-        f"backend:         {getattr(stats, 'backend', 'object')}",
+        f"backend:         {stats.backend}",
         f"cache entries:   {stats.cache_size} (limit: {limit})",
         f"live nodes:      {stats.nodes} (peak: {stats.peak_nodes})",
         f"gc:              {stats.gc_count} runs, "

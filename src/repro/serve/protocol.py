@@ -5,7 +5,7 @@ greeting line, then the client sends one request per line and receives
 exactly one response per request, in order::
 
     S> {"serve": "repro", "protocol": 1, "session": "s1",
-        "backend": "object"}
+        "backend": "array"}
     C> {"id": 1, "verb": "var", "params": {"name": "a"}}
     S> {"id": 1, "ok": true, "result": {"handle": "h1", ...}}
     C> {"id": 2, "verb": "apply",

@@ -16,12 +16,9 @@ abort (:class:`~repro.bdd.governor.ResourceError`) becomes a ``budget``
 error response on a connection that *stays open*, which is the
 degradation contract of ``docs/robustness.md`` extended to the wire.
 
-The node-store backend is resolved **once**, at server construction
-(``backend`` argument, else ``REPRO_BACKEND``, else the default), and
-passed explicitly to every session manager — sessions must not
-re-consult the environment at accept time, or a server started with
-``--backend array`` could silently hand out object-backed managers
-after an environment change (the PR 6 round-trip bug).
+Every session manager runs on the one node store; the ``backend``
+argument accepts only its name (``"array"``, the default) and is
+reported in the greeting and in ``stats``.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import time
 from collections.abc import Callable
 from typing import Any
 
-from ..bdd.backend import create_store, resolve_backend
+from ..bdd.backend import resolve_backend
 from ..bdd.governor import ResourceError
 from ..bdd.sanitize import SanitizerError
 from ..store.errors import StoreError
@@ -74,13 +71,13 @@ class _ServerStats:
 class Server:
     """One ``repro serve`` daemon instance (see the module docstring).
 
-    Parameters mirror the CLI flags: ``backend``/``cache_limit``/
-    ``gc_threshold`` configure every session manager, ``node_budget``/
-    ``step_budget``/``deadline`` are *per-request* budget defaults
-    (each request's ``budget`` parameter overrides them), ``workers``
-    sizes the fair executor, and ``max_sessions`` bounds concurrent
-    connections (excess connects are refused with an ``overload``
-    error).
+    ``backend`` names the node store (only ``"array"``); the other
+    parameters mirror the CLI flags: ``cache_limit``/``gc_threshold``
+    configure every session manager, ``node_budget``/``step_budget``/
+    ``deadline`` are *per-request* budget defaults (each request's
+    ``budget`` parameter overrides them), ``workers`` sizes the fair
+    executor, and ``max_sessions`` bounds concurrent connections
+    (excess connects are refused with an ``overload`` error).
     """
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
@@ -96,12 +93,11 @@ class Server:
                  snapshot: bool = False) -> None:
         self.host = host
         self.port = port
-        #: resolved once; sessions never re-read the environment
+        # An unknown store name fails here, at boot: sessions are
+        # created at accept time, and a daemon that boots but rejects
+        # every connection is strictly worse than one that refuses to
+        # start.
         self.backend = resolve_backend(backend)
-        # Fail fast on an unknown backend: sessions are created at
-        # accept time, and a daemon that boots but rejects every
-        # connection is strictly worse than one that refuses to start.
-        create_store(self.backend)
         # Same fail-fast rule for the persistent store: opening it at
         # boot surfaces a corrupt index immediately instead of on the
         # first save/load request.  The entry count is recorded here —

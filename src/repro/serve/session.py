@@ -1,11 +1,10 @@
 """Server-side sessions: one manager, one handle table, the verbs.
 
 A :class:`Session` owns a dedicated :class:`~repro.bdd.manager.Manager`
-(created on the backend the server was configured with) plus a table
-of *function handles* — short string ids (``"h1"``, ``"h2"``, ...)
-naming :class:`~repro.bdd.function.Function` objects the session keeps
-alive.  Handles are deduplicated through the backend-neutral
-``Function.handle`` surface (``store.key_of``), so by canonicity two
+plus a table of *function handles* — short string ids (``"h1"``,
+``"h2"``, ...) naming :class:`~repro.bdd.function.Function` objects the
+session keeps alive.  Handles are deduplicated through
+``Function.handle`` (the int node id), so by canonicity two
 requests producing the same boolean function receive the *same* handle
 id — clients can compare functions by comparing handle strings.
 
@@ -120,6 +119,26 @@ def _finite_param(params: dict[str, Any], key: str) -> float:
                         f"parameter {key!r} must be a finite number")
 
 
+def _budget_bound(spec: dict[str, Any], key: str) -> int | None:
+    """A ``node`` or ``step`` bound of a request budget: null for no
+    bound, else an int >= 1 (never a bool)."""
+    if spec[key] is None:
+        return None
+    return _int_param(spec, key, 0, minimum=1)
+
+
+def _budget_deadline(spec: dict[str, Any]) -> float | None:
+    """The ``deadline`` of a request budget: null for none, else a
+    finite number of seconds >= 0."""
+    if spec["deadline"] is None:
+        return None
+    deadline = _finite_param(spec, "deadline")
+    if deadline < 0:
+        raise ProtocolError(E_BAD_REQUEST,
+                            "parameter 'deadline' must be >= 0")
+    return deadline
+
+
 class Session:
     """One connected client's state (see the module docstring)."""
 
@@ -157,7 +176,7 @@ class Session:
         node indexes the table, and every rooted node stays live, so
         keys cannot be recycled under us.
         """
-        key = self.manager.store.key_of(function.handle)
+        key = function.handle
         handle = self._by_key.get(key)
         if handle is None:
             handle = f"h{next(self._ids)}"
@@ -180,7 +199,7 @@ class Session:
         function = self._functions.pop(handle, None)
         if function is None:
             return False
-        del self._by_key[self.manager.store.key_of(function.handle)]
+        del self._by_key[function.handle]
         return True
 
     @property
@@ -260,13 +279,16 @@ class Session:
                 raise ProtocolError(
                     E_BAD_REQUEST,
                     f"unknown budget keys {sorted(unknown)!r}")
-            node = spec.get("node", node)
-            step = spec.get("step", step)
-            deadline = spec.get("deadline", deadline)
+            if "node" in spec:
+                node = _budget_bound(spec, "node")
+            if "step" in spec:
+                step = _budget_bound(spec, "step")
+            if "deadline" in spec:
+                deadline = _budget_deadline(spec)
         try:
             return Budget(node_budget=node, step_budget=step,
                           deadline=deadline)
-        except ValueError as exc:
+        except ValueError as exc:  # a bad server-wide default
             raise ProtocolError(E_BAD_REQUEST, str(exc))
 
     @contextmanager
@@ -447,9 +469,9 @@ class Session:
             circuit = parse_blif(blif)
         except BlifError as exc:
             raise ProtocolError(E_BAD_REQUEST, f"bad BLIF: {exc}")
-        # The circuit gets its own manager on the session's backend —
-        # reach is a self-contained query, not a handle factory, and a
-        # foreign variable order must not leak into the session.
+        # The circuit gets its own manager — reach is a self-contained
+        # query, not a handle factory, and a foreign variable order
+        # must not leak into the session.
         encoded = encode(circuit, backend=self.config.backend)
         manager = encoded.manager
         with self._armed(manager, budget):

@@ -6,8 +6,8 @@ Tiedemann's "Compressing Binary Decision Diagrams"): every edge points
 at an already-decoded node, so the decoder builds the graph in one
 forward pass with no fixups and the representation is canonical — two
 managers holding the same boolean functions under the same variable
-order produce byte-identical objects regardless of backend or node
-insertion history, which is what makes content addressing dedupe
+order produce byte-identical objects regardless of node insertion
+history, which is what makes content addressing dedupe
 identical subgraphs across functions and across runs.
 
 Layout::
@@ -98,31 +98,28 @@ def encode_roots(manager: "Manager",
     if not roots:
         raise StoreError("an object needs at least one root")
     store = manager.store
-    key_of, level_of = store.key_of, store.level_of
-    hi_of, lo_of = store.hi_of, store.lo_of
-    by_level: dict[int, list[Any]] = {}
-    seen: set[Any] = set()
+    level_of, hi_of, lo_of = store.level_of, store.hi_of, store.lo_of
+    by_level: dict[int, list[int]] = {}
+    seen: set[int] = set()
     for name, function in roots.items():
         if function.manager is not manager:
             raise StoreError(
                 f"root {name!r} belongs to a different manager")
         for node in collect_nodes(store, function.node):
-            key = key_of(node)
-            if key not in seen:
-                seen.add(key)
+            if node not in seen:
+                seen.add(node)
                 by_level.setdefault(level_of(node), []).append(node)
-    ref: dict[Any, int] = {key_of(store.zero): 0, key_of(store.one): 1}
+    ref: dict[int, int] = {store.zero: 0, store.one: 1}
     segments: list[tuple[str, bytes]] = []
     next_ref = 2
     for level in sorted(by_level, reverse=True):
         group = sorted(by_level[level],
-                       key=lambda n: (ref[key_of(hi_of(n))],
-                                      ref[key_of(lo_of(n))]))
+                       key=lambda n: (ref[hi_of(n)], ref[lo_of(n)]))
         flat: list[int] = []
         for node in group:
-            flat.append(ref[key_of(hi_of(node))])
-            flat.append(ref[key_of(lo_of(node))])
-            ref[key_of(node)] = next_ref
+            flat.append(ref[hi_of(node)])
+            flat.append(ref[lo_of(node)])
+            ref[node] = next_ref
             next_ref += 1
         segments.append((manager.var_at_level(level),
                          struct.pack(f"<{len(flat)}I", *flat)))
@@ -133,7 +130,7 @@ def encode_roots(manager: "Manager",
                          for level in by_level)],
         "segments": [{"var": var, "count": len(payload) // _PAIR.size}
                      for var, payload in segments],
-        "roots": {name: ref[key_of(function.node)]
+        "roots": {name: ref[function.node]
                   for name, function in sorted(roots.items())},
         "nodes": next_ref - 2,
     }

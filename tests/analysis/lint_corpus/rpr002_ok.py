@@ -1,11 +1,12 @@
-"""RPR002 no-trigger: nodes go through the unique table."""
+"""RPR002 no-trigger: nodes go through the unique table, stores through
+the factory."""
 
 
 def build(manager, level, hi, lo):
     return manager.mk(level, hi, lo)
 
 
-class NodeFactory:
+class ArrayStoreFactory:
     # A class merely *named* like the constructor is not a call.
     pass
 

@@ -1,12 +1,6 @@
-"""RPR002 suppressed: test scaffolding may forge nodes knowingly."""
-from repro.bdd.node import Node
-
-
-def forge(level, hi, lo):
-    return Node(level, hi, lo)  # repro-lint: disable=RPR002
+"""RPR002 suppressed: test scaffolding may build a bare store knowingly."""
+from repro.bdd.arraystore import ArrayStore
 
 
 def forge_store():
-    from repro.bdd.backend import ObjectStore
-
-    return ObjectStore()  # repro-lint: disable=RPR002
+    return ArrayStore()  # repro-lint: disable=RPR002

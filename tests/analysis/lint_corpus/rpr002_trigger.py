@@ -1,20 +1,18 @@
-"""RPR002 trigger: direct Node construction outside the factory."""
-from repro.bdd.node import Node
-
-
-def smuggle(level, hi, lo):
-    return Node(level, hi, lo)
-
-
-def smuggle_qualified(node_module, level, hi, lo):
-    return node_module.Node(level, hi, lo)
+"""RPR002 trigger: direct node-store construction outside the factory."""
+from repro.bdd.arraystore import ArrayStore
 
 
 def smuggle_store():
-    from repro.bdd.backend import ObjectStore
-
-    return ObjectStore()
+    return ArrayStore()
 
 
-def smuggle_flat_store(arraystore_module):
+def smuggle_qualified(arraystore_module):
     return arraystore_module.ArrayStore()
+
+
+def smuggle_default(make=lambda: ArrayStore()):
+    return make()
+
+
+class Smuggler:
+    store = ArrayStore()

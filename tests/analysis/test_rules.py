@@ -25,8 +25,8 @@ def rule_ids(violations) -> set[str]:
 
 @pytest.mark.parametrize("fixture,rule,count", [
     ("rpr001_trigger.py", "RPR001", 3),   # walk, even, odd
-    ("rpr002_trigger.py", "RPR002", 4),   # Node: Name + Attribute call;
-                                          # store classes: one each
+    ("rpr002_trigger.py", "RPR002", 4),   # ArrayStore: Name, Attribute,
+                                          # lambda default, class body
     ("rpr003_trigger.py", "RPR003", 4),   # direct + aliased, get + put
     ("rpr004_trigger.py", "RPR004", 3),   # method call + both foreign
                                           # operands of the free call

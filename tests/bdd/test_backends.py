@@ -1,39 +1,39 @@
-"""Differential suite: ObjectStore and ArrayStore must agree.
+"""The node store: its name, its columns and its representation checks.
 
-Every public operation is run against *both* backends in the same
-process on identical inputs; truth tables, node counts, minterm
-enumerations and statistics must match exactly.  The second half
-covers the ArrayStore-specific robustness surfaces — governor fault
-injection and the sanitizer's understanding of flat column stores —
-mirroring the object-backend coverage in test_governor.py and
-test_sanitize.py.
+One store ships (:class:`~repro.bdd.arraystore.ArrayStore`), so these
+tests cover what is specific to it: name resolution, the terminal ids,
+the numpy and portable GC sweeps, governor unwind over the flat
+columns, the sanitizer checks on a swept store (its own representation
+— column lengths, terminals, the free list — and the graph checks
+among free slots and recycled ids), and the guarantees that keep the
+BDD heap out of CPython's cyclic garbage collector.
 """
 
 from __future__ import annotations
 
+import gc
+import os
 import random
+import subprocess
+import sys
+from importlib.util import find_spec
+from pathlib import Path
 
 import pytest
 
-from repro.bdd import InjectedAbort, Manager, arraystore
+from repro.bdd import InjectedAbort, Manager, SanitizerError, arraystore
 from repro.bdd.arraystore import FREE_LEVEL, ArrayStore
-from repro.bdd.backend import (BACKENDS, DEFAULT_BACKEND, ObjectStore,
-                               create_store, resolve_backend)
-from repro.bdd.io import dump, load, transfer
-from repro.bdd.operations import cofactor_sizes_node
-from repro.bdd.restrict import constrain, restrict
+from repro.bdd.backend import DEFAULT_BACKEND, create_store, resolve_backend
+from repro.fsm.am2910 import am2910
+from repro.fsm.encode import encode
+from repro.reach.bfs import bfs_reachability
+from repro.reach.transition import TransitionRelation
 
 from ..helpers import random_function, truth_table
 
 NVARS = 10
 NAMES = [f"x{i}" for i in range(NVARS)]
 SEED = 20260808
-
-
-def manager_pair() -> tuple[Manager, Manager]:
-    """One manager per backend, same variables, in the same process."""
-    return (Manager(NAMES, backend="object"),
-            Manager(NAMES, backend="array"))
 
 
 def seeded_functions(manager: Manager, count: int = 4):
@@ -44,43 +44,22 @@ def seeded_functions(manager: Manager, count: int = 4):
                             terms=5 + i, width=3) for i in range(count)]
 
 
-def assert_same_function(f, g) -> None:
-    """Semantic and structural agreement across two managers."""
-    assert truth_table(f, NAMES) == truth_table(g, NAMES)
-    assert len(f) == len(g)
-    assert f.sat_count() == g.sat_count()
-
-
 class TestRegistry:
-    def test_default_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend() == DEFAULT_BACKEND == "object"
-
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "array")
-        assert resolve_backend() == "array"
+    def test_default_backend(self):
+        assert resolve_backend() == DEFAULT_BACKEND == "array"
         assert isinstance(create_store(), ArrayStore)
 
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "array")
-        assert resolve_backend("object") == "object"
-        assert isinstance(create_store("object"), ObjectStore)
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="array.*object|object.*array"):
-            create_store("linked-list")
-
-    def test_registry_names_match_classes(self):
-        create_store("array")  # force lazy registration
-        for name, factory in BACKENDS.items():
-            assert factory().name == name
+        for name in ("object", "linked-list"):
+            with pytest.raises(ValueError, match="known: array"):
+                create_store(name)
+            with pytest.raises(ValueError, match="known: array"):
+                Manager(backend=name)
 
     def test_manager_reports_backend(self):
-        obj, arr = manager_pair()
-        assert obj.backend == "object"
-        assert arr.backend == "array"
-        assert obj.stats.as_dict()["backend"] == "object"
-        assert arr.stats.as_dict()["backend"] == "array"
+        for manager in (Manager(NAMES), Manager(NAMES, backend="array")):
+            assert manager.backend == "array"
+            assert manager.stats.as_dict()["backend"] == "array"
 
     def test_array_terminal_handles(self):
         store = create_store("array")
@@ -88,135 +67,6 @@ class TestRegistry:
         assert store.is_terminal(0) and store.is_terminal(1)
         assert not store.is_terminal(2)
         assert store.value_of(0) == 0 and store.value_of(1) == 1
-
-
-class TestDifferential:
-    def test_random_functions_agree(self):
-        obj, arr = manager_pair()
-        for f, g in zip(seeded_functions(obj), seeded_functions(arr)):
-            assert_same_function(f, g)
-        assert len(obj) == len(arr)
-        assert obj.level_sizes() == arr.level_sizes()
-
-    def test_apply_ops_agree(self):
-        obj, arr = manager_pair()
-        (fo, go, *_), (fa, ga, *_) = seeded_functions(obj), \
-            seeded_functions(arr)
-        for op in ("__and__", "__or__", "__xor__", "__sub__"):
-            assert_same_function(getattr(fo, op)(go), getattr(fa, op)(ga))
-        assert_same_function(~fo, ~fa)
-        assert_same_function(fo.ite(go, ~go), fa.ite(ga, ~ga))
-        assert (fo <= go) == (fa <= ga)
-        assert (fo == go) == (fa == ga)
-
-    def test_quantify_agree(self):
-        obj, arr = manager_pair()
-        (fo, go, *_), (fa, ga, *_) = seeded_functions(obj), \
-            seeded_functions(arr)
-        names = NAMES[3:6]
-        assert_same_function(fo.exists(names), fa.exists(names))
-        assert_same_function(fo.forall(names), fa.forall(names))
-        assert_same_function(fo.and_exists(go, names),
-                             fa.and_exists(ga, names))
-
-    def test_restrict_agree(self):
-        obj, arr = manager_pair()
-        (fo, go, *_), (fa, ga, *_) = seeded_functions(obj), \
-            seeded_functions(arr)
-        assert_same_function(constrain(fo, go), constrain(fa, ga))
-        assert_same_function(restrict(fo, go), restrict(fa, ga))
-        cube = {"x1": True, "x4": False}
-        assert_same_function(fo.cofactor(cube), fa.cofactor(cube))
-
-    def test_compose_agree(self):
-        obj, arr = manager_pair()
-        (fo, go, *_), (fa, ga, *_) = seeded_functions(obj), \
-            seeded_functions(arr)
-        assert_same_function(fo.compose({"x2": go}), fa.compose({"x2": ga}))
-
-    def test_support_and_counting_agree(self):
-        obj, arr = manager_pair()
-        for f, g in zip(seeded_functions(obj), seeded_functions(arr)):
-            assert f.support() == g.support()
-            assert f.sat_count() == g.sat_count()
-            assert len(f) == len(g)
-
-    def test_cofactor_sizes_agree(self):
-        obj, arr = manager_pair()
-        for f, g in zip(seeded_functions(obj, 8), seeded_functions(arr, 8)):
-            sizes = cofactor_sizes_node(obj, f.node)
-            assert cofactor_sizes_node(arr, g.node) == sizes
-            assert set(sizes) == obj.node_support_levels(f.node)
-            for level, pair in sizes.items():
-                name = obj.var_at_level(level)
-                assert pair == (len(g.cofactor({name: True})),
-                                len(g.cofactor({name: False})))
-
-    def test_iter_minterms_agree(self):
-        obj, arr = manager_pair()
-        for f, g in zip(seeded_functions(obj), seeded_functions(arr)):
-            assert list(f.iter_minterms()) == list(g.iter_minterms())
-
-    def test_pick_one_is_model(self):
-        obj, arr = manager_pair()
-        for f, g in zip(seeded_functions(obj), seeded_functions(arr)):
-            model = g.pick_one()
-            assert model is not None
-            assert g(**model) and f(**model)
-
-    def test_gc_agrees(self):
-        obj, arr = manager_pair()
-        for manager in (obj, arr):
-            fs = seeded_functions(manager)
-            keep = fs[0]
-            del fs
-            manager.collect_garbage()
-            assert manager.debug_check() == []
-            assert len(manager) == len(keep)
-        assert len(obj) == len(arr)
-
-    def test_reorder_agrees(self):
-        obj, arr = manager_pair()
-        order = list(reversed(NAMES))
-        results = []
-        for manager in (obj, arr):
-            f = seeded_functions(manager)[1]
-            manager.reorder(order)
-            assert manager.var_names == order
-            assert manager.debug_check() == []
-            results.append(f)
-        assert_same_function(*results)
-        assert obj.level_sizes() == arr.level_sizes()
-
-    def test_sift_agrees(self):
-        obj, arr = manager_pair()
-        results = []
-        for manager in (obj, arr):
-            f = seeded_functions(manager)[2]
-            manager.reorder()  # sifting
-            assert manager.debug_check() == []
-            results.append(f)
-        assert truth_table(results[0], NAMES) \
-            == truth_table(results[1], NAMES)
-        assert obj.var_names == arr.var_names
-        assert len(obj) == len(arr)
-
-    def test_dump_load_across_backends(self):
-        obj, arr = manager_pair()
-        f = seeded_functions(obj)[0]
-        g = load(arr, dump(f))
-        assert_same_function(f, g)
-
-    def test_transfer_across_backends(self):
-        obj, arr = manager_pair()
-        f = seeded_functions(obj)[0]
-        g = transfer(f, arr)
-        assert_same_function(f, g)
-        # And back again, including a constant (handle 0 on the array
-        # side — the regression that motivates membership cache checks).
-        assert_same_function(transfer(g, obj), f)
-        false_back = transfer(arr.false, obj)
-        assert false_back.is_false
 
 
 class TestSweepPaths:
@@ -231,17 +81,18 @@ class TestSweepPaths:
         manager.collect_garbage()
         return manager, kept
 
-    @pytest.mark.skipif(not arraystore.VECTOR_SWEEP,
+    @pytest.mark.skipif(find_spec("numpy") is None,
                         reason="numpy unavailable: only the portable "
                                "sweep can run")
     def test_portable_sweep_matches_vectorized(self, monkeypatch):
         vec_manager, vec_kept = self._collected_manager()
-        monkeypatch.setattr(arraystore, "_np", None)
+        # A None entry makes ``import numpy`` raise ImportError.
+        monkeypatch.setitem(sys.modules, "numpy", None)
         por_manager, por_kept = self._collected_manager()
         vec, por = vec_manager.store, por_manager.store
         assert vec.num_nodes == por.num_nodes
-        assert list(vec._level) == list(por._level)
-        assert list(vec._ref) == list(por._ref)
+        assert list(vec.level) == list(por.level)
+        assert list(vec.ref) == list(por.ref)
         # The paths free in different orders but must free the same
         # slots.
         assert sorted(vec._free) == sorted(por._free)
@@ -249,6 +100,15 @@ class TestSweepPaths:
             assert truth_table(f, NAMES) == truth_table(g, NAMES)
         assert vec_manager.debug_check() == []
         assert por_manager.debug_check() == []
+
+    def test_import_leaves_numpy_unloaded(self):
+        """numpy is imported on first use, never by importing the CLI."""
+        probe = "import sys, repro.cli; print('numpy' in sys.modules)"
+        src = str(Path(arraystore.__file__).parents[2])
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert out.strip() == "False"
 
 
 class TestArrayGovernor:
@@ -292,18 +152,29 @@ class TestArrayGovernor:
 
 @pytest.mark.no_sanitize
 class TestArraySanitizer:
-    """debug_check must understand flat stores: seeded corruptions.
+    """debug_check must understand the store's own representation.
 
-    The object-backend twins live in test_sanitize.py; corruption here
-    goes through the ``array('q')`` columns and packed-int tables.
+    Corruption goes through the ``array('q')`` columns, the free list
+    and the packed-int unique tables of a store that has been swept, so
+    free slots and recycled ids sit among the live nodes.
+    test_sanitize.py seeds the same graph-level corruptions (ordering,
+    reduction, hash-consing, refcounts, roots) in a fresh manager and
+    covers the computed-table checks.
     """
 
     def build(self):
         manager = Manager([f"x{i}" for i in range(6)], backend="array")
         variables = [manager.var(f"x{i}") for i in range(6)]
-        a, b, c, d = variables[:4]
+        a, b, c, d, e, g = variables
+        garbage = [(a ^ e) & (g | ~c), e.ite(d ^ g, b | ~e), c ^ d ^ e]
+        del garbage
+        store = manager.store
+        assert manager.collect_garbage() > 0
+        freed = set(store._free)
         functions = [(a & b) | (c ^ d), a.ite(b | c, ~d)]
-        return manager, manager.store, functions
+        # Some live nodes took recycled ids; some slots are still free.
+        assert freed - set(store._free) and store._free
+        return manager, store, functions
 
     @staticmethod
     def checks_of(manager) -> set[str]:
@@ -320,23 +191,22 @@ class TestArraySanitizer:
 
     def test_swapped_children_detected(self):
         manager, store, _ = self.build()
-        victim = max(self.internal_ids(store), key=store.level_of)
-        store._hi[victim], store._lo[victim] = \
-            store._lo[victim], store._hi[victim]
+        victim = max(self.internal_ids(store), key=store.level.__getitem__)
+        store.hi[victim], store.lo[victim] = store.lo[victim], store.hi[victim]
         assert "key-sync" in self.checks_of(manager)
 
     def test_redundant_node_detected(self):
         manager, store, _ = self.build()
         victim = next(n for n in self.internal_ids(store)
-                      if not store.is_terminal(store.hi_of(n)))
-        store._lo[victim] = store._hi[victim]
+                      if store.hi[n] >= 2)
+        store.lo[victim] = store.hi[victim]
         assert "redundant" in self.checks_of(manager)
 
     def test_ordering_violation_detected(self):
         manager, store, _ = self.build()
         victim = next(n for n in self.internal_ids(store)
-                      if not store.is_terminal(store.hi_of(n)))
-        store._level[victim] = store.level_of(store.hi_of(victim)) + 1
+                      if store.hi[n] >= 2)
+        store.level[victim] = store.level[store.hi[victim]] + 1
         found = self.checks_of(manager)
         assert "order" in found
         assert "level-sync" in found
@@ -344,14 +214,14 @@ class TestArraySanitizer:
     def test_duplicate_triple_detected(self):
         manager, store, _ = self.build()
         victim = self.internal_ids(store)[0]
-        level = store.level_of(victim)
+        level = store.level[victim]
         # Smuggle a clone of the victim's triple under a bogus key.
-        clone = len(store._level)
-        store._level.append(level)
-        store._hi.append(store.hi_of(victim))
-        store._lo.append(store.lo_of(victim))
-        store._ref.append(0)
-        store._tables[level][(1 << 50) | clone] = clone
+        clone = len(store.level)
+        store.level.append(level)
+        store.hi.append(store.hi[victim])
+        store.lo.append(store.lo[victim])
+        store.ref.append(0)
+        store._tables[level][1 << 50 | clone] = clone
         manager._num_nodes += 1
         found = self.checks_of(manager)
         assert "duplicate" in found
@@ -360,40 +230,24 @@ class TestArraySanitizer:
     def test_dangling_child_detected(self):
         manager, store, _ = self.build()
         victim = next(n for n in self.internal_ids(store)
-                      if not store.is_terminal(store.lo_of(n)))
+                      if store.lo[n] >= 2)
         # Point lo at an id with no slot in the columns at all.
-        store._lo[victim] = len(store._level) + 7
+        store.lo[victim] = len(store.level) + 7
         assert "dangling" in self.checks_of(manager)
-
-    def test_freed_child_detected(self):
-        manager, store, functions = self.build()
-        # Free a slot by hand, then point a live node at it: the slot
-        # carries FREE_LEVEL, which must read as a dead child.
-        victim = next(n for n in self.internal_ids(store)
-                      if not store.is_terminal(store.lo_of(n)))
-        orphan = store.lo_of(victim)
-        level = store.level_of(orphan)
-        del store._tables[level][(store.hi_of(orphan) << 32)
-                                 | store.lo_of(orphan)]
-        store._level[orphan] = FREE_LEVEL
-        store._free.append(orphan)
-        manager._num_nodes -= 1
-        found = self.checks_of(manager)
-        assert "dangling" in found
 
     def test_lost_refcount_detected(self):
         manager, store, _ = self.build()
         victim = next(n for n in self.internal_ids(store)
-                      if not store.is_terminal(store.hi_of(n)))
-        store._ref[store.hi_of(victim)] = 0
+                      if store.hi[n] >= 2)
+        store.ref[store.hi[victim]] = 0
         assert "refcount" in self.checks_of(manager)
 
     def test_stale_root_detected(self):
         manager, store, functions = self.build()
         root = functions[0].node
-        assert not store.is_terminal(root)
-        del store._tables[store.level_of(root)][
-            (store.hi_of(root) << 32) | store.lo_of(root)]
+        assert root >= 2
+        del store._tables[store.level[root]][
+            store.hi[root] << 32 | store.lo[root]]
         manager._num_nodes -= 1
         assert "root" in self.checks_of(manager)
 
@@ -402,14 +256,30 @@ class TestArraySanitizer:
         manager._num_nodes += 3
         assert "count" in self.checks_of(manager)
 
+    def test_freed_child_detected(self):
+        manager, store, functions = self.build()
+        # Free a slot by hand, then point a live node at it: the slot
+        # carries FREE_LEVEL, which must read as a dead child.
+        victim = next(n for n in self.internal_ids(store)
+                      if store.lo[n] >= 2)
+        orphan = store.lo[victim]
+        level = store.level[orphan]
+        del store._tables[level][(store.hi[orphan] << 32)
+                                 | store.lo[orphan]]
+        store.level[orphan] = FREE_LEVEL
+        store._free.append(orphan)
+        manager._num_nodes -= 1
+        found = self.checks_of(manager)
+        assert "dangling" in found
+
     def test_corrupted_terminal_detected(self):
         manager, store, _ = self.build()
-        store._level[0] = 5
+        store.level[0] = 5
         assert "terminal" in self.checks_of(manager)
 
     def test_column_length_mismatch_detected(self):
         manager, store, _ = self.build()
-        store._ref.append(0)
+        store.ref.append(0)
         assert "table" in self.checks_of(manager)
 
     def test_live_id_on_free_list_detected(self):
@@ -419,14 +289,33 @@ class TestArraySanitizer:
 
     def test_env_arming_sweeps_array_store(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        from repro.bdd import SanitizerError
-        manager = Manager([f"x{i}" for i in range(4)], backend="array")
-        f = manager.var("x0") & manager.var("x1")
-        store = manager.store
-        # Corrupt the *live* root: GC sweeps before it sweeps the
-        # sanitizer, so a dead victim would simply be collected.
-        victim = f.node
-        store._hi[victim], store._lo[victim] = \
-            store._lo[victim], store._hi[victim]
+        manager, store, functions = self.build()
+        # Corrupt a *live* root: GC sweeps before it sanitizes, so a
+        # dead victim would simply be collected.
+        victim = functions[0].node
+        store.hi[victim], store.lo[victim] = store.lo[victim], store.hi[victim]
         with pytest.raises(SanitizerError):
             manager.collect_garbage()
+
+
+class TestCollectorFootprint:
+    """The BDD heap stays out of CPython's cyclic garbage collector.
+
+    Unique-table dicts and computed-table entries hold only ints, and
+    CPython neither tracks such dicts nor allocates a tracked object
+    per entry, so a traversal's heap costs the collector nothing.
+    """
+
+    def test_traversal_heap_is_untracked(self):
+        encoded = encode(am2910(3, 2))
+        result = bfs_reachability(TransitionRelation(encoded),
+                                  encoded.initial_states())
+        assert result.complete
+        manager = encoded.manager
+        entries = list(manager.computed.entries())
+        assert entries
+        assert all(type(key) is int for _, key, _ in entries)
+        assert all(type(value) in (int, bool) for _, _, value in entries)
+        tables = manager.store._tables
+        assert tables and not any(gc.is_tracked(t) for t in tables)
+        assert not gc.is_tracked(manager.computed._entries)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import sys
 
 import pytest
 
@@ -10,7 +12,7 @@ from repro.bdd import Manager, density, log2int, shared_size
 from repro.bdd.counting import (distance_from_root, distance_to_one,
                                 height_map, minterm_count_map, path_count)
 
-from ..helpers import fresh_manager, truth_table
+from ..helpers import SETTINGS, fresh_manager, settings_manager, truth_table
 
 
 class TestSatCount:
@@ -42,9 +44,9 @@ class TestSatCount:
         with pytest.raises(ValueError):
             f.sat_count(0)
 
-    @pytest.mark.parametrize("backend", ["object", "array"])
-    def test_negative_nvars_rejected_on_every_root(self, backend):
-        m = Manager(vars=["a", "b"], backend=backend)
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_negative_nvars_rejected_on_every_root(self, setting):
+        m = settings_manager(setting, ["a", "b"])
         for f in (m.true, m.false, m.var("a") & m.var("b")):
             with pytest.raises(ValueError, match="non-negative"):
                 f.sat_count(-1)
@@ -80,32 +82,37 @@ def _build(manager, terms):
 
 
 class TestVectorizedSatCount:
-    """ArrayStore.sat_count_vector against the object-backend count."""
+    """ArrayStore.sat_count_vector against the per-node count map."""
 
-    def _pairs(self, count=20, seed=20260808):
-        import random
+    def _counts(self, count=20, seed=20260808):
+        """(column-sweep count, per-node count) of random functions and
+        their complements."""
         rng = random.Random(seed)
         for _ in range(count):
             names, terms = _random_dnf(rng)
-            obj = Manager(vars=names, backend="object")
-            arr = Manager(vars=names, backend="array")
-            yield _build(obj, terms), _build(arr, terms)
+            f = _build(Manager(vars=names), terms)
+            for g in (f, ~f):
+                if g.node < 2:
+                    continue
+                store, nvars = g.manager.store, len(names)
+                per_node = minterm_count_map(store, g.node, nvars)
+                yield (store.sat_count_vector(g.node, nvars),
+                       per_node[g.node] << store.level[g.node])
 
     def test_differential_random_functions(self):
-        for f_obj, f_arr in self._pairs():
-            assert f_arr.sat_count() == f_obj.sat_count()
-            assert (~f_arr).sat_count() == (~f_obj).sat_count()
+        for vector, per_node in self._counts():
+            assert vector == per_node
 
     def test_pure_python_fallback_matches(self, monkeypatch):
-        from repro.bdd import arraystore
-        monkeypatch.setattr(arraystore, "_np", None)
-        for f_obj, f_arr in self._pairs(count=8):
-            assert f_arr.sat_count() == f_obj.sat_count()
+        # A None entry makes ``import numpy`` raise ImportError.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        for vector, per_node in self._counts(count=8):
+            assert vector == per_node
 
     def test_wide_counts_take_python_branch(self):
         # nvars > 61 overflows int64, so the numpy path must bow out;
         # the pure-python sweep still returns the exact big integer.
-        names, terms = _random_dnf(__import__("random").Random(7))
+        names, terms = _random_dnf(random.Random(7))
         arr = Manager(vars=names, backend="array")
         f = _build(arr, terms)
         narrow = f.sat_count()

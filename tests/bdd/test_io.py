@@ -7,7 +7,7 @@ import pytest
 from repro.bdd import (LoadError, Manager, dump, dumps_many, load,
                        loads_many, transfer)
 
-from ..helpers import fresh_manager
+from ..helpers import SETTINGS, fresh_manager, settings_manager
 
 
 class TestDumpLoad:
@@ -97,7 +97,7 @@ class TestTransfer:
 
 
 class TestCorruptionCorpus:
-    """Malformed dumps raise structured LoadError on both backends.
+    """Malformed dumps raise structured LoadError.
 
     The direct-insert fast path feeds ``store.mk`` straight from the
     input, so every case here guards against a corrupt dump becoming a
@@ -127,31 +127,31 @@ class TestCorruptionCorpus:
         ("redundant-node", "repro-bdd 1\n2 a 1 1\nroot 2\n"),
     ]
 
-    @pytest.mark.parametrize("backend", ["object", "array"])
+    @pytest.mark.parametrize("setting", SETTINGS)
     @pytest.mark.parametrize(
         "text", [text for _, text in CORPUS],
         ids=[label for label, _ in CORPUS])
-    def test_corrupt_dump_is_structured_error(self, backend, text):
-        manager = Manager(backend=backend)
+    def test_corrupt_dump_is_structured_error(self, setting, text):
+        manager = settings_manager(setting)
         with pytest.raises(LoadError) as excinfo:
             load(manager, text)
         # LoadError subclasses ValueError: legacy callers that catch
         # ValueError keep working.
         assert isinstance(excinfo.value, ValueError)
 
-    @pytest.mark.parametrize("backend", ["object", "array"])
-    def test_undeclared_variable_with_declare_false(self, backend):
-        manager = Manager(backend=backend)
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_undeclared_variable_with_declare_false(self, setting):
+        manager = settings_manager(setting)
         with pytest.raises(LoadError, match="unknown variable"):
             load(manager, "repro-bdd 1\n2 ghost 1 0\nroot 2\n",
                  declare=False)
 
-    @pytest.mark.parametrize("backend", ["object", "array"])
+    @pytest.mark.parametrize("setting", SETTINGS)
     def test_corpus_cases_reject_cleanly_then_load_works(self,
-                                                         backend):
+                                                         setting):
         """A rejected dump must not poison the manager: the same
         manager loads a well-formed dump afterwards."""
-        manager = Manager(backend=backend)
+        manager = settings_manager(setting)
         for _, text in self.CORPUS:
             with pytest.raises(LoadError):
                 load(manager, text)

@@ -1,52 +1,34 @@
-"""Node primitives.
-
-These poke :class:`~repro.bdd.node.Node` attributes directly, so they
-only make sense on the object backend; integer handles have none of
-these fields (see ``docs/backends.md``).
-"""
+"""Node primitives: the fields of a node id, read from the store columns."""
 
 from __future__ import annotations
 
-import os
-
-import pytest
-
 from repro.bdd import TERMINAL_LEVEL, Manager
-
-pytestmark = pytest.mark.skipif(
-    os.environ.get("REPRO_BACKEND", "object") not in ("", "object"),
-    reason="exercises Node attributes specific to the object backend",
-)
 
 
 class TestNode:
     def test_terminal_flags(self):
         m = Manager()
-        assert m.one_node.is_terminal
-        assert m.zero_node.is_terminal
-        assert m.one_node.value == 1
-        assert m.zero_node.value == 0
-        assert m.one_node.level == TERMINAL_LEVEL
+        store = m.store
+        assert (m.zero_node, m.one_node) == (0, 1)
+        assert store.is_terminal(m.one_node)
+        assert store.is_terminal(m.zero_node)
+        assert store.value_of(m.one_node) == 1
+        assert store.value_of(m.zero_node) == 0
+        assert store.level[m.one_node] == TERMINAL_LEVEL
 
     def test_internal_node_fields(self):
         m = Manager(vars=["a"])
+        store = m.store
         node = m.var("a").node
-        assert not node.is_terminal
-        assert node.value is None
-        assert node.level == 0
-        assert node.hi is m.one_node
-        assert node.lo is m.zero_node
-
-    def test_identity_hashing(self):
-        m = Manager(vars=["a", "b"])
-        n1 = m.var("a").node
-        n2 = m.var("a").node
-        assert n1 is n2
-        assert len({n1, n2}) == 1
+        assert not store.is_terminal(node)
+        assert store.value_of(node) is None
+        assert store.level[node] == 0
+        assert store.hi[node] == m.one_node
+        assert store.lo[node] == m.zero_node
 
     def test_terminal_level_above_all_variables(self):
         m = Manager(vars=[f"v{i}" for i in range(100)])
-        assert all(m.var(f"v{i}").node.level < TERMINAL_LEVEL
+        assert all(m.store.level[m.var(f"v{i}").node] < TERMINAL_LEVEL
                    for i in range(100))
 
     def test_ref_counts_start_consistent(self):
@@ -54,4 +36,4 @@ class TestNode:
         f = m.var("a") & m.var("b")
         m.collect_garbage()
         # After GC, the root carries its external reference.
-        assert f.node.ref >= 1
+        assert m.store.ref[f.node] >= 1

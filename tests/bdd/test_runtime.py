@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from repro.bdd import ComputedTable, Manager
+from repro.bdd.computed import pack
 from repro.fsm.benchmarks import counter, token_ring
 from repro.fsm.encode import encode
 from repro.reach.bfs import bfs_reachability, count_states
@@ -18,30 +19,30 @@ class TestComputedTable:
     def test_unbounded_by_default(self):
         table = ComputedTable()
         for i in range(1000):
-            table.insert("and", ("and", i), i)
+            table.insert("and", pack("and", i), i)
         assert len(table) == 1000
         assert table.totals().evictions == 0
 
     def test_bounded_evicts(self):
         table = ComputedTable(limit=16)
         for i in range(100):
-            table.insert("and", ("and", i), i)
+            table.insert("and", pack("and", i), i)
         assert len(table) <= 16
         assert table.totals().evictions > 0
 
     def test_hit_miss_counting(self):
         table = ComputedTable()
-        assert table.lookup("ite", ("ite", 1)) is None
-        table.insert("ite", ("ite", 1), "r")
-        assert table.lookup("ite", ("ite", 1)) == "r"
+        assert table.lookup("ite", pack("ite", 1)) is None
+        table.insert("ite", pack("ite", 1), "r")
+        assert table.lookup("ite", pack("ite", 1)) == "r"
         s = table.stats()["ite"]
         assert (s.hits, s.misses) == (1, 1)
         assert s.hit_rate == 0.5
 
     def test_eviction_attributed_to_evicted_op(self):
         table = ComputedTable(limit=1)
-        table.insert("and", ("and", 1), 1)
-        table.insert("or", ("or", 1), 1)
+        table.insert("and", pack("and", 1), 1)
+        table.insert("or", pack("or", 1), 1)
         # The "and" entry was pushed out by the "or" insert.
         assert table.stats()["and"].evictions == 1
         assert table.stats().get("or", None) is None \
@@ -57,19 +58,19 @@ class TestComputedTable:
     def test_set_limit_rehashes_existing(self):
         table = ComputedTable()
         for i in range(10):
-            table.insert("and", ("and", i), i)
+            table.insert("and", pack("and", i), i)
         table.set_limit(64)
-        hits = sum(table.lookup("and", ("and", i)) == i
+        hits = sum(table.lookup("and", pack("and", i)) == i
                    for i in range(10))
         assert hits == 10
 
     def test_reset_stats_keeps_entries(self):
         table = ComputedTable()
-        table.insert("and", ("and", 1), 1)
-        table.lookup("and", ("and", 1))
+        table.insert("and", pack("and", 1), 1)
+        table.lookup("and", pack("and", 1))
         table.reset_stats()
         assert table.totals().lookups == 0
-        assert table.lookup("and", ("and", 1)) == 1
+        assert table.lookup("and", pack("and", 1)) == 1
 
 
 class TestBoundedCacheCanonicity:

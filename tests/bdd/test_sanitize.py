@@ -10,25 +10,15 @@ leave behind.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.bdd import Manager, SanitizerError
-from repro.bdd.node import Node
+from repro.bdd import ComputedTable, Manager, SanitizerError
+from repro.bdd.computed import pack
 from repro.bdd.sanitize import check_manager
 
 from ..helpers import fresh_manager
 
 pytestmark = pytest.mark.no_sanitize
-
-# Corruption seeding below mutates Node fields and ``_subtables``
-# directly — surfaces only the object backend has.  The flat-store
-# equivalents live in tests/bdd/test_backends.py.
-object_only = pytest.mark.skipif(
-    os.environ.get("REPRO_BACKEND", "object") not in ("", "object"),
-    reason="seeds corruption through object-store Node internals",
-)
 
 
 def build_sample():
@@ -44,8 +34,16 @@ def checks_of(manager) -> set[str]:
 
 
 def internal_nodes(manager):
-    return [node for subtable in manager._subtables
-            for node in subtable.values()]
+    return sorted(manager.store.iter_nodes())
+
+
+def swap_children(store, node) -> None:
+    store.hi[node], store.lo[node] = store.lo[node], store.hi[node]
+
+
+def unique_key(store, node) -> int:
+    """The node's key in its level's unique table."""
+    return store.hi[node] << 32 | store.lo[node]
 
 
 def test_clean_manager_passes():
@@ -60,59 +58,59 @@ def test_clean_manager_passes_after_gc():
     assert manager.debug_check() == []
 
 
-@object_only
 def test_swapped_children_detected():
     manager, _ = build_sample()
-    victim = max(internal_nodes(manager), key=lambda n: n.level)
-    victim.hi, victim.lo = victim.lo, victim.hi
+    store = manager.store
+    swap_children(store, max(internal_nodes(manager),
+                             key=store.level.__getitem__))
     found = checks_of(manager)
     assert "key-sync" in found
 
 
-@object_only
 def test_redundant_node_detected():
     manager, _ = build_sample()
-    victim = next(n for n in internal_nodes(manager)
-                  if not n.hi.is_terminal)
-    victim.lo = victim.hi
+    store = manager.store
+    victim = next(n for n in internal_nodes(manager) if store.hi[n] >= 2)
+    store.lo[victim] = store.hi[victim]
     assert "redundant" in checks_of(manager)
 
 
-@object_only
 def test_ordering_violation_detected():
     manager, _ = build_sample()
+    store = manager.store
     # Lift a node's level above one of its children.
-    victim = next(n for n in internal_nodes(manager)
-                  if not n.hi.is_terminal)
-    victim.level = victim.hi.level + 1
+    victim = next(n for n in internal_nodes(manager) if store.hi[n] >= 2)
+    store.level[victim] = store.level[store.hi[victim]] + 1
     found = checks_of(manager)
     assert "order" in found
     assert "level-sync" in found  # it also sits in the wrong subtable
 
 
-@object_only
 def test_duplicate_triple_detected():
     manager, _ = build_sample()
+    store = manager.store
     victim = internal_nodes(manager)[0]
+    level = store.level[victim]
     # A second node with the same (level, hi, lo), smuggled into the
     # subtable under a different key — duplicates break hash-consing.
-    clone = Node(victim.level, victim.hi, victim.lo)  # repro-lint: disable=RPR002
-    manager._subtables[victim.level][("dup", id(clone))] = clone
+    clone = len(store.level)
+    store.level.append(level)
+    store.hi.append(store.hi[victim])
+    store.lo.append(store.lo[victim])
+    store.ref.append(0)
+    store._tables[level][1 << 50 | clone] = clone
     manager._num_nodes += 1
     found = checks_of(manager)
     assert "duplicate" in found
     assert "key-sync" in found  # the smuggled key cannot match either
 
 
-@object_only
 def test_dangling_child_detected():
     manager, _ = build_sample()
-    victim = next(n for n in internal_nodes(manager)
-                  if not n.lo.is_terminal)
-    # Point lo at a node that is not in any subtable.
-    orphan = Node(victim.lo.level, manager.one_node,  # repro-lint: disable=RPR002
-                  manager.zero_node)
-    victim.lo = orphan
+    store = manager.store
+    victim = next(n for n in internal_nodes(manager) if store.lo[n] >= 2)
+    # Point lo at an id with no slot in the columns at all.
+    store.lo[victim] = len(store.level) + 7
     assert "dangling" in checks_of(manager)
 
 
@@ -122,31 +120,29 @@ def test_node_count_mismatch_detected():
     assert "count" in checks_of(manager)
 
 
-@object_only
 def test_lost_refcount_detected():
     manager, _ = build_sample()
-    victim = next(n for n in internal_nodes(manager)
-                  if not n.hi.is_terminal)
-    victim.hi.ref = 0
+    store = manager.store
+    victim = next(n for n in internal_nodes(manager) if store.hi[n] >= 2)
+    store.ref[store.hi[victim]] = 0
     assert "refcount" in checks_of(manager)
 
 
-@object_only
 def test_stale_root_detected():
     manager, functions = build_sample()
+    store = manager.store
     # Remove a root's node from the unique table behind the GC's back.
     node = functions[0].node
-    assert not node.is_terminal
-    del manager._subtables[node.level][(node.hi, node.lo)]
+    assert node >= 2
+    del store._tables[store.level[node]][unique_key(store, node)]
     manager._num_nodes -= 1
     assert "root" in checks_of(manager)
 
 
-@object_only
 def test_dangling_cache_entry_detected():
     manager, _ = build_sample()
-    ghost = Node(0, manager.one_node, manager.zero_node)  # repro-lint: disable=RPR002
-    manager.computed.insert("and", ("and", id(ghost)), ghost)
+    ghost = len(manager.store.level) + 3  # an id no node has
+    manager.computed.insert("and", pack("and", 2, ghost), 1)
     found = checks_of(manager)
     assert "cache-dangling" in found
     # The cache check can be disabled independently.
@@ -155,27 +151,45 @@ def test_dangling_cache_entry_detected():
     assert "cache-dangling" not in {d.check for d in diagnostics}
 
 
+def test_swept_node_cache_entry_detected(monkeypatch):
+    """A cache entry that outlives the sweep of its node is reported."""
+    manager, (f, g) = build_sample()
+    h = f ^ ~g  # cache entries naming h's nodes, which die below
+    assert h.node not in (f.node, g.node)
+    del h
+    # Bypass the flush that collect_garbage does before ids recycle
+    # (and keep an armed sanitizer from sweeping inside the collection).
+    monkeypatch.setattr(ComputedTable, "clear", lambda self: 0)
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    assert manager.collect_garbage() > 0
+    found = checks_of(manager)
+    assert found == {"cache-dangling"}
+
+
 def test_incomplete_cache_entry_detected():
     # A None result is the signature of a kernel that parked an
     # in-progress marker and aborted — the clean-unwind contract
     # (docs/robustness.md) forbids it surviving a governor abort.
     manager, _ = build_sample()
-    manager.computed.insert("and", ("and", 1, 2), None)
+    manager.computed.insert("and", pack("and", 0, 1), None)
     assert "cache-incomplete" in checks_of(manager)
 
 
 def test_unregistered_cache_op_detected():
     manager, _ = build_sample()
+    # A key packed for no registered opcode, and one not packed at all.
+    manager.computed.insert("frobnicate",  # repro-lint: disable=RPR003
+                            255 | 1 << 8, manager.one_node)
+    assert "cache-op" in checks_of(manager)
+    manager.computed.clear()
     manager.computed.insert("frobnicate",  # repro-lint: disable=RPR003
                             ("frobnicate", 1), manager.one_node)
     assert "cache-op" in checks_of(manager)
 
 
-@object_only
 def test_debug_check_raises_with_diagnostics():
     manager, _ = build_sample()
-    victim = internal_nodes(manager)[0]
-    victim.hi, victim.lo = victim.lo, victim.hi
+    swap_children(manager.store, internal_nodes(manager)[0])
     with pytest.raises(SanitizerError) as excinfo:
         manager.debug_check()
     assert excinfo.value.diagnostics
@@ -191,41 +205,34 @@ def test_check_manager_is_pure():
     assert manager.debug_check() == []
 
 
-@object_only
 def test_sanitize_env_arming(monkeypatch):
     """REPRO_SANITIZE=1 makes GC raise on a corrupted graph."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     manager = Manager()
     variables = [manager.add_var(f"x{i}") for i in range(4)]
-    f = variables[0] & variables[1]  # noqa: F841 - kept live
-    victim = next(n for subtable in manager._subtables
-                  for n in subtable.values())
-    victim.hi, victim.lo = victim.lo, victim.hi
+    f = variables[0] & variables[1]
+    # Corrupt a *live* root: GC sweeps before it sanitizes, so a dead
+    # victim would simply be collected.
+    swap_children(manager.store, f.node)
     with pytest.raises(SanitizerError):
         manager.collect_garbage()
 
 
-@object_only
 def test_sanitize_env_safe_point(monkeypatch):
     """Safe points sweep small managers when armed."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     monkeypatch.setenv("REPRO_SANITIZE_STRIDE", "1")
     manager = Manager()
     variables = [manager.add_var(f"x{i}") for i in range(4)]
-    victim = next(n for subtable in manager._subtables
-                  for n in subtable.values())
-    victim.hi, victim.lo = victim.lo, victim.hi
+    swap_children(manager.store, internal_nodes(manager)[0])
     with pytest.raises(SanitizerError):
         variables[2] & variables[3]
 
 
-@object_only
 def test_sanitize_env_disabled(monkeypatch):
     """Without the env var, operations tolerate a corrupt graph."""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     manager = Manager()
     variables = [manager.add_var(f"x{i}") for i in range(4)]
-    victim = next(n for subtable in manager._subtables
-                  for n in subtable.values())
-    victim.hi, victim.lo = victim.lo, victim.hi
+    swap_children(manager.store, internal_nodes(manager)[0])
     variables[2] & variables[3]  # no sweep, no raise

@@ -10,17 +10,16 @@ from repro.bdd import Manager
 from repro.core.decomp import (best_split_variable, cofactor_decompose,
                                cofactor_decompose_k, cofactor_sizes)
 
-from ...helpers import fresh_manager, random_function
+from ...helpers import (SETTINGS, fresh_manager, random_function,
+                        settings_manager)
 
-BACKENDS = ("object", "array")
 
-
-def _random_batch(backend: str, seed: int, count: int = 24):
+def _random_batch(setting: str, seed: int, count: int = 24):
     """Random DNFs of varied width, density and variable count."""
     rng = random.Random(seed)
     for _ in range(count):
         nvars = rng.randint(1, 12)
-        m = Manager(vars=[f"x{i}" for i in range(nvars)], backend=backend)
+        m = settings_manager(setting, [f"x{i}" for i in range(nvars)])
         variables = [m.var(f"x{i}") for i in range(nvars)]
         yield random_function(m, variables, rng, terms=rng.randint(1, 14),
                               width=rng.randint(1, 5))
@@ -29,28 +28,32 @@ def _random_batch(backend: str, seed: int, count: int = 24):
 class TestCofactorSizes:
     def test_sizes_match_direct_cofactors(self, random_functions):
         m, funcs = random_functions
-        batches = [funcs] + [list(_random_batch(backend, seed=31))
-                             for backend in BACKENDS]
+        batches = [funcs] + [list(_random_batch(setting, seed=31))
+                             for setting in SETTINGS]
         for f in (f for batch in batches for f in batch):
             sizes = cofactor_sizes(f)
             for name, (hi_size, lo_size) in sizes.items():
                 assert hi_size == len(f.cofactor({name: True}))
                 assert lo_size == len(f.cofactor({name: False}))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_builds_no_node_and_no_cache_entry(self, backend):
-        for f in _random_batch(backend, seed=47, count=8):
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_builds_no_node_and_no_cache_entry(self, setting):
+        for f in _random_batch(setting, seed=47, count=8):
             m = f.manager
-            before = (m.store.num_nodes, m.stats.peak_nodes, len(m.computed))
-            cofactor_sizes(f)
-            assert (m.store.num_nodes, m.stats.peak_nodes,
-                    len(m.computed)) == before
+            # Deferred, so a collection armed by the setting cannot run
+            # at the call's safe point and change the counts.
+            with m.defer_gc():
+                before = (m.store.num_nodes, m.stats.peak_nodes,
+                          len(m.computed))
+                cofactor_sizes(f)
+                assert (m.store.num_nodes, m.stats.peak_nodes,
+                        len(m.computed)) == before
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_rebuilt_node_merges_with_existing_node(self, backend):
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_rebuilt_node_merges_with_existing_node(self, setting):
         # Under x = 1 the branch b&x&y rebuilds as (b, y, 0), which is
         # the node b&y already in f: one node, not two.
-        m = Manager(vars=["a", "c", "b", "x", "y", "z"], backend=backend)
+        m = settings_manager(setting, ["a", "c", "b", "x", "y", "z"])
         a, c, b, x, y, z = (m.var(name) for name in "acbxyz")
         f = a.ite(b & x & y, c.ite(b & y, z))
         assert cofactor_sizes(f)["x"][0] == 5

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 import pytest
 
@@ -11,8 +11,20 @@ from repro.bdd import Function, Manager
 from repro.fsm.am2910 import am2910
 from repro.fsm.benchmarks import counter, shift_queue, token_ring
 
-#: Node-store backends.
-BACKENDS = ["object", "array"]
+#: Manager settings the store-level tests run under, keyed by test id.
+#: ``array`` is a default manager.  ``object`` bounds the computed
+#: table to 64 buckets and arms garbage collection at 256 nodes, so the
+#: same test also runs with constant cache evictions and with the sweep
+#: recycling node ids; no result may depend on either.  The ids are the
+#: names of the two node stores these tests once ran on, kept so that
+#: the test names stay stable.
+MANAGER_SETTINGS: dict[str, dict[str, int]] = {
+    "object": {"cache_limit": 64, "gc_threshold": 256},
+    "array": {},
+}
+
+#: The test ids of :data:`MANAGER_SETTINGS`, for ``parametrize``.
+SETTINGS = list(MANAGER_SETTINGS)
 
 #: Circuits on which the exact traversals must match reference loops
 #: that image the raw frontier.
@@ -30,6 +42,11 @@ def fresh_manager(nvars: int, prefix: str = "x") -> tuple[Manager,
     manager = Manager()
     variables = manager.add_vars(*[f"{prefix}{i}" for i in range(nvars)])
     return manager, variables
+
+
+def settings_manager(setting: str, vars: Iterable[str] = ()) -> Manager:
+    """A fresh manager with the settings of test id ``setting``."""
+    return Manager(vars, **MANAGER_SETTINGS[setting])
 
 
 def random_function(manager: Manager, variables: list[Function],

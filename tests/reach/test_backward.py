@@ -9,8 +9,8 @@ from repro.fsm.benchmarks import counter, token_ring
 from repro.reach import TransitionRelation, bfs_reachability
 from repro.reach.backward import backward_reachability, can_reach
 
-from ..helpers import (BACKENDS, TRAVERSAL_CIRCUITS, raw_frontier_traversal,
-                       record_operands)
+from ..helpers import (SETTINGS, TRAVERSAL_CIRCUITS, raw_frontier_traversal,
+                       record_operands, settings_manager)
 
 
 class TestBackward:
@@ -64,14 +64,14 @@ class TestBackward:
         assert target <= result.reached
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("setting", SETTINGS)
 @pytest.mark.parametrize("make", TRAVERSAL_CIRCUITS)
 class TestPreimageOperand:
     """Backward reachability preimages the smaller of the frontier and
     the reached set, with results identical to the raw-frontier loop."""
 
-    def test_matches_raw_frontier_loop(self, make, backend):
-        encoded = encode(make(), backend=backend)
+    def test_matches_raw_frontier_loop(self, make, setting):
+        encoded = encode(make(), settings_manager(setting))
         tr = TransitionRelation(encoded)
         target = encoded.initial_states()
         reached, iterations, sizes, frontiers = raw_frontier_traversal(
@@ -82,8 +82,8 @@ class TestPreimageOperand:
         assert result.size_trace == sizes
         assert result.frontier_trace == frontiers
 
-    def test_operand_never_exceeds_smaller_set(self, make, backend):
-        encoded = encode(make(), backend=backend)
+    def test_operand_never_exceeds_smaller_set(self, make, setting):
+        encoded = encode(make(), settings_manager(setting))
         tr = TransitionRelation(encoded)
         operands = record_operands(tr, "preimage")
         result = backward_reachability(tr, encoded.initial_states())

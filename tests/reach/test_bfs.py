@@ -13,8 +13,8 @@ from repro.fsm.benchmarks import counter, shift_queue, token_ring
 from repro.reach import (TransitionRelation, TraversalLimit,
                          bfs_reachability, count_states)
 
-from ..helpers import (BACKENDS, TRAVERSAL_CIRCUITS, raw_frontier_traversal,
-                       record_operands)
+from ..helpers import (SETTINGS, TRAVERSAL_CIRCUITS, raw_frontier_traversal,
+                       record_operands, settings_manager)
 
 
 def explicit_reachable(circuit) -> set[tuple]:
@@ -107,13 +107,13 @@ class TestBfs:
         assert result.seconds > 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("setting", SETTINGS)
 class TestImageOperand:
     """BFS images the smaller of the frontier and the reached set."""
 
     @pytest.mark.parametrize("make", TRAVERSAL_CIRCUITS)
-    def test_matches_raw_frontier_loop(self, make, backend):
-        encoded = encode(make(), backend=backend)
+    def test_matches_raw_frontier_loop(self, make, setting):
+        encoded = encode(make(), settings_manager(setting))
         tr = TransitionRelation(encoded)
         init = encoded.initial_states()
         reached, iterations, sizes, frontiers = raw_frontier_traversal(
@@ -125,8 +125,8 @@ class TestImageOperand:
         assert result.frontier_trace == frontiers
 
     @pytest.mark.parametrize("make", TRAVERSAL_CIRCUITS)
-    def test_operand_never_exceeds_smaller_set(self, make, backend):
-        encoded = encode(make(), backend=backend)
+    def test_operand_never_exceeds_smaller_set(self, make, setting):
+        encoded = encode(make(), settings_manager(setting))
         tr = TransitionRelation(encoded)
         operands = record_operands(tr, "image")
         result = bfs_reachability(tr, encoded.initial_states())
@@ -135,10 +135,10 @@ class TestImageOperand:
                                       result.size_trace):
             assert size <= min(new, reached)
 
-    def test_fewer_governor_steps_than_raw_frontier(self, backend):
+    def test_fewer_governor_steps_than_raw_frontier(self, setting):
         def run(traverse):
             """Governor steps of one traversal on a fresh manager."""
-            encoded = encode(am2910(3, 2), backend=backend)
+            encoded = encode(am2910(3, 2), settings_manager(setting))
             tr = TransitionRelation(encoded)
             governor = encoded.manager.governor
             before = governor.steps

@@ -1,16 +1,12 @@
-"""Backend selection round-trip through a real ``repro serve``
-subprocess.
+"""The store name round-trips through a real ``repro serve`` subprocess.
 
-Regression for the PR 6 precedence bug: ``--backend`` must beat
-``REPRO_BACKEND``, and the resolved choice must round-trip all the way
-into the per-session node stores — not just into the banner.  The
-session's manager stats report the *actual* store backend, so the
+The greeting, the server's ``stats`` and every session manager's stats
+name the one node store; the retired ``REPRO_BACKEND`` variable has no
+effect.  The session's manager stats report the *actual* store, so the
 assertions reach the bottom layer.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.serve import Client
 
@@ -27,42 +23,10 @@ def _observed_backends(port):
                 stats["session"]["manager"]["backend"])
 
 
-@pytest.mark.parametrize("flag,env,expected", [
-    # the bug: flag must win over a conflicting environment
-    (["--backend", "array"], {"REPRO_BACKEND": "object"}, "array"),
-    (["--backend", "object"], {"REPRO_BACKEND": "array"}, "object"),
-    # environment alone steers the default
-    ([], {"REPRO_BACKEND": "array"}, "array"),
-    ([], {"REPRO_BACKEND": ""}, "object"),
-])
-def test_backend_precedence_roundtrip(flag, env, expected):
-    with serve_subprocess(*flag, env=env) as (_process, port):
-        assert _observed_backends(port) == (expected,) * 3
-
-
 def test_banner_reports_resolved_backend():
-    with serve_subprocess("--backend", "array",
-                          env={"REPRO_BACKEND": "object"}) as (proc,
-                                                               port):
-        # The boot line already printed; verify over the wire too and
-        # make sure every new session agrees with the first.
+    with serve_subprocess(env={"REPRO_BACKEND": "object"}) as (_proc,
+                                                                port):
+        # Every new session agrees with the first.
         first = _observed_backends(port)
         second = _observed_backends(port)
         assert first == second == ("array",) * 3
-
-
-def test_unknown_backend_env_fails_fast():
-    """A bogus REPRO_BACKEND must refuse to boot, not fall back."""
-    import subprocess
-    import sys
-
-    from .conftest import SRC_DIR
-    import os
-
-    env = dict(os.environ, PYTHONPATH=SRC_DIR,
-               REPRO_BACKEND="quantum")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "serve", "--port", "0"],
-        capture_output=True, text=True, timeout=60, env=env)
-    assert proc.returncode != 0
-    assert "quantum" in proc.stderr

@@ -4,7 +4,7 @@ N concurrent client sessions replay randomized op scripts against the
 server while the same scripts run on inline same-seed ``Manager``
 oracles.  Agreement must be *exact* — node counts, satisfying-set
 counts, and full minterm enumerations — per session, at concurrency
-1, 2, and 8, on both node-store backends.  Any cross-session
+1, 2, and 8, under both test manager settings.  Any cross-session
 interference (shared state, mis-scheduled kernel calls, handle-table
 leaks between sessions) breaks exactness immediately.
 """
@@ -16,12 +16,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.bdd import Manager
 from repro.core.approx import UNDER_APPROXIMATORS
 from repro.core.decomp import decompose
 from repro.serve import Client
 
-BACKENDS = ("object", "array")
+from ..helpers import MANAGER_SETTINGS, SETTINGS, settings_manager
 
 NVARS = 8
 NAMES = [f"v{i}" for i in range(NVARS)]
@@ -102,8 +101,8 @@ class RemoteEngine:
 class OracleEngine:
     """Replays a script on a dedicated inline manager."""
 
-    def __init__(self, backend):
-        self.manager = Manager(backend=backend)
+    def __init__(self, setting):
+        self.manager = settings_manager(setting)
         self.pool = [self.manager.add_var(name) for name in NAMES]
 
     def step(self, op, *args):
@@ -145,16 +144,16 @@ def replay(engine, script):
         engine.close()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("setting", SETTINGS)
 @pytest.mark.parametrize("concurrency", (1, 2, 8))
-def test_differential_replay(server_factory, backend, concurrency):
-    server = server_factory(backend=backend, workers=2,
+def test_differential_replay(server_factory, setting, concurrency):
+    server = server_factory(**MANAGER_SETTINGS[setting], workers=2,
                             max_sessions=concurrency + 2)
     seeds = [9000 + 17 * s for s in range(concurrency)]
     scripts = {seed: make_script(seed) for seed in seeds}
 
     # Oracle traces, inline, sequential.
-    expected = {seed: replay(OracleEngine(backend), scripts[seed])
+    expected = {seed: replay(OracleEngine(setting), scripts[seed])
                 for seed in seeds}
 
     # Remote traces, one thread per session, concurrently.

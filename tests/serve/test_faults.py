@@ -12,11 +12,10 @@ import random
 
 import pytest
 
-from repro.bdd import Manager
 from repro.core.decomp import decompose
 from repro.serve import ServerError
 
-BACKENDS = ("object", "array")
+from ..helpers import MANAGER_SETTINGS, SETTINGS, settings_manager
 
 NVARS = 12
 NAMES = [f"x{i}" for i in range(NVARS)]
@@ -63,15 +62,15 @@ def _client_dnf(call, cubes):
     return acc
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
+@pytest.fixture(params=SETTINGS)
+def setting(request):
     return request.param
 
 
 @pytest.fixture
-def oracle(backend):
+def oracle(setting):
     """Inline same-script manager, created BEFORE any env injection."""
-    manager = Manager(backend=backend)
+    manager = settings_manager(setting)
     for name in NAMES:
         manager.add_var(name)
     f = _oracle_dnf(manager, _cubes(101))
@@ -80,7 +79,7 @@ def oracle(backend):
 
 
 def test_injected_abort_is_structured_and_retryable(
-        backend, oracle, monkeypatch, server_factory, client_factory):
+        setting, oracle, monkeypatch, server_factory, client_factory):
     """REPRO_INJECT_ABORT through the daemon: one structured ``budget``
     error somewhere in the script, then exact agreement on retry."""
     _, _, expected = oracle
@@ -88,7 +87,7 @@ def test_injected_abort_is_structured_and_retryable(
     # so setting it after the oracle exists scopes the fault to the
     # server side only.
     monkeypatch.setenv("REPRO_INJECT_ABORT", "apply:1")
-    server = server_factory(backend=backend)
+    server = server_factory(**MANAGER_SETTINGS[setting])
     client = client_factory(server.port)
 
     injected = []
@@ -130,11 +129,11 @@ def test_injected_abort_is_structured_and_retryable(
     ({"node": 1}, "BudgetExceeded"),
     ({"deadline": 1e-9}, "DeadlineExceeded"),
 ])
-def test_tiny_budget_then_exact_retry(backend, oracle, server_factory,
+def test_tiny_budget_then_exact_retry(setting, oracle, server_factory,
                                       client_factory, budget, kind):
     """A starved request fails structurally; the re-run is exact."""
     _, f_expected, expected = oracle
-    server = server_factory(backend=backend)
+    server = server_factory(**MANAGER_SETTINGS[setting])
     client = client_factory(server.port)
 
     f = _client_dnf(client.call, _cubes(101))
@@ -163,12 +162,12 @@ def test_tiny_budget_then_exact_retry(backend, oracle, server_factory,
 
 
 def test_decomp_under_step_budget_then_exact_retry(
-        backend, oracle, server_factory, client_factory):
+        setting, oracle, server_factory, client_factory):
     """A starved ``decomp cofactor`` aborts inside the cofactor-size
     kernel with a structured error; the unbudgeted retry returns the
     inline oracle's factors."""
     _, _, expected = oracle
-    server = server_factory(backend=backend)
+    server = server_factory(**MANAGER_SETTINGS[setting])
     client = client_factory(server.port)
 
     f = _client_dnf(client.call, _cubes(101))
@@ -192,10 +191,10 @@ def test_decomp_under_step_budget_then_exact_retry(
 
 
 def test_injected_abort_env_does_not_outlive_session(
-        backend, monkeypatch, server_factory, client_factory):
+        setting, monkeypatch, server_factory, client_factory):
     """A session created after the env knob is cleared is fault-free."""
     monkeypatch.setenv("REPRO_INJECT_ABORT", "apply:1")
-    server = server_factory(backend=backend)
+    server = server_factory(**MANAGER_SETTINGS[setting])
     faulty = client_factory(server.port)
     monkeypatch.delenv("REPRO_INJECT_ABORT")
     clean = client_factory(server.port)

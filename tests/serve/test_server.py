@@ -18,7 +18,7 @@ from repro.fsm.benchmarks import counter
 from repro.fsm.blif import write_blif
 from repro.serve import MAX_LINE, Client, ClientTimeout, ServerError
 
-BACKENDS = ("object", "array")
+from ..helpers import MANAGER_SETTINGS, SETTINGS
 
 
 def _wait_for(predicate, timeout=10.0, what="condition"):
@@ -29,9 +29,9 @@ def _wait_for(predicate, timeout=10.0, what="condition"):
         time.sleep(0.01)
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=SETTINGS)
 def server(request, server_factory):
-    return server_factory(backend=request.param, workers=2)
+    return server_factory(**MANAGER_SETTINGS[request.param], workers=2)
 
 
 @pytest.fixture
@@ -332,7 +332,7 @@ def test_session_gc_on_disconnect(server, client_factory):
 
 
 def test_overload_refusal_and_recovery(server_factory, client_factory):
-    handle = server_factory(backend="object", max_sessions=2)
+    handle = server_factory(max_sessions=2)
     keep = [client_factory(handle.port) for _ in range(2)]
     with pytest.raises(ServerError) as excinfo:
         Client(port=handle.port, connect_timeout=2.0)
@@ -413,7 +413,7 @@ def test_per_request_budget_overrides_server_default(server_factory,
     # Server default budget is tiny; a generous per-request budget
     # must override it (merge semantics, not min()).
     big = {"step": 10_000_000}
-    handle = server_factory(backend="object", step_budget=1)
+    handle = server_factory(step_budget=1)
     client = client_factory(handle.port)
     f = _build_dnf(client, 12, seed=1, budget=big)
     g = _build_dnf(client, 12, seed=2, budget=big)
@@ -427,6 +427,17 @@ def test_per_request_budget_overrides_server_default(server_factory,
 
 def test_bad_budget_spec_is_bad_request(client):
     a = client.var("a")
-    with pytest.raises(ServerError) as excinfo:
-        client.call("count", {"f": a, "budget": {"steps": 5}})
-    assert excinfo.value.code == "bad-request"
+    # Node and step bounds are ints >= 1 (never bools); the deadline is
+    # a finite number >= 0 (the protocol's JSON parser accepts NaN).
+    for budget in ({"steps": 5}, [1], {"node": "x"}, {"node": True},
+                   {"node": 0}, {"step": [1]}, {"step": 2.5},
+                   {"deadline": "5"}, {"deadline": float("nan")},
+                   {"deadline": float("inf")}, {"deadline": -1},
+                   {"deadline": 10 ** 400}):
+        with pytest.raises(ServerError) as excinfo:
+            client.call("count", {"f": a, "budget": budget})
+        assert excinfo.value.code == "bad-request", budget
+    # Good bounds and null (no bound) still work on the same session.
+    for budget in ({"node": 10 ** 6, "step": 10 ** 6, "deadline": 30},
+                   {"deadline": 0.5}, {"node": None}):
+        assert client.call("count", {"f": a, "budget": budget})

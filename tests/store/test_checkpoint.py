@@ -6,7 +6,7 @@ the loop *after* iteration ``k``'s checkpoint exactly like a kill -9
 between iterations would).  A fresh process — new manager, new
 checkpointer with ``resume=True`` — must then finish the traversal and
 produce a reached set whose :func:`repro.bdd.dump` bytes equal an
-uninterrupted oracle's, on both node-store backends.
+uninterrupted oracle's.
 """
 
 from __future__ import annotations
@@ -24,18 +24,19 @@ from repro.reach import (TransitionRelation, bfs_reachability,
 from repro.store import BDDStore, ReachCheckpointer, StoreError
 from repro.store.checkpoint import reach_spec
 
-BACKENDS = ["object", "array"]
+from ..helpers import SETTINGS, settings_manager
+
 SPEC = reach_spec("counter", 5, "bfs")
 
 
-def traversal(backend):
-    encoded = encode(counter(5), backend=backend)
+def traversal(setting):
+    encoded = encode(counter(5), settings_manager(setting))
     return TransitionRelation(encoded), encoded.initial_states()
 
 
-def run_bfs(backend, store_dir, *, resume, max_iterations=None,
+def run_bfs(setting, store_dir, *, resume, max_iterations=None,
             every=1):
-    tr, init = traversal(backend)
+    tr, init = traversal(setting)
     ck = ReachCheckpointer(BDDStore(store_dir), "reach/counter5",
                            every=every, spec=SPEC, resume=resume)
     result = bfs_reachability(tr, init, max_iterations=max_iterations,
@@ -43,41 +44,41 @@ def run_bfs(backend, store_dir, *, resume, max_iterations=None,
     return result, ck
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("setting", SETTINGS)
 class TestBfsResume:
-    def test_every_kill_point_resumes_identically(self, backend,
+    def test_every_kill_point_resumes_identically(self, setting,
                                                   tmp_path):
-        oracle = bfs_reachability(*traversal(backend))
+        oracle = bfs_reachability(*traversal(setting))
         expected = dump(oracle.reached)
         # counter(5) has a diameter of 31; probe a spread of kill
         # points including first iteration and one past the fixpoint.
         for kill_at in (1, 3, 7, oracle.iterations, None):
             store_dir = tmp_path / f"kill-{kill_at}"
-            partial, _ = run_bfs(backend, store_dir, resume=False,
+            partial, _ = run_bfs(setting, store_dir, resume=False,
                                  max_iterations=kill_at)
-            resumed, _ = run_bfs(backend, store_dir, resume=True)
+            resumed, _ = run_bfs(setting, store_dir, resume=True)
             assert dump(resumed.reached) == expected
             assert resumed.iterations == oracle.iterations
             assert resumed.size_trace == oracle.size_trace
             assert resumed.frontier_trace == oracle.frontier_trace
             assert resumed.complete
 
-    def test_randomized_kill_points(self, backend, tmp_path):
-        oracle = bfs_reachability(*traversal(backend))
+    def test_randomized_kill_points(self, setting, tmp_path):
+        oracle = bfs_reachability(*traversal(setting))
         expected = dump(oracle.reached)
         rng = random.Random(2026)
         for case in range(3):
             kill_at = rng.randrange(1, oracle.iterations)
             store_dir = tmp_path / f"case-{case}"
-            run_bfs(backend, store_dir, resume=False,
+            run_bfs(setting, store_dir, resume=False,
                     max_iterations=kill_at)
-            resumed, _ = run_bfs(backend, store_dir, resume=True)
+            resumed, _ = run_bfs(setting, store_dir, resume=True)
             assert dump(resumed.reached) == expected, kill_at
 
-    def test_completed_checkpoint_returns_verbatim(self, backend,
+    def test_completed_checkpoint_returns_verbatim(self, setting,
                                                    tmp_path):
-        full, _ = run_bfs(backend, tmp_path / "s", resume=False)
-        again, ck = run_bfs(backend, tmp_path / "s", resume=True)
+        full, _ = run_bfs(setting, tmp_path / "s", resume=False)
+        again, ck = run_bfs(setting, tmp_path / "s", resume=True)
         assert dump(again.reached) == dump(full.reached)
         assert again.iterations == full.iterations
         # The complete flag short-circuits the loop: nothing re-saved.
@@ -85,17 +86,17 @@ class TestBfsResume:
 
 
 def test_resume_across_backends(tmp_path):
-    """A checkpoint written by one backend resumes on the other —
-    canonical object bytes carry no backend fingerprint."""
-    oracle = bfs_reachability(*traversal("object"))
+    """A checkpoint written under one manager setting resumes under the
+    other — canonical object bytes carry no node ids or cache state."""
+    oracle = bfs_reachability(*traversal("array"))
     run_bfs("object", tmp_path / "s", resume=False, max_iterations=9)
     resumed, _ = run_bfs("array", tmp_path / "s", resume=True)
     assert dump(resumed.reached) == dump(oracle.reached)
 
 
 def test_spec_mismatch_refuses_resume(tmp_path):
-    run_bfs("object", tmp_path / "s", resume=False, max_iterations=2)
-    tr, init = traversal("object")
+    run_bfs("array", tmp_path / "s", resume=False, max_iterations=2)
+    tr, init = traversal("array")
     ck = ReachCheckpointer(BDDStore(tmp_path / "s"), "reach/counter5",
                            spec=reach_spec("different", "problem"),
                            resume=True)
@@ -104,8 +105,8 @@ def test_spec_mismatch_refuses_resume(tmp_path):
 
 
 def test_method_mismatch_refuses_resume(tmp_path):
-    run_bfs("object", tmp_path / "s", resume=False, max_iterations=2)
-    tr, init = traversal("object")
+    run_bfs("array", tmp_path / "s", resume=False, max_iterations=2)
+    tr, init = traversal("array")
     ck = ReachCheckpointer(BDDStore(tmp_path / "s"), "reach/counter5",
                            spec=SPEC, resume=True)
     with pytest.raises(StoreError, match="method"):
@@ -114,15 +115,15 @@ def test_method_mismatch_refuses_resume(tmp_path):
 
 
 def test_cadence_reduces_saves(tmp_path):
-    full, every1 = run_bfs("object", tmp_path / "a", resume=False)
-    _, every8 = run_bfs("object", tmp_path / "b", resume=False,
+    full, every1 = run_bfs("array", tmp_path / "a", resume=False)
+    _, every8 = run_bfs("array", tmp_path / "b", resume=False,
                         every=8)
     assert every8.saves < every1.saves
     # Coarser cadence costs extra re-traversal on resume but still
     # converges to the same set.
-    run_bfs("object", tmp_path / "c", resume=False, every=8,
+    run_bfs("array", tmp_path / "c", resume=False, every=8,
             max_iterations=13)
-    resumed, _ = run_bfs("object", tmp_path / "c", resume=True,
+    resumed, _ = run_bfs("array", tmp_path / "c", resume=True,
                          every=8)
     assert dump(resumed.reached) == dump(full.reached)
 
@@ -132,16 +133,16 @@ def test_every_below_one_rejected(tmp_path):
         ReachCheckpointer(BDDStore(tmp_path / "s"), "x", every=0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_high_density_resume(backend, tmp_path):
-    encoded = encode(token_ring(4), backend=backend)
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_high_density_resume(setting, tmp_path):
+    encoded = encode(token_ring(4), settings_manager(setting))
     tr = TransitionRelation(encoded)
     init = encoded.initial_states()
     oracle = high_density_reachability(tr, init, remap_under_approx)
     spec = reach_spec("token_ring", 4, "hd")
 
     def run(resume, max_iterations=None):
-        encoded2 = encode(token_ring(4), backend=backend)
+        encoded2 = encode(token_ring(4), settings_manager(setting))
         ck = ReachCheckpointer(BDDStore(tmp_path / "s"), "reach/tr4",
                                spec=spec, resume=resume)
         return high_density_reachability(

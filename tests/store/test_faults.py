@@ -6,7 +6,8 @@ exposed it) or *detected* as a structured
 :class:`~repro.store.errors.StoreCorruptError` — a store can refuse to
 answer, but it must never return a silently wrong BDD.  The sweep here
 is exhaustive over one stored object: a bit flip at every byte offset
-and a truncation at every length, on both node-store backends.
+and a truncation at every length, under both test manager settings
+(see ``tests/helpers.MANAGER_SETTINGS``).
 """
 
 from __future__ import annotations
@@ -15,27 +16,25 @@ import random
 
 import pytest
 
-from repro.bdd import Manager
 from repro.store import BDDStore, StoreCorruptError, StoreError
 
-from ..helpers import random_function
+from ..helpers import SETTINGS, random_function, settings_manager
 
-BACKENDS = ["object", "array"]
 NAMES = [f"x{i}" for i in range(6)]
 
 
-def fresh(backend="object"):
+def fresh(setting="array"):
     """A target manager with the full variable order pre-declared (the
     stored object only carries the support, so sat counts would differ
     in a bare manager)."""
-    manager = Manager(backend=backend)
+    manager = settings_manager(setting)
     manager.add_vars(*NAMES)
     return manager
 
 
-def stored(tmp_path, backend):
+def stored(tmp_path, setting):
     """A store holding one saved function; returns (store, f, path)."""
-    manager = fresh(backend)
+    manager = fresh(setting)
     f = random_function(manager, [manager.var(n) for n in NAMES],
                         random.Random(11), terms=6, width=3)
     store = BDDStore(tmp_path / "store")
@@ -43,50 +42,50 @@ def stored(tmp_path, backend):
     return store, f, store._object_path(digest)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("setting", SETTINGS)
 class TestObjectFaults:
-    def test_every_bit_flip_is_detected(self, tmp_path, backend):
-        store, f, path = stored(tmp_path, backend)
+    def test_every_bit_flip_is_detected(self, tmp_path, setting):
+        store, f, path = stored(tmp_path, setting)
         pristine = path.read_bytes()
         for offset in range(len(pristine)):
             mutated = bytearray(pristine)
             mutated[offset] ^= 0xFF
             path.write_bytes(bytes(mutated))
             with pytest.raises(StoreCorruptError):
-                store.load(fresh(backend), "f")
+                store.load(fresh(setting), "f")
         # The sweep must not have poisoned anything: restoring the
         # bytes restores the function.
         path.write_bytes(pristine)
-        g = store.load(fresh(backend), "f")
+        g = store.load(fresh(setting), "f")
         assert g.sat_count() == f.sat_count()
 
-    def test_every_truncation_is_detected(self, tmp_path, backend):
-        store, f, path = stored(tmp_path, backend)
+    def test_every_truncation_is_detected(self, tmp_path, setting):
+        store, f, path = stored(tmp_path, setting)
         pristine = path.read_bytes()
         for length in range(len(pristine)):
             path.write_bytes(pristine[:length])
             with pytest.raises(StoreCorruptError):
-                store.load(fresh(backend), "f")
+                store.load(fresh(setting), "f")
         path.write_bytes(pristine)
-        assert store.load(fresh(backend),
+        assert store.load(fresh(setting),
                           "f").sat_count() == f.sat_count()
 
-    def test_trailing_garbage_is_detected(self, tmp_path, backend):
-        store, _, path = stored(tmp_path, backend)
+    def test_trailing_garbage_is_detected(self, tmp_path, setting):
+        store, _, path = stored(tmp_path, setting)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(StoreCorruptError):
-            store.load(fresh(backend), "f")
+            store.load(fresh(setting), "f")
 
-    def test_missing_object_is_structured(self, tmp_path, backend):
-        store, _, path = stored(tmp_path, backend)
+    def test_missing_object_is_structured(self, tmp_path, setting):
+        store, _, path = stored(tmp_path, setting)
         path.unlink()
         with pytest.raises(StoreError, match="missing object"):
-            store.load(fresh(backend), "f")
+            store.load(fresh(setting), "f")
 
 
 class TestTornWrites:
     def test_tmp_files_are_invisible_and_swept(self, tmp_path):
-        store, f, path = stored(tmp_path, "object")
+        store, f, path = stored(tmp_path, "array")
         # A crash between open and os.replace leaves a .tmp-* file:
         # simulate one and verify no read path ever sees it.
         torn = path.parent / f".tmp-999-{path.name}"
@@ -98,7 +97,7 @@ class TestTornWrites:
         assert path.exists()
 
     def test_wrong_content_address_is_detected(self, tmp_path):
-        store, _, path = stored(tmp_path, "object")
+        store, _, path = stored(tmp_path, "array")
         # An object renamed to the wrong digest (or a colliding torn
         # write) fails address verification even when its frames are
         # internally consistent.
@@ -111,7 +110,7 @@ class TestTornWrites:
 
 class TestIndexFaults:
     def test_garbage_index_is_detected(self, tmp_path):
-        store, _, _ = stored(tmp_path, "object")
+        store, _, _ = stored(tmp_path, "array")
         store.index_path.write_bytes(b"\x7fELF not a database\n" * 40)
         with pytest.raises(StoreCorruptError):
             BDDStore(tmp_path / "store")
@@ -119,7 +118,7 @@ class TestIndexFaults:
     def test_malformed_extra_is_detected(self, tmp_path):
         import sqlite3
 
-        store, _, _ = stored(tmp_path, "object")
+        store, _, _ = stored(tmp_path, "array")
         with sqlite3.connect(store.index_path) as conn:
             conn.execute("UPDATE functions SET extra = '{not json'")
         with pytest.raises(StoreCorruptError, match="extra"):
@@ -128,7 +127,7 @@ class TestIndexFaults:
     def test_index_object_disagreement_is_detected(self, tmp_path):
         import sqlite3
 
-        store, _, path = stored(tmp_path, "object")
+        store, _, path = stored(tmp_path, "array")
         with sqlite3.connect(store.index_path) as conn:
             conn.execute("UPDATE functions SET root = 'ghost'")
         with pytest.raises(StoreCorruptError, match="no root"):

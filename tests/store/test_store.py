@@ -6,19 +6,19 @@ import random
 
 import pytest
 
-from repro.bdd import Manager, dump
+from repro.bdd import Manager, dump, transfer
 from repro.store import (BDDStore, StoreCorruptError, StoreError,
                          decode_roots, encode_roots)
 from repro.store.format import content_address
 
-from ..helpers import random_function, truth_table
+from ..helpers import (SETTINGS, random_function, settings_manager,
+                       truth_table)
 
-BACKENDS = ["object", "array"]
 NAMES = [f"x{i}" for i in range(8)]
 
 
-def build_function(backend, seed=7, terms=10):
-    manager = Manager(backend=backend)
+def build_function(setting, seed=7, terms=10):
+    manager = settings_manager(setting)
     variables = manager.add_vars(*NAMES)
     rng = random.Random(seed)
     function = random_function(manager, variables, rng, terms=terms,
@@ -26,83 +26,87 @@ def build_function(backend, seed=7, terms=10):
     return manager, function
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("setting", SETTINGS)
 class TestRoundTrip:
-    def test_save_load_exact(self, backend, tmp_path):
-        manager, f = build_function(backend)
+    def test_save_load_exact(self, setting, tmp_path):
+        manager, f = build_function(setting)
         store = BDDStore(tmp_path / "store")
         digest = store.save("f", f, tags=("unit",))
         assert len(digest) == 64
 
-        target = Manager(backend=backend)
+        target = settings_manager(setting)
         g = store.load(target, "f")
         assert len(g) == len(f)
         assert g.sat_count() == f.sat_count()
         assert truth_table(g, NAMES) == truth_table(f, NAMES)
         assert dump(g) == dump(f)
 
-    def test_constants_round_trip(self, backend, tmp_path):
-        manager = Manager(backend=backend)
+    def test_constants_round_trip(self, setting, tmp_path):
+        manager = settings_manager(setting)
         store = BDDStore(tmp_path / "store")
         store.save("t", manager.true)
         store.save("f", manager.false)
-        target = Manager(backend=backend)
+        target = settings_manager(setting)
         assert store.load(target, "t").is_true
         assert store.load(target, "f").is_false
 
-    def test_manager_convenience_surface(self, backend, tmp_path):
-        manager, f = build_function(backend)
+    def test_manager_convenience_surface(self, setting, tmp_path):
+        manager, f = build_function(setting)
         store = BDDStore(tmp_path / "store")
         digest = manager.save_function(store, "f", f, tags=("api",))
-        target = Manager(backend=backend)
+        target = settings_manager(setting)
         g = target.load_function(store, "f")
         assert store.entries()[0]["hash"] == digest
         assert g.sat_count() == f.sat_count()
 
-    def test_multi_root_object_with_extra(self, backend, tmp_path):
-        manager, f = build_function(backend)
+    def test_multi_root_object_with_extra(self, setting, tmp_path):
+        manager, f = build_function(setting)
         g = f | manager.var("x0")
         store = BDDStore(tmp_path / "store")
         store.save_roots("pair", manager, {"f": f, "g": g},
                          extra={"note": "checkpoint-ish", "n": 3})
-        target = Manager(backend=backend)
+        target = settings_manager(setting)
         roots, extra = store.load_roots(target, "pair")
         assert set(roots) == {"f", "g"}
         assert extra == {"note": "checkpoint-ish", "n": 3}
         assert roots["f"].sat_count() == f.sat_count()
         assert roots["g"].sat_count() == g.sat_count()
 
-    def test_load_into_reversed_order_uses_ite(self, backend, tmp_path):
-        manager, f = build_function(backend)
+    def test_load_into_reversed_order_uses_ite(self, setting, tmp_path):
+        manager, f = build_function(setting)
         store = BDDStore(tmp_path / "store")
         store.save("f", f)
-        target = Manager(vars=NAMES[::-1], backend=backend)
+        target = settings_manager(setting, NAMES[::-1])
         g = store.load(target, "f")
         assert truth_table(g, NAMES) == truth_table(f, NAMES)
 
-    def test_declare_false_rejects_unknown_vars(self, backend,
+    def test_declare_false_rejects_unknown_vars(self, setting,
                                                 tmp_path):
-        manager, f = build_function(backend)
+        manager, f = build_function(setting)
         store = BDDStore(tmp_path / "store")
         store.save("f", f)
         with pytest.raises(StoreError, match="unknown variable"):
-            store.load(Manager(backend=backend), "f", declare=False)
+            store.load(settings_manager(setting), "f", declare=False)
 
 
 class TestContentAddressing:
     def test_cross_backend_identical_bytes(self):
-        _, f_obj = build_function("object")
-        _, f_arr = build_function("array")
-        blob_obj = encode_roots(f_obj.manager, {"f": f_obj})
-        blob_arr = encode_roots(f_arr.manager, {"f": f_arr})
-        # The level-ordered canonical encoding must not leak backend
-        # or insertion-history details: identical functions address to
-        # identical objects on both backends.
-        assert blob_obj == blob_arr
-        assert content_address(blob_obj) == content_address(blob_arr)
+        # One manager builds f in fresh slots, the other after a
+        # collection, in slots the sweep recycled: the level-ordered
+        # canonical encoding must not leak node ids or insertion
+        # history, so identical functions address to identical objects.
+        manager, f = build_function("array")
+        recycled, garbage = build_function("object", seed=8, terms=20)
+        del garbage
+        assert recycled.collect_garbage() > 0
+        g = transfer(f, recycled)
+        blob = encode_roots(manager, {"f": f})
+        blob_recycled = encode_roots(recycled, {"f": g})
+        assert blob == blob_recycled
+        assert content_address(blob) == content_address(blob_recycled)
 
     def test_idempotent_saves_share_one_object(self, tmp_path):
-        manager, f = build_function("object")
+        manager, f = build_function("array")
         store = BDDStore(tmp_path / "store")
         d1 = store.save("a", f)
         d2 = store.save("b", f)
@@ -116,7 +120,7 @@ class TestContentAddressing:
         assert g.sat_count() == f.sat_count()
 
     def test_encode_decode_without_a_store(self):
-        manager, f = build_function("object")
+        manager, f = build_function("array")
         blob = encode_roots(manager, {"f": f})
         roots = decode_roots(Manager(), blob)
         assert roots["f"].sat_count() == f.sat_count()
@@ -124,7 +128,7 @@ class TestContentAddressing:
 
 class TestIndex:
     def test_entries_tags_and_prefix(self, tmp_path):
-        manager, f = build_function("object")
+        manager, f = build_function("array")
         store = BDDStore(tmp_path / "store")
         store.save("circ/output/o1", f, tags=("run1", "outputs"))
         store.save("circ/next/n1", f)
@@ -146,26 +150,26 @@ class TestIndex:
             store.load(Manager(), "ghost")
 
     def test_rootless_object_refuses_single_load(self, tmp_path):
-        manager, f = build_function("object")
+        manager, f = build_function("array")
         store = BDDStore(tmp_path / "store")
         store.save_roots("ck", manager, {"reached": f})
         with pytest.raises(StoreError, match="multi-root"):
             store.load(Manager(), "ck")
 
     def test_empty_name_rejected(self, tmp_path):
-        manager, f = build_function("object")
+        manager, f = build_function("array")
         store = BDDStore(tmp_path / "store")
         with pytest.raises(StoreError):
             store.save("", f)
 
     def test_root_must_be_a_root(self, tmp_path):
-        manager, f = build_function("object")
+        manager, f = build_function("array")
         store = BDDStore(tmp_path / "store")
         with pytest.raises(StoreError):
             store.save_roots("x", manager, {"f": f}, root="g")
 
     def test_repoint_replaces_entry(self, tmp_path):
-        manager, f = build_function("object")
+        manager, f = build_function("array")
         g = f & manager.var("x1")
         store = BDDStore(tmp_path / "store")
         store.save("f", f)

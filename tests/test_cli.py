@@ -92,26 +92,6 @@ class TestRuntimeOptions:
             assert main([cmd[0], ring_blif, *cmd[1:], "--stats"]) == 0
             assert "computed table" in capsys.readouterr().out
 
-    def test_backend_flag_preserves_results(self, counter_blif, capsys,
-                                            monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "object")
-        assert main(["reach", counter_blif]) == 0
-        baseline = capsys.readouterr().out
-        assert main(["reach", counter_blif, "--backend", "array",
-                     "--stats"]) == 0
-        arrayed = capsys.readouterr().out
-        # The flag is exported so engine workers inherit it.
-        import os
-        assert os.environ["REPRO_BACKEND"] == "array"
-        assert "backend:         array" in arrayed
-        for line in baseline.splitlines():
-            if line.startswith(("states:", "complete:", "|reached|:")):
-                assert line in arrayed
-
-    def test_backend_flag_rejects_unknown(self, counter_blif):
-        with pytest.raises(SystemExit):
-            main(["reach", counter_blif, "--backend", "linked-list"])
-
     def test_runtime_knobs_preserve_results(self, counter_blif, capsys):
         assert main(["reach", counter_blif]) == 0
         baseline = capsys.readouterr().out
@@ -143,7 +123,7 @@ class TestServeCall:
     def served(self):
         from repro.serve import ServerThread
 
-        with ServerThread(backend="object") as handle:
+        with ServerThread() as handle:
             yield handle
 
     def test_call_health(self, served, capsys):
@@ -151,7 +131,7 @@ class TestServeCall:
                      str(served.port)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["status"] == "ok"
-        assert out["backend"] == "object"
+        assert out["backend"] == "array"
 
     def test_call_verb_with_params(self, served, capsys):
         assert main(["call", "var", '{"name": "a"}', "--port",
@@ -186,11 +166,6 @@ class TestServeCall:
         with pytest.raises(SystemExit):
             main(["call", "health", "--port", "1",
                   "--connect-timeout", "0.2"])
-
-    def test_serve_rejects_unknown_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "linked-list")
-        with pytest.raises(SystemExit):
-            main(["serve", "--port", "0"])
 
 
 def stable_reach_lines(out: str) -> list[str]:

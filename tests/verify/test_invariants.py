@@ -13,7 +13,8 @@ from repro.verify import (CheckResult, check_invariant,
                           prove_by_over_approximation)
 from repro.verify.invariants import _extract_trace
 
-from ..helpers import BACKENDS, TRAVERSAL_CIRCUITS, record_operands
+from ..helpers import (SETTINGS, TRAVERSAL_CIRCUITS, record_operands,
+                       settings_manager)
 
 
 def counter_setup(width: int):
@@ -151,21 +152,21 @@ def raw_frontier_check(encoded, tr, invariant, bounds=None):
                        reached=reached)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("setting", SETTINGS)
 class TestRingImageOperand:
     """The onion-ring loop images the smaller of the newest ring and
     the reached set, with results identical to imaging the ring."""
 
     @pytest.mark.parametrize("make", TRAVERSAL_CIRCUITS)
-    def test_matches_raw_frontier_check(self, make, backend):
-        encoded = encode(make(), backend=backend)
+    def test_matches_raw_frontier_check(self, make, setting):
+        encoded = encode(make(), settings_manager(setting))
         tr = TransitionRelation(encoded)
         invariant = not_all_ones(encoded)
         assert check_invariant(encoded, tr, invariant) \
             == raw_frontier_check(encoded, tr, invariant)
 
-    def test_same_counterexample(self, backend):
-        encoded = encode(counter(4), backend=backend)
+    def test_same_counterexample(self, setting):
+        encoded = encode(counter(4), settings_manager(setting))
         tr = TransitionRelation(encoded)
         invariant = not_all_ones(encoded)
         result = check_invariant(encoded, tr, invariant)
@@ -175,8 +176,8 @@ class TestRingImageOperand:
                                                   invariant).trace
 
     @pytest.mark.parametrize("make", TRAVERSAL_CIRCUITS)
-    def test_operand_never_exceeds_smaller_set(self, make, backend):
-        encoded = encode(make(), backend=backend)
+    def test_operand_never_exceeds_smaller_set(self, make, setting):
+        encoded = encode(make(), settings_manager(setting))
         tr = TransitionRelation(encoded)
         invariant = not_all_ones(encoded)
         bounds: list[int] = []
