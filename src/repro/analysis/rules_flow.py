@@ -1,7 +1,7 @@
 """The flow-aware concurrency lint rules (RPR007..RPR011).
 
 These rules guard the invariants of the three concurrency layers added
-by the serve daemon, the fair executor and the persistent fork pool —
+by the serve daemon, its fair token and the persistent fork pool —
 structure a purely syntactic scan cannot see, hence the CFG/dataflow
 machinery of :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow`
 and the provenance tracker of :mod:`repro.analysis.provenance`:
@@ -13,11 +13,13 @@ RPR007
     executor's worker threads.  Detected in ``async def`` bodies *and*
     in sync helpers reachable from them via the module call graph.
 RPR008
-    A session's ``Manager``/handle table is serialized by the fair
-    executor (one call per session at a time).  Touching
+    A session's ``Manager``/handle table belongs to the connection
+    thread that created the session, and its verbs run under the fair
+    token (``token.run(key, session.execute, ...)``: one call per
+    session at a time, round-robin across sessions).  Touching
     ``session.manager`` (or calling ``session.execute``) anywhere else
-    — stats snapshots on the event loop, module globals, thread
-    targets — races the worker thread that owns it.
+    — stats snapshots on another thread, module globals, thread
+    targets — races the owner or skips the token.
 RPR009
     Payloads crossing the fork pool's pipes are pickled; a ``Task``
     payload capturing a Manager/Function/store/session, a lambda, or a
@@ -221,26 +223,27 @@ def check_no_blocking_in_event_loop(ctx: FileContext
 
 
 # ----------------------------------------------------------------------
-# RPR008 — sessions must not escape their executor serialization
+# RPR008 — sessions must not escape their connection thread and token
 # ----------------------------------------------------------------------
 
-#: Session attributes owned by the worker-thread side: the manager and
+#: Session attributes owned by the connection thread: the manager and
 #: the handle table.  ``session.id``/``session.requests``/``close()``
-#: are loop-safe by design (plain-int/str reads, no kernel access).
+#: are safe from any thread by design (plain-int/str reads, no kernel
+#: access).
 _SESSION_OWNED_ATTRS = frozenset({"manager", "_functions", "_by_key"})
 
 
-def _submit_argument_ids(func: ast.AST) -> set[int]:
-    """ids of every node inside ``<x>.submit(...)`` arguments.
+def _token_run_argument_ids(func: ast.AST) -> set[int]:
+    """ids of every node inside ``<x>.run(...)`` arguments.
 
     Attribute references like ``session.execute`` passed *into* the
-    fair executor are the sanctioned way to run session work.
+    fair token's ``run`` are the sanctioned way to run session work.
     """
     exempt: set[int] = set()
     for node in _own_nodes(func):
         if isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "submit":
+                and node.func.attr == "run":
             for arg in list(node.args) + [kw.value
                                           for kw in node.keywords]:
                 exempt.update(id(sub) for sub in ast.walk(arg))
@@ -250,9 +253,10 @@ def _submit_argument_ids(func: ast.AST) -> set[int]:
 @register_rule(
     "RPR008", "session-escape", "error",
     "A session's Manager or handle table is touched outside the "
-    "session's own methods and outside FairExecutor.submit(...) — "
-    "that races the worker thread that owns the session; go through "
-    "executor.submit or publish plain-value counters instead.")
+    "session's own methods and outside the fair token's run(...) — "
+    "that races the connection thread that owns the session or skips "
+    "the token; go through token.run or publish plain-value counters "
+    "instead.")
 def check_session_escape(ctx: FileContext) -> Iterator[Violation]:
     if not is_serve_module(ctx):
         return
@@ -264,7 +268,7 @@ def check_session_escape(ctx: FileContext) -> Iterator[Violation]:
         sessions = prov.names(SESSION)
         if not sessions:
             continue
-        exempt = _submit_argument_ids(info.node)
+        exempt = _token_run_argument_ids(info.node)
         declared_globals: set[str] = set()
         for node in _own_nodes(info.node):
             if isinstance(node, ast.Global):
@@ -279,8 +283,8 @@ def check_session_escape(ctx: FileContext) -> Iterator[Violation]:
                     "RPR008", node,
                     f"session-owned state "
                     f"{node.value.id}.{node.attr} accessed outside "
-                    f"the session's executor serialization; the "
-                    f"worker thread owns it")
+                    f"the fair token's run; the session's connection "
+                    f"thread owns it")
             elif isinstance(node, ast.Call):
                 receiver, name = _callee_parts(node)
                 if receiver in sessions \
@@ -289,8 +293,8 @@ def check_session_escape(ctx: FileContext) -> Iterator[Violation]:
                     yield ctx.violation(
                         "RPR008", node,
                         f"{receiver}.{name}() called outside "
-                        f"FairExecutor.submit; session verbs must be "
-                        f"serialized through the executor")
+                        f"the fair token's run; session verbs must be "
+                        f"passed to token.run")
                 elif name == "Thread":
                     for arg in list(node.args) + \
                             [kw.value for kw in node.keywords]:
@@ -300,8 +304,9 @@ def check_session_escape(ctx: FileContext) -> Iterator[Violation]:
                                 yield ctx.violation(
                                     "RPR008", sub,
                                     f"session {sub.id!r} handed to a "
-                                    f"Thread; sessions are owned by "
-                                    f"the FairExecutor workers")
+                                    f"Thread; a session is owned by "
+                                    f"the connection thread that "
+                                    f"created it")
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name) \

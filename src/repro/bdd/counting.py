@@ -102,7 +102,8 @@ def density(function: "Function", nvars: int | None = None) -> float:
     """The paper's delta(f) = ||f|| / |f| (0.0 for constant FALSE).
 
     Computed in log space so that astronomically large minterm counts do
-    not overflow the float conversion.
+    not overflow the float conversion; a density past the float range
+    is ``math.inf``.
     """
     size = len(function)
     minterms = sat_count(function, nvars)
@@ -110,7 +111,10 @@ def density(function: "Function", nvars: int | None = None) -> float:
         return 0.0
     if size == 0:  # constant TRUE
         size = 1
-    return math.exp(log2int(minterms) * math.log(2.0) - math.log(size))
+    try:
+        return math.exp(log2int(minterms) * math.log(2.0) - math.log(size))
+    except OverflowError:
+        return math.inf
 
 
 def log2int(n: int) -> float:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .manager import Manager
+    from .arraystore import ArrayStore
 
 __all__ = [
     "CHECK_STRIDE",
@@ -162,14 +162,20 @@ class Governor:
     """
 
     __slots__ = (
-        "_manager", "_node_budget", "_step_budget", "_deadline",
-        "_window_start", "steps", "checkpoints",
+        "_store", "_abort_counts", "_node_budget", "_step_budget",
+        "_deadline", "_window_start", "steps", "checkpoints",
         "_inject_op", "_inject_remaining",
         "budget_peak_nodes", "budget_peak_steps",
     )
 
-    def __init__(self, manager: "Manager") -> None:
-        self._manager = manager
+    def __init__(self, store: "ArrayStore",
+                 abort_counts: dict[str, int]) -> None:
+        # The manager's node store and abort tally, not the manager: a
+        # back-reference would put every manager in a reference cycle,
+        # freed only when the cycle collector next runs rather than
+        # with its last reference.
+        self._store = store
+        self._abort_counts = abort_counts
         self._node_budget: int | None = None
         self._step_budget: int | None = None
         #: absolute perf_counter deadline (None: no deadline)
@@ -312,7 +318,7 @@ class Governor:
         if self._node_budget is None and self._step_budget is None \
                 and self._deadline is None:
             return
-        nodes = self._manager._num_nodes
+        nodes = self._store._count
         if nodes > self.budget_peak_nodes:
             self.budget_peak_nodes = nodes
         window_steps = self.steps - self._window_start
@@ -336,7 +342,7 @@ class Governor:
                 f"deadline exceeded in {op!r}")
 
     def _record_abort(self, op: str) -> None:
-        counts = self._manager._abort_counts
+        counts = self._abort_counts
         counts[op] = counts.get(op, 0) + 1
 
     def reset_stats(self) -> None:

@@ -204,7 +204,7 @@ class Manager:
         #: degradation-ladder rungs taken, per kind
         self._degradations: dict[str, int] = {}
         #: per-manager resource governor (budgets, deadline, injection)
-        self.governor = Governor(self)
+        self.governor = Governor(self.store, self._abort_counts)
         # Safe points elapsed since the last REPRO_SANITIZE sweep.
         self._sanitize_tick = 0
         self._gc_threshold = gc_threshold

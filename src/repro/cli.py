@@ -26,7 +26,7 @@ Commands
     Compare two ``BENCH_*.json`` benchmark trajectory files and exit
     non-zero on a regression or result mismatch (the CI perf gate).
 ``serve``
-    Run the BDD service daemon (:mod:`repro.serve`): an asyncio server
+    Run the BDD service daemon (:mod:`repro.serve`): a threaded server
     exposing the toolkit verbs as a newline-delimited JSON protocol
     with per-session managers, per-request governor budgets, and fair
     scheduling across sessions (see ``docs/serve.md``).
@@ -478,8 +478,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    import asyncio
-
     from .serve.server import Server, serve_main
 
     try:
@@ -494,9 +492,8 @@ def cmd_serve(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"repro: {exc}")
     try:
-        asyncio.run(serve_main(
-            server, ready=lambda line: print(line, flush=True)))
-    except KeyboardInterrupt:
+        serve_main(server, ready=lambda line: print(line, flush=True))
+    except KeyboardInterrupt:  # a second interrupt during shutdown
         pass
     return 0
 
@@ -669,8 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="TCP port; 0 picks an ephemeral port "
                               "and prints it (default: 0)")
     p_serve.add_argument("--workers", type=int, default=1,
-                         help="kernel worker threads shared round-"
-                              "robin across sessions (default: 1)")
+                         help="sessions whose kernel calls may run at "
+                              "once, granted round-robin (default: 1)")
     p_serve.add_argument("--max-sessions", type=int, default=64,
                          help="concurrent session bound; excess "
                               "connections get a structured overload "

@@ -11,12 +11,12 @@ Modules
 :mod:`repro.serve.protocol`
     Newline-delimited JSON framing, error codes.
 :mod:`repro.serve.scheduler`
-    The fair round-robin worker executor.
+    The fair round-robin execution token.
 :mod:`repro.serve.session`
     Per-client manager, handle table, and the verb implementations.
 :mod:`repro.serve.server`
-    The asyncio server, stats/health, and :class:`ServerThread` for
-    in-process embedding.
+    The thread-per-connection server, stats/health, and
+    :class:`ServerThread` for in-process embedding.
 :mod:`repro.serve.client`
     The synchronous :class:`Client` used by ``repro call`` and tests.
 
@@ -26,7 +26,7 @@ See ``docs/serve.md`` for the protocol and operational semantics.
 from .client import Client, ClientTimeout, ServerError
 from .protocol import (MAX_LINE, PROTOCOL_VERSION, ProtocolError,
                        decode_line, encode_line)
-from .scheduler import FairExecutor
+from .scheduler import FairToken
 from .server import Server, ServerThread, serve_main
 from .session import Session, SessionConfig
 
@@ -39,7 +39,7 @@ __all__ = [
     "MAX_LINE",
     "encode_line",
     "decode_line",
-    "FairExecutor",
+    "FairToken",
     "Server",
     "ServerThread",
     "serve_main",

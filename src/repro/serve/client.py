@@ -117,7 +117,11 @@ class Client:
         attempt = 0
         while True:
             self._connect(timeout, connect_timeout)
-            self.greeting = self._read_message()
+            try:
+                self.greeting = self._read_message()
+            except BaseException:
+                self.close()
+                raise
             if self.greeting.get("ok") is not False:
                 break
             error = self.greeting.get("error", {})

@@ -1,111 +1,95 @@
-"""Fair round-robin executor for CPU-bound kernel calls.
+"""Fair execution token for CPU-bound kernel calls.
 
-The server's sessions submit kernel work (BDD operations on the
-session's own manager) to one shared :class:`FairExecutor`.  Two
-properties matter more than raw throughput:
+Every connection of the server runs on its own thread, and each one
+calls :meth:`FairToken.run` around its session's kernel work.  The
+call runs on the caller's own thread; the token only decides *when*.
+Two properties matter more than raw throughput:
 
 * **Per-session serialization** — a manager is not thread-safe, so at
-  most one call per session runs at any moment; calls of one session
-  run in submission order.
-* **Round-robin fairness across sessions** — the dispatcher cycles
-  through sessions that have work, taking one call per turn.  A
-  session that enqueues a burst of requests cannot starve the others:
-  with one worker and sessions A (10 queued calls) and B (1), B's call
-  runs second, not eleventh.
+  most one call per session runs at any moment.
+* **Round-robin fairness across sessions** — ``workers`` permits are
+  granted in arrival order to waiting sessions that are not already
+  running.  A thread that finishes a call and asks again joins the
+  back of the line, so a session sending a burst of requests cannot
+  starve the others: with one permit, session A in a burst and session
+  B sending one call, B's call runs second, not eleventh.
 
-This is the serving analogue of the experiment engine's process pool
-(:mod:`repro.harness.engine`): that one isolates faulty *batch* tasks,
-this one multiplexes *interactive* sessions over a bounded number of
-worker threads.  Kernel calls are pure Python and hold the GIL, so
-threads add fairness and overlap with protocol I/O rather than true
-parallelism — the unit of concurrency stays the server process
-(scale-out runs several, as ``docs/serve.md`` describes).
+Kernel calls are pure Python and hold the GIL, so more permits add
+fairness and overlap with protocol I/O rather than true parallelism —
+the unit of concurrency stays the server process (scale-out runs
+several, as ``docs/serve.md`` describes).
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from collections.abc import Callable
-from concurrent.futures import Future
-from typing import Any, Hashable
+from typing import Any, Hashable, TypeVar
 
-__all__ = ["FairExecutor"]
+__all__ = ["FairToken"]
+
+T = TypeVar("T")
 
 
-class FairExecutor:
-    """Round-robin fair scheduler over a fixed pool of worker threads.
+class FairToken:
+    """``workers`` execution permits, granted fairly across sessions.
 
-    ``submit(key, fn)`` enqueues ``fn`` under session ``key`` and
-    returns a :class:`concurrent.futures.Future`.  Futures of a
-    session removed with :meth:`remove_session` before dispatch are
-    cancelled.
+    ``run(key, fn, *args)`` waits for a permit for session ``key``,
+    calls ``fn(*args)`` on the calling thread, hands the permit on and
+    returns ``fn``'s result (or raises its exception).
     """
 
-    def __init__(self, workers: int = 1,
-                 name: str = "repro-serve") -> None:
+    def __init__(self, workers: int = 1) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
-        #: session key -> FIFO of (future, fn, args)
-        self._queues: dict[Hashable, deque[tuple[
-            "Future[Any]", Callable[..., Any], tuple[Any, ...]]]] = {}
-        #: round-robin ring of known session keys
-        self._ring: deque[Hashable] = deque()
-        #: sessions with a call currently running on some worker
-        self._running: set[Hashable] = set()
-        self._closed = False
-        #: calls completed (successfully or not) since creation —
-        #: written by worker threads under the lock; read through the
-        #: :attr:`dispatched` property only.
-        self._dispatched = 0
         self.workers = workers
-        self._threads = [
-            threading.Thread(target=self._worker_loop,
-                             name=f"{name}-worker-{i}", daemon=True)
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._lock = threading.Lock()
+        self._free = workers
+        #: sessions with a call currently running
+        self._running: set[Hashable] = set()
+        #: blocked callers in arrival order: (session key, a held lock
+        #: that the granting thread releases)
+        self._waiters: list[tuple[Hashable, Any]] = []
+        #: calls completed (successfully or not) since creation
+        self._dispatched = 0
 
-    # ------------------------------------------------------------------
-    # Producer API (event loop side)
-    # ------------------------------------------------------------------
+    def run(self, key: Hashable, fn: Callable[..., T], *args: Any) -> T:
+        """Run ``fn(*args)`` under a permit for session ``key``."""
+        waiter: Any = None
+        with self._lock:
+            if self._free and not self._waiters \
+                    and key not in self._running:
+                self._free -= 1
+                self._running.add(key)
+            else:
+                waiter = threading.Lock()
+                waiter.acquire()
+                self._waiters.append((key, waiter))
+                self._grant()
+        if waiter is not None:
+            waiter.acquire()
+        try:
+            return fn(*args)
+        finally:
+            with self._lock:
+                self._running.discard(key)
+                self._free += 1
+                self._dispatched += 1
+                self._grant()
 
-    def submit(self, key: Hashable, fn: Callable[..., Any],
-               *args: Any) -> "Future[Any]":
-        """Enqueue ``fn(*args)`` under session ``key``."""
-        future: Future[Any] = Future()
-        with self._wake:
-            if self._closed:
-                raise RuntimeError("executor is shut down")
-            queue = self._queues.get(key)
-            if queue is None:
-                queue = self._queues[key] = deque()
-                self._ring.append(key)
-            queue.append((future, fn, args))
-            self._wake.notify()
-        return future
-
-    def remove_session(self, key: Hashable) -> int:
-        """Forget ``key``: cancel queued calls, drop its ring slot.
-
-        An in-flight call (already picked by a worker) finishes
-        normally.  Returns the number of cancelled pending calls.
-        """
-        with self._wake:
-            queue = self._queues.pop(key, None)
-            try:
-                self._ring.remove(key)
-            except ValueError:
-                pass
-        cancelled = 0
-        if queue:
-            for future, _fn, _args in queue:
-                if future.cancel():
-                    cancelled += 1
-        return cancelled
+    def _grant(self) -> None:
+        """Hand free permits to the oldest waiters whose session is
+        idle (caller holds the lock)."""
+        index = 0
+        while self._free and index < len(self._waiters):
+            key, waiter = self._waiters[index]
+            if key in self._running:
+                index += 1
+                continue
+            del self._waiters[index]
+            self._free -= 1
+            self._running.add(key)
+            waiter.release()
 
     @property
     def dispatched(self) -> int:
@@ -114,77 +98,8 @@ class FairExecutor:
             return self._dispatched
 
     def pending(self, key: Hashable | None = None) -> int:
-        """Queued (not yet running) calls, for ``key`` or in total."""
+        """Calls waiting for a permit, for ``key`` or in total."""
         with self._lock:
-            if key is not None:
-                queue = self._queues.get(key)
-                return len(queue) if queue else 0
-            return sum(len(q) for q in self._queues.values())
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the workers; cancel everything still queued."""
-        with self._wake:
-            if self._closed:
-                return
-            self._closed = True
-            queues = list(self._queues.values())
-            self._queues.clear()
-            self._ring.clear()
-            self._wake.notify_all()
-        for queue in queues:
-            for future, _fn, _args in queue:
-                future.cancel()
-        if wait:
-            for thread in self._threads:
-                thread.join(timeout=10.0)
-
-    # ------------------------------------------------------------------
-    # Worker side
-    # ------------------------------------------------------------------
-
-    def _next_call(self) -> tuple[
-            Hashable, tuple["Future[Any]", Callable[..., Any],
-                            tuple[Any, ...]]] | None:
-        """Pick the next dispatchable call, rotating the ring.
-
-        Caller holds the lock.  Skips sessions that are mid-call
-        (serialization) or idle; the picked session's key moves to the
-        back of the ring, which is what makes the schedule round-robin.
-        """
-        for _ in range(len(self._ring)):
-            key = self._ring[0]
-            self._ring.rotate(-1)
-            if key in self._running:
-                continue
-            queue = self._queues.get(key)
-            if not queue:
-                continue
-            self._running.add(key)
-            return key, queue.popleft()
-        return None
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._wake:
-                picked = None
-                while not self._closed:
-                    picked = self._next_call()
-                    if picked is not None:
-                        break
-                    self._wake.wait()
-                if picked is None:
-                    return
-            key, (future, fn, args) = picked
-            if future.set_running_or_notify_cancel():
-                try:
-                    result = fn(*args)
-                except BaseException as exc:
-                    future.set_exception(exc)
-                else:
-                    future.set_result(result)
-            with self._wake:
-                self._running.discard(key)
-                self._dispatched += 1
-                # A queued call of this session (or of one skipped
-                # while every candidate was running) may be ready now.
-                self._wake.notify_all()
+            if key is None:
+                return len(self._waiters)
+            return sum(1 for k, _ in self._waiters if k == key)

@@ -1,20 +1,25 @@
-"""The ``repro serve`` daemon: asyncio transport over the fair pool.
+"""The ``repro serve`` daemon: one thread per connection, a fair token.
 
 Layering (transport down to kernels)::
 
-    asyncio event loop          one task per connection, NDJSON framing
-      Server                    session registry, stats/health, errors
-        FairExecutor            round-robin worker threads
-          Session               per-client Manager + handle table
-            Manager/kernels     the ordinary repro.bdd machinery
+    accept loop                 CLI main thread (or ServerThread's)
+      connection threads        one per client: blocking NDJSON I/O
+        Server                  session registry, stats/health, errors
+          FairToken             round-robin execution permits
+            Session             per-client Manager + handle table
+              Manager/kernels   the ordinary repro.bdd machinery
 
-The event loop only parses and frames; every kernel call runs on a
-:class:`~repro.serve.scheduler.FairExecutor` worker thread, one call
-per session at a time, round-robin across sessions.  Exceptions map to
-the structured error codes of :mod:`repro.serve.protocol` — a governor
-abort (:class:`~repro.bdd.governor.ResourceError`) becomes a ``budget``
-error response on a connection that *stays open*, which is the
-degradation contract of ``docs/robustness.md`` extended to the wire.
+The accept loop only accepts (or refuses, beyond ``max_sessions``) and
+starts a thread per connection.  That thread owns its session: it
+creates it, reads the client's request lines, answers ``health`` at
+once, runs every other verb under a permit of the shared
+:class:`~repro.serve.scheduler.FairToken` (one call per session at a
+time, round-robin across sessions), and writes the reply itself, so no
+request crosses threads.  Exceptions map to the structured error codes
+of :mod:`repro.serve.protocol` — a governor abort
+(:class:`~repro.bdd.governor.ResourceError`) becomes a ``budget`` error
+response on a connection that *stays open*, which is the degradation
+contract of ``docs/robustness.md`` extended to the wire.
 
 Every session manager runs on the one node store; the ``backend``
 argument accepts only its name (``"array"``, the default) and is
@@ -23,10 +28,12 @@ reported in the greeting and in ``stats``.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
+import socket
+import threading
 import time
 from collections.abc import Callable
+from io import BufferedIOBase
 from typing import Any
 
 from ..bdd.backend import resolve_backend
@@ -37,14 +44,31 @@ from .protocol import (E_BAD_REQUEST, E_BUDGET, E_INTERNAL,
                        E_OVERLOAD, E_SANITIZER, E_STORE, MAX_LINE,
                        PROTOCOL_VERSION, ProtocolError, decode_line,
                        encode_line, error_response, result_response)
-from .scheduler import FairExecutor
+from .scheduler import FairToken
 from .session import Session, SessionConfig
 
 __all__ = ["Server", "ServerThread", "serve_main"]
 
+#: Seconds :meth:`Server.close` waits, in all, for connection threads
+#: to finish their in-flight request, snapshot and close.
+SHUTDOWN_GRACE = 10.0
+
+#: Exceptions a request may raise that map to a structured error code
+#: other than ``internal``; the reply's ``kind`` names the class.
+#: ``budget`` is the paper's overload contract on the wire: the kernel
+#: unwound cleanly, the session (and every handle) is still usable,
+#: and re-sending the request retries it.  ``store`` errors leave the
+#: session valid too; ``kind`` tells detected corruption
+#: (StoreCorruptError) from misuse (unknown name, no store attached).
+_ERROR_CODES: tuple[tuple[type[Exception], str], ...] = (
+    (ResourceError, E_BUDGET),
+    (SanitizerError, E_SANITIZER),
+    (StoreError, E_STORE),
+)
+
 
 class _ServerStats:
-    """Mutable server-wide counters (event-loop-thread only)."""
+    """Server-wide counters, guarded by the server's lock."""
 
     def __init__(self) -> None:
         self.started = time.monotonic()
@@ -60,13 +84,6 @@ class _ServerStats:
         self.closed_aborts = 0
         self.closed_degradations = 0
 
-    def count_error(self, code: str) -> None:
-        self.errors[code] = self.errors.get(code, 0) + 1
-
-    def count_verb(self, verb: str) -> None:
-        self.requests += 1
-        self.verbs[verb] = self.verbs.get(verb, 0) + 1
-
 
 class Server:
     """One ``repro serve`` daemon instance (see the module docstring).
@@ -76,8 +93,8 @@ class Server:
     configure every session manager, ``node_budget``/``step_budget``/
     ``deadline`` are *per-request* budget defaults (each request's
     ``budget`` parameter overrides them), ``workers`` sizes the fair
-    executor, and ``max_sessions`` bounds concurrent connections
-    (excess connects are refused with an ``overload`` error).
+    token, and ``max_sessions`` bounds concurrent connections (excess
+    connects are refused with an ``overload`` error).
     """
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
@@ -100,8 +117,8 @@ class Server:
         self.backend = resolve_backend(backend)
         # Same fail-fast rule for the persistent store: opening it at
         # boot surfaces a corrupt index immediately instead of on the
-        # first save/load request.  The entry count is recorded here —
-        # _health() must not run sqlite queries on the event loop.
+        # first save/load request.  The entry count is recorded here,
+        # so health never runs sqlite queries.
         self.store = None
         self.store_entries_at_boot = 0
         if store is not None:
@@ -119,125 +136,181 @@ class Server:
         self.workers = workers
         self.max_sessions = max_sessions
         self.stats = _ServerStats()
+        self._token = FairToken(workers)
+        #: guards the registries below and every counter of ``stats``
+        self._lock = threading.Lock()
         self._sessions: dict[str, Session] = {}
+        #: live connections and the threads serving them
+        self._connections: dict[socket.socket, threading.Thread] = {}
         self._session_ids = itertools.count(1)
-        self._executor: FairExecutor | None = None
-        self._server: asyncio.AbstractServer | None = None
+        self._listener: socket.socket | None = None
+        self._closing = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the listening socket and start the worker pool."""
-        self._executor = FairExecutor(workers=self.workers)
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port, limit=MAX_LINE)
-        sockets = self._server.sockets or ()
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+    def start(self) -> None:
+        """Bind the listening socket."""
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        self._listener = socket.create_server((self.host, self.port),
+                                              family=family)
+        self.port = self._listener.getsockname()[1]
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "start() first"
-        await self._server.serve_forever()
-
-    async def aclose(self) -> None:
-        """Stop accepting, drop sessions, stop the workers.
-
-        With ``snapshot`` enabled, every live session's handles are
-        persisted to the store first (on the fair executor — the
-        manager is worker-thread-affine), so the next boot can serve
-        them back through ``load`` without recomputation.
-        """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self.snapshot and self.store is not None \
-                and self._executor is not None:
-            for session in list(self._sessions.values()):
-                future = self._executor.submit(
-                    session.id, session.snapshot_to, self.store)
+    def serve_forever(self) -> None:
+        """Accept connections until :meth:`close`, one thread each."""
+        assert self._listener is not None, "start() first"
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                if self._closing:
+                    return
+                continue  # the peer gave up before we accepted
+            with self._lock:
+                if self._closing:
+                    conn.close()
+                    return
+                refused = len(self._connections) >= self.max_sessions
+                if refused:
+                    self.stats.sessions_rejected += 1
+                else:
+                    thread = threading.Thread(
+                        target=self._serve_connection,
+                        args=(conn, f"s{next(self._session_ids)}"),
+                        name="repro-serve-connection", daemon=True)
+                    self._connections[conn] = thread
+                    thread.start()
+            if refused:
                 try:
-                    await asyncio.wrap_future(future)
-                except Exception:
-                    # A failed snapshot (full disk, corrupt store)
-                    # must never wedge shutdown; the store's atomic
-                    # writes mean a partial snapshot is still a valid
-                    # store, just with fewer entries.
+                    conn.sendall(encode_line(error_response(
+                        None, E_OVERLOAD,
+                        f"server is at max_sessions={self.max_sessions}")))
+                except OSError:
                     pass
-        for session_id in list(self._sessions):
-            self._close_session(session_id)
-        if self._executor is not None:
-            # shutdown() joins worker threads — a blocking wait that
-            # must not stall the event loop (RPR007), so hand it to the
-            # default thread-pool executor.
-            await asyncio.to_thread(self._executor.shutdown)
+                conn.close()
+
+    def close(self) -> None:
+        """Stop accepting, hang up every connection, and wait for the
+        connection threads to finish.
+
+        Each thread finishes its in-flight request, then (with
+        ``snapshot``) persists its session's handles to the store, so
+        the next boot can serve them back through ``load`` without
+        recomputation, and closes the session.
+        """
+        with self._lock:
+            self._closing = True
+            connections = dict(self._connections)
+        if self._listener is not None:
+            try:  # wakes an accept() blocked on another thread
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            self._listener.close()
+        for conn in connections:
+            try:  # the connection thread reads end-of-file
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        deadline = time.monotonic() + SHUTDOWN_GRACE
+        for thread in connections.values():
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     @property
     def num_sessions(self) -> int:
         return len(self._sessions)
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Connection handling (one thread per connection)
     # ------------------------------------------------------------------
 
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        if len(self._sessions) >= self.max_sessions:
-            self.stats.sessions_rejected += 1
-            writer.write(encode_line(error_response(
-                None, E_OVERLOAD,
-                f"server is at max_sessions={self.max_sessions}")))
-            await _drain_and_close(writer)
-            return
-        session = Session(f"s{next(self._session_ids)}",
-                          self.session_config)
-        self._sessions[session.id] = session
-        self.stats.sessions_opened += 1
-        writer.write(encode_line({
-            "serve": "repro", "protocol": PROTOCOL_VERSION,
-            "session": session.id, "backend": self.backend}))
+    def _serve_connection(self, conn: socket.socket,
+                          session_id: str) -> None:
+        stream = conn.makefile("rwb")
+        session: Session | None = None
         try:
-            await writer.drain()
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, asyncio.LimitOverrunError):
-                    # Oversized line: the stream is unframed beyond
-                    # recovery, so answer once and hang up.
-                    writer.write(encode_line(error_response(
-                        None, E_BAD_REQUEST,
-                        f"message exceeds {MAX_LINE} bytes")))
-                    break
-                if not line:
-                    break
-                response = await self._handle_request(session, line)
-                writer.write(encode_line(response))
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            session = Session(session_id, self.session_config)
+            with self._lock:
+                self._sessions[session.id] = session
+                self.stats.sessions_opened += 1
+            self._converse(session, stream)
+        except OSError:  # the peer hung up, or the server is closing
             pass
         finally:
-            self._close_session(session.id)
-            await _drain_and_close(writer)
+            counters = (0, 0)
+            if session is not None:
+                if self.snapshot:
+                    try:
+                        self._token.run(session.id, session.snapshot_to,
+                                        self.store)
+                    except Exception:
+                        # A failed snapshot (full disk, corrupt store)
+                        # must never wedge shutdown; the store's atomic
+                        # writes mean a partial snapshot is still a
+                        # valid store, just with fewer entries.
+                        pass
+                # Disconnect-time session GC: the session's handles
+                # and, with the last reference, its manager go away.
+                counters = session.close()
+            with self._lock:
+                if session is not None:
+                    del self._sessions[session.id]
+                    self.stats.sessions_closed += 1
+                    self.stats.closed_aborts += counters[0]
+                    self.stats.closed_degradations += counters[1]
+                del self._connections[conn]
+            try:
+                stream.close()
+            except OSError:
+                pass
+            conn.close()
 
-    def _close_session(self, session_id: str) -> None:
-        """Disconnect-time session GC (idempotent)."""
-        session = self._sessions.pop(session_id, None)
-        if session is None:
-            return
-        if self._executor is not None:
-            self._executor.remove_session(session_id)
-        aborts, degradations = session.close()
-        self.stats.sessions_closed += 1
-        self.stats.closed_aborts += aborts
-        self.stats.closed_degradations += degradations
+    def _converse(self, session: Session,
+                  stream: BufferedIOBase) -> None:
+        """Greet, then answer request lines until end-of-file."""
+        stream.write(encode_line({
+            "serve": "repro", "protocol": PROTOCOL_VERSION,
+            "session": session.id, "backend": self.backend}))
+        stream.flush()
+        while True:
+            line = stream.readline(MAX_LINE + 1)
+            if not line:
+                return
+            if len(line) > MAX_LINE:
+                # Oversized line: the stream is unframed beyond
+                # recovery, so answer once and hang up.  The rest of
+                # the line is read first: closing a socket with unread
+                # input resets the connection, which could lose the
+                # answer.
+                stream.write(encode_line(error_response(
+                    None, E_BAD_REQUEST,
+                    f"message exceeds {MAX_LINE} bytes")))
+                stream.flush()
+                while line and not line.endswith(b"\n"):
+                    line = stream.readline(MAX_LINE)
+                return
+            stream.write(self._reply(session, line))
+            stream.flush()
 
     # ------------------------------------------------------------------
     # Request dispatch
     # ------------------------------------------------------------------
 
-    async def _handle_request(self, session: Session,
-                              line: bytes) -> dict[str, Any]:
+    def _reply(self, session: Session, line: bytes) -> bytes:
+        """The encoded response line to one request line."""
+        response = self._handle_request(session, line)
+        try:
+            return encode_line(response)
+        except Exception as exc:
+            # A result the wire cannot carry (say, a count past the
+            # interpreter's int-to-str digit limit): the request
+            # fails, the session and connection stay.
+            return encode_line(self._error(response["id"], exc))
+
+    def _handle_request(self, session: Session,
+                        line: bytes) -> dict[str, Any]:
         request_id: Any = None
         try:
             message = decode_line(line)
@@ -250,51 +323,33 @@ class Server:
             if not isinstance(params, dict):
                 raise ProtocolError(E_BAD_REQUEST,
                                     "params must be an object")
-            self.stats.count_verb(verb)
+            with self._lock:
+                self.stats.requests += 1
+                self.stats.verbs[verb] = self.stats.verbs.get(verb, 0) + 1
             if verb == "health":
                 return result_response(request_id, self._health())
-            result = await self._dispatch(session, verb, params)
+            result = self._token.run(session.id, session.execute,
+                                     verb, params)
             if verb == "stats":
                 result = {"server": self._server_stats(),
                           "session": result}
             return result_response(request_id, result)
-        except ProtocolError as exc:
-            self.stats.count_error(exc.code)
-            return error_response(request_id, exc.code, str(exc))
-        except ResourceError as exc:
-            # The paper's overload contract on the wire: the kernel
-            # unwound cleanly, the session (and every handle) is still
-            # usable, and re-sending the request retries it.
-            self.stats.count_error(E_BUDGET)
-            return error_response(request_id, E_BUDGET, str(exc),
-                                  kind=type(exc).__name__)
-        except SanitizerError as exc:
-            self.stats.count_error(E_SANITIZER)
-            return error_response(request_id, E_SANITIZER, str(exc),
-                                  kind=type(exc).__name__)
-        except StoreError as exc:
-            # save/load failures are structured, not internal: the
-            # session and its handles stay valid, and the kind field
-            # distinguishes detected corruption (StoreCorruptError)
-            # from misuse (unknown name, no store attached).
-            self.stats.count_error(E_STORE)
-            return error_response(request_id, E_STORE, str(exc),
-                                  kind=type(exc).__name__)
-        except asyncio.CancelledError:
-            raise
         except Exception as exc:
-            self.stats.count_error(E_INTERNAL)
-            return error_response(request_id, E_INTERNAL,
-                                  f"{type(exc).__name__}: {exc}",
-                                  kind=type(exc).__name__)
+            return self._error(request_id, exc)
 
-    async def _dispatch(self, session: Session, verb: str,
-                        params: dict[str, Any]) -> dict[str, Any]:
-        """Run a session verb on the fair executor and await it."""
-        assert self._executor is not None, "start() first"
-        future = self._executor.submit(session.id, session.execute,
-                                       verb, params)
-        return await asyncio.wrap_future(future)
+    def _error(self, request_id: Any, exc: Exception) -> dict[str, Any]:
+        """Count ``exc`` and build its structured error response."""
+        kind: str | None = None
+        if isinstance(exc, ProtocolError):
+            code, message = exc.code, str(exc)
+        else:
+            kind = type(exc).__name__
+            code = next((mapped for cls, mapped in _ERROR_CODES
+                         if isinstance(exc, cls)), E_INTERNAL)
+            message = f"{kind}: {exc}" if code == E_INTERNAL else str(exc)
+        with self._lock:
+            self.stats.errors[code] = self.stats.errors.get(code, 0) + 1
+        return error_response(request_id, code, message, kind=kind)
 
     # ------------------------------------------------------------------
     # Server-level snapshots
@@ -315,75 +370,62 @@ class Server:
 
     def _server_stats(self) -> dict[str, Any]:
         stats = self.stats
-        # Aggregate governor counters over live sessions too, so the
-        # snapshot reflects aborts/degradations of still-connected
-        # clients (the CI artifact reads this).  Sessions *publish*
-        # these as plain ints after every request precisely so this
-        # event-loop read never touches a worker-owned manager
-        # (RPR008: the manager is thread-affine to the fair executor).
-        aborts = stats.closed_aborts
-        degradations = stats.closed_degradations
-        for session in list(self._sessions.values()):
-            aborts += session.published_aborts
-            degradations += session.published_degradations
-        executor = self._executor
-        return {"backend": self.backend,
-                "uptime": time.monotonic() - stats.started,
-                "sessions": {"open": self.num_sessions,
-                             "opened": stats.sessions_opened,
-                             "closed": stats.sessions_closed,
-                             "rejected": stats.sessions_rejected,
-                             "max": self.max_sessions},
-                "requests": stats.requests,
-                "verbs": dict(stats.verbs),
-                "errors": dict(stats.errors),
-                "aborts": aborts,
-                "degradations": degradations,
-                "scheduler": {
-                    "workers": self.workers,
-                    "dispatched": (executor.dispatched
-                                   if executor else 0),
-                    "pending": (executor.pending()
-                                if executor else 0)}}
-
-
-async def _drain_and_close(writer: asyncio.StreamWriter) -> None:
-    try:
-        await writer.drain()
-    except (ConnectionError, asyncio.CancelledError):
-        pass
-    writer.close()
-    try:
-        await writer.wait_closed()
-    except (ConnectionError, asyncio.CancelledError):
-        pass
+        with self._lock:
+            # Aggregate governor counters over live sessions too, so
+            # the snapshot reflects aborts/degradations of
+            # still-connected clients (the CI artifact reads this).
+            # Sessions *publish* these as plain ints after every
+            # request precisely so this read never touches a manager
+            # another connection thread owns (RPR008).
+            aborts = stats.closed_aborts
+            degradations = stats.closed_degradations
+            for session in self._sessions.values():
+                aborts += session.published_aborts
+                degradations += session.published_degradations
+            return {"backend": self.backend,
+                    "uptime": time.monotonic() - stats.started,
+                    "sessions": {"open": len(self._sessions),
+                                 "opened": stats.sessions_opened,
+                                 "closed": stats.sessions_closed,
+                                 "rejected": stats.sessions_rejected,
+                                 "max": self.max_sessions},
+                    "requests": stats.requests,
+                    "verbs": dict(stats.verbs),
+                    "errors": dict(stats.errors),
+                    "aborts": aborts,
+                    "degradations": degradations,
+                    "scheduler": {
+                        "workers": self.workers,
+                        "dispatched": self._token.dispatched,
+                        "pending": self._token.pending()}}
 
 
 # ----------------------------------------------------------------------
 # Embedding helpers (tests, CLI)
 # ----------------------------------------------------------------------
 
-async def serve_main(server: Server, *,
-                     ready: Callable[[str], object] = print) -> None:
-    """Start ``server`` and run until cancelled (the CLI body)."""
-    await server.start()
+def serve_main(server: Server, *,
+               ready: Callable[[str], object] = print) -> None:
+    """Start ``server`` and serve on this thread until interrupted
+    (the CLI body: SIGINT closes the server and returns)."""
+    server.start()
     ready(f"repro serve: listening on {server.host}:{server.port} "
           f"(backend={server.backend}, workers={server.workers}, "
           f"max_sessions={server.max_sessions})")
     try:
-        await server.serve_forever()
-    except asyncio.CancelledError:
+        server.serve_forever()
+    except KeyboardInterrupt:
         pass
     finally:
-        await server.aclose()
+        server.close()
 
 
 class ServerThread:
-    """A server running on a private event loop in a daemon thread.
+    """A server whose accept loop runs on a daemon thread.
 
     The in-process deployment used by the test suite (and usable as a
-    library embedding): ``start()`` blocks until the port is bound,
-    ``stop()`` tears the loop down.  Context-manager friendly::
+    library embedding): ``start()`` returns once the port is bound,
+    ``stop()`` closes the server.  Context-manager friendly::
 
         with ServerThread(backend="array") as handle:
             client = Client(port=handle.port)
@@ -393,56 +435,21 @@ class ServerThread:
         self._kwargs = server_kwargs
         self.server: Server | None = None
         self.port: int | None = None
-        self._thread = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._started = None
-        self._error: BaseException | None = None
+        self._thread: threading.Thread | None = None
 
     def start(self) -> "ServerThread":
-        import threading
-
-        self._started = threading.Event()
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-serve-thread",
+        self.server = Server(**self._kwargs)
+        self.server.start()
+        self.port = self.server.port
+        self._thread = threading.Thread(target=self.server.serve_forever,
+                                        name="repro-serve-accept",
                                         daemon=True)
         self._thread.start()
-        if not self._started.wait(timeout=30.0):
-            raise RuntimeError("server thread failed to start")
-        if self._error is not None:
-            raise RuntimeError(
-                f"server failed to boot: {self._error!r}")
         return self
 
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # pragma: no cover - boot errors
-            self._error = exc
-        finally:
-            assert self._started is not None
-            self._started.set()
-
-    async def _main(self) -> None:
-        server = Server(**self._kwargs)
-        await server.start()
-        self.server = server
-        self.port = server.port
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        assert self._started is not None
-        self._started.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await server.aclose()
-
     def stop(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:  # loop already closed
-                pass
+        if self.server is not None:
+            self.server.close()
         if self._thread is not None:
             self._thread.join(timeout=30.0)
 

@@ -8,14 +8,17 @@ session keeps alive.  Handles are deduplicated through
 requests producing the same boolean function receive the *same* handle
 id — clients can compare functions by comparing handle strings.
 
-Verb bodies run on the server's :class:`~repro.serve.scheduler.
-FairExecutor` worker threads, never on the event loop; the executor
-serializes calls per session, so a session's manager is only ever
-touched by one thread at a time.  Per-request budgets (the ``budget``
-request parameter, merged over the server's configured defaults) are
-armed with :meth:`Manager.with_budget` around each verb body; a
-governor abort unwinds cleanly, leaves every handle valid, and
-surfaces as a structured ``budget`` error response.
+Verb bodies run on the thread that owns the session's connection,
+under a permit of the server's :class:`~repro.serve.scheduler.
+FairToken`, so a session's manager is only ever touched by that one
+thread.  Per-request budgets (the ``budget`` request parameter, merged
+over the server's configured defaults) are armed with
+:meth:`Manager.with_budget` around each verb body; a governor abort
+unwinds cleanly, leaves every handle valid, and surfaces as a
+structured ``budget`` error response.
+
+Densities travel as JSON numbers, or ``null`` when they pass the float
+range (the wire carries standard JSON only, never ``Infinity``).
 """
 
 from __future__ import annotations
@@ -119,6 +122,11 @@ def _finite_param(params: dict[str, Any], key: str) -> float:
                         f"parameter {key!r} must be a finite number")
 
 
+def _wire_density(density: float) -> float | None:
+    """A density for a reply: null once it passes the float range."""
+    return density if math.isfinite(density) else None
+
+
 def _budget_bound(spec: dict[str, Any], key: str) -> int | None:
     """A ``node`` or ``step`` bound of a request budget: null for no
     bound, else an int >= 1 (never a bool)."""
@@ -157,11 +165,10 @@ class Session:
         self.requests = 0
         self.closed = False
         #: governor counters republished after every request.  The
-        #: manager itself is single-thread-affine (worker threads,
-        #: serialized per session by the executor); these plain ints
-        #: are the *published* snapshot the event loop may read without
-        #: touching the manager (reads of an int attribute are atomic
-        #: under the GIL).
+        #: manager itself belongs to the connection thread; these plain
+        #: ints are the *published* snapshot other threads may read
+        #: without touching the manager (reads of an int attribute are
+        #: atomic under the GIL).
         self.published_aborts = 0
         self.published_degradations = 0
 
@@ -209,9 +216,9 @@ class Session:
     def snapshot_to(self, store: "BDDStore") -> int:
         """Persist every live handle under ``snapshot/<session>/...``.
 
-        Runs on a worker thread (the executor serializes it with the
-        session's other verbs, so the manager stays single-threaded).
-        Returns the number of handles written.
+        Runs on the connection thread once the client is gone, so the
+        manager stays single-threaded.  Returns the number of handles
+        written.
         """
         for handle, function in sorted(self._functions.items()):
             store.save(f"snapshot/{self.id}/{handle}", function,
@@ -225,10 +232,8 @@ class Session:
         Function roots makes every session-private node unreachable,
         and the manager itself becomes garbage once the server lets go
         of the session object.  The returned counters are the last
-        *published* snapshot (see ``__init__``), not a fresh manager
-        read: close() runs on the event loop, where the manager is
-        off-limits, and the executor has already retired or abandoned
-        every in-flight call for this session.
+        *published* snapshot (see ``__init__``), republished by every
+        request, so close() needs no manager read.
         """
         self.closed = True
         counters = (self.published_aborts, self.published_degradations)
@@ -237,7 +242,7 @@ class Session:
         return counters
 
     # ------------------------------------------------------------------
-    # Request execution (worker thread)
+    # Request execution (connection thread)
     # ------------------------------------------------------------------
 
     def execute(self, verb: str, params: dict[str, Any]
@@ -259,9 +264,9 @@ class Session:
             with self._armed(self.manager, budget):
                 return handler(self, params, budget)
         finally:
-            # Republish governor counters while still on the worker
-            # thread (aborts unwind through here too), so event-loop
-            # snapshots never have to touch the manager.
+            # Republish governor counters (aborts unwind through here
+            # too), so other threads' snapshots never have to touch
+            # the manager.
             aborts, degradations = self.manager.governor_counters
             self.published_aborts = aborts
             self.published_degradations = degradations
@@ -375,7 +380,7 @@ class Session:
         approximation = approximator(f, **kwargs)
         result = self._function_result(approximation)
         result.update(method=method,
-                      density=approximation.density(),
+                      density=_wire_density(approximation.density()),
                       exact=approximation == f)
         return result
 
@@ -406,7 +411,7 @@ class Session:
             raise ProtocolError(E_BAD_REQUEST, str(exc))
         return {"nodes": len(f),
                 "sat_count": sat_count,
-                "density": f.density(nvars),
+                "density": _wire_density(f.density(nvars)),
                 "support": sorted(f.support())}
 
     def _verb_minterms(self, params: dict[str, Any],

@@ -1,4 +1,4 @@
-"""RPR008 trigger: session state escapes its executor serialization."""
+"""RPR008 trigger: session state escapes its connection thread and token."""
 # repro-lint: serve
 import threading
 

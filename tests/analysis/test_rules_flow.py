@@ -115,6 +115,21 @@ def test_rpr008_submit_arguments_are_exempt():
     assert findings(source, "RPR008") == []
 
 
+def test_rpr008_token_run_arguments_are_exempt():
+    source = SERVE + (
+        "def dispatch(token, session, verb):\n"
+        "    token.run(session.id, session.manager.reorder)\n"
+        "    return token.run(session.id, session.execute, verb)\n"
+    )
+    assert findings(source, "RPR008") == []
+    # The same owned manager outside the token's run is flagged.
+    inline = SERVE + (
+        "def dispatch(session):\n"
+        "    return session.manager.reorder()\n"
+    )
+    assert findings(inline, "RPR008")
+
+
 def test_rpr008_direct_execute_is_flagged():
     source = SERVE + (
         "def dispatch(session, verb):\n"

@@ -167,6 +167,15 @@ class TestDensity:
         d = density(f)
         assert d == pytest.approx(2.0 ** 399)
 
+    def test_density_past_float_range_is_inf(self):
+        # One literal over 1,026 variables: 2**1025 minterms per node.
+        m, vs = fresh_manager(1026)
+        assert density(vs[0]) == math.inf
+        # Just inside the range: 2**1023, by fewer variables or more
+        # nodes.
+        assert vs[0].density(1024) == pytest.approx(2.0 ** 1023)
+        assert density(vs[0] & vs[1]) == pytest.approx(2.0 ** 1023)
+
 
 class TestLog2Int:
     def test_small(self):

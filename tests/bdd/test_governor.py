@@ -9,8 +9,10 @@ independent, same-seed manager.
 
 from __future__ import annotations
 
+import gc
 import os
 import random
+import weakref
 
 import pytest
 
@@ -386,3 +388,27 @@ class TestDeferGc:
                 assert manager._gc_defer == 2
             assert manager._gc_defer == 1
         assert manager._gc_defer == 0
+
+
+def test_dropped_manager_is_freed_without_the_cycle_collector():
+    """The governor holds no back-reference to its manager, so a
+    manager that ran a traversal is freed by reference counting alone
+    once its last reference drops."""
+    from repro.fsm.benchmarks import counter
+    from repro.fsm.encode import encode
+    from repro.reach.bfs import bfs_reachability
+    from repro.reach.transition import TransitionRelation
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        encoded = encode(counter(4))
+        relation = TransitionRelation(encoded)
+        result = bfs_reachability(relation, encoded.initial_states())
+        assert result.complete
+        manager = weakref.ref(encoded.manager)
+        del encoded, relation, result
+        assert manager() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.approx import (heavy_branch_subset, remap_under_approx,
@@ -73,6 +75,20 @@ class TestStatistics:
             lambda f, *, threshold=0: remap_under_approx(f, threshold))
         assert len(result.subset_densities) == result.iterations
         assert all(d > 0 for d in result.subset_densities)
+
+    def test_densities_past_float_range(self):
+        # 1,030 unused variables put every frontier's density past the
+        # float range: the traversal records inf and still completes.
+        enc = encode(counter(3))
+        enc.manager.add_vars(*(f"pad{i}" for i in range(1030)))
+        tr = TransitionRelation(enc)
+        result = high_density_reachability(
+            tr, enc.initial_states(),
+            lambda f, *, threshold=0: remap_under_approx(f, threshold))
+        assert result.complete
+        assert count_states(result.reached, enc.state_vars) == 8
+        assert result.subset_densities
+        assert all(d == math.inf for d in result.subset_densities)
 
     def test_max_iterations(self):
         enc = encode(counter(5))

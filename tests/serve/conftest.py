@@ -68,6 +68,8 @@ def serve_subprocess(*args: str, env: dict | None = None):
         except subprocess.TimeoutExpired:
             process.kill()
             process.wait(timeout=10)
+        process.stdout.close()
+        process.stderr.close()
 
 
 @pytest.fixture

@@ -8,11 +8,16 @@ the store without re-running the computation that produced them.
 
 from __future__ import annotations
 
+import signal
+import time
+
 import pytest
 
 from repro.bdd import Manager
-from repro.serve import ServerError
+from repro.serve import Client, ServerError
 from repro.store import BDDStore
+
+from .conftest import serve_subprocess
 
 
 def xor_chain(client, n=4):
@@ -127,6 +132,30 @@ def test_snapshot_on_shutdown_and_restore(tmp_path, server_factory,
         g = store.load(manager, entry["name"])
         assert entry["nodes"] == len(g)
         assert "snapshot" in entry["tags"]
+
+
+def test_sigint_with_idle_client_snapshots_and_exits(tmp_path):
+    """SIGINT stops the daemon promptly even while a client sits idle
+    on its connection, and that session's snapshot reaches the store."""
+    store_dir = tmp_path / "store"
+    # A child inherits an ignored SIGINT (say, from a shell's background
+    # job) across exec; a handled one reverts to the default there.
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with serve_subprocess("--store", str(store_dir), "--snapshot"
+                              ) as (process, port):
+            with Client(port=port) as client:
+                f = xor_chain(client, 3)
+                process.send_signal(signal.SIGINT)
+                began = time.monotonic()
+                assert process.wait(timeout=5) == 0
+                assert time.monotonic() - began < 5
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    entries = BDDStore(store_dir).entries(
+        prefix=f"snapshot/{client.session}/")
+    assert f in {e["name"].rsplit("/", 1)[1] for e in entries}
+    assert len(entries) >= 4
 
 
 def test_snapshot_without_store_refused():

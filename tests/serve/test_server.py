@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import random
 import socket
+import sys
 import threading
 import time
 
@@ -164,6 +165,40 @@ def test_count_rejects_bad_nvars(client):
     assert client.count(f, nvars=2)["sat_count"] == 1
     assert client.call("count", {"f": f, "nvars": None})["sat_count"] \
         == client.count(f)["sat_count"]
+
+
+def test_density_past_float_range_is_null(client):
+    """One literal over 1,026 variables has density 2**1025, past the
+    float range: replies carry null, so the wire stays standard JSON."""
+    a = client.var("x0")
+    assert client.count(a, nvars=1026)["density"] is None
+    assert client.count(a, nvars=3)["density"] == 4.0
+    for i in range(1, 1026):
+        client.var(f"x{i}")
+    assert client.count(a)["density"] is None
+    approx = client.approx("hb", a)
+    assert approx["density"] is None
+    assert approx["exact"] is True
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit")
+def test_unencodable_reply_keeps_connection(client):
+    """A count past the int-to-str digit limit cannot be encoded: the
+    request answers ``internal`` and the connection stays usable."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        a = client.var("a")
+        # 2**14999 has 4,516 digits.
+        with pytest.raises(ServerError) as excinfo:
+            client.count(a, nvars=15_000)
+        assert excinfo.value.code == "internal"
+        assert excinfo.value.kind == "ValueError"
+        assert client.count(a, nvars=2)["sat_count"] == 2
+        assert client.stats()["server"]["errors"] == {"internal": 1}
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_unknown_verb_error(client):
