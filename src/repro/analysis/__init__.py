@@ -8,11 +8,10 @@ algorithm in this repository depends on — no recursion in kernel
 modules, all node construction through the unique table, registered
 computed-table op tags, no cross-manager node mixing, uniform
 approximator signatures — and ``repro.analysis.rules_flow`` adds the
-flow-aware concurrency rules (event-loop blocking, session escape,
-fork capture, governed-cycle checkpoints, ref/deref pairing) built on
-the intraprocedural CFG (``repro.analysis.cfg``), dataflow
-(``repro.analysis.dataflow``) and provenance
-(``repro.analysis.provenance``) layers.
+flow-aware rules (session escape, fork capture, governed-cycle
+checkpoints, ref/deref pairing) built on the intraprocedural CFG
+(``repro.analysis.cfg``), dataflow (``repro.analysis.dataflow``) and
+provenance (``repro.analysis.provenance``) layers.
 
 Adoption machinery lives alongside: ``repro.analysis.sarif`` renders
 findings in the GitHub code-scanning SARIF schema, and
@@ -27,8 +26,8 @@ The runtime counterpart is the graph sanitizer,
 
 from __future__ import annotations
 
-from . import rules as _rules  # noqa: F401  (registers RPR001..006)
-from . import rules_flow as _rules_flow  # noqa: F401  (RPR007..011)
+from . import rules as _rules  # noqa: F401  (registers RPR001..005)
+from . import rules_flow as _rules_flow  # noqa: F401  (RPR008..011)
 from .baseline import (DEFAULT_BASELINE, apply_baseline, load_baseline,
                        write_baseline)
 from .lint import (RULES, FileContext, Rule, Violation, exit_code,

@@ -3,16 +3,14 @@
 Facts are ``frozenset[str]`` — a set-based gen/kill lattice.  A rule
 supplies a *transfer* function mapping ``(leaf statement, fact before)``
 to the fact after that statement; :class:`ForwardAnalysis` runs the
-classic worklist algorithm to a fixpoint and can then replay each block
-to recover per-statement facts.
+classic worklist algorithm to a fixpoint.
 
 Two joins are supported:
 
 ``"union"`` (default)
     May-analysis: a fact holds after the merge if it held on *any*
-    incoming path.  Used by the fork-capture rule ("``gc.freeze`` may
-    have run") and the ref-pairing rule ("this handle may still be
-    pending").
+    incoming path.  Used by the ref-pairing rule ("this handle may
+    still be pending").
 ``"intersection"``
     Must-analysis: a fact survives the merge only if it held on *every*
     incoming path.  Unvisited predecessors contribute top (no
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 import ast
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 from .cfg import CFG
 
@@ -123,15 +121,3 @@ class ForwardAnalysis:
         """The fact at the function's exit node."""
         return self.fact_in(self.cfg.exit)
 
-    def statement_facts(self) -> Iterator[tuple[ast.AST, Fact, Fact]]:
-        """Yield ``(statement, fact before, fact after)`` triples.
-
-        Blocks are replayed from their fixpoint entry facts, so this is
-        exact (not re-iterated) once :meth:`run` has converged.
-        """
-        for block_id in sorted(self.cfg.blocks):
-            fact = self.fact_in(block_id)
-            for stmt in self.cfg.blocks[block_id].statements:
-                after = self.transfer(stmt, fact)
-                yield stmt, fact, after
-                fact = after

@@ -1,9 +1,9 @@
 """Value provenance for lint rules: which names hold BDD runtime objects.
 
 The concurrency rules need to know, inside one function, which local
-names (probably) hold a ``Manager``, a ``Function``, a node store, a
-serve ``Session`` or a sync ``Client`` — because those objects carry
-thread-affinity and picklability constraints the rules enforce.
+names (probably) hold a ``Manager``, a ``Function``, a node store or a
+serve ``Session`` — because those objects carry thread-affinity and
+picklability constraints the rules enforce.
 
 :class:`ScopeProvenance` is a deliberately simple, source-order-free
 tripwire in the style of the RPR004 tracker: it scans a scope once,
@@ -11,7 +11,7 @@ records the *last* classification it can justify for each name, and
 answers ``kind(name)`` queries.  Sources of provenance:
 
 * parameter / variable annotations (``m: Manager``, ``fn: Function``),
-* constructor calls (``Manager(...)``, ``Session(...)``, ``Client(...)``,
+* constructor calls (``Manager(...)``, ``Session(...)``,
   ``create_store(...)``),
 * well-known derivations (``session.manager``, ``manager.store``,
   Function-returning ``Manager`` methods like ``apply``/``ite``),
@@ -30,7 +30,7 @@ import ast
 from collections.abc import Iterator
 
 __all__ = [
-    "MANAGER", "FUNCTION", "SESSION", "CLIENT", "STORE",
+    "MANAGER", "FUNCTION", "SESSION", "STORE",
     "ScopeProvenance", "nested_captures",
 ]
 
@@ -38,7 +38,6 @@ __all__ = [
 MANAGER = "manager"
 FUNCTION = "function"
 SESSION = "session"
-CLIENT = "client"
 STORE = "store"
 
 #: Constructor name -> kind of the constructed value.
@@ -46,7 +45,6 @@ _CONSTRUCTORS = {
     "Manager": MANAGER,
     "Function": FUNCTION,
     "Session": SESSION,
-    "Client": CLIENT,
     "create_store": STORE,
     "ArrayStore": STORE,
 }
@@ -56,7 +54,6 @@ _ANNOTATIONS = {
     "Manager": MANAGER,
     "Function": FUNCTION,
     "Session": SESSION,
-    "Client": CLIENT,
     "ArrayStore": STORE,
 }
 
@@ -71,7 +68,6 @@ _FUNCTION_METHODS = frozenset({
 _CANONICAL_PARAMS = {
     "manager": MANAGER,
     "session": SESSION,
-    "client": CLIENT,
     "store": STORE,
 }
 

@@ -1,4 +1,4 @@
-"""The BDD-specific lint rules (RPR001..RPR006).
+"""The BDD-specific lint rules (RPR001..RPR005).
 
 Each rule guards a structural convention the algorithms rely on:
 
@@ -28,12 +28,10 @@ RPR005
     Approximator entry points registered with ``register_approximator``
     keep the registry's uniform shape: one positional Function, all
     knobs keyword-only with defaults.
-RPR006
-    Hot loops in governed kernel modules must tick the resource
-    governor's strided checkpoint
-    (:meth:`repro.bdd.governor.Governor.checkpoint`), so node/step
-    budgets and deadlines can abort any kernel — a loop without a
-    checkpoint is unabortable and silently escapes the budget contract.
+
+The governed-kernel scope (:data:`GOVERNED_KERNEL_SUFFIXES`,
+:func:`is_governed_module`) also lives here; the checkpoint rule that
+uses it, RPR010, is in :mod:`repro.analysis.rules_flow`.
 """
 
 from __future__ import annotations
@@ -496,7 +494,7 @@ def check_approximator_signature(ctx: FileContext) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
-# RPR006 — governed kernel loops must tick the governor checkpoint
+# Governed kernels: the scope of RPR010's checkpoint proof
 # ----------------------------------------------------------------------
 
 #: Kernel modules under the abortability contract: every hot loop must
@@ -532,40 +530,3 @@ def _is_checkpoint_ref(node: ast.expr) -> bool:
         and isinstance(node.value, ast.Attribute) \
         and node.value.attr in ("governor", "_governor")
 
-
-@register_rule(
-    "RPR006", "kernel-loop-checkpoint", "error",
-    "A while-loop in a governed kernel module never calls the resource "
-    "governor's checkpoint, so node/step budgets and deadlines cannot "
-    "abort it; tick Governor.checkpoint(op) on a stride inside the "
-    "loop.")
-def check_kernel_loop_checkpoint(ctx: FileContext) -> Iterator[Violation]:
-    if not is_governed_module(ctx):
-        return
-    # Hot-loop aliases (``check = manager.governor.checkpoint``), the
-    # kernels' idiom for keeping attribute lookups out of the loop.
-    aliases: set[str] = set()
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) \
-                and _is_checkpoint_ref(node.value):
-            aliases.add(node.targets[0].id)
-
-    def ticks(loop: ast.While) -> bool:
-        for sub in ast.walk(loop):
-            if not isinstance(sub, ast.Call):
-                continue
-            func = sub.func
-            if _is_checkpoint_ref(func):
-                return True
-            if isinstance(func, ast.Name) and func.id in aliases:
-                return True
-        return False
-
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.While) and not ticks(node):
-            yield ctx.violation(
-                "RPR006", node,
-                "kernel loop without a governor checkpoint; call "
-                "manager.governor.checkpoint(op) on a stride so "
-                "budgets can abort it (see repro.bdd.operations)")

@@ -1,17 +1,11 @@
-"""The flow-aware concurrency lint rules (RPR007..RPR011).
+"""The flow-aware lint rules (RPR008..RPR011).
 
-These rules guard the invariants of the three concurrency layers added
-by the serve daemon, its fair token and the persistent fork pool —
-structure a purely syntactic scan cannot see, hence the CFG/dataflow
-machinery of :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow`
-and the provenance tracker of :mod:`repro.analysis.provenance`:
+These rules guard invariants of the serve daemon's ownership model,
+the fork pool and the governed kernels — structure a purely syntactic
+scan cannot see, hence the CFG/dataflow machinery of
+:mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow` and the
+provenance tracker of :mod:`repro.analysis.provenance`:
 
-RPR007
-    The serve event loop only parses and frames; every blocking call —
-    kernel work on a Manager, ``time.sleep``, sync socket/file IO,
-    thread joins, sync ``Client`` calls — must run on the fair
-    executor's worker threads.  Detected in ``async def`` bodies *and*
-    in sync helpers reachable from them via the module call graph.
 RPR008
     A session's ``Manager``/handle table belongs to the connection
     thread that created the session, and its verbs run under the fair
@@ -23,18 +17,16 @@ RPR008
 RPR009
     Payloads crossing the fork pool's pipes are pickled; a ``Task``
     payload capturing a Manager/Function/store/session, a lambda, or a
-    nested closure breaks (or silently degrades) the worker protocol.
-    Additionally, prewarmed worker state must not be mutated after
-    ``gc.freeze()`` — mutation un-freezes pages and defeats
-    copy-on-write sharing (proved per-path with forward dataflow).
+    nested closure breaks (or silently degrades) the worker protocol,
+    and so does a worker callable that is not a module-level function.
 RPR010
-    The CFG upgrade of RPR006: every non-trivial cycle in a governed
-    kernel function must contain a governor checkpoint call *inside
-    the cycle's strongly connected component*.  A checkpoint on a
-    ``break``/``return`` path leaves the component and does not count
-    (the RPR006 false-negative class), ``for`` loops are covered
-    (RPR006 only looked at ``while``), and cycles whose only calls are
-    cheap container operations are proven safe without a pragma.
+    Every cycle in a governed kernel function must contain a governor
+    checkpoint call *inside the cycle's strongly connected component*.
+    A checkpoint on a ``break``/``return`` path leaves the component
+    and does not count.  A ``for`` cycle whose only calls are cheap
+    container operations is proven safe without a pragma; a ``while``
+    cycle never is, because cheap iterations do not bound a worklist
+    loop that runs as long as the graph is big.
 RPR011
     A ``store.mk(...)``/``incref(...)`` result must reach a root
     registration, a deref, or any other consuming use on *every* CFG
@@ -51,15 +43,14 @@ from pathlib import PurePath
 from .cfg import build_cfg
 from .dataflow import Fact, ForwardAnalysis
 from .lint import FileContext, Violation, register_rule
-from .provenance import (CLIENT, FUNCTION, MANAGER, SESSION, STORE,
-                         ScopeProvenance)
-from .rules import (NODE_FACTORY_SUFFIXES, _call_edges,
-                    _collect_functions, _is_checkpoint_ref,
-                    _path_matches, is_governed_module)
+from .provenance import FUNCTION, MANAGER, SESSION, STORE, ScopeProvenance
+from .rules import (NODE_FACTORY_SUFFIXES, _collect_functions,
+                    _is_checkpoint_ref, _path_matches,
+                    is_governed_module)
 
 #: Serve modules: everything under ``repro/serve/`` is written against
-#: the event-loop discipline; the pragma lets the rule corpus exercise
-#: it from fixture files.
+#: the session-ownership discipline; the pragma lets the rule corpus
+#: exercise it from fixture files.
 _SERVE_FRAGMENT = "repro/serve/"
 
 
@@ -98,131 +89,6 @@ def _callee_parts(call: ast.Call) -> tuple[str | None, str | None]:
 
 
 # ----------------------------------------------------------------------
-# RPR007 — no blocking calls on the serve event loop
-# ----------------------------------------------------------------------
-
-#: Bare-name calls that always block.
-_BLOCKING_NAMES = frozenset({"open", "input"})
-
-#: ``module.attr(...)`` calls that block, by module name.
-_BLOCKING_MODULE_ATTRS: dict[str, frozenset[str]] = {
-    "time": frozenset({"sleep"}),
-    "socket": frozenset({"socket", "create_connection"}),
-    "subprocess": frozenset({"run", "call", "check_call",
-                             "check_output", "Popen"}),
-    "os": frozenset({"system", "waitpid", "fork"}),
-}
-
-#: Method names that block regardless of receiver: thread/executor
-#: teardown and sync socket IO.  ``close``/``drain`` are *not* here —
-#: StreamWriter.close is non-blocking and drain is awaited.
-_BLOCKING_METHODS = frozenset({
-    "join", "shutdown", "recv", "sendall", "accept", "connect_ex",
-})
-
-#: Session methods that run kernel work inline when called directly.
-_SESSION_KERNEL_METHODS = frozenset({"execute"})
-
-
-def _sleep_import_names(tree: ast.Module) -> set[str]:
-    """Names that ``from time import sleep [as x]`` binds to sleep."""
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "time":
-            for alias in node.names:
-                if alias.name == "sleep":
-                    names.add(alias.asname or alias.name)
-    return names
-
-
-def _awaited_call_ids(func: ast.AST) -> set[int]:
-    return {id(node.value) for node in _own_nodes(func)
-            if isinstance(node, ast.Await)
-            and isinstance(node.value, ast.Call)}
-
-
-def _blocking_reason(call: ast.Call, prov: ScopeProvenance,
-                     sleep_names: set[str]) -> str | None:
-    receiver, name = _callee_parts(call)
-    if name is None:
-        return None
-    if receiver is None:  # bare name call
-        if name in _BLOCKING_NAMES:
-            return f"blocking builtin {name}()"
-        if name in sleep_names:
-            return "time.sleep()"
-        return None
-    module_attrs = _BLOCKING_MODULE_ATTRS.get(receiver)
-    if module_attrs is not None and name in module_attrs:
-        return f"{receiver}.{name}()"
-    if name in _BLOCKING_METHODS:
-        return f".{name}() blocks the calling thread"
-    kind = prov.kind(receiver) if receiver else None
-    if kind == MANAGER:
-        return (f"kernel call {receiver}.{name}() on a session "
-                f"manager")
-    if kind == CLIENT:
-        return f"sync Client call {receiver}.{name}()"
-    if kind == SESSION and name in _SESSION_KERNEL_METHODS:
-        return (f"{receiver}.{name}() runs kernel work inline; "
-                f"submit it to the fair executor")
-    return None
-
-
-@register_rule(
-    "RPR007", "no-blocking-in-event-loop", "error",
-    "A blocking call (kernel work, time.sleep, sync socket/file IO, "
-    "thread join/shutdown, sync Client call) runs on the serve event "
-    "loop — directly in an async def or in a sync helper reachable "
-    "from one; move it to the FairExecutor or asyncio.to_thread.")
-def check_no_blocking_in_event_loop(ctx: FileContext
-                                    ) -> Iterator[Violation]:
-    if not is_serve_module(ctx):
-        return
-    functions = _collect_functions(ctx.tree)
-    if not functions:
-        return
-    infos = {info.qualname: info for info in functions}
-    async_quals = [info.qualname for info in functions
-                   if isinstance(info.node, ast.AsyncFunctionDef)]
-    if not async_quals:
-        return
-    edges = _call_edges(functions)
-    # Sync functions reachable from async ones run on the event loop
-    # too; calls *to* an async function just build a coroutine, so the
-    # traversal never continues through an async callee.
-    origin: dict[str, str] = {qual: qual for qual in async_quals}
-    stack = list(async_quals)
-    while stack:
-        caller = stack.pop()
-        for callee in edges.get(caller, ()):
-            if callee in origin:
-                continue
-            if isinstance(infos[callee].node, ast.AsyncFunctionDef):
-                continue
-            origin[callee] = origin[caller]
-            stack.append(callee)
-    sleep_names = _sleep_import_names(ctx.tree)
-    for qual in sorted(origin):
-        info = infos[qual]
-        prov = ScopeProvenance.scan(info.node)
-        awaited = _awaited_call_ids(info.node)
-        for node in _own_nodes(info.node):
-            if not isinstance(node, ast.Call) or id(node) in awaited:
-                continue
-            reason = _blocking_reason(node, prov, sleep_names)
-            if reason is None:
-                continue
-            where = "async " + qual if qual == origin[qual] else \
-                f"{qual} (reachable from async {origin[qual]})"
-            yield ctx.violation(
-                "RPR007", node,
-                f"blocking call on the event-loop path: {reason} "
-                f"in {where}; run it on the FairExecutor or wrap it "
-                f"in asyncio.to_thread")
-
-
-# ----------------------------------------------------------------------
 # RPR008 — sessions must not escape their connection thread and token
 # ----------------------------------------------------------------------
 
@@ -231,6 +97,9 @@ def check_no_blocking_in_event_loop(ctx: FileContext
 #: are safe from any thread by design (plain-int/str reads, no kernel
 #: access).
 _SESSION_OWNED_ATTRS = frozenset({"manager", "_functions", "_by_key"})
+
+#: Session methods that run kernel work inline when called directly.
+_SESSION_KERNEL_METHODS = frozenset({"execute"})
 
 
 def _token_run_argument_ids(func: ast.AST) -> set[int]:
@@ -321,34 +190,10 @@ def check_session_escape(ctx: FileContext) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
-# RPR009 — fork-pool capture and post-freeze mutation
+# RPR009 — fork-pool payload and worker capture
 # ----------------------------------------------------------------------
 
 _UNPICKLABLE_KINDS = frozenset({MANAGER, FUNCTION, STORE, SESSION})
-
-#: Mutating container/object methods (for the post-freeze check).
-_MUTATOR_METHODS = frozenset({
-    "append", "add", "update", "clear", "setdefault", "pop",
-    "popitem", "extend", "remove", "discard", "insert",
-})
-
-
-def _module_globals(tree: ast.Module) -> set[str]:
-    names: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(node, ast.AnnAssign) \
-                and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-    return names
-
-
-def _is_gc_freeze(call: ast.Call) -> bool:
-    receiver, name = _callee_parts(call)
-    return receiver == "gc" and name == "freeze"
 
 
 def _payload_expr(call: ast.Call) -> ast.expr | None:
@@ -393,57 +238,21 @@ def _capture_findings(payload: ast.expr, nested_defs: set[str],
                              f"objects are not picklable)")
 
 
-def _freeze_transfer(stmt: ast.AST, fact: Fact) -> Fact:
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Call) and _is_gc_freeze(node):
-            return fact | {"frozen"}
-    return fact
-
-
-def _frozen_mutation(stmt: ast.AST, module_globals: set[str],
-                     declared_globals: set[str]
-                     ) -> tuple[ast.AST, str] | None:
-    if isinstance(stmt, (ast.Assign, ast.AugAssign)):
-        targets = stmt.targets if isinstance(stmt, ast.Assign) \
-            else [stmt.target]
-        for target in targets:
-            base = target
-            while isinstance(base, (ast.Subscript, ast.Attribute)):
-                base = base.value
-            if isinstance(base, ast.Name):
-                is_global_store = base.id in module_globals and (
-                    base is not target or base.id in declared_globals)
-                if is_global_store:
-                    return stmt, base.id
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Call):
-            receiver, name = _callee_parts(node)
-            if receiver in module_globals \
-                    and name in _MUTATOR_METHODS:
-                return node, receiver
-    return None
-
-
 @register_rule(
     "RPR009", "fork-capture", "warning",
     "A WorkerPool task payload captures something the pipe cannot "
-    "pickle (lambda, closure, Manager/Function/store/session), or "
-    "prewarmed module state is mutated after gc.freeze() — both "
-    "break the persistent fork-worker protocol.")
+    "pickle (lambda, closure, Manager/Function/store/session), or a "
+    "worker callable is a lambda or closure — both break the fork "
+    "worker protocol.")
 def check_fork_capture(ctx: FileContext) -> Iterator[Violation]:
-    module_globals = _module_globals(ctx.tree)
     for info in _collect_functions(ctx.tree):
         nested_defs = {node.name for node in ast.walk(info.node)
                        if node is not info.node and isinstance(
                            node, (ast.FunctionDef,
                                   ast.AsyncFunctionDef))}
         prov = ScopeProvenance.scan(info.node)
-        has_freeze = False
         for node in _own_nodes(info.node):
             if not isinstance(node, ast.Call):
-                continue
-            if _is_gc_freeze(node):
-                has_freeze = True
                 continue
             _receiver, name = _callee_parts(node)
             if name == "Task":
@@ -467,28 +276,6 @@ def check_fork_capture(ctx: FileContext) -> Iterator[Violation]:
                         "worker callable must be an importable "
                         "module-level function; a lambda/closure "
                         "breaks under the spawn start method")
-        # Closure captures of BDD objects into nested defs only matter
-        # here when the function talks to the fork pool at all.
-        if has_freeze:
-            cfg = build_cfg(info.node)
-            analysis = ForwardAnalysis(cfg, _freeze_transfer).run()
-            declared: set[str] = set()
-            for node in _own_nodes(info.node):
-                if isinstance(node, ast.Global):
-                    declared.update(node.names)
-            for stmt, before, _after in analysis.statement_facts():
-                if "frozen" not in before:
-                    continue
-                found = _frozen_mutation(stmt, module_globals,
-                                         declared)
-                if found is not None:
-                    where, name = found
-                    yield ctx.violation(
-                        "RPR009", where,
-                        f"prewarmed module state {name!r} mutated "
-                        f"after gc.freeze(); mutation un-freezes "
-                        f"pages and defeats copy-on-write sharing "
-                        f"— mutate before freezing")
 
 
 # ----------------------------------------------------------------------
@@ -496,8 +283,8 @@ def check_fork_capture(ctx: FileContext) -> Iterator[Violation]:
 # ----------------------------------------------------------------------
 
 #: Container/O(1) operations that cannot run unbounded kernel work; a
-#: cycle whose calls are all of this shape is provably cheap per
-#: iteration and needs no checkpoint.
+#: ``for`` cycle whose calls are all of this shape is provably cheap
+#: and needs no checkpoint.
 _TRIVIAL_ATTR_CALLS = frozenset({
     "pop", "popleft", "append", "appendleft", "add", "discard",
     "remove", "extend", "update", "get", "items", "keys", "values",
@@ -560,22 +347,28 @@ def _cycle_location(stmts: list[ast.AST]) -> tuple[int, int]:
     "RPR010", "governed-cycle-checkpoint", "error",
     "A cycle in a governed kernel function never passes through a "
     "governor checkpoint (CFG strongly-connected-component proof): "
-    "for-loops, and loops whose only checkpoint sits on a break/"
-    "return path, can spin without budgets or deadlines being able "
-    "to abort them.")
+    "a while-loop, a for-loop doing kernel work, or a loop whose only "
+    "checkpoint sits on a break/return path can spin without budgets "
+    "or deadlines being able to abort it.")
 def check_governed_cycle_checkpoint(ctx: FileContext
                                     ) -> Iterator[Violation]:
     if not is_governed_module(ctx):
         return
     aliases = _checkpoint_aliases(ctx.tree)
     for info in _collect_functions(ctx.tree):
+        while_tests = {id(node.test) for node in ast.walk(info.node)
+                       if isinstance(node, ast.While)}
         cfg = build_cfg(info.node)
         for component in cfg.cycles():
             stmts = list(cfg.statements(component))
             if any(_has_checkpoint(stmt, aliases) for stmt in stmts):
                 continue
-            if not _nontrivial_calls(stmts):
-                continue  # provably cheap per iteration
+            # A for cycle over container work is bounded by what it
+            # iterates; a while cycle runs as long as its test holds,
+            # and a worklist drains as slowly as the graph is big.
+            is_while = any(id(stmt) in while_tests for stmt in stmts)
+            if not is_while and not _nontrivial_calls(stmts):
+                continue
             line, col = _cycle_location(stmts)
             yield ctx.violation(
                 "RPR010", (line, col),

@@ -30,11 +30,13 @@ stale id can therefore never be confused with its new occupant.  Freed
 slots carry the ``FREE_LEVEL`` sentinel, so dereferencing a stale
 handle fails the ``mk`` level check instead of silently mixing nodes.
 
-When numpy is installed, garbage collection sweeps the columns with
-zero-copy vectorized scans (``_sweep_vectorized``) and
-``sat_count_vector`` counts with them; both import numpy on first use,
-so it stays off the import path, and a pure-Python fallback keeps the
-store dependency-free.
+Garbage collection marks from the roots into a flat byte map, frees
+every unmarked slot table by table (``_sweep_portable``) and then
+recounts every reference from the surviving arcs
+(``_recount_refs``).  Minterm counts go through
+:func:`repro.bdd.counting.minterm_count_map`, which prices by function
+size; the store has no whole-column analytics and no dependency
+outside the standard library.
 """
 
 from __future__ import annotations
@@ -211,64 +213,6 @@ class ArrayStore:
         key = (self.hi[handle] << 32) | self.lo[handle]
         return self._tables[level].get(key, -1) == handle
 
-    # -- vectorized analytics ------------------------------------------
-
-    def sat_count_vector(self, root: int, nvars: int) -> int | None:
-        """Exact ``||root||`` over ``nvars`` variables via column sweeps.
-
-        One bottom-up pass over the *whole store*: per level, the
-        counts of every live node are computed in one gather
-        ``(counts[hi] + counts[lo]) >> 1`` over the flat columns (the
-        scaled count ``S[v] = ||v|| * 2^level(v)`` of any node is even,
-        so the shift is exact).  With numpy that is a C-speed
-        vectorized scan; without it a dependency-free Python loop over
-        the same columns.  Because the sweep prices by store size, not
-        function size, callers should prefer it when the function
-        spans a sizeable fraction of the store — e.g. a traversal's
-        reached set (:func:`repro.bdd.counting.sat_count` applies that
-        heuristic).
-
-        Returns None when ``nvars`` is below the store's level count —
-        then some *live* node could exceed ``nvars`` and per-function
-        support validation (which the whole-store sweep cannot do) is
-        required; the caller falls back to the per-node map.
-        """
-        tables = self._tables
-        if nvars < len(tables):
-            return None
-        if root < 2:
-            return root << nvars
-        hi_col, lo_col = self.hi, self.lo
-        # int64 gathers: counts reach 2^nvars and sums 2^(nvars+1), so
-        # the numpy path is exact only through nvars == 61; beyond
-        # that, arbitrary-precision Python takes over.
-        if nvars <= 61:
-            try:
-                import numpy as np
-            except ImportError:  # pragma: no cover - numpy is optional
-                pass
-            else:
-                counts = np.zeros(len(self.level), dtype=np.int64)
-                counts[1] = 1 << nvars
-                hi_np = np.frombuffer(hi_col, dtype=np.int64)
-                lo_np = np.frombuffer(lo_col, dtype=np.int64)
-                for level in range(len(tables) - 1, -1, -1):
-                    table = tables[level]
-                    if not table:
-                        continue
-                    ids = np.fromiter(table.values(), dtype=np.int64,
-                                      count=len(table))
-                    counts[ids] = (counts[hi_np[ids]]
-                                   + counts[lo_np[ids]]) >> 1
-                return int(counts[root])
-        counts_list = [0] * len(self.level)
-        counts_list[1] = 1 << nvars
-        for level in range(len(tables) - 1, -1, -1):
-            for node in tables[level].values():
-                counts_list[node] = (counts_list[hi_col[node]]
-                                     + counts_list[lo_col[node]]) >> 1
-        return counts_list[root]
-
     # -- garbage collection and reordering -----------------------------
 
     def collect(self, roots: Iterable[int]) -> int:
@@ -297,61 +241,13 @@ class ArrayStore:
             lo = lo_col[node]
             if lo >= 2 and not marked[lo]:
                 stack.append(lo)
-        reclaimed = self._sweep_vectorized(marked, roots)
-        if reclaimed is None:  # numpy is not installed
-            reclaimed = self._sweep_portable(marked)
-            self._recount_refs(roots)
+        reclaimed = self._sweep_portable(marked)
+        self._recount_refs(roots)
         self._count -= reclaimed
         return reclaimed
 
-    def _sweep_vectorized(self, marked: bytearray,
-                          roots: list[int]) -> int | None:
-        """Dead-slot sweep and ref recount as C-speed column scans.
-
-        ``numpy.frombuffer`` gives zero-copy int64 views over the
-        ``array('q')`` columns, so finding dead slots is one boolean
-        scan and the reference recount is two ``bincount`` histograms.
-        The views are function-local: nothing appends to the columns
-        while they exist (appending would raise ``BufferError`` on an
-        exporting array).  Returns None, touching nothing, when numpy
-        is not installed.
-        """
-        try:
-            import numpy as np
-        except ImportError:
-            return None
-        n = len(self.level)
-        level_np = np.frombuffer(self.level, dtype=np.int64)
-        hi_np = np.frombuffer(self.hi, dtype=np.int64)
-        lo_np = np.frombuffer(self.lo, dtype=np.int64)
-        ref_np = np.frombuffer(self.ref, dtype=np.int64)
-        live = level_np >= 0  # terminals carry TERMINAL_LEVEL >= 0
-        live[:2] = False
-        marked_np = np.frombuffer(marked, dtype=np.uint8) != 0
-        dead_ids = np.nonzero(live & ~marked_np)[0]
-        survivors = np.nonzero(live & marked_np)[0]
-        levels, hi_col, lo_col = self.level, self.hi, self.lo
-        tables = self._tables
-        for node in dead_ids.tolist():
-            # Packed keys are arbitrary-precision Python ints; rebuild
-            # them outside numpy so an id past 2**31 cannot wrap the
-            # signed-64-bit shift.
-            del tables[levels[node]][(hi_col[node] << 32)
-                                     | lo_col[node]]
-        level_np[dead_ids] = FREE_LEVEL
-        self._free.extend(dead_ids.tolist())
-        counts = np.bincount(hi_np[survivors], minlength=n)
-        counts += np.bincount(lo_np[survivors], minlength=n)
-        ref_np[:] = counts
-        ref = self.ref
-        for root in roots:
-            ref[root] += 1
-        ref[0] += 1
-        ref[1] += 1
-        return len(dead_ids)
-
     def _sweep_portable(self, marked: bytearray) -> int:
-        """Pure-Python dead-slot sweep (no-numpy fallback)."""
+        """Free every unmarked slot; returns the count."""
         reclaimed = 0
         levels = self.level
         free = self._free

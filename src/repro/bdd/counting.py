@@ -69,11 +69,8 @@ def minterm_count_map(store: "ArrayStore", root: Any,
 def sat_count(function: "Function", nvars: int | None = None) -> int:
     """Exact ``||f||`` over ``nvars`` variables (default: all declared).
 
-    Functions spanning a sizeable fraction of the store — a
-    traversal's reached set, typically — are counted by vectorized
-    column sweeps instead of a per-node Python dict pass; the result
-    is identical.  Small functions in a big store keep the per-node
-    map, which prices by function size.
+    One pass of :func:`minterm_count_map` over the function's own
+    nodes, so the cost follows ``|f|``, not the store's size.
     """
     manager = function.manager
     store = manager.store
@@ -90,10 +87,6 @@ def sat_count(function: "Function", nvars: int | None = None) -> int:
     if nvars <= support_max:
         raise ValueError(
             f"nvars={nvars} smaller than support (level {support_max})")
-    if 4 * len(nodes) >= store.num_nodes:
-        count = store.sat_count_vector(root, nvars)
-        if count is not None:
-            return count
     counts = minterm_count_map(store, root, nvars)
     return counts[root] << level_of(root)
 

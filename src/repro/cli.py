@@ -74,7 +74,7 @@ from .bdd.counting import density
 from .bdd.governor import Budget, ResourceError
 from .core.approx import UNDER_APPROXIMATORS
 from .core.decomp import DECOMPOSERS, decompose
-from .fsm.blif import read_blif
+from .fsm.blif import BlifError, read_blif
 from .fsm.encode import encode
 from .harness.engine import Task, resolve_jobs, run_tasks
 from .harness.tables import format_manager_stats, format_table
@@ -791,6 +791,18 @@ def main(argv: list[str] | None = None) -> int:
         # can tell "bad store" from "bad invocation".
         print(f"repro: store: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, StoreCorruptError) else 1
+    except BlifError as exc:
+        # Only the circuit argument is parsed as BLIF.
+        print(f"repro: {args.circuit}: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # An input file that cannot be read (missing, a directory, no
+        # permission) is a bad invocation too; an OSError not tied to
+        # a file, such as a socket bind, keeps its traceback.
+        if exc.filename is None:
+            raise
+        print(f"repro: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -105,12 +105,15 @@ def parse_blif(text: str) -> Circuit:
 
     builder = CircuitBuilder(name)
     variables: dict[str, Net] = {}
-    for signal in inputs:
-        variables[signal] = builder.input(signal)
     latch_nets: dict[str, Net] = {}
-    for next_signal, out_signal, init in latches:
-        latch_nets[out_signal] = builder.latch(out_signal, init=init)
-        variables[out_signal] = latch_nets[out_signal]
+    try:
+        for signal in inputs:
+            variables[signal] = builder.input(signal)
+        for next_signal, out_signal, init in latches:
+            latch_nets[out_signal] = builder.latch(out_signal, init=init)
+            variables[out_signal] = latch_nets[out_signal]
+    except ValueError as exc:  # a signal declared twice
+        raise BlifError(str(exc)) from None
 
     building: set[str] = set()
 

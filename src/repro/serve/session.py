@@ -56,6 +56,9 @@ BINARY_OPS = ("and", "or", "xor", "xnor", "nand", "nor", "imp", "diff")
 #: ``minterms`` enumerates up to 2^n assignments; refuse beyond this.
 MAX_MINTERM_VARS = 16
 
+#: ``count`` builds an ``nvars``-bit integer; refuse beyond this.
+MAX_COUNT_VARS = 65_536
+
 
 class SessionConfig:
     """Per-session knobs, shared by every session of one server."""
@@ -405,6 +408,11 @@ class Session:
         nvars: int | None = None
         if params.get("nvars") is not None:
             nvars = _int_param(params, "nvars", 0, minimum=0)
+            if nvars > MAX_COUNT_VARS:
+                raise ProtocolError(
+                    E_BAD_REQUEST,
+                    f"count over {nvars} variables refused "
+                    f"(limit {MAX_COUNT_VARS})")
         try:
             sat_count = f.sat_count(nvars)
         except ValueError as exc:  # nvars below the support

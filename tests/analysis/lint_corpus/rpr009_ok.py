@@ -1,7 +1,4 @@
-"""RPR009 ok: spec payloads, module-level workers, pre-freeze setup."""
-import gc
-
-PREWARMED = {}
+"""RPR009 ok: spec payloads and module-level workers."""
 
 
 def spec_of(manager):
@@ -21,9 +18,3 @@ def worker(task):
 
 def run(tasks):
     return run_tasks(worker, tasks)
-
-
-def prewarm():
-    PREWARMED["a"] = 1
-    gc.freeze()
-    return len(PREWARMED)

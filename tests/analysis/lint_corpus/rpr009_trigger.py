@@ -1,7 +1,4 @@
-"""RPR009 trigger: unpicklable fork payloads, post-freeze mutation."""
-import gc
-
-PREWARMED = {}
+"""RPR009 trigger: unpicklable fork payloads and a closure worker."""
 
 
 def submit_bad(pool, manager):
@@ -14,9 +11,3 @@ def bad_worker(tasks):
     def handler(task):
         return task
     return run_tasks(handler, tasks)
-
-
-def prewarm():
-    PREWARMED["a"] = 1
-    gc.freeze()
-    PREWARMED["b"] = 2

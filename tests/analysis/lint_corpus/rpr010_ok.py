@@ -1,4 +1,4 @@
-"""RPR010 ok: checkpoints inside the component; provably cheap loops."""
+"""RPR010 ok: checkpoints inside the component; a provably cheap loop."""
 # repro-lint: governed
 
 MASK = 1023
@@ -19,13 +19,26 @@ def strided(manager, work):
     return out
 
 
-def trivial_drain(work):
+def mark(manager, root):
+    check = manager.governor.checkpoint
+    ticks = 0
+    stack = [root]
+    seen = set()
+    while stack:
+        ticks += 1
+        if not ticks & MASK:
+            check("mark")
+        seen.add(stack.pop())
+    return seen
+
+
+def drain(manager, work):
+    ticks = 0
     total = 0
-    # RPR006's syntactic scan flags any uncheckpointed while; RPR010's
-    # cost proof shows every call here is O(1) container work, so the
-    # loop needs no checkpoint — the layering documented in
-    # docs/analysis.md.
-    while work:  # repro-lint: disable=RPR006
+    while work:
+        ticks += 1
+        if not ticks & MASK:
+            manager.governor.checkpoint("drain")
         total += work.pop()
     return total
 
@@ -36,3 +49,12 @@ def each_step(manager, frontiers):
         manager.governor.checkpoint("sweep")
         total = manager.apply("or", total, frontier)
     return total
+
+
+def levels_of(nodes):
+    # A for loop over a container whose every call is O(1) container
+    # work is bounded by what it iterates: no checkpoint needed.
+    levels = set()
+    for node in nodes:
+        levels.add(node.level)
+    return levels

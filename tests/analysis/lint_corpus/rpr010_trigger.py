@@ -1,9 +1,10 @@
-"""RPR010 trigger: governed cycles that dodge RPR006's syntactic scan.
+"""RPR010 trigger: governed cycles with no checkpoint inside them.
 
-Both loops are RPR006 false negatives — the regression class the
-CFG/SCC proof exists for: a ``for`` loop (RPR006 only scans ``while``),
-and a ``while`` whose only checkpoint sits on a ``break`` path, which
-leaves the strongly connected component and so cannot bound the spin.
+Four loops, four findings: a ``for`` loop doing kernel work; a
+``while`` whose only checkpoint sits on a ``break`` path, which leaves
+the strongly connected component and so cannot bound the spin; and two
+worklist ``while`` loops whose every call is a container operation —
+cheap per iteration, but they run as long as the graph is big.
 """
 # repro-lint: governed
 
@@ -24,3 +25,21 @@ def drain(manager, work):
             manager.governor.checkpoint("drain")
             break
     return out
+
+
+def mark(manager, root):
+    stack = [root]
+    seen = set()
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+    return seen
+
+
+def drain_total(manager, work):
+    total = 0
+    while work:
+        total += work.pop()
+    return total

@@ -90,16 +90,6 @@ def test_entry_fact_flows_forward():
     assert "seed" in analysis.exit_fact()
 
 
-def test_statement_facts_replay():
-    cfg = cfg_of("def f():\n    a = 1\n    b = 2\n    return b\n")
-    analysis = ForwardAnalysis(cfg, defined_vars_transfer).run()
-    by_stmt = {assigned_name(stmt): (before, after)
-               for stmt, before, after in analysis.statement_facts()
-               if assigned_name(stmt)}
-    assert by_stmt["a"] == (frozenset(), frozenset({"a"}))
-    assert by_stmt["b"] == (frozenset({"a"}), frozenset({"a", "b"}))
-
-
 def test_unreachable_block_has_empty_fact():
     cfg = cfg_of(
         "def f():\n"

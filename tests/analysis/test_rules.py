@@ -3,6 +3,7 @@ as designed, and the CLI exit codes agree."""
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -31,16 +32,12 @@ def rule_ids(violations) -> set[str]:
     ("rpr004_trigger.py", "RPR004", 3),   # method call + both foreign
                                           # operands of the free call
     ("rpr005_trigger.py", "RPR005", 4),   # one per malformed signature
-    ("rpr006_trigger.py", "RPR006", 2),   # both uncheckpointed loops
-    ("rpr007_trigger.py", "RPR007", 4),   # sleep, reachable open,
-                                          # shutdown, manager kernel call
     ("rpr008_trigger.py", "RPR008", 5),   # manager attr, inline execute,
                                           # Thread, global, handle table
-    ("rpr009_trigger.py", "RPR009", 4),   # manager payload, lambda
-                                          # payload, closure worker,
-                                          # post-freeze mutation
-    ("rpr010_trigger.py", "RPR010", 2),   # for-loop + checkpoint-on-
-                                          # break (RPR006 misses both)
+    ("rpr009_trigger.py", "RPR009", 3),   # manager payload, lambda
+                                          # payload, closure worker
+    ("rpr010_trigger.py", "RPR010", 4),   # for-loop, checkpoint-on-
+                                          # break, two worklist whiles
     ("rpr011_trigger.py", "RPR011", 2),   # dropped mk + dropped incref
 ])
 def test_trigger_fixture(fixture, rule, count):
@@ -79,8 +76,6 @@ def test_mutual_recursion_message_names_cycle():
     "rpr003_ok.py",
     "rpr004_ok.py",
     "rpr005_ok.py",
-    "rpr006_ok.py",
-    "rpr007_ok.py",
     "rpr008_ok.py",
     "rpr009_ok.py",
     "rpr010_ok.py",
@@ -100,8 +95,6 @@ def test_ok_fixture_is_clean(fixture):
     "rpr003_suppressed.py",
     "rpr004_suppressed.py",
     "rpr005_suppressed.py",
-    "rpr006_suppressed.py",
-    "rpr007_suppressed.py",
     "rpr008_suppressed.py",
     "rpr009_suppressed.py",
     "rpr010_suppressed.py",
@@ -111,21 +104,21 @@ def test_suppressed_fixture_is_clean(fixture):
     assert lint_fixture(fixture) == []
 
 
-# -- RPR010 upgrades RPR006 (the regression the CFG proof exists for) --
+# -- RPR010: every uncheckpointed loop shape, one finding each --------
 
-def test_rpr010_catches_what_rpr006_misses():
-    # Both cycles in the fixture pass RPR006's syntactic scan: the for
-    # loop because RPR006 only looks at while statements, the drain
-    # loop because its only checkpoint sits on the break path.  The
-    # SCC proof flags both.
+def test_rpr010_flags_each_loop_shape():
+    # The kernel-work for loop, the while whose only checkpoint sits on
+    # the break path, and the two worklist whiles whose every call is a
+    # container operation.
     violations = lint_fixture("rpr010_trigger.py")
     assert rule_ids(violations) == {"RPR010"}
-    assert not [v for v in violations if v.rule == "RPR006"]
+    flagged = sorted(re.search(r"kernel '(\w+)'", v.message).group(1)
+                     for v in violations)
+    assert flagged == ["drain", "drain_total", "image_sweep", "mark"]
 
 
 def test_new_rule_severities():
-    violations = lint_fixture("rpr007_trigger.py") \
-        + lint_fixture("rpr008_trigger.py") \
+    violations = lint_fixture("rpr008_trigger.py") \
         + lint_fixture("rpr010_trigger.py")
     assert violations
     assert all(v.severity == "error" for v in violations)

@@ -1,4 +1,4 @@
-"""Targeted tests for the flow-aware rules (RPR007..RPR011)."""
+"""Targeted tests for the flow-aware rules (RPR008..RPR011)."""
 
 from __future__ import annotations
 
@@ -12,87 +12,6 @@ REFS = "# repro-lint: refs\n"
 def findings(source: str, rule: str, path: str = "mod.py"):
     return [v for v in lint_source(source, path=path)
             if v.rule == rule]
-
-
-# -- RPR007 ------------------------------------------------------------
-
-def test_rpr007_ignores_non_serve_modules():
-    source = (
-        "import time\n"
-        "async def handler():\n"
-        "    time.sleep(1)\n"
-    )
-    assert findings(source, "RPR007") == []
-
-
-def test_rpr007_serve_path_activates_without_pragma():
-    source = (
-        "import time\n"
-        "async def handler():\n"
-        "    time.sleep(1)\n"
-    )
-    assert findings(source, "RPR007",
-                    path="src/repro/serve/thing.py")
-
-
-def test_rpr007_awaited_calls_are_exempt():
-    source = SERVE + (
-        "import asyncio\n"
-        "async def handler(executor):\n"
-        "    await asyncio.to_thread(executor.shutdown)\n"
-    )
-    assert findings(source, "RPR007") == []
-
-
-def test_rpr007_from_import_sleep_alias():
-    source = SERVE + (
-        "from time import sleep as snooze\n"
-        "async def handler():\n"
-        "    snooze(1)\n"
-    )
-    (violation,) = findings(source, "RPR007")
-    assert "time.sleep" in violation.message
-
-
-def test_rpr007_traversal_stops_at_async_callees():
-    # handler -> other_async: calling an async def only builds a
-    # coroutine, so other_async's body is not an event-loop path *via
-    # this edge* — it is async itself and scanned independently; the
-    # sync helper below it is only reachable from nothing.
-    source = SERVE + (
-        "import time\n"
-        "async def handler():\n"
-        "    return other_async()\n"
-        "def helper():\n"
-        "    time.sleep(1)\n"
-        "async def other_async():\n"
-        "    return 1\n"
-    )
-    assert findings(source, "RPR007") == []
-
-
-def test_rpr007_transitive_sync_helper_is_flagged():
-    source = SERVE + (
-        "import time\n"
-        "async def handler():\n"
-        "    return helper()\n"
-        "def helper():\n"
-        "    return deeper()\n"
-        "def deeper():\n"
-        "    time.sleep(1)\n"
-    )
-    (violation,) = findings(source, "RPR007")
-    assert "deeper" in violation.message
-    assert "handler" in violation.message
-
-
-def test_rpr007_annotated_manager_param():
-    source = SERVE + (
-        "async def snapshot(m: Manager):\n"
-        "    return m.apply('and', 1, 2)\n"
-    )
-    (violation,) = findings(source, "RPR007")
-    assert "kernel call" in violation.message
 
 
 # -- RPR008 ------------------------------------------------------------
@@ -186,46 +105,6 @@ def test_rpr009_function_provenance_from_manager_method():
     assert "function" in violation.message
 
 
-def test_rpr009_mutation_before_freeze_is_fine():
-    source = (
-        "import gc\n"
-        "CACHE = {}\n"
-        "def prewarm():\n"
-        "    CACHE['a'] = 1\n"
-        "    CACHE.update(b=2)\n"
-        "    gc.freeze()\n"
-        "    return len(CACHE)\n"
-    )
-    assert findings(source, "RPR009") == []
-
-
-def test_rpr009_branchy_post_freeze_mutation():
-    # The mutation only happens on one path — the may-analysis still
-    # catches it, because "frozen" flows through the union join.
-    source = (
-        "import gc\n"
-        "CACHE = {}\n"
-        "def prewarm(flag):\n"
-        "    if flag:\n"
-        "        gc.freeze()\n"
-        "    CACHE['late'] = 1\n"
-        "    return None\n"
-    )
-    (violation,) = findings(source, "RPR009")
-    assert "gc.freeze" in violation.message
-
-
-def test_rpr009_mutator_method_after_freeze():
-    source = (
-        "import gc\n"
-        "CACHE = {}\n"
-        "def prewarm():\n"
-        "    gc.freeze()\n"
-        "    CACHE.setdefault('a', 1)\n"
-    )
-    assert findings(source, "RPR009")
-
-
 # -- RPR010 ------------------------------------------------------------
 
 def test_rpr010_inactive_without_governed_marker():
@@ -267,15 +146,27 @@ def test_rpr010_checkpoint_alias_recognized():
     assert findings(source, "RPR010") == []
 
 
-def test_rpr010_trivial_cycle_needs_no_checkpoint():
-    source = GOVERNED + (
+def test_rpr010_container_calls_exempt_for_loops_only():
+    # Cheap per iteration does not bound a while: a worklist drains as
+    # slowly as the graph is big.
+    drain = GOVERNED + (
         "def drain(work):\n"
         "    total = 0\n"
         "    while work:\n"
         "        total += work.pop()\n"
         "    return total\n"
     )
-    assert findings(source, "RPR010") == []
+    assert findings(drain, "RPR010")
+    # A for loop doing only container work is bounded by what it
+    # iterates.
+    gather = GOVERNED + (
+        "def gather(items):\n"
+        "    seen = set()\n"
+        "    for item in items:\n"
+        "        seen.add(item)\n"
+        "    return seen\n"
+    )
+    assert findings(gather, "RPR010") == []
 
 
 def test_rpr010_checkpoint_on_return_path_does_not_count():

@@ -2,7 +2,7 @@
 
 One store ships (:class:`~repro.bdd.arraystore.ArrayStore`), so these
 tests cover what is specific to it: name resolution, the terminal ids,
-the numpy and portable GC sweeps, governor unwind over the flat
+the GC sweep and reference recount, governor unwind over the flat
 columns, the sanitizer checks on a swept store (its own representation
 — column lengths, terminals, the free list — and the graph checks
 among free slots and recycled ids), and the guarantees that keep the
@@ -16,7 +16,6 @@ import os
 import random
 import subprocess
 import sys
-from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
@@ -70,39 +69,31 @@ class TestRegistry:
 
 
 class TestSweepPaths:
-    """The vectorized and portable GC sweeps are interchangeable."""
+    """The one GC sweep, and numpy staying off the import path."""
 
-    @staticmethod
-    def _collected_manager():
-        manager = Manager(NAMES, backend="array")
+    def test_sweep_keeps_functions_and_recounts_refs(self):
+        manager = Manager(NAMES)
         kept = seeded_functions(manager)[:2]
-        for extra in seeded_functions(manager, count=6)[2:]:
-            del extra  # garbage for the sweep to find
-        manager.collect_garbage()
-        return manager, kept
-
-    @pytest.mark.skipif(find_spec("numpy") is None,
-                        reason="numpy unavailable: only the portable "
-                               "sweep can run")
-    def test_portable_sweep_matches_vectorized(self, monkeypatch):
-        vec_manager, vec_kept = self._collected_manager()
-        # A None entry makes ``import numpy`` raise ImportError.
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        por_manager, por_kept = self._collected_manager()
-        vec, por = vec_manager.store, por_manager.store
-        assert vec.num_nodes == por.num_nodes
-        assert list(vec.level) == list(por.level)
-        assert list(vec.ref) == list(por.ref)
-        # The paths free in different orders but must free the same
-        # slots.
-        assert sorted(vec._free) == sorted(por._free)
-        for f, g in zip(vec_kept, por_kept):
-            assert truth_table(f, NAMES) == truth_table(g, NAMES)
-        assert vec_manager.debug_check() == []
-        assert por_manager.debug_check() == []
+        tables = [truth_table(f, NAMES) for f in kept]
+        seeded_functions(manager, count=6)  # garbage for the sweep
+        assert manager.collect_garbage() > 0
+        # Every ref is exactly a fresh recount: the parent arcs, one
+        # per root, and the permanent reference of each terminal.
+        store = manager.store
+        fresh = [0] * len(store.ref)
+        for node in store.iter_nodes():
+            fresh[store.hi[node]] += 1
+            fresh[store.lo[node]] += 1
+        for root in manager.live_root_handles():
+            fresh[root] += 1
+        fresh[0] += 1
+        fresh[1] += 1
+        assert list(store.ref) == fresh
+        assert [truth_table(f, NAMES) for f in kept] == tables
+        assert manager.debug_check() == []
 
     def test_import_leaves_numpy_unloaded(self):
-        """numpy is imported on first use, never by importing the CLI."""
+        """No code path imports numpy, so the CLI never loads it."""
         probe = "import sys, repro.cli; print('numpy' in sys.modules)"
         src = str(Path(arraystore.__file__).parents[2])
         out = subprocess.run([sys.executable, "-c", probe], check=True,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 
 import pytest
 
@@ -82,36 +81,12 @@ def _build(manager, terms):
 
 
 class TestVectorizedSatCount:
-    """ArrayStore.sat_count_vector against the per-node count map."""
-
-    def _counts(self, count=20, seed=20260808):
-        """(column-sweep count, per-node count) of random functions and
-        their complements."""
-        rng = random.Random(seed)
-        for _ in range(count):
-            names, terms = _random_dnf(rng)
-            f = _build(Manager(vars=names), terms)
-            for g in (f, ~f):
-                if g.node < 2:
-                    continue
-                store, nvars = g.manager.store, len(names)
-                per_node = minterm_count_map(store, g.node, nvars)
-                yield (store.sat_count_vector(g.node, nvars),
-                       per_node[g.node] << store.level[g.node])
-
-    def test_differential_random_functions(self):
-        for vector, per_node in self._counts():
-            assert vector == per_node
-
-    def test_pure_python_fallback_matches(self, monkeypatch):
-        # A None entry makes ``import numpy`` raise ImportError.
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        for vector, per_node in self._counts(count=8):
-            assert vector == per_node
+    """The edge cases of the former column-sweep counter, held against
+    sat_count, which is now the only counting path."""
 
     def test_wide_counts_take_python_branch(self):
-        # nvars > 61 overflows int64, so the numpy path must bow out;
-        # the pure-python sweep still returns the exact big integer.
+        # nvars > 61 overflows int64; the count is still the exact big
+        # integer.
         names, terms = _random_dnf(random.Random(7))
         arr = Manager(vars=names, backend="array")
         f = _build(arr, terms)
@@ -119,18 +94,23 @@ class TestVectorizedSatCount:
         assert f.sat_count(100) == narrow << 92
 
     def test_vector_refuses_unvalidatable_support(self):
-        # sat_count_vector sweeps whole store levels, so it cannot
-        # count over fewer variables than the store declares; the hook
-        # must fall back (None), never return a wrong count.
+        # Counting over fewer variables than the store declares, down
+        # to the support, is exact.
         arr = Manager(vars=[f"x{i}" for i in range(8)], backend="array")
         f = arr.var("x0")
-        assert arr.store.sat_count_vector(f.node, 3) is None
+        assert f.sat_count(3) == 4
+        assert f.sat_count(1) == 1
         assert f.sat_count() == 128
 
     def test_vector_terminals(self):
         arr = Manager(vars=["a", "b"], backend="array")
-        assert arr.store.sat_count_vector(arr.true.node, 2) == 4
-        assert arr.store.sat_count_vector(arr.false.node, 2) == 0
+        assert arr.true.sat_count(2) == 4
+        assert arr.false.sat_count(2) == 0
+        assert arr.true.sat_count(100) == 2 ** 100
+        assert arr.false.sat_count(100) == 0
+
+
+class TestMintermCountMap:
     def test_internal_counts(self):
         m, vs = fresh_manager(3)
         f = vs[0] & vs[1] & vs[2]

@@ -116,6 +116,13 @@ class TestParse:
             parse_blif(".model x\n.outputs f\n.end")
         with pytest.raises(BlifError):
             parse_blif("11 1\n.end")
+        # A signal declared twice: as two inputs, or driven by two
+        # latches.
+        with pytest.raises(BlifError, match="'a' already exists"):
+            parse_blif(".model x\n.inputs a a\n.end")
+        with pytest.raises(BlifError, match="'q' already exists"):
+            parse_blif(".model x\n.latch n q 0\n.latch n q 1\n"
+                       ".names q n\n1 1\n.end")
 
 
 class TestRoundTrip:

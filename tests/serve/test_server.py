@@ -18,6 +18,7 @@ import pytest
 from repro.fsm.benchmarks import counter
 from repro.fsm.blif import write_blif
 from repro.serve import MAX_LINE, Client, ClientTimeout, ServerError
+from repro.serve.session import MAX_COUNT_VARS
 
 from ..helpers import MANAGER_SETTINGS, SETTINGS
 
@@ -153,7 +154,7 @@ def test_approx_rejects_bad_quality(client):
 
 def test_count_rejects_bad_nvars(client):
     f = client.apply("and", client.var("a"), client.var("b"))
-    for nvars in (1, 0, -1, "2", True, 2.0):
+    for nvars in (1, 0, -1, "2", True, 2.0, MAX_COUNT_VARS + 1, 10**9):
         with pytest.raises(ServerError) as excinfo:
             client.call("count", {"f": f, "nvars": nvars})
         assert excinfo.value.code == "bad-request", nvars
@@ -275,9 +276,14 @@ def test_reach_high_density_matches_bfs(client):
 
 
 def test_reach_rejects_bad_blif(client):
-    with pytest.raises(ServerError) as excinfo:
-        client.reach(".broken\n")
-    assert excinfo.value.code == "bad-request"
+    for blif in (".broken\n",
+                 ".inputs a a\n.end\n",
+                 ".latch n q 0\n.latch n q 1\n.names q n\n1 1\n.end\n"):
+        with pytest.raises(ServerError) as excinfo:
+            client.reach(blif)
+        assert excinfo.value.code == "bad-request", blif
+    # The connection stays open.
+    assert client.reach(write_blif(counter(2)))["complete"] is True
 
 
 def test_reach_rejects_bad_int_params(client):

@@ -116,6 +116,49 @@ class TestDecomp:
             main(["nope"])
 
 
+class TestBadCircuit:
+    """A malformed or unreadable BLIF file is one line on stderr and
+    exit status 1, from every command that reads one."""
+
+    @pytest.fixture
+    def bad_blif(self, tmp_path):
+        path = tmp_path / "bad.blif"
+        path.write_text(".model x\n.inputs a a\n.end\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", [
+        ["info"], ["reach"], ["approx"], ["decomp"], ["check"],
+        ["save", "--store", "st"]])
+    def test_every_reader_reports_the_file(self, command, bad_blif,
+                                           tmp_path, capsys):
+        assert main(command[:1] + [bad_blif] + command[1:]) == 1
+        assert capsys.readouterr().err == \
+            f"repro: {bad_blif}: signal 'a' already exists\n"
+        missing = str(tmp_path / "missing.blif")
+        assert main(command[:1] + [missing] + command[1:]) == 1
+        assert capsys.readouterr().err == \
+            f"repro: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("which", ["bad", "missing"])
+    def test_no_traceback(self, which, bad_blif, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        path = bad_blif if which == "bad" \
+            else str(tmp_path / "missing.blif")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "reach", path],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"repro: {path}: ")
+        assert proc.stderr.count("\n") == 1
+
+
 class TestServeCall:
     """`repro call` against an in-process daemon."""
 
