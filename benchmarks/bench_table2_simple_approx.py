@@ -11,7 +11,8 @@ The population is fanned over the experiment engine
 worker rebuilds its slice and runs
 :func:`repro.harness.experiments.simple_approx_rows`; ``--jobs 1``
 runs the same bodies inline and produces identical rows.  Results are
-persisted to ``BENCH_table2.json``.
+persisted to ``BENCH_table2.json``; at quick scale every row must match
+its pin in ``table_digests.json``.
 
 Run:  pytest benchmarks/bench_table2_simple_approx.py --benchmark-only -s
 """
@@ -47,7 +48,7 @@ def run_engine(scale, jobs, resume_from=None):
 
 
 def as_measurements(func_rows):
-    """Flat trajectory rows -> per-method Measurement dicts."""
+    """Flat result rows -> per-method Measurement dicts."""
     return [{m: Measurement(nodes=row[f"{m}_nodes"],
                             minterms=row[f"{m}_minterms"])
              for m in METHODS} for row in func_rows]
@@ -92,7 +93,7 @@ def summarize(rows) -> str:
 
 @pytest.mark.benchmark(group="table2")
 def test_table2_simple_methods(benchmark, scale, jobs, bench_writer,
-                               resume_from):
+                               check_pins, resume_from):
     run, specs, previous = benchmark.pedantic(
         run_engine, args=(scale, jobs, resume_from),
         rounds=1, iterations=1)
@@ -112,6 +113,7 @@ def test_table2_simple_methods(benchmark, scale, jobs, bench_writer,
     print(summarize(rows))
     print(cache_summary(run))
     bench_writer("table2", merged, run)
+    check_pins("table2", func_rows)
     # Shape assertions from the paper: RUA is the densest simple method
     # on geometric mean and takes the most wins.
     score = wins_and_ties([{k: v for k, v in row.items() if k != "F"}

@@ -8,7 +8,8 @@ uses roughly half the nodes of C1.
 
 Fanned over the experiment engine one population spec per task (see
 :func:`repro.harness.experiments.compound_approx_rows`); results are
-persisted to ``BENCH_table3.json``.
+persisted to ``BENCH_table3.json``, and at quick scale every row must
+match its pin in ``table_digests.json``.
 
 Run:  pytest benchmarks/bench_table3_compound_approx.py --benchmark-only -s
 """
@@ -61,7 +62,8 @@ def summarize(rows) -> str:
 
 
 @pytest.mark.benchmark(group="table3")
-def test_table3_compound_methods(benchmark, scale, jobs, bench_writer):
+def test_table3_compound_methods(benchmark, scale, jobs, bench_writer,
+                                 check_pins):
     run = benchmark.pedantic(run_engine, args=(scale, jobs),
                              rounds=1, iterations=1)
     assert not run.failures, [o.error for o in run.failures]
@@ -72,6 +74,7 @@ def test_table3_compound_methods(benchmark, scale, jobs, bench_writer):
     print(f"[population: {len(rows)} functions, jobs={run.jobs}]")
     print(summarize(rows))
     bench_writer("table3", func_rows + task_rows(run), run)
+    check_pins("table3", func_rows)
     # Paper shape: C1 never loses to RUA; C2 never loses to SP.
     for row in rows:
         c1_d = row["C1"].minterms * max(1, row["RUA"].nodes)

@@ -9,7 +9,8 @@ size of the larger factor.
 One engine run covers both size classes: the workers return ``f_nodes``
 per row (:func:`repro.harness.experiments.decomposition_rows`), so the
 large class is a filter over the same rows.  The run is cached at
-module level and persisted to ``BENCH_table4.json``.
+module level and persisted to ``BENCH_table4.json``; at quick scale
+every row must match its pin in ``table_digests.json``.
 
 Run:  pytest benchmarks/bench_table4_decomposition.py --benchmark-only -s
 """
@@ -70,7 +71,8 @@ def summarize(rows, title) -> str:
 
 
 @pytest.mark.benchmark(group="table4")
-def test_table4_small_class(benchmark, scale, jobs, bench_writer):
+def test_table4_small_class(benchmark, scale, jobs, bench_writer,
+                            check_pins):
     run = benchmark.pedantic(run_engine, args=(scale, jobs),
                              rounds=1, iterations=1)
     assert not run.failures, [o.error for o in run.failures]
@@ -83,6 +85,7 @@ def test_table4_small_class(benchmark, scale, jobs, bench_writer):
         f"Table 4 (class >= {scale.min_nodes} nodes, "
         f"|f| mean = {mean_size:.1f}, {len(rows)} BDDs)"))
     bench_writer("table4", flat_rows(run) + task_rows(run), run)
+    check_pins("table4", flat_rows(run))
     wins, _ = score_wins(rows)
     # Paper shape: Cofactor takes the most wins on the full class.
     assert wins["cofactor"] >= wins["disjoint"]

@@ -10,13 +10,16 @@ benchmarks over the experiment engine's worker pool; ``--jobs 1`` runs
 inline.  Either way the result rows are identical — workers rebuild
 their population slice from the same deterministic specs.
 
-Every table benchmark persists a ``BENCH_<name>.json`` trajectory file
-(see :mod:`repro.harness.trajectory`) into ``REPRO_BENCH_DIR`` (default:
-the current directory) through the ``bench_writer`` fixture.
+Every table benchmark persists a ``BENCH_<name>.json`` file (see
+:mod:`repro.harness.trajectory`) into ``REPRO_BENCH_DIR`` (default: the
+current directory) through the ``bench_writer`` fixture.  At quick
+scale, Tables 2–4 then check every row against its pinned digest in
+``table_digests.json`` through the ``check_pins`` fixture.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,8 +27,8 @@ from pathlib import Path
 import pytest
 
 from repro.harness import (bench_payload, failure_rows,
-                           generate_population, resolve_jobs,
-                           write_bench)
+                           generate_population, pin_mismatches,
+                           resolve_jobs, write_bench)
 
 
 def pytest_addoption(parser):
@@ -93,6 +96,21 @@ def bench_writer(scale, jobs, bench_dir):
             total_seconds=run.total_seconds if run is not None else 0.0)
         return write_bench(bench_dir / f"BENCH_{name}.json", payload)
     return write
+
+
+@pytest.fixture(scope="session")
+def check_pins(scale):
+    """``check(name, rows)``: at quick scale, assert that the rows are
+    exactly the ones pinned for table ``name``."""
+    pins = json.loads(
+        (Path(__file__).parent / "table_digests.json").read_text())
+
+    def check(name: str, rows: list[dict]) -> None:
+        if scale.name == "quick":
+            mismatches = pin_mismatches(pins[name], rows)
+            assert not mismatches, f"{name} rows differ from " \
+                f"table_digests.json: {mismatches}"
+    return check
 
 
 @pytest.fixture(scope="session")

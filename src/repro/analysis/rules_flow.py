@@ -240,10 +240,10 @@ def _capture_findings(payload: ast.expr, nested_defs: set[str],
 
 @register_rule(
     "RPR009", "fork-capture", "warning",
-    "A WorkerPool task payload captures something the pipe cannot "
+    "A fork-pool task payload captures something the pipe cannot "
     "pickle (lambda, closure, Manager/Function/store/session), or a "
-    "worker callable is a lambda or closure — both break the fork "
-    "worker protocol.")
+    "run_tasks worker callable is a lambda or closure — both break "
+    "the fork worker protocol.")
 def check_fork_capture(ctx: FileContext) -> Iterator[Violation]:
     for info in _collect_functions(ctx.tree):
         nested_defs = {node.name for node in ast.walk(info.node)
@@ -266,7 +266,7 @@ def check_fork_capture(ctx: FileContext) -> Iterator[Violation]:
                         f"Task payload captures {why}; payloads cross "
                         f"the worker pipe pickled — ship a spec and "
                         f"rebuild in the worker")
-            elif name in ("WorkerPool", "run_tasks") and node.args:
+            elif name == "run_tasks" and node.args:
                 worker = node.args[0]
                 if isinstance(worker, ast.Lambda) or (
                         isinstance(worker, ast.Name)

@@ -384,6 +384,11 @@ class Function:
             names = sorted(self.support(), key=manager.level_of_var)
         else:
             names = list(names)
+            seen: set[str] = set()
+            for name in names:
+                if name in seen:
+                    raise ValueError(f"variable {name!r} named twice")
+                seen.add(name)
         levels = [manager.level_of_var(n) for n in names]
         order = sorted(range(len(names)), key=lambda i: levels[i])
         total = len(order)

@@ -22,9 +22,6 @@ Commands
     ``--dump`` prints the textual node list); loading verifies CRC
     frames and the content address, so corruption is detected, never
     silently returned.
-``trajectory <baseline.json> <current.json>``
-    Compare two ``BENCH_*.json`` benchmark trajectory files and exit
-    non-zero on a regression or result mismatch (the CI perf gate).
 ``serve``
     Run the BDD service daemon (:mod:`repro.serve`): a threaded server
     exposing the toolkit verbs as a newline-delimited JSON protocol
@@ -78,7 +75,6 @@ from .fsm.blif import BlifError, read_blif
 from .fsm.encode import encode
 from .harness.engine import Task, resolve_jobs, run_tasks
 from .harness.tables import format_manager_stats, format_table
-from .harness.trajectory import compare_files
 from .reach.bfs import bfs_reachability, count_states
 from .reach.degrade import ON_BLOWUP_MODES
 from .reach.highdensity import high_density_reachability
@@ -528,17 +524,6 @@ def cmd_call(args) -> int:
     return 0
 
 
-def cmd_trajectory(args) -> int:
-    try:
-        report = compare_files(args.baseline, args.current,
-                               tolerance=args.tolerance,
-                               time_floor=args.time_floor)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"repro: {exc}")
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -757,19 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="build BDDs for a circuit and run the graph sanitizer")
     p_check.add_argument("circuit", help="BLIF file")
     p_check.set_defaults(func=cmd_check)
-
-    p_traj = sub.add_parser(
-        "trajectory",
-        help="compare two BENCH_*.json benchmark trajectory files")
-    p_traj.add_argument("baseline", help="baseline BENCH_*.json")
-    p_traj.add_argument("current", help="current BENCH_*.json")
-    p_traj.add_argument("--tolerance", type=float, default=1.5,
-                        help="acceptable current/baseline wall-clock "
-                             "ratio (default: 1.5)")
-    p_traj.add_argument("--time-floor", type=float, default=0.05,
-                        help="rows faster than this many baseline "
-                             "seconds never regress (default: 0.05)")
-    p_traj.set_defaults(func=cmd_trajectory)
     return parser
 
 

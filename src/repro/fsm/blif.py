@@ -5,7 +5,8 @@ ISCAS-style benchmarks use: ``.model``, ``.inputs``, ``.outputs``,
 ``.latch <in> <out> [<type> <ctrl>] [init]``, and single-output
 ``.names`` tables with 1/0/- cube rows.  ``.names`` covers are read as
 sums of cubes (output value 1 rows) or complemented products (output
-value 0 rows).
+value 0 rows).  Every signal has one driver: an input, a latch or one
+``.names`` table.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ def parse_blif(text: str) -> Circuit:
         nonlocal current
         if current is not None:
             signal, deps, rows = current
+            if signal in tables:
+                raise BlifError(
+                    f"signal {signal!r} driven by two .names tables")
             tables[signal] = (deps, rows)
             current = None
 
@@ -102,6 +106,10 @@ def parse_blif(text: str) -> Circuit:
                     raise BlifError(f"cube width mismatch for {signal!r}")
                 rows.append((mask, value))
     close_table()
+    for signal in inputs + [out for _, out, _ in latches]:
+        if signal in tables:
+            raise BlifError(f"signal {signal!r} is an input or latch "
+                            f"and also driven by a .names table")
 
     builder = CircuitBuilder(name)
     variables: dict[str, Net] = {}

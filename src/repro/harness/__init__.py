@@ -9,13 +9,12 @@ Layout:
 * :mod:`~repro.harness.experiments` — the per-task experiment bodies
   shared by the benchmarks, the CLI, and the determinism tests.
 * :mod:`~repro.harness.trajectory` — persisted ``BENCH_*.json``
-  benchmark results and the trajectory comparator.
+  benchmark results, resume support and the Table 2–4 row pins.
 * :mod:`~repro.harness.stats` / :mod:`~repro.harness.tables` —
   population statistics and fixed-width table rendering.
 """
 
-from .engine import (EngineRun, Task, TaskOutcome, WorkerPool,
-                     resolve_jobs, run_tasks)
+from .engine import EngineRun, Task, TaskOutcome, resolve_jobs, run_tasks
 from .population import (EntrySpec, PopulationEntry, build_entries,
                          combinational_population, combinational_specs,
                          generate_population, make_circuit,
@@ -23,10 +22,9 @@ from .population import (EntrySpec, PopulationEntry, build_entries,
                          traversal_specs)
 from .stats import Measurement, denser, geometric_mean, wins_and_ties
 from .tables import format_manager_stats, format_table
-from .trajectory import (bench_payload, compare, compare_files,
-                         failure_rows, load_bench, merge_rows,
-                         resume_tasks, spec_digest, task_rows,
-                         write_bench)
+from .trajectory import (bench_payload, failure_rows, load_bench,
+                         merge_rows, pin_mismatches, resume_tasks,
+                         row_digest, spec_digest, task_rows, write_bench)
 
 __all__ = [
     "PopulationEntry",
@@ -42,19 +40,18 @@ __all__ = [
     "Task",
     "TaskOutcome",
     "EngineRun",
-    "WorkerPool",
     "resolve_jobs",
     "run_tasks",
     "bench_payload",
     "write_bench",
     "load_bench",
-    "compare",
-    "compare_files",
     "task_rows",
     "failure_rows",
     "spec_digest",
     "resume_tasks",
     "merge_rows",
+    "row_digest",
+    "pin_mismatches",
     "Measurement",
     "geometric_mean",
     "denser",

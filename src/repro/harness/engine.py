@@ -53,7 +53,6 @@ __all__ = [
     "Task",
     "TaskOutcome",
     "EngineRun",
-    "WorkerPool",
     "resolve_jobs",
     "run_tasks",
 ]
@@ -153,16 +152,17 @@ def run_tasks(worker: Callable[[object], object],
               *,
               jobs: int | None = None,
               timeout: float | None = None,
-              retries: int = 1,
-              start_method: str | None = None) -> EngineRun:
+              retries: int = 1) -> EngineRun:
     """Run ``worker(task.payload)`` for every task, possibly in parallel.
 
     Parameters
     ----------
     worker:
         Callable executed once per task.  Under multiprocessing it runs
-        in a forked worker, so it must not depend on parent-side mutable
-        state; its return value must be picklable plain data.
+        in a worker process, forked where the platform allows so that
+        callables defined in scripts and benchmark modules stay
+        reachable; it must not depend on parent-side mutable state, and
+        its return value must be picklable plain data.
     tasks:
         The work list.  Outcomes come back in the same order.
     jobs:
@@ -179,10 +179,6 @@ def run_tasks(worker: Callable[[object], object],
         :class:`~repro.bdd.governor.ResourceError` escaping the worker)
         are exempt: the abort is deterministic, so the row settles as
         ``budget`` on the first attempt.
-    start_method:
-        Multiprocessing start method; default prefers ``fork`` (workers
-        inherit the parent's imported modules, so worker callables
-        defined in scripts and benchmark modules stay reachable).
     """
     tasks = list(tasks)
     if retries < 0:
@@ -192,11 +188,10 @@ def run_tasks(worker: Callable[[object], object],
     if jobs <= 1 and timeout is None and \
             all(t.timeout is None for t in tasks):
         outcomes = [_run_inline(worker, task, retries) for task in tasks]
-        return EngineRun(outcomes=outcomes, jobs=1,
-                         total_seconds=time.perf_counter() - start)
-    with WorkerPool(worker, jobs=jobs, timeout=timeout, retries=retries,
-                    start_method=start_method) as pool:
-        return pool.run(tasks)
+    else:
+        outcomes = _run_pool(worker, tasks, jobs, timeout, retries)
+    return EngineRun(outcomes=outcomes, jobs=jobs,
+                     total_seconds=time.perf_counter() - start)
 
 
 # ----------------------------------------------------------------------
@@ -317,185 +312,110 @@ class _Worker:
             pass
 
 
-def _pick_start_method(requested: str | None) -> str:
-    if requested is not None:
-        return requested
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else methods[0]
+def _run_pool(worker, tasks: list[Task], jobs: int,
+              timeout: float | None, retries: int) -> list[TaskOutcome]:
+    """Run every task on at most ``jobs`` worker processes.
 
-
-class WorkerPool:
-    """A persistent pool of worker processes with fault isolation.
-
-    A ``WorkerPool`` keeps its worker processes alive across
-    :meth:`run` calls, so state a worker builds once (a manager, a
-    transition relation, warm caches) serves every later batch;
-    :func:`run_tasks` runs a single batch on a throwaway pool.
-
-    The pool is lazy: workers are spawned on first use, never more than
-    ``jobs`` of them, and a worker killed for a timeout or crash is
-    replaced on the spot.  :meth:`run` preserves the :func:`run_tasks`
-    semantics exactly (same statuses, same retry policy, same task
-    ordering of the outcome list).
-
-    Use as a context manager, or call :meth:`close` — an abandoned pool
-    would otherwise keep daemon processes alive until interpreter exit.
+    Workers are spawned lazily, and one killed for a timeout or crash
+    is replaced on the spot.  Every worker is shut down before this
+    returns or raises: idle ones gracefully, busy ones (stale
+    assignments, unread pipes) by force.
     """
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in methods else methods[0])
+    outcomes: list[TaskOutcome | None] = [None] * len(tasks)
+    #: (task index, attempt number) still to dispatch
+    pending: deque[tuple[int, int]] = deque(
+        (i, 1) for i in range(len(tasks)))
+    workers: list[_Worker] = []
 
-    def __init__(self, worker: Callable[[object], object], *,
-                 jobs: int | None = None,
-                 timeout: float | None = None,
-                 retries: int = 1,
-                 start_method: str | None = None) -> None:
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        self.worker = worker
-        self.jobs = resolve_jobs(jobs)
-        self.timeout = timeout
-        self.retries = retries
-        self._ctx = multiprocessing.get_context(
-            _pick_start_method(start_method))
-        self._workers: list[_Worker] = []
-        self._closed = False
+    def task_timeout(task: Task) -> float | None:
+        return timeout if task.timeout is None else task.timeout
 
-    @property
-    def start_method(self) -> str:
-        return self._ctx.get_start_method()
+    def settle(w: _Worker, status: str, *, result=None, seconds=None,
+               error=None) -> None:
+        """Record one attempt's outcome, or requeue it for a retry.
 
-    def worker_pids(self) -> list[int]:
-        """PIDs of the live worker processes (spawn order)."""
-        return [w.process.pid for w in self._workers
-                if w.process.is_alive()]
-
-    def run(self, tasks: Iterable[Task],
-            timeout: float | None = None) -> EngineRun:
-        """Run every task on the pool; workers stay warm afterwards.
-
-        ``timeout`` overrides the pool-wide default for this run only
-        (per-task ``Task.timeout`` still wins).  If the run is aborted
-        by an exception, every busy worker is killed — a worker stuck
-        mid-task cannot be reused — and idle ones survive.
+        Budget rows never requeue: a governor abort is deterministic
+        (same payload, same budget, same abort), unlike the transient
+        failures — crash, timeout — the bounded retry exists for.
         """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        tasks = list(tasks)
-        start = time.perf_counter()
-        run_timeout = self.timeout if timeout is None else timeout
-        outcomes: list[TaskOutcome | None] = [None] * len(tasks)
-        #: (task index, attempt number) still to dispatch
-        pending: deque[tuple[int, int]] = deque(
-            (i, 1) for i in range(len(tasks)))
-        workers = self._workers
+        index, attempt = w.index, w.attempt
+        w.index = None
+        if status not in (OK, BUDGET) and attempt <= retries:
+            pending.append((index, attempt + 1))
+            return
+        outcomes[index] = TaskOutcome(
+            key=tasks[index].key, status=status, result=result,
+            seconds=w.elapsed() if seconds is None else seconds,
+            attempts=attempt, error=error)
 
-        def task_timeout(task: Task) -> float | None:
-            return run_timeout if task.timeout is None else task.timeout
+    try:
+        while pending or any(w.index is not None for w in workers):
+            # Keep the pool at strength while work is dispatchable.
+            idle = sum(w.index is None for w in workers)
+            while len(workers) < jobs and idle < len(pending):
+                workers.append(_Worker(ctx, worker))
+                idle += 1
+            for w in workers:
+                if w.index is None and pending:
+                    index, attempt = pending.popleft()
+                    w.assign(index, tasks[index].payload, attempt,
+                             task_timeout(tasks[index]))
 
-        def settle(w: _Worker, status: str, *, result=None,
-                   seconds=None, error=None) -> None:
-            """Record one attempt's outcome, or requeue it for a retry.
+            busy = [w for w in workers if w.index is not None]
+            if not busy:
+                continue
+            now = time.perf_counter()
+            deadlines = [w.deadline for w in busy
+                         if w.deadline is not None]
+            wait_for = max(0.0, min(deadlines) - now) if deadlines \
+                else None
+            ready = set(_wait_connections(
+                [w.conn for w in busy] + [w.process.sentinel
+                                          for w in busy],
+                timeout=wait_for))
 
-            Budget rows never requeue: a governor abort is
-            deterministic (same payload, same budget, same abort),
-            unlike the transient failures — crash, timeout — the
-            bounded retry exists for.
-            """
-            index, attempt = w.index, w.attempt
-            w.index = None
-            if status not in (OK, BUDGET) and attempt <= self.retries:
-                pending.append((index, attempt + 1))
-                return
-            outcomes[index] = TaskOutcome(
-                key=tasks[index].key, status=status, result=result,
-                seconds=w.elapsed() if seconds is None else seconds,
-                attempts=attempt, error=error)
-
-        try:
-            while pending or any(w.index is not None for w in workers):
-                # Keep the pool at strength while work is dispatchable.
-                idle = sum(w.index is None for w in workers)
-                while len(workers) < self.jobs and idle < len(pending):
-                    workers.append(_Worker(self._ctx, self.worker))
-                    idle += 1
-                for w in workers:
-                    if w.index is None and pending:
-                        index, attempt = pending.popleft()
-                        w.assign(index, tasks[index].payload, attempt,
-                                 task_timeout(tasks[index]))
-
-                busy = [w for w in workers if w.index is not None]
-                if not busy:
+            now = time.perf_counter()
+            for i, w in enumerate(workers):
+                if w.index is None:
                     continue
-                now = time.perf_counter()
-                deadlines = [w.deadline for w in busy
-                             if w.deadline is not None]
-                wait_for = max(0.0, min(deadlines) - now) if deadlines \
-                    else None
-                ready = set(_wait_connections(
-                    [w.conn for w in busy] + [w.process.sentinel
-                                              for w in busy],
-                    timeout=wait_for))
-
-                now = time.perf_counter()
-                for i, w in enumerate(workers):
-                    if w.index is None:
-                        continue
-                    if w.conn in ready:
-                        try:
-                            status, result, seconds, error = \
-                                w.conn.recv()
-                        except (EOFError, OSError):
-                            # Worker died while (or instead of)
-                            # reporting.
-                            settle(w, CRASHED,
-                                   error=_crash_note(w.process))
-                            w.kill()
-                            workers[i] = _Worker(self._ctx, self.worker)
-                        else:
-                            settle(w, status, result=result,
-                                   seconds=seconds, error=error)
-                        continue
-                    if w.deadline is not None and now >= w.deadline:
-                        budget = task_timeout(tasks[w.index])
-                        settle(w, TIMEOUT,
-                               error=f"timed out after {budget:.1f}s")
-                        w.kill()
-                        workers[i] = _Worker(self._ctx, self.worker)
-                        continue
-                    if w.process.sentinel in ready and \
-                            not w.process.is_alive():
-                        if w.conn.poll():
-                            # The result beat the death notice through
-                            # the pipe; pick it up on the next turn.
-                            continue
+                if w.conn in ready:
+                    try:
+                        status, result, seconds, error = w.conn.recv()
+                    except (EOFError, OSError):
+                        # Worker died while (or instead of) reporting.
                         settle(w, CRASHED, error=_crash_note(w.process))
                         w.kill()
-                        workers[i] = _Worker(self._ctx, self.worker)
-        except BaseException:
-            # Busy workers hold stale assignments and unread pipes;
-            # none of them can be trusted for the next run.
-            self._discard_workers()
-            raise
-        return EngineRun(outcomes=outcomes, jobs=self.jobs,
-                         total_seconds=time.perf_counter() - start)
-
-    def _discard_workers(self) -> None:
-        workers, self._workers = self._workers, []
+                        workers[i] = _Worker(ctx, worker)
+                    else:
+                        settle(w, status, result=result,
+                               seconds=seconds, error=error)
+                    continue
+                if w.deadline is not None and now >= w.deadline:
+                    budget = task_timeout(tasks[w.index])
+                    settle(w, TIMEOUT,
+                           error=f"timed out after {budget:.1f}s")
+                    w.kill()
+                    workers[i] = _Worker(ctx, worker)
+                    continue
+                if w.process.sentinel in ready and \
+                        not w.process.is_alive():
+                    if w.conn.poll():
+                        # The result beat the death notice through the
+                        # pipe; pick it up on the next turn.
+                        continue
+                    settle(w, CRASHED, error=_crash_note(w.process))
+                    w.kill()
+                    workers[i] = _Worker(ctx, worker)
+    finally:
         for w in workers:
             if w.index is None and w.process.is_alive():
                 w.stop()
             else:
                 w.kill()
-
-    def close(self) -> None:
-        """Shut every worker down; the pool cannot be reused."""
-        self._closed = True
-        self._discard_workers()
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    return outcomes
 
 
 def _crash_note(process) -> str:

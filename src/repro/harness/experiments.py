@@ -5,7 +5,10 @@ These functions are the payload handlers handed to
 payload, rebuilds whatever BDDs it needs inside the calling process
 (workers own their manager — graphs never cross process boundaries),
 and returns plain-data rows ready for both table rendering and the
-``BENCH_*.json`` trajectory files.
+``BENCH_*.json`` files.  Every Table 2–4 row carries a ``digest``: the
+content address (:func:`repro.store.format.content_address` of
+:func:`~repro.store.format.encode_roots`) of every function the row
+measures, so a row pins its result sets as well as their counts.
 
 They live in the package (rather than in ``benchmarks/``) so the
 benchmark modules, the CLI, and the determinism tests all drive the
@@ -26,6 +29,7 @@ from ..fsm.encode import encode
 from ..reach import (PartialImagePolicy, TransitionRelation,
                      TraversalLimit, bfs_reachability, count_states,
                      high_density_reachability)
+from ..store.format import content_address, encode_roots
 from .population import build_entries, make_circuit
 
 __all__ = [
@@ -98,14 +102,12 @@ def simple_approx_rows(payload) -> dict:
             "UA": bdd_under_approx(f, threshold=0),
             "RUA": rua,
         }
-        # The backend label is an optional trajectory field: compared
-        # exactly when both files carry it, skipped against baselines
-        # that predate pluggable stores.
-        row = {"key": entry.name, "backend": f.manager.backend}
+        row = {"key": entry.name}
         for name, g in results.items():
             assert g <= f, f"{name} broke the subset contract"
             row[f"{name}_nodes"] = len(g)
             row[f"{name}_minterms"] = g.sat_count(nvars)
+        row["digest"] = content_address(encode_roots(f.manager, results))
         rows.append(row)
     return {"rows": rows, "manager_stats": _aggregate_stats(entries)}
 
@@ -130,11 +132,13 @@ def compound_approx_rows(payload) -> dict:
         for name, g in (("C1", c1_result), ("C2", c2_result)):
             assert g <= f, f"{name} broke the subset contract"
         assert c1_result.sat_count(nvars) >= rua.sat_count(nvars)
+        results = {"RUA": rua, "SP": sp, "C1": c1_result,
+                   "C2": c2_result}
         row = {"key": entry.name}
-        for name, g in (("RUA", rua), ("SP", sp), ("C1", c1_result),
-                        ("C2", c2_result)):
+        for name, g in results.items():
             row[f"{name}_nodes"] = len(g)
             row[f"{name}_minterms"] = g.sat_count(nvars)
+        row["digest"] = content_address(encode_roots(f.manager, results))
         rows.append(row)
     return {"rows": rows, "manager_stats": _aggregate_stats(entries)}
 
@@ -149,7 +153,8 @@ def decomposition_rows(payload) -> dict:
     ``payload`` is ``(spec, min_nodes)``.  Each row records, per method,
     the shared size of the factor pair, |G|, |H|, and the larger factor
     (the paper's win criterion), plus ``f_nodes`` so callers can slice
-    the population into the paper's two size classes.
+    the population into the paper's two size classes.  The digest
+    covers every method's two factors.
     """
     spec, min_nodes = payload
     entries = build_entries(spec, min_nodes=min_nodes)
@@ -157,6 +162,7 @@ def decomposition_rows(payload) -> dict:
     for entry in entries:
         f = entry.function
         row = {"key": entry.name, "f_nodes": len(f)}
+        factors = {}
         for method in DECOMP_METHODS:
             g, h = decompose(f, method)
             assert (g & h) == f, f"{method} broke f = g*h"
@@ -165,6 +171,8 @@ def decomposition_rows(payload) -> dict:
             row[f"{method}_g"] = len(g)
             row[f"{method}_h"] = len(h)
             row[f"{method}_big"] = max(len(g), len(h))
+            factors[f"{method}_g"], factors[f"{method}_h"] = g, h
+        row["digest"] = content_address(encode_roots(f.manager, factors))
         rows.append(row)
     return {"rows": rows, "manager_stats": _aggregate_stats(entries)}
 
@@ -214,7 +222,6 @@ def reachability_row(payload) -> dict:
         "circuit": circuit.name,
         "method": method,
         "ff": circuit.num_latches,
-        "backend": encoded.manager.backend,
     }
     deadline = payload.get("deadline")
     on_blowup = payload.get("on_blowup", "raise")

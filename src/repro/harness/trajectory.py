@@ -1,8 +1,9 @@
-"""Persisted benchmark trajectory: ``BENCH_<name>.json`` files.
+"""Persisted benchmark results: ``BENCH_<name>.json`` files.
 
-Every benchmark run serializes a machine-readable result file so that
-future performance work is judged against a recorded baseline instead of
-anecdotes.  The format (schema version 1):
+Every table benchmark serializes a machine-readable result file; a
+partial file lets an interrupted run resume (:func:`resume_tasks`), and
+the Table 2–4 rows are checked against pinned row digests
+(:func:`pin_mismatches`).  The format (schema version 1):
 
 .. code-block:: json
 
@@ -23,38 +24,22 @@ Row conventions
 ---------------
 ``key``
     Unique row identifier; rows are matched across files by key.
-``seconds``
-    Optional wall-clock time of the row.  Compared with a *ratio
-    tolerance* (a row regresses when ``current > tolerance * baseline``
-    and the baseline is above the noise floor).
-int / str / bool / None fields
-    Deterministic results (node counts, minterm counts, state counts,
-    statuses).  Compared for exact equality — any difference is a
-    *mismatch* and fails the comparison.
-``aborts`` / ``degradations`` / ``backend`` / ``spec``
-    Optional fields (schema-compatible additions): the governor
-    counters, the node-store backend the row was produced on, and the
-    task payload digest resume runs match against
-    (:func:`spec_digest`).  Compared exactly when both files carry
-    them, skipped against baselines written before the fields existed.
-other floats and nested objects
-    Informational (timings inside manager stats etc.); ignored by the
-    comparator.
-
-:func:`compare` loads-and-diffs two such files; the ``repro
-trajectory`` CLI command (and ``python -m repro.harness.trajectory``)
-wraps it for CI gates.
+experiment rows
+    Deterministic results (node counts, minterm counts, state counts)
+    and, on Tables 2–4, the ``digest`` of the row's result functions.
+``task/<key>`` rows
+    Engine rows (:func:`task_rows`): wall-clock ``seconds``,
+    ``status``, ``attempts``, the task payload digest resume runs
+    match against (``spec``, :func:`spec_digest`) and a
+    ``manager_stats`` snapshot.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import platform
 import subprocess
-import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -69,11 +54,8 @@ __all__ = [
     "failure_rows",
     "resume_tasks",
     "merge_rows",
-    "RowDelta",
-    "TrajectoryReport",
-    "compare",
-    "compare_files",
-    "main",
+    "row_digest",
+    "pin_mismatches",
 ]
 
 SCHEMA_VERSION = 1
@@ -96,7 +78,7 @@ def bench_payload(name: str, rows: list[dict], *,
                   failures: list[dict] | None = None,
                   total_seconds: float = 0.0,
                   extra: dict | None = None) -> dict:
-    """Assemble a schema-1 trajectory payload for one benchmark run."""
+    """Assemble a schema-1 payload for one benchmark run."""
     payload = {
         "schema": SCHEMA_VERSION,
         "name": name,
@@ -129,7 +111,7 @@ def load_bench(path: str | Path) -> dict:
     data = json.loads(Path(path).read_text())
     schema = data.get("schema")
     if schema != SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported trajectory schema "
+        raise ValueError(f"{path}: unsupported BENCH schema "
                          f"{schema!r} (expected {SCHEMA_VERSION})")
     if not isinstance(data.get("rows"), list):
         raise ValueError(f"{path}: missing 'rows' list")
@@ -152,11 +134,9 @@ def task_rows(run, specs: dict[str, str] | None = None) -> list[dict]:
     """Per-task timing/stats rows of an :class:`EngineRun`.
 
     One row per task, keyed ``task/<key>`` so the engine timings live in
-    the same trajectory file as the experiment's own rows without key
-    collisions.  The ``seconds`` field is ratio-gated by the comparator;
-    ``status``/``attempts`` are compared exactly.  ``specs`` (key ->
-    :func:`spec_digest`) stamps each row with its payload digest,
-    enabling :func:`resume_tasks` on the written file.
+    the same file as the experiment's own rows without key collisions.
+    ``specs`` (key -> :func:`spec_digest`) stamps each row with its
+    payload digest, enabling :func:`resume_tasks` on the written file.
     """
     rows = []
     for outcome in run.outcomes:
@@ -218,165 +198,20 @@ def merge_rows(previous: list[dict],
     return list(merged.values())
 
 
-# ----------------------------------------------------------------------
-# Comparison
-# ----------------------------------------------------------------------
-
-#: Row fields never compared (metadata and known-noisy values).
-_IGNORED_FIELDS = frozenset({"seconds", "manager_stats"})
-
-#: Optional row fields: compared exactly when both sides carry them,
-#: skipped when either side predates the field.  Lets newer runs add
-#: counters (governor aborts, degradation events) and labels (the
-#: node-store backend) without invalidating every committed baseline.
-_OPTIONAL_FIELDS = frozenset({"aborts", "degradations", "backend",
-                              "spec"})
+def row_digest(row: dict) -> str:
+    """sha256 of one row's canonical JSON (sorted keys, no spaces)."""
+    text = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class RowDelta:
-    """Per-row comparison of a current run against the baseline."""
+def pin_mismatches(pins: dict[str, str], rows: list[dict]) -> list[str]:
+    """How ``rows`` differ from ``pins`` (row key -> :func:`row_digest`).
 
-    key: str
-    baseline_seconds: float | None = None
-    current_seconds: float | None = None
-    #: current/baseline time ratio (None when either side lacks timing)
-    ratio: float | None = None
-    #: True when the ratio exceeds the tolerance above the noise floor
-    regressed: bool = False
-    #: deterministic fields that differ: field -> (baseline, current)
-    mismatches: dict = field(default_factory=dict)
-
-
-@dataclass
-class TrajectoryReport:
-    """Outcome of comparing two trajectory files."""
-
-    name: str
-    tolerance: float
-    time_floor: float
-    deltas: list[RowDelta] = field(default_factory=list)
-    #: keys present in the baseline but absent from the current run
-    missing: list[str] = field(default_factory=list)
-    #: keys new in the current run (informational, does not fail)
-    added: list[str] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[RowDelta]:
-        return [d for d in self.deltas if d.regressed]
-
-    @property
-    def mismatched(self) -> list[RowDelta]:
-        return [d for d in self.deltas if d.mismatches]
-
-    @property
-    def ok(self) -> bool:
-        return not (self.regressions or self.mismatched or self.missing)
-
-    def summary(self) -> str:
-        lines = [f"trajectory '{self.name}': {len(self.deltas)} rows "
-                 f"compared (tolerance {self.tolerance:g}x, "
-                 f"time floor {self.time_floor:g}s)"]
-        for delta in self.deltas:
-            if delta.ratio is not None and (delta.regressed or
-                                            abs(delta.ratio - 1) > .25):
-                mark = "REGRESSION" if delta.regressed else "drift"
-                lines.append(
-                    f"  {mark:<10} {delta.key}: "
-                    f"{delta.baseline_seconds:.3f}s -> "
-                    f"{delta.current_seconds:.3f}s "
-                    f"({delta.ratio:.2f}x)")
-            for name, (base, cur) in delta.mismatches.items():
-                lines.append(f"  MISMATCH   {delta.key}.{name}: "
-                             f"{base!r} -> {cur!r}")
-        for key in self.missing:
-            lines.append(f"  MISSING    {key} (in baseline only)")
-        for key in self.added:
-            lines.append(f"  added      {key} (new row)")
-        lines.append("status: " + ("OK" if self.ok else "FAIL "
-                     f"({len(self.regressions)} regressions, "
-                     f"{len(self.mismatched)} mismatched rows, "
-                     f"{len(self.missing)} missing rows)"))
-        return "\n".join(lines)
-
-
-def _comparable(value: object) -> bool:
-    """Deterministic scalar? (bool before int: bool is an int subtype)"""
-    return value is None or isinstance(value, (bool, int, str))
-
-
-def compare(baseline: dict, current: dict, *, tolerance: float = 1.5,
-            time_floor: float = 0.05) -> TrajectoryReport:
-    """Diff two trajectory payloads row by row.
-
-    ``tolerance`` is the acceptable current/baseline wall-clock ratio;
-    rows whose baseline time is under ``time_floor`` seconds never count
-    as regressions (micro-rows drown in scheduler noise).
+    One line per changed, missing or extra key, so a failing check
+    names every row it rejects; empty when each row matches its pin.
     """
-    report = TrajectoryReport(
-        name=current.get("name") or baseline.get("name") or "?",
-        tolerance=tolerance, time_floor=time_floor)
-    base_rows = {row["key"]: row for row in baseline["rows"]}
-    cur_rows = {row["key"]: row for row in current["rows"]}
-    report.missing = [k for k in base_rows if k not in cur_rows]
-    report.added = [k for k in cur_rows if k not in base_rows]
-    for key, base in base_rows.items():
-        cur = cur_rows.get(key)
-        if cur is None:
-            continue
-        delta = RowDelta(key=key)
-        base_s, cur_s = base.get("seconds"), cur.get("seconds")
-        if isinstance(base_s, (int, float)) and \
-                isinstance(cur_s, (int, float)):
-            delta.baseline_seconds = float(base_s)
-            delta.current_seconds = float(cur_s)
-            if base_s > 0:
-                delta.ratio = cur_s / base_s
-                delta.regressed = base_s >= time_floor and \
-                    cur_s > tolerance * base_s
-        for name in sorted(set(base) | set(cur)):
-            if name == "key" or name in _IGNORED_FIELDS:
-                continue
-            if name in _OPTIONAL_FIELDS and (name not in base
-                                             or name not in cur):
-                continue
-            base_v, cur_v = base.get(name), cur.get(name)
-            if not (_comparable(base_v) and _comparable(cur_v)):
-                continue
-            if base_v != cur_v:
-                delta.mismatches[name] = (base_v, cur_v)
-        report.deltas.append(delta)
-    return report
-
-
-def compare_files(baseline_path: str | Path, current_path: str | Path,
-                  *, tolerance: float = 1.5,
-                  time_floor: float = 0.05) -> TrajectoryReport:
-    """:func:`compare` over two files on disk."""
-    return compare(load_bench(baseline_path), load_bench(current_path),
-                   tolerance=tolerance, time_floor=time_floor)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-trajectory",
-        description="Compare two BENCH_*.json benchmark trajectory "
-                    "files (exit 1 on regression/mismatch).")
-    parser.add_argument("baseline", help="baseline BENCH_*.json")
-    parser.add_argument("current", help="current BENCH_*.json")
-    parser.add_argument("--tolerance", type=float, default=1.5,
-                        help="acceptable current/baseline wall-clock "
-                             "ratio (default: 1.5)")
-    parser.add_argument("--time-floor", type=float, default=0.05,
-                        help="rows faster than this many baseline "
-                             "seconds never regress (default: 0.05)")
-    args = parser.parse_args(argv)
-    report = compare_files(args.baseline, args.current,
-                           tolerance=args.tolerance,
-                           time_floor=args.time_floor)
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    found = {row["key"]: row_digest(row) for row in rows}
+    return ([f"changed: {key}" for key, pin in pins.items()
+             if key in found and found[key] != pin]
+            + [f"missing: {key}" for key in pins if key not in found]
+            + [f"extra: {key}" for key in found if key not in pins])

@@ -146,6 +146,14 @@ class TestPickAndIterate:
         with pytest.raises(ValueError):
             list(f.iter_minterms(["x0"]))
 
+    def test_iter_minterms_repeated_name_raises(self):
+        # Enumerating x0 twice yielded {x0: False, x1: True}, which is
+        # not a minterm of x0 & x1.
+        m, vs = fresh_manager(2)
+        f = vs[0] & vs[1]
+        with pytest.raises(ValueError, match="'x0' named twice"):
+            list(f.iter_minterms(["x0", "x0", "x1"]))
+
 
 class TestGarbageInteraction:
     def test_many_temporaries_then_gc(self, rng):

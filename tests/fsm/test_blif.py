@@ -6,6 +6,8 @@ import itertools
 
 import pytest
 
+from repro.fsm import benchmarks
+from repro.fsm.am2910 import am2910
 from repro.fsm.blif import BlifError, parse_blif, write_blif
 from repro.fsm.benchmarks import counter, token_ring
 
@@ -123,6 +125,17 @@ class TestParse:
         with pytest.raises(BlifError, match="'q' already exists"):
             parse_blif(".model x\n.latch n q 0\n.latch n q 1\n"
                        ".names q n\n1 1\n.end")
+        # A signal with two drivers: two tables, or a table driving an
+        # input or a latch output.
+        with pytest.raises(BlifError, match="'z' driven by two"):
+            parse_blif(".model x\n.inputs a b\n.outputs z\n"
+                       ".names a z\n1 1\n.names b z\n1 1\n.end")
+        with pytest.raises(BlifError, match="'a' is an input or latch"):
+            parse_blif(".model x\n.inputs a b\n.outputs z\n"
+                       ".names a\n1\n.names a b z\n11 1\n.end")
+        with pytest.raises(BlifError, match="'q' is an input or latch"):
+            parse_blif(".model x\n.inputs a\n.outputs q\n"
+                       ".latch a q 0\n.names a q\n0 1\n.end")
 
 
 class TestRoundTrip:
@@ -144,3 +157,19 @@ class TestRoundTrip:
             outs_p, state_p = parsed.simulate(inputs, state_p)
             assert outs_o == {k: outs_p[k] for k in outs_o}
             assert state_o == state_p
+
+    def test_every_generator_parses_back(self):
+        # parse_blif rejects a signal with two drivers; write_blif must
+        # never emit one.
+        circuits = [am2910(4, 3), benchmarks.checksum_memory(4, 4)]
+        for name in ("comm_controller", "counter", "lfsr",
+                     "lfsr_accumulator", "mult_accumulator",
+                     "rotator_sum", "serial_multiplier",
+                     "subset_sum_datapath", "token_ring",
+                     "triangle_datapath"):
+            circuits.append(getattr(benchmarks, name)(4))
+        for name in ("counters", "pipeline_controller", "shift_queue"):
+            circuits.append(getattr(benchmarks, name)(4, 3))
+        for circuit in circuits:
+            parsed = parse_blif(write_blif(circuit))
+            assert parsed.num_latches == circuit.num_latches, circuit.name

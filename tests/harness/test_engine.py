@@ -9,8 +9,7 @@ import pytest
 
 from repro.bdd import Budget, BudgetExceeded, Manager
 from repro.harness.engine import (BUDGET, CRASHED, ERROR, OK, TIMEOUT,
-                                  Task, WorkerPool, resolve_jobs,
-                                  run_tasks)
+                                  Task, resolve_jobs, run_tasks)
 from repro.harness.experiments import (reachability_row,
                                        simple_approx_rows)
 from repro.harness.population import EntrySpec
@@ -37,6 +36,12 @@ def sleep_for(payload):
 
 def exit_hard(payload):
     os._exit(9)
+
+
+def crash_or_square(payload):
+    if payload is None:
+        os._exit(9)
+    return payload * payload
 
 
 def succeed_after_flag(payload):
@@ -150,6 +155,15 @@ class TestFaultIsolation:
         assert by_key["ok2"].result == 9
         assert by_key["boom"].status == CRASHED
 
+    def test_crashed_worker_is_replaced(self):
+        # jobs=1 with a timeout forces a one-worker pool: the task after
+        # the crash can only run on a replacement worker.
+        run = run_tasks(crash_or_square, [Task("boom", None),
+                                          Task("ok", 6)],
+                        jobs=1, timeout=60.0, retries=0)
+        assert [o.status for o in run.outcomes] == [CRASHED, OK]
+        assert run.outcomes[1].result == 36
+
     def test_bounded_retry_then_success(self, tmp_path):
         flag = str(tmp_path / "flag")
         run = run_tasks(succeed_after_flag, [Task("t", flag)], jobs=2,
@@ -201,59 +215,6 @@ class TestBudgetOutcome:
         # A budget abort is an ordinary failure for siblings: the other
         # task still completes.
         assert by_key["ok"].status == OK
-
-
-def crash_or_square(payload):
-    if payload is None:
-        os._exit(9)
-    return payload * payload
-
-
-def report_pid(payload):
-    return os.getpid()
-
-
-class TestWorkerPool:
-    """Persistent workers: one process serves many runs."""
-
-    def test_workers_persist_across_runs(self):
-        with WorkerPool(report_pid, jobs=2) as pool:
-            first = pool.run([Task("a", 1), Task("b", 2)])
-            pids = pool.worker_pids()
-            assert pids and len(pids) <= 2
-            second = pool.run([Task("c", 3), Task("d", 4)])
-            assert pool.worker_pids() == pids
-            # Every task really ran inside the persistent processes.
-            for run in (first, second):
-                assert not run.failures
-                assert set(run.results().values()) <= set(pids)
-
-    def test_run_matches_run_tasks_semantics(self):
-        tasks = [Task(str(i), i) for i in range(5)]
-        baseline = run_tasks(raise_on_odd, tasks, jobs=2, retries=0)
-        with WorkerPool(raise_on_odd, jobs=2, retries=0) as pool:
-            pooled = pool.run(tasks)
-        assert [(o.key, o.status, o.result) for o in pooled.outcomes] \
-            == [(o.key, o.status, o.result) for o in baseline.outcomes]
-
-    def test_crashed_worker_is_replaced(self):
-        with WorkerPool(crash_or_square, jobs=1, retries=0) as pool:
-            run = pool.run([Task("boom", None)])
-            assert run.outcomes[0].status == CRASHED
-            # The replacement worker serves the next run.
-            run = pool.run([Task("ok", 6)])
-            assert run.outcomes[0].result == 36
-            assert len(pool.worker_pids()) == 1
-
-    def test_close_tears_down_and_rejects_runs(self):
-        pool = WorkerPool(report_pid, jobs=1)
-        pool.run([Task("a", 1)])
-        assert pool.worker_pids()
-        pool.close()
-        assert pool.worker_pids() == []
-        pool.close()  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.run([Task("b", 2)])
 
 
 # ----------------------------------------------------------------------

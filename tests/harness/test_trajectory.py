@@ -1,4 +1,4 @@
-"""BENCH_*.json trajectory files and the regression comparator."""
+"""BENCH_*.json files, resume support and the row pins."""
 
 from __future__ import annotations
 
@@ -6,10 +6,9 @@ import json
 
 import pytest
 
-from repro.cli import main as cli_main
 from repro.harness.trajectory import (SCHEMA_VERSION, bench_payload,
-                                      compare, compare_files,
                                       failure_rows, load_bench,
+                                      pin_mismatches, row_digest,
                                       task_rows, write_bench)
 
 
@@ -66,135 +65,16 @@ class TestEngineRowHelpers:
         assert "odd payload" in failures[0]["error"]
 
 
-class TestCompare:
-    def test_identical_is_ok(self):
-        rows = [{"key": "a", "nodes": 5, "seconds": 1.0}]
-        report = compare(payload_with(rows), payload_with(rows))
-        assert report.ok
-        assert "OK" in report.summary()
-
-    def test_time_regression(self):
-        base = [{"key": "a", "seconds": 1.0}]
-        cur = [{"key": "a", "seconds": 2.0}]
-        report = compare(payload_with(base), payload_with(cur),
-                         tolerance=1.5)
-        assert not report.ok
-        assert report.regressions[0].ratio == pytest.approx(2.0)
-        assert "REGRESSION" in report.summary()
-
-    def test_tolerance_allows_slack(self):
-        base = [{"key": "a", "seconds": 1.0}]
-        cur = [{"key": "a", "seconds": 1.4}]
-        report = compare(payload_with(base), payload_with(cur),
-                         tolerance=1.5)
-        assert report.ok
-
-    def test_time_floor_suppresses_micro_rows(self):
-        base = [{"key": "a", "seconds": 0.01}]
-        cur = [{"key": "a", "seconds": 10.0}]
-        report = compare(payload_with(base), payload_with(cur),
-                         tolerance=1.5, time_floor=0.05)
-        assert report.ok
-
-    def test_deterministic_mismatch_fails(self):
-        base = [{"key": "a", "nodes": 5, "states": 100}]
-        cur = [{"key": "a", "nodes": 6, "states": 100}]
-        report = compare(payload_with(base), payload_with(cur))
-        assert not report.ok
-        assert report.mismatched[0].mismatches == {"nodes": (5, 6)}
-        assert "MISMATCH" in report.summary()
-
-    def test_speedup_is_not_a_mismatch(self):
-        base = [{"key": "a", "nodes": 5, "seconds": 2.0}]
-        cur = [{"key": "a", "nodes": 5, "seconds": 0.2}]
-        report = compare(payload_with(base), payload_with(cur))
-        assert report.ok
-
-    def test_missing_row_fails_added_does_not(self):
-        base = [{"key": "a", "nodes": 1}, {"key": "b", "nodes": 2}]
-        cur = [{"key": "a", "nodes": 1}, {"key": "c", "nodes": 3}]
-        report = compare(payload_with(base), payload_with(cur))
-        assert report.missing == ["b"]
-        assert report.added == ["c"]
-        assert not report.ok
-
-    def test_optional_governor_counters_skipped_when_absent(self):
-        # Baselines written before the governor existed carry no
-        # aborts/degradations fields; rows with the counters must still
-        # compare clean against them — in either direction.
-        old = [{"key": "a", "nodes": 5}]
-        new = [{"key": "a", "nodes": 5, "aborts": 3, "degradations": 1}]
-        assert compare(payload_with(old), payload_with(new)).ok
-        assert compare(payload_with(new), payload_with(old)).ok
-
-    def test_optional_governor_counters_compared_when_present(self):
-        base = [{"key": "a", "aborts": 0, "degradations": 0}]
-        cur = [{"key": "a", "aborts": 2, "degradations": 0}]
-        report = compare(payload_with(base), payload_with(cur))
-        assert not report.ok
-        assert report.mismatched[0].mismatches == {"aborts": (0, 2)}
-
-    def test_optional_backend_label_skipped_when_absent(self):
-        # Baselines written before pluggable node stores carry no
-        # backend field; labelled rows still compare clean against
-        # them, but two labelled files must agree.
-        old = [{"key": "a", "nodes": 5}]
-        new = [{"key": "a", "nodes": 5, "backend": "array"}]
-        assert compare(payload_with(old), payload_with(new)).ok
-        assert compare(payload_with(new), payload_with(old)).ok
-        other = [{"key": "a", "nodes": 5, "backend": "object"}]
-        report = compare(payload_with(other), payload_with(new))
-        assert not report.ok
-        assert report.mismatched[0].mismatches \
-            == {"backend": ("object", "array")}
-
-    def test_floats_and_manager_stats_ignored(self):
-        base = [{"key": "a", "density": 0.5,
-                 "manager_stats": {"nodes": 1}}]
-        cur = [{"key": "a", "density": 0.9,
-                "manager_stats": {"nodes": 999}}]
-        report = compare(payload_with(base), payload_with(cur))
-        assert report.ok
-
-
-class TestCli:
-    def _write(self, tmp_path, name, rows):
-        return str(write_bench(tmp_path / name, payload_with(rows)))
-
-    def test_cli_ok_exit_zero(self, tmp_path, capsys):
-        base = self._write(tmp_path, "base.json",
-                           [{"key": "a", "nodes": 1, "seconds": 1.0}])
-        cur = self._write(tmp_path, "cur.json",
-                          [{"key": "a", "nodes": 1, "seconds": 1.1}])
-        assert cli_main(["trajectory", base, cur]) == 0
-        assert "status: OK" in capsys.readouterr().out
-
-    def test_cli_regression_exit_one(self, tmp_path, capsys):
-        base = self._write(tmp_path, "base.json",
-                           [{"key": "a", "seconds": 1.0}])
-        cur = self._write(tmp_path, "cur.json",
-                          [{"key": "a", "seconds": 9.0}])
-        assert cli_main(["trajectory", base, cur]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_cli_tolerance_flag(self, tmp_path):
-        base = self._write(tmp_path, "base.json",
-                           [{"key": "a", "seconds": 1.0}])
-        cur = self._write(tmp_path, "cur.json",
-                          [{"key": "a", "seconds": 9.0}])
-        assert cli_main(["trajectory", base, cur,
-                         "--tolerance", "10"]) == 0
-
-    def test_cli_missing_file_is_systemexit(self, tmp_path):
-        with pytest.raises(SystemExit):
-            cli_main(["trajectory", str(tmp_path / "nope.json"),
-                      str(tmp_path / "nope2.json")])
-
-    def test_compare_files(self, tmp_path):
-        rows = [{"key": "a", "nodes": 2}]
-        base = self._write(tmp_path, "base.json", rows)
-        cur = self._write(tmp_path, "cur.json", rows)
-        assert compare_files(base, cur).ok
+class TestPins:
+    def test_names_changed_missing_and_extra_rows(self):
+        rows = [{"key": "a", "n": 1}, {"key": "b", "n": 2},
+                {"key": "c", "n": 3}]
+        pins = {row["key"]: row_digest(row) for row in rows}
+        assert pin_mismatches(pins, rows) == []
+        rows[1]["n"] = 5
+        pins["d"] = pins.pop("c")
+        assert pin_mismatches(pins, rows) == [
+            "changed: b", "missing: d", "extra: c"]
 
 
 def wrap_payload(payload):
@@ -267,23 +147,6 @@ class TestResume:
         assert [r["key"] for r in merged] == ["a", "b", "c", "d"]
         assert {r["key"]: r["v"] for r in merged} == {
             "a": 1, "b": 2, "c": 1, "d": 2}
-
-    def test_spec_field_is_optional_in_comparison(self):
-        base = payload_with([{"key": "task/a", "status": "ok",
-                              "seconds": 0.1, "attempts": 1}])
-        stamped = payload_with([{"key": "task/a", "status": "ok",
-                                 "seconds": 0.1, "attempts": 1,
-                                 "spec": "abc123"}])
-        # A freshly stamped run compares clean against a pre-resume
-        # baseline (spec is an _OPTIONAL_FIELDS member)...
-        assert compare(base, stamped).ok
-        # ...but two stamped runs must agree.
-        other = payload_with([{"key": "task/a", "status": "ok",
-                               "seconds": 0.1, "attempts": 1,
-                               "spec": "different"}])
-        report = compare(stamped, other)
-        assert not report.ok
-        assert "spec" in report.mismatched[0].mismatches
 
     def test_end_to_end_resume_round(self, tmp_path):
         """Simulated interrupted benchmark: half the tasks recorded,

@@ -108,6 +108,17 @@ def test_minterms_refuses_wide_enumeration(client):
     assert excinfo.value.code == "bad-request"
 
 
+def test_minterms_rejects_repeated_name(client):
+    f = client.apply("and", client.var("a"), client.var("b"))
+    with pytest.raises(ServerError) as excinfo:
+        client.minterms(f, names=["a", "a", "b"])
+    assert excinfo.value.code == "bad-request"
+    assert "'a'" in str(excinfo.value)
+    # The connection stays open.
+    assert client.minterms(f, names=["a", "b"]) == [{"a": True,
+                                                    "b": True}]
+
+
 def test_approx_and_decomp_verbs(client):
     variables = [client.var(f"x{i}") for i in range(6)]
     f = variables[0]
@@ -278,7 +289,9 @@ def test_reach_high_density_matches_bfs(client):
 def test_reach_rejects_bad_blif(client):
     for blif in (".broken\n",
                  ".inputs a a\n.end\n",
-                 ".latch n q 0\n.latch n q 1\n.names q n\n1 1\n.end\n"):
+                 ".latch n q 0\n.latch n q 1\n.names q n\n1 1\n.end\n",
+                 ".inputs a b\n.outputs z\n.names a z\n1 1\n"
+                 ".names b z\n1 1\n.end\n"):
         with pytest.raises(ServerError) as excinfo:
             client.reach(blif)
         assert excinfo.value.code == "bad-request", blif
