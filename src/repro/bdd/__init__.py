@@ -26,7 +26,7 @@ from .expr import ExprError, parse
 from .function import Function
 from .governor import (Budget, BudgetExceeded, DeadlineExceeded, Governor,
                        InjectedAbort, ResourceError)
-from .io import LoadError, dump, dumps_many, load, loads_many, transfer
+from .io import LoadError, dump, load, transfer
 from .manager import Manager, ManagerStats
 from .restrict import constrain, restrict
 from .sanitize import Diagnostic, SanitizerError
@@ -63,7 +63,5 @@ __all__ = [
     "dump",
     "load",
     "LoadError",
-    "dumps_many",
-    "loads_many",
     "transfer",
 ]

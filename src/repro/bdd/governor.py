@@ -12,7 +12,7 @@ explicit-stack kernels (:data:`CHECK_STRIDE` loop iterations between
 checks):
 
 * a **node budget** — live plus freshly created unique-table nodes
-  (``manager._num_nodes``) must not exceed the bound;
+  (the node store's ``num_nodes``) must not exceed the bound;
 * an **operation-step budget** — kernel loop iterations since arming;
 * a **wall-clock deadline** — seconds from arming.
 

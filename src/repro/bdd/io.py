@@ -11,7 +11,6 @@ with a different variable order (the BDD is rebuilt with ITE).
 
 from __future__ import annotations
 
-import io
 from typing import Any
 
 from .function import Function
@@ -144,30 +143,6 @@ def _int_field(raw: str, number: int, what: str) -> int:
     except ValueError:
         raise LoadError(f"line {number}: {what} field {raw!r} is not "
                         f"an integer") from None
-
-
-def dumps_many(functions: list[Function]) -> str:
-    """Serialize several functions (shared nodes are not deduplicated
-    across dumps; use a single manager and `transfer` for that)."""
-    out = io.StringIO()
-    out.write(f"count {len(functions)}\n")
-    for function in functions:
-        out.write(dump(function))
-        out.write("---\n")
-    return out.getvalue()
-
-
-def loads_many(manager: Manager, text: str) -> list[Function]:
-    """Inverse of :func:`dumps_many`."""
-    header, _, body = text.partition("\n")
-    if not header.startswith("count "):
-        raise ValueError("missing count header")
-    chunks = [chunk for chunk in body.split("---\n") if chunk.strip()]
-    expected = int(header.split()[1])
-    if len(chunks) != expected:
-        raise ValueError(f"expected {expected} dumps, found "
-                         f"{len(chunks)}")
-    return [load(manager, chunk) for chunk in chunks]
 
 
 def transfer(function: Function, target: Manager,

@@ -40,7 +40,7 @@ import weakref
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, TYPE_CHECKING
+from typing import Any
 
 from .arraystore import ArrayStore
 from .backend import create_store
@@ -49,9 +49,6 @@ from .governor import Budget, Governor
 from .sanitize import (Diagnostic, SanitizerError, check_manager,
                        sanitize_enabled, sanitize_node_limit,
                        sanitize_stride)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..store.store import BDDStore
 
 
 @dataclass(frozen=True)
@@ -234,24 +231,6 @@ class Manager:
         """Handle of the TRUE terminal (internal node-level API)."""
         return self.store.one
 
-    @property
-    def _num_nodes(self) -> int:
-        return self.store._count
-
-    @_num_nodes.setter
-    def _num_nodes(self, value: int) -> None:
-        # Writable for the sanitizer's corruption tests, which skew the
-        # count on purpose.
-        self.store._count = value
-
-    @property
-    def _peak_nodes(self) -> int:
-        return self.store._peak
-
-    @_peak_nodes.setter
-    def _peak_nodes(self, value: int) -> None:
-        self.store._peak = value
-
     # ------------------------------------------------------------------
     # Variable management
     # ------------------------------------------------------------------
@@ -323,10 +302,6 @@ class Manager:
         node-level API)."""
         return self.store.mk(self._var_to_level[name], self.store.one,
                              self.store.zero)
-
-    def var_node(self, name: str) -> Any:
-        """Deprecated spelling of :meth:`var_handle`."""
-        return self.var_handle(name)
 
     # ------------------------------------------------------------------
     # Node construction
@@ -441,10 +416,6 @@ class Manager:
             if function is not None:
                 roots.append(function.node)
         return roots
-
-    def live_roots(self) -> list[Any]:
-        """Deprecated spelling of :meth:`live_root_handles`."""
-        return self.live_root_handles()
 
     # ------------------------------------------------------------------
     # Garbage collection
@@ -709,29 +680,6 @@ class Manager:
         else:
             set_order(self, order)
 
-    def save_function(self, store: "BDDStore", name: str,
-                      function: "Function", *,
-                      tags: Iterable[str] = ()) -> str:
-        """Persist a function into an on-disk :class:`~repro.store.
-        store.BDDStore` under ``name``; returns its content address.
-
-        Convenience front door for :meth:`BDDStore.save` — see
-        ``docs/persistence.md`` for the format and the durability
-        contract.
-        """
-        return store.save(name, function, tags=tags)
-
-    def load_function(self, store: "BDDStore", name: str,
-                      *, declare: bool = True) -> "Function":
-        """Load a persisted function into this manager by name.
-
-        Unknown variables are declared at the bottom of the order
-        unless ``declare`` is False; a corrupt object raises
-        :class:`~repro.store.errors.StoreCorruptError` instead of ever
-        producing a silently wrong BDD.
-        """
-        return store.load(self, name, declare=declare)
-
     def debug_check(self, raise_on_error: bool = True,
                     check_cache: bool = True) -> "list[Diagnostic]":
         """Verify every structural invariant of the node graph.
@@ -753,21 +701,3 @@ class Manager:
         if diagnostics and raise_on_error:
             raise SanitizerError(diagnostics)
         return diagnostics
-
-    def check_invariants(self) -> None:
-        """Verify structural invariants (used by the test suite)."""
-        store = self.store
-        levels, his, los = store.level, store.hi, store.lo
-        seen: set[int] = set()
-        count = 0
-        for level, key_hi, key_lo, node in store.iter_table():
-            assert levels[node] == level, "level field out of sync"
-            assert his[node] == key_hi and los[node] == key_lo, \
-                "key out of sync"
-            assert key_hi != key_lo, "redundant node"
-            assert levels[key_hi] > level and levels[key_lo] > level, \
-                "order violation"
-            assert node not in seen, "duplicate node"
-            seen.add(node)
-            count += 1
-        assert count == store.num_nodes, "node count out of sync"

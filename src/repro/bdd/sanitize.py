@@ -200,11 +200,11 @@ def check_manager(manager: "Manager",
             triples[triple] = node
 
     # -- node accounting ----------------------------------------------
-    if count != manager._num_nodes:
+    if count != store.num_nodes:
         report(Diagnostic(
             "count",
             f"unique table holds {count} nodes but the manager "
-            f"counter says {manager._num_nodes}"))
+            f"counter says {store.num_nodes}"))
 
     # -- reference counts ----------------------------------------------
     # Structural refs only ever exceed the fresh parent-arc recount

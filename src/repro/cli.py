@@ -45,11 +45,9 @@ All commands read BLIF; the benchmark generators can export BLIF via
 
 Runtime options shared by every command configure the manager's memory
 policy and observability: ``--cache-limit`` bounds the computed table,
-``--gc-threshold`` arms automatic garbage collection, ``--stats``
+``--gc-threshold`` arms automatic garbage collection, and ``--stats``
 prints the :attr:`~repro.bdd.manager.Manager.stats` snapshot after the
-command body, and ``--jobs`` (or ``REPRO_BENCH_JOBS``) fans per-function
-work of ``approx``/``decomp`` over the parallel experiment engine —
-each worker process re-reads the circuit and rebuilds its own BDDs.
+command body.
 
 Resource governor options (also shared): ``--node-budget``,
 ``--step-budget`` and ``--deadline`` arm a :class:`~repro.bdd.governor.
@@ -73,8 +71,6 @@ from .core.approx import UNDER_APPROXIMATORS
 from .core.decomp import DECOMPOSERS, decompose
 from .fsm.blif import BlifError, read_blif
 from .fsm.encode import encode
-from .harness.engine import Task, resolve_jobs, run_tasks
-from .harness.tables import format_manager_stats, format_table
 from .reach.bfs import bfs_reachability, count_states
 from .reach.degrade import ON_BLOWUP_MODES
 from .reach.highdensity import high_density_reachability
@@ -107,11 +103,15 @@ def _load(args):
 def _finish(args, encoded) -> None:
     """Shared epilogue: print the manager runtime stats when asked."""
     if getattr(args, "stats", False):
+        from .harness.tables import format_manager_stats
+
         print()
         print(format_manager_stats(encoded.manager.stats))
 
 
 def cmd_info(args) -> int:
+    from .harness.tables import format_table
+
     circuit, encoded = _load(args)
     print(f"model:   {circuit.name}")
     print(f"inputs:  {len(circuit.inputs)}")
@@ -200,6 +200,7 @@ def cmd_reach(args) -> int:
 
 
 def cmd_save(args) -> int:
+    from .harness.tables import format_table
     from .store.store import BDDStore
 
     circuit, encoded = _load(args)
@@ -226,6 +227,7 @@ def cmd_save(args) -> int:
 def cmd_load(args) -> int:
     from .bdd.io import dump
     from .bdd.manager import Manager
+    from .harness.tables import format_table
     from .store.store import BDDStore
 
     store = BDDStore(args.store, create=False)
@@ -266,149 +268,55 @@ def _parse_methods(spec: str) -> list[str]:
     return methods
 
 
-def _rebuild_function(payload):
-    """Worker-side rebuild: re-read the circuit, pick one function.
-
-    BDDs cannot cross process boundaries, so each engine worker
-    reconstructs its slice from the (path, kind, name) spec — the same
-    rebuild model the benchmark population uses.
-    """
-    path, kind, name, cache_limit, gc_threshold, node_budget, \
-        step_budget = payload
-    encoded = encode(read_blif(path))
-    if cache_limit is not None:
-        encoded.manager.set_cache_limit(cache_limit)
-    if gc_threshold is not None:
-        encoded.manager.gc_threshold = gc_threshold
-    budget = Budget(node_budget=node_budget, step_budget=step_budget)
-    if not budget.unbounded:
-        encoded.manager.governor.arm(budget)
-    if kind == "delta":
-        f = dict(zip(encoded.state_vars, encoded.next_functions))[name]
-    else:
-        f = encoded.output_functions[name]
-    return f
-
-
-def _approx_worker(payload):
-    base, methods, threshold = payload
-    f = _rebuild_function(base)
-    cells = []
-    for method in methods:
-        result = UNDER_APPROXIMATORS[method](f, threshold=threshold)
-        cells.append((len(result), density(result)))
-    return {"f_nodes": len(f), "cells": cells}
-
-
-def _decomp_worker(payload):
-    f = _rebuild_function(payload)
-    cells = []
-    for method in DECOMPOSERS:
-        g, h = decompose(f, method)
-        if not (g & h) == f:
-            raise AssertionError(f"{method} broke f = g*h")
-        cells.append((len(g), len(h)))
-    return {"f_nodes": len(f), "cells": cells}
-
-
-def _fan_out(args, worker, selected, make_payload):
-    """Run per-function tasks through the experiment engine.
-
-    Returns (key -> result, failures).  ``selected`` is a list of
-    (kind, name) pairs; the order of the returned rows follows it.
-    """
-    tasks = [Task(f"{kind}:{name}", make_payload(kind, name))
-             for kind, name in selected]
-    run = run_tasks(worker, tasks, jobs=resolve_jobs(args.jobs))
-    for outcome in run.failures:
-        print(f"repro: task {outcome.key} failed "
-              f"({outcome.status}): {outcome.error}", file=sys.stderr)
-    return run.results(), run.failures
-
-
 def cmd_approx(args) -> int:
+    from .harness.tables import format_table
+
     circuit, encoded = _load(args)
     methods = _parse_methods(args.methods)
-    functions = [("delta", name, f)
-                 for name, f in zip(encoded.state_vars,
-                                    encoded.next_functions)]
-    functions += [("output", name, f)
-                  for name, f in encoded.output_functions.items()]
-    selected = [(kind, name, f) for kind, name, f in functions
+    functions = list(zip(encoded.state_vars, encoded.next_functions))
+    functions += encoded.output_functions.items()
+    selected = [(name, f) for name, f in functions
                 if len(f) >= args.min_nodes]
     if not selected:
         print(f"no function has >= {args.min_nodes} nodes")
         return 1
-    failures = []
-    if resolve_jobs(args.jobs) > 1:
-        results, failures = _fan_out(
-            args, _approx_worker, [(k, n) for k, n, _ in selected],
-            lambda kind, name: ((args.circuit, kind, name,
-                                 args.cache_limit, args.gc_threshold,
-                                 args.node_budget, args.step_budget),
-                                tuple(methods), args.threshold))
-        rows = []
-        for kind, name, f in selected:
-            result = results.get(f"{kind}:{name}")
-            if result is None:
-                continue
-            rows.append([name, result["f_nodes"]]
-                        + [f"{n}/{d:.1f}" for n, d in result["cells"]])
-    else:
-        rows = []
-        for kind, name, f in selected:
-            row = [name, len(f)]
-            for method in methods:
-                result = UNDER_APPROXIMATORS[method](
-                    f, threshold=args.threshold)
-                row.append(f"{len(result)}/{density(result):.1f}")
-            rows.append(row)
-    if rows:
-        print(format_table(
-            ["function", "|f|"] + [m.upper() for m in methods], rows,
-            title="approximation comparison (nodes/density)"))
+    rows = []
+    for name, f in selected:
+        row = [name, len(f)]
+        for method in methods:
+            result = UNDER_APPROXIMATORS[method](f, threshold=args.threshold)
+            row.append(f"{len(result)}/{density(result):.1f}")
+        rows.append(row)
+    print(format_table(
+        ["function", "|f|"] + [m.upper() for m in methods], rows,
+        title="approximation comparison (nodes/density)"))
     _finish(args, encoded)
-    return 1 if failures else 0
+    return 0
 
 
 def cmd_decomp(args) -> int:
+    from .harness.tables import format_table
+
     circuit, encoded = _load(args)
-    selected = [("output", name, f)
-                for name, f in encoded.output_functions.items()
+    selected = [(name, f) for name, f in encoded.output_functions.items()
                 if not f.is_constant]
     if not selected:
         print("no non-constant outputs to decompose")
         return 1
-    failures = []
-    if resolve_jobs(args.jobs) > 1:
-        results, failures = _fan_out(
-            args, _decomp_worker, [(k, n) for k, n, _ in selected],
-            lambda kind, name: (args.circuit, kind, name,
-                                args.cache_limit, args.gc_threshold,
-                                args.node_budget, args.step_budget))
-        rows = []
-        for kind, name, f in selected:
-            result = results.get(f"{kind}:{name}")
-            if result is None:
-                continue
-            rows.append([name, result["f_nodes"]]
-                        + [f"{g}/{h}" for g, h in result["cells"]])
-    else:
-        rows = []
-        for kind, name, f in selected:
-            row = [name, len(f)]
-            for method in DECOMPOSERS:
-                g, h = decompose(f, method)
-                if not (g & h) == f:
-                    raise AssertionError(f"{method} broke f = g*h")
-                row.append(f"{len(g)}/{len(h)}")
-            rows.append(row)
-    if rows:
-        print(format_table(
-            ["output", "|f|"] + [m.capitalize() for m in DECOMPOSERS],
-            rows, title="two-way conjunctive decompositions (|G|/|H|)"))
+    rows = []
+    for name, f in selected:
+        row = [name, len(f)]
+        for method in DECOMPOSERS:
+            g, h = decompose(f, method)
+            if not (g & h) == f:
+                raise AssertionError(f"{method} broke f = g*h")
+            row.append(f"{len(g)}/{len(h)}")
+        rows.append(row)
+    print(format_table(
+        ["output", "|f|"] + [m.capitalize() for m in DECOMPOSERS],
+        rows, title="two-way conjunctive decompositions (|G|/|H|)"))
     _finish(args, encoded)
-    return 1 if failures else 0
+    return 0
 
 
 def cmd_lint(args) -> int:
@@ -539,10 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     runtime.add_argument("--gc-threshold", type=int, default=None,
                          help="enable automatic GC above this many live "
                               "nodes (default: disabled)")
-    runtime.add_argument("--jobs", type=int, default=None,
-                         help="worker processes for per-function fan-out "
-                              "(default: REPRO_BENCH_JOBS or 1; <=0 "
-                              "means all cores)")
     runtime.add_argument("--node-budget", type=int, default=None,
                          help="abort any kernel once the manager holds "
                               "more live nodes than this (default: "

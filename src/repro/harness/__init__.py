@@ -7,7 +7,7 @@ Layout:
 * :mod:`~repro.harness.engine` — the parallel experiment engine
   (worker pool, per-task timeouts, crash capture, bounded retry).
 * :mod:`~repro.harness.experiments` — the per-task experiment bodies
-  shared by the benchmarks, the CLI, and the determinism tests.
+  shared by the benchmarks and the determinism tests.
 * :mod:`~repro.harness.trajectory` — persisted ``BENCH_*.json``
   benchmark results, resume support and the Table 2–4 row pins.
 * :mod:`~repro.harness.stats` / :mod:`~repro.harness.tables` —

@@ -11,10 +11,10 @@ content address (:func:`repro.store.format.content_address` of
 measures, so a row pins its result sets as well as their counts.
 
 They live in the package (rather than in ``benchmarks/``) so the
-benchmark modules, the CLI, and the determinism tests all drive the
-*same* experiment bodies: the parallel engine is required to reproduce
-the sequential rows byte for byte, which only makes sense when both
-paths share one implementation.
+benchmark modules and the determinism tests drive the *same*
+experiment bodies: the parallel engine is required to reproduce the
+sequential rows byte for byte, which only makes sense when both paths
+share one implementation.
 """
 
 from __future__ import annotations

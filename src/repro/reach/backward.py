@@ -20,7 +20,6 @@ from .transition import TransitionRelation
 
 def backward_reachability(tr: TransitionRelation, target: Function,
                           max_iterations: int | None = None,
-                          node_limit: int | None = None,
                           deadline: float | None = None) -> ReachResult:
     """All states with a path into ``target`` (including ``target``)."""
     start = time.perf_counter()
@@ -42,11 +41,6 @@ def backward_reachability(tr: TransitionRelation, target: Function,
         iterations += 1
         size_trace.append(len(reached))
         frontier_trace.append(len(frontier))
-        if node_limit is not None and \
-                max(len(reached), len(frontier)) > node_limit:
-            raise TraversalLimit(
-                f"node limit {node_limit} exceeded at iteration "
-                f"{iterations}")
         if deadline is not None and \
                 time.perf_counter() - start > deadline:
             raise TraversalLimit(

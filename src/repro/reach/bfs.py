@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..bdd.function import Function
-from ..bdd.manager import ManagerStats
 from .degrade import Subsetter, governed_image, shield, validate_on_blowup
 from .transition import TransitionRelation
 
@@ -17,7 +16,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class TraversalLimit(Exception):
-    """Raised when a traversal exceeds its node or time budget."""
+    """Raised when a traversal exceeds its wall-clock deadline."""
 
 
 @dataclass
@@ -32,9 +31,6 @@ class ReachResult:
     frontier_trace: list[int] = field(default_factory=list)
     seconds: float = 0.0
     complete: bool = True
-    #: manager runtime snapshot taken when the traversal returned
-    #: (cache hit rates, GC pauses, peak nodes); None for legacy callers
-    manager_stats: ManagerStats | None = None
 
 
 def count_states(reached: Function, state_vars: list[str]) -> int:
@@ -71,7 +67,6 @@ def image_operand(new: Function, reached: Function) -> Function:
 
 def bfs_reachability(tr: TransitionRelation, init: Function,
                      max_iterations: int | None = None,
-                     node_limit: int | None = None,
                      deadline: float | None = None, *,
                      on_blowup: str = "raise",
                      subset: Subsetter | None = None,
@@ -83,10 +78,8 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
     Each step images :func:`image_operand` of the frontier and the
     reached set; the traces and checkpoints record the frontier.
 
-    Raises :class:`TraversalLimit` if a frontier or the reached set
-    exceeds ``node_limit`` nodes or the wall-clock ``deadline`` (in
-    seconds) passes — the stand-in for the paper's memory-exhausted and
-    ">2 weeks" entries.
+    Raises :class:`TraversalLimit` once the wall-clock ``deadline`` (in
+    seconds) passes — the stand-in for the paper's ">2 weeks" entries.
 
     ``on_blowup`` selects the reaction to a *governor* abort (armed via
     :meth:`Manager.with_budget`): ``"raise"`` (default) propagates it;
@@ -135,8 +128,7 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
                     reached=reached, iterations=iterations,
                     size_trace=size_trace,
                     frontier_trace=frontier_trace,
-                    seconds=time.perf_counter() - start,
-                    manager_stats=reached.manager.stats)
+                    seconds=time.perf_counter() - start)
     while True:
         if frontier.is_false:
             if not degraded:
@@ -160,8 +152,7 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
                                size_trace=size_trace,
                                frontier_trace=frontier_trace,
                                seconds=time.perf_counter() - start,
-                               complete=False,
-                               manager_stats=reached.manager.stats)
+                               complete=False)
         image, exact = governed_image(tr, image_operand(frontier, reached),
                                       on_blowup=on_blowup,
                                       subset=subset,
@@ -181,11 +172,6 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
                 {"method": "bfs", "iterations": iterations,
                  "degraded": degraded, "size_trace": size_trace,
                  "frontier_trace": frontier_trace})
-        if node_limit is not None and \
-                max(len(reached), len(frontier)) > node_limit:
-            raise TraversalLimit(
-                f"node limit {node_limit} exceeded at iteration "
-                f"{iterations}")
         if deadline is not None and \
                 time.perf_counter() - start > deadline:
             raise TraversalLimit(
@@ -199,5 +185,4 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
     return ReachResult(reached=reached, iterations=iterations,
                        size_trace=size_trace,
                        frontier_trace=frontier_trace,
-                       seconds=time.perf_counter() - start,
-                       manager_stats=reached.manager.stats)
+                       seconds=time.perf_counter() - start)

@@ -49,7 +49,6 @@ def high_density_reachability(
         threshold: int = 0,
         partial: PartialImagePolicy | None = None,
         max_iterations: int | None = None,
-        node_limit: int | None = None,
         deadline: float | None = None,
         on_blowup: str = "raise",
         checkpointer: "ReachCheckpointer | None" = None
@@ -154,11 +153,6 @@ def high_density_reachability(
         size_trace.append(len(reached))
         if checkpointer is not None:
             save_state(checkpointer.step)
-        if node_limit is not None and \
-                max(len(reached), len(new)) > node_limit:
-            raise TraversalLimit(
-                f"node limit {node_limit} exceeded at iteration "
-                f"{iterations}")
         if deadline is not None and \
                 time.perf_counter() - start > deadline:
             raise TraversalLimit(
@@ -178,5 +172,4 @@ def _result(reached: Function, iterations: int, size_trace: list[int],
         reached=reached, iterations=iterations, size_trace=size_trace,
         frontier_trace=frontier_trace,
         seconds=time.perf_counter() - start, complete=complete,
-        subset_densities=densities, recoveries=recoveries,
-        manager_stats=reached.manager.stats)
+        subset_densities=densities, recoveries=recoveries)

@@ -69,7 +69,7 @@ class TestRegistry:
 
 
 class TestSweepPaths:
-    """The one GC sweep, and numpy staying off the import path."""
+    """The one GC sweep, and what stays off the import path."""
 
     def test_sweep_keeps_functions_and_recounts_refs(self):
         manager = Manager(NAMES)
@@ -92,9 +92,13 @@ class TestSweepPaths:
         assert [truth_table(f, NAMES) for f in kept] == tables
         assert manager.debug_check() == []
 
-    def test_import_leaves_numpy_unloaded(self):
-        """No code path imports numpy, so the CLI never loads it."""
-        probe = "import sys, repro.cli; print('numpy' in sys.modules)"
+    @pytest.mark.parametrize("module", ["numpy", "multiprocessing",
+                                        "repro.harness"])
+    def test_import_leaves_module_unloaded(self, module):
+        """Importing the CLI loads neither numpy (nothing imports it)
+        nor the experiment harness and its process pool (only the
+        commands that print tables import them)."""
+        probe = f"import sys, repro.cli; print({module!r} in sys.modules)"
         src = str(Path(arraystore.__file__).parents[2])
         out = subprocess.run([sys.executable, "-c", probe], check=True,
                              capture_output=True, text=True,
@@ -213,7 +217,7 @@ class TestArraySanitizer:
         store.lo.append(store.lo[victim])
         store.ref.append(0)
         store._tables[level][1 << 50 | clone] = clone
-        manager._num_nodes += 1
+        manager.store._count += 1
         found = self.checks_of(manager)
         assert "duplicate" in found
         assert "key-sync" in found
@@ -239,12 +243,12 @@ class TestArraySanitizer:
         assert root >= 2
         del store._tables[store.level[root]][
             store.hi[root] << 32 | store.lo[root]]
-        manager._num_nodes -= 1
+        manager.store._count -= 1
         assert "root" in self.checks_of(manager)
 
     def test_node_count_mismatch_detected(self):
         manager, _, _ = self.build()
-        manager._num_nodes += 3
+        manager.store._count += 3
         assert "count" in self.checks_of(manager)
 
     def test_freed_child_detected(self):
@@ -259,7 +263,7 @@ class TestArraySanitizer:
                                  | store.lo[orphan]]
         store.level[orphan] = FREE_LEVEL
         store._free.append(orphan)
-        manager._num_nodes -= 1
+        manager.store._count -= 1
         found = self.checks_of(manager)
         assert "dangling" in found
 

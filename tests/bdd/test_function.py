@@ -167,4 +167,4 @@ class TestGarbageInteraction:
         gc.collect()
         m.collect_garbage()
         assert f.sat_count() == expected
-        m.check_invariants()
+        m.debug_check()

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bdd import (LoadError, Manager, dump, dumps_many, load,
-                       loads_many, transfer)
+from repro.bdd import LoadError, Manager, dump, load, transfer
 
 from ..helpers import SETTINGS, fresh_manager, settings_manager
 
@@ -49,22 +48,6 @@ class TestDumpLoad:
         target = Manager()
         with pytest.raises(ValueError):
             load(target, text, declare=False)
-
-
-class TestMany:
-    def test_roundtrip_many(self, random_functions):
-        m, funcs = random_functions
-        text = dumps_many(funcs[:5])
-        target = Manager()
-        loaded = loads_many(target, text)
-        assert len(loaded) == 5
-        for original, copy in zip(funcs, loaded):
-            assert copy.sat_count(m.num_vars) == original.sat_count()
-
-    def test_count_mismatch(self):
-        m = Manager()
-        with pytest.raises(ValueError):
-            loads_many(m, "count 2\n" + dump(m.true) + "---\n")
 
 
 class TestTransfer:

@@ -23,7 +23,7 @@ class TestSwapAdjacent:
         swap_adjacent(m, 0)
         assert m.var_names == ["x1", "x0"]
         assert f(x0=True, x1=False)
-        m.check_invariants()
+        m.debug_check()
 
     def test_swap_preserves_semantics_randomized(self, rng):
         m, vs = fresh_manager(7)
@@ -33,7 +33,7 @@ class TestSwapAdjacent:
         m.collect_garbage()
         for _ in range(60):
             swap_adjacent(m, rng.randrange(6))
-            m.check_invariants()
+            m.debug_check()
         assert _tables(funcs, names) == before
 
     def test_swap_is_involution(self, rng):
@@ -64,14 +64,14 @@ class TestSift:
         sift(m)
         after = len(carry)
         assert after < before
-        m.check_invariants()
+        m.debug_check()
 
     def test_sift_preserves_functions(self, rng):
         m, vs = fresh_manager(9)
         funcs = [random_function(m, vs, rng, terms=6) for _ in range(5)]
         counts = [f.sat_count() for f in funcs]
         sift(m)
-        m.check_invariants()
+        m.debug_check()
         assert counts == [f.sat_count() for f in funcs]
 
     def test_sift_trivial_managers(self):
@@ -79,7 +79,7 @@ class TestSift:
         assert sift(m) == 0
         m.add_var("a")
         sift(m)
-        m.check_invariants()
+        m.debug_check()
 
     def test_reorder_count_increments(self, rng):
         m, vs = fresh_manager(4)
@@ -99,7 +99,7 @@ class TestSetOrder:
         set_order(m, target)
         assert m.var_names == target
         assert truth_table(f, names) == before
-        m.check_invariants()
+        m.debug_check()
 
     def test_reverse_order(self, rng):
         m, vs = fresh_manager(5)

@@ -99,7 +99,7 @@ def test_duplicate_triple_detected():
     store.lo.append(store.lo[victim])
     store.ref.append(0)
     store._tables[level][1 << 50 | clone] = clone
-    manager._num_nodes += 1
+    manager.store._count += 1
     found = checks_of(manager)
     assert "duplicate" in found
     assert "key-sync" in found  # the smuggled key cannot match either
@@ -116,7 +116,7 @@ def test_dangling_child_detected():
 
 def test_node_count_mismatch_detected():
     manager, _ = build_sample()
-    manager._num_nodes += 3
+    manager.store._count += 3
     assert "count" in checks_of(manager)
 
 
@@ -135,7 +135,7 @@ def test_stale_root_detected():
     node = functions[0].node
     assert node >= 2
     del store._tables[store.level[node]][unique_key(store, node)]
-    manager._num_nodes -= 1
+    manager.store._count -= 1
     assert "root" in checks_of(manager)
 
 

@@ -80,14 +80,6 @@ class TestBfs:
         assert not result.complete
         assert count_states(result.reached, encoded.state_vars) == 4
 
-    def test_node_limit_raises(self):
-        encoded = encode(shift_queue(4, 3))
-        from repro.reach import TransitionRelation
-
-        tr = TransitionRelation(encoded)
-        with pytest.raises(TraversalLimit):
-            bfs_reachability(tr, encoded.initial_states(), node_limit=2)
-
     def test_deadline_raises(self):
         encoded = encode(shift_queue(4, 3))
         from repro.reach import TransitionRelation

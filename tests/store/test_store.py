@@ -50,15 +50,6 @@ class TestRoundTrip:
         assert store.load(target, "t").is_true
         assert store.load(target, "f").is_false
 
-    def test_manager_convenience_surface(self, setting, tmp_path):
-        manager, f = build_function(setting)
-        store = BDDStore(tmp_path / "store")
-        digest = manager.save_function(store, "f", f, tags=("api",))
-        target = settings_manager(setting)
-        g = target.load_function(store, "f")
-        assert store.entries()[0]["hash"] == digest
-        assert g.sat_count() == f.sat_count()
-
     def test_multi_root_object_with_extra(self, setting, tmp_path):
         manager, f = build_function(setting)
         g = f | manager.var("x0")
@@ -130,7 +121,7 @@ class TestIndex:
     def test_entries_tags_and_prefix(self, tmp_path):
         manager, f = build_function("array")
         store = BDDStore(tmp_path / "store")
-        store.save("circ/output/o1", f, tags=("run1", "outputs"))
+        digest = store.save("circ/output/o1", f, tags=("run1", "outputs"))
         store.save("circ/next/n1", f)
         store.save("other", f)
         assert len(store) == 3
@@ -140,6 +131,7 @@ class TestIndex:
         assert names == ["circ/next/n1", "circ/output/o1"]
         entry = store.entries(prefix="circ/output/")[0]
         assert entry["tags"] == ["run1", "outputs"]
+        assert entry["hash"] == digest
         assert entry["nodes"] == len(f)
         assert sorted(store) == sorted(e["name"]
                                        for e in store.entries())

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.fsm.benchmarks import counter, token_ring
+from repro.fsm.am2910 import am2910
+from repro.fsm.benchmarks import counter, serial_multiplier, token_ring
 from repro.fsm.blif import write_blif
 
 
@@ -77,6 +78,11 @@ class TestApprox:
         with pytest.raises(SystemExit):
             main(["approx", ring_blif, "--methods", "nope"])
 
+    def test_jobs_is_a_usage_error(self, ring_blif):
+        with pytest.raises(SystemExit) as exc:
+            main(["approx", ring_blif, "--jobs", "2"])
+        assert exc.value.code == 2
+
 
 class TestRuntimeOptions:
     def test_reach_stats(self, counter_blif, capsys):
@@ -114,6 +120,28 @@ class TestDecomp:
     def test_bad_command(self):
         with pytest.raises(SystemExit):
             main(["nope"])
+
+
+class TestBudgetExit:
+    """A budget abort in ``approx``/``decomp`` exits 3 with one line on
+    stderr.  The circuits are big enough for the methods to cross a
+    governor checkpoint (every 64 kernel steps); the counter and ring
+    fixtures are not."""
+
+    @pytest.mark.parametrize("command, circuit", [
+        pytest.param("approx", lambda: serial_multiplier(7), id="approx"),
+        pytest.param("decomp", lambda: am2910(4, 3), id="decomp")])
+    @pytest.mark.parametrize("budget", [["--deadline", "0"],
+                                        ["--step-budget", "1"]],
+                             ids=["deadline", "steps"])
+    def test_budget_abort_exits_3(self, command, circuit, budget,
+                                  tmp_path, capsys):
+        path = tmp_path / "circuit.blif"
+        path.write_text(write_blif(circuit()))
+        assert main([command, str(path), *budget]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("repro: resource budget exhausted: ")
+        assert err.count("\n") == 1
 
 
 class TestBadCircuit:
