@@ -17,7 +17,8 @@ RPR002
     ids are recycled.  Nodes are never constructed directly: they are
     columns of the store, made by its unique table (``mk``).
 RPR003
-    Computed-table inserts/lookups must use a registered op tag
+    A kernel's computed-table tally (the call that carries its op tag)
+    must use a registered tag
     (:data:`repro.bdd.computed.REGISTERED_OPS`), keeping per-op cache
     statistics meaningful and collisions diagnosable.
 RPR004
@@ -255,39 +256,45 @@ def check_no_direct_node(ctx: FileContext) -> Iterator[Violation]:
 # RPR003 — registered computed-table op tags
 # ----------------------------------------------------------------------
 
-def _is_computed_accessor(node: ast.expr) -> bool:
-    """True for ``<expr>.computed.lookup`` / ``<expr>.computed.insert``
-    and for ``self._computed.lookup`` style private aliases."""
-    if not isinstance(node, ast.Attribute):
-        return False
-    if node.attr not in ("lookup", "insert"):
-        return False
-    value = node.value
-    return isinstance(value, ast.Attribute) \
-        and value.attr in ("computed", "_computed")
+def _is_computed_table(node: ast.expr, tables: set[str]) -> bool:
+    """True for ``<expr>.computed`` / ``<expr>._computed`` and for a
+    simple name bound to one (``computed = manager.computed``)."""
+    if isinstance(node, ast.Name):
+        return node.id in tables
+    return isinstance(node, ast.Attribute) \
+        and node.attr in ("computed", "_computed")
+
+
+def _is_tally(node: ast.expr, tables: set[str]) -> bool:
+    """True for ``<computed table>.tally``."""
+    return isinstance(node, ast.Attribute) and node.attr == "tally" \
+        and _is_computed_table(node.value, tables)
 
 
 @register_rule(
     "RPR003", "registered-cache-op-tags", "error",
-    "Computed-table lookup/insert with a literal op tag that is not in "
+    "Computed-table tally with a literal op tag that is not in "
     "repro.bdd.computed.REGISTERED_OPS; register the tag so per-op "
     "cache statistics and the sanitizer recognise it.")
 def check_registered_op_tags(ctx: FileContext) -> Iterator[Violation]:
-    # Aliases like ``cache_get = manager.computed.lookup`` (the kernels'
-    # hot-loop idiom) are resolved file-wide by simple name.
-    aliases: set[str] = set()
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) \
-                and _is_computed_accessor(node.value):
-            aliases.add(node.targets[0].id)
+    # The op tag enters the protocol at ``tally(op, hits, misses)``;
+    # the probe pair takes none.  Aliases of the table (``computed =
+    # manager.computed``, the kernels' idiom) and of its ``tally`` are
+    # resolved file-wide by simple name, tables first.
+    assigns = [(node.targets[0].id, node.value)
+               for node in ast.walk(ctx.tree)
+               if isinstance(node, ast.Assign) and len(node.targets) == 1
+               and isinstance(node.targets[0], ast.Name)]
+    tables = {name for name, value in assigns
+              if _is_computed_table(value, set())}
+    tallies = {name for name, value in assigns
+               if _is_tally(value, tables)}
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call) or not node.args:
             continue
         func = node.func
-        is_cache_call = _is_computed_accessor(func) \
-            or (isinstance(func, ast.Name) and func.id in aliases)
-        if not is_cache_call:
+        if not (_is_tally(func, tables)
+                or (isinstance(func, ast.Name) and func.id in tallies)):
             continue
         tag = node.args[0]
         if isinstance(tag, ast.Constant) and isinstance(tag.value, str) \

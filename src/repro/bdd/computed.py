@@ -28,9 +28,20 @@ which flushes the interned values together with the entries.  Keys and
 results are plain ints, so neither the entries nor the dict holding
 them are tracked by CPython's cyclic garbage collector.
 
-Every lookup/insert also carries the op tag (``"and"``, ``"ite"``,
-``"exists"``, ...) so hit/miss/eviction counts are kept per operation;
-:meth:`ComputedTable.stats` snapshots them for
+The probe pair
+--------------
+A kernel takes one ``(get, put)`` pair from :meth:`ComputedTable.probes`
+at entry and probes with it in its loop: ``get(key)`` returns the
+memoized result or None, ``put(key, result)`` memoizes.  For an
+unbounded table the pair is the entries dict's own bound ``get`` and
+``__setitem__``, so a probe is one C call with no bookkeeping.  For a
+bounded table it is the table's bucket functions, which overwrite on
+collision and count each eviction against the evicted entry's op
+(decoded from its key by :func:`op_of`).  The kernel counts its hits and
+misses in locals and hands them to :meth:`ComputedTable.tally` with its
+op tag (``"and"``, ``"ite"``, ``"exists"``, ...) once, in a ``finally``,
+so an aborted kernel still reports the lookups it made.
+:meth:`ComputedTable.stats` snapshots the per-op counters for
 :attr:`repro.bdd.manager.Manager.stats`.  :func:`register_op` assigns
 each tag its opcode and records the key layout the graph sanitizer uses
 to decode entries (:func:`entry_handles`).
@@ -38,7 +49,7 @@ to decode entries (:func:`entry_handles`).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import Any, Hashable
 
@@ -53,8 +64,8 @@ _OP_MASK = (1 << OP_BITS) - 1
 #: key itself is a poor bucket index).
 _MIX = 0x9E3779B97F4A7C15
 
-#: Canonical op tags -> opcode.  Every computed-table insert must use a
-#: tag from this registry (lint rule RPR003 checks literal tags
+#: Canonical op tags -> opcode.  Every kernel must tally its lookups
+#: under a tag from this registry (lint rule RPR003 checks literal tags
 #: statically; the graph sanitizer checks stored entries at runtime), so
 #: per-op cache statistics stay meaningful and a rogue insert is
 #: attributable.
@@ -176,9 +187,9 @@ class ComputedTable:
 
     Keys are packed ints (see the module docstring); values are node
     ids — or plain values for predicate caches such as the containment
-    test.  The ``op`` argument of :meth:`lookup` and :meth:`insert` only
-    attributes statistics; the key's opcode already partitions the key
-    space.
+    test.  Kernels probe it through :meth:`probes` and report their
+    hits and misses through :meth:`tally`; the key's opcode already
+    partitions the key space, so the op tag only attributes statistics.
     """
 
     __slots__ = ("_limit", "_entries", "_keys", "_results", "_occupied",
@@ -213,7 +224,7 @@ class ComputedTable:
         Statistics and interned values are preserved; shrinking may
         silently drop entries whose buckets collide (not counted as
         evictions — resizing is a policy change, not a capacity
-        decision).
+        decision).  A probe pair taken before the call is stale.
         """
         if limit is not None and limit <= 0:
             raise ValueError("cache_limit must be positive or None")
@@ -248,31 +259,45 @@ class ComputedTable:
             ident = self._interned[value] = len(self._interned)
         return ident
 
-    def lookup(self, op: str, key: int) -> Any | None:
-        """Return the memoized result for ``key``, or None on a miss."""
+    def probes(self) -> tuple[Callable[[int], Any],
+                              Callable[[int, Any], None]]:
+        """The ``(get, put)`` pair a kernel probes the table with.
+
+        ``get(key)`` returns the memoized result for ``key`` or None;
+        ``put(key, result)`` memoizes ``result``.  Unbounded, these are
+        the entries dict's own ``get`` and ``__setitem__``; bounded,
+        the bucket functions (see the module docstring).  Neither
+        counts hits or misses: the caller reports them through
+        :meth:`tally`.  The pair stays valid across :meth:`clear`.
+        """
+        if self._limit is None:
+            entries = self._entries
+            return entries.get, entries.__setitem__
+        return self._bucket_get, self._bucket_put
+
+    def tally(self, op: str, hits: int, misses: int) -> None:
+        """Add ``hits`` and ``misses`` to ``op``'s counters (a kernel's
+        lookups, reported once when it returns or aborts)."""
+        if not hits and not misses:
+            return
         record = self._ops.get(op)
         if record is None:
-            record = self._ops[op] = [0, 0, 0]
-        if self._limit is None:
-            result = self._entries.get(key)
-            if result is None:
-                record[_MISSES] += 1
-            else:
-                record[_HITS] += 1
-            return result
-        index = (key * _MIX >> 64) % self._limit
-        if self._keys[index] == key:
-            record[_HITS] += 1
-            return self._results[index]
-        record[_MISSES] += 1
-        return None
+            self._ops[op] = [hits, misses, 0]
+        else:
+            record[_HITS] += hits
+            record[_MISSES] += misses
 
-    def insert(self, op: str, key: int, result: Any) -> None:
-        """Memoize ``result`` under ``key``, evicting on bucket clash."""
-        if self._limit is None:
-            self._entries[key] = result
-            return
-        index = (key * _MIX >> 64) % self._limit
+    def _bucket_get(self, key: int) -> Any | None:
+        """Bounded ``get``: the result in ``key``'s bucket if the
+        bucket holds ``key``."""
+        index = (key * _MIX >> 64) % len(self._keys)
+        return self._results[index] if self._keys[index] == key else None
+
+    def _bucket_put(self, key: int, result: Any) -> None:
+        """Bounded ``put``: overwrite ``key``'s bucket, counting an
+        eviction against the incumbent's op when it holds another key
+        (CUDD's overwrite-on-collision policy)."""
+        index = (key * _MIX >> 64) % len(self._keys)
         incumbent = self._keys[index]
         if incumbent is None:
             self._occupied += 1
@@ -293,12 +318,10 @@ class ComputedTable:
         decision, a flush invalidates results whose nodes may die.
         """
         dropped = len(self)
-        if self._limit is None:
-            self._entries.clear()
-        else:
-            self._keys = [None] * self._limit
-            self._results = [None] * self._limit
-            self._occupied = 0
+        self._entries.clear()
+        self._keys[:] = [None] * len(self._keys)
+        self._results[:] = [None] * len(self._results)
+        self._occupied = 0
         self._interned.clear()
         return dropped
 

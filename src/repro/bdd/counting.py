@@ -47,30 +47,36 @@ def minterm_count_map(store: "ArrayStore", root: Any,
     *analyze* pass records.  Terminals count over zero variables:
     ONE -> 1, ZERO -> 0.
     """
-    is_term = store.is_terminal
-    level_of = store.level_of
-    hi_of, lo_of = store.hi_of, store.lo_of
-    value_of = store.value_of
-    counts: dict[Any, int] = {}
+    return _minterm_counts(store, nodes_by_level(store, root), nvars)
 
-    def eff_level(node: Any) -> int:
-        return nvars if is_term(node) else level_of(node)
 
-    for node in reversed(nodes_by_level(store, root)):
-        hi, lo = hi_of(node), lo_of(node)
-        hi_count = value_of(hi) if is_term(hi) else counts[hi]
-        lo_count = value_of(lo) if is_term(lo) else counts[lo]
-        level = level_of(node)
-        counts[node] = (hi_count << (eff_level(hi) - level - 1)) \
-            + (lo_count << (eff_level(lo) - level - 1))
+def _minterm_counts(store: "ArrayStore", nodes: list[int],
+                    nvars: int) -> dict[int, int]:
+    """:func:`minterm_count_map` over ``nodes``, a function's nodes in
+    level order."""
+    level, hi, lo = store.level, store.hi, store.lo
+    # The terminals sit at level ``nvars`` for the shifts; they leave
+    # the map before it is returned.
+    counts = {0: 0, 1: 1}
+    for node in reversed(nodes):
+        below = level[node] + 1
+        child = hi[node]
+        high = counts[child] << ((nvars if child < 2 else level[child])
+                                 - below)
+        child = lo[node]
+        low = counts[child] << ((nvars if child < 2 else level[child])
+                                - below)
+        counts[node] = high + low
+    del counts[0], counts[1]
     return counts
 
 
 def sat_count(function: "Function", nvars: int | None = None) -> int:
     """Exact ``||f||`` over ``nvars`` variables (default: all declared).
 
-    One pass of :func:`minterm_count_map` over the function's own
-    nodes, so the cost follows ``|f|``, not the store's size.
+    One level-ordered walk of the function's own nodes gives both the
+    support bound (the last node's level) and the counts, so the cost
+    follows ``|f|``, not the store's size.
     """
     manager = function.manager
     store = manager.store
@@ -79,16 +85,14 @@ def sat_count(function: "Function", nvars: int | None = None) -> int:
         nvars = manager.num_vars
     if nvars < 0:
         raise ValueError(f"nvars={nvars} must be non-negative")
-    if store.is_terminal(root):
-        return store.value_of(root) << nvars
-    level_of = store.level_of
-    nodes = collect_nodes(store, root)
-    support_max = max(level_of(n) for n in nodes)
+    if root < 2:
+        return root << nvars
+    nodes = nodes_by_level(store, root)
+    support_max = store.level[nodes[-1]]
     if nvars <= support_max:
         raise ValueError(
             f"nvars={nvars} smaller than support (level {support_max})")
-    counts = minterm_count_map(store, root, nvars)
-    return counts[root] << level_of(root)
+    return _minterm_counts(store, nodes, nvars)[root] << store.level[root]
 
 
 def density(function: "Function", nvars: int | None = None) -> float:

@@ -16,6 +16,10 @@ identity-stable), and commutative cache keys are normalized by id
 order.  Computed-table keys are packed ints, ``opcode | f << 8 |
 g << 40 | h << 72``; quantified level sets, cofactor assignments and
 substitutions enter them as interned ids (:mod:`repro.bdd.computed`).
+Each kernel takes the table's probe pair (``cache_get, cache_put =
+computed.probes()``) at entry, counts its hits and misses in locals and
+tallies them under its op tag once, in a ``finally``, so an aborted
+call still reports the lookups it made.
 
 Every kernel is also *iterative*: recursion frames live on an explicit
 Python list instead of the interpreter stack, so operations work on
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from .arraystore import TERMINAL_LEVEL
 from .computed import REGISTERED_OPS
 from .governor import CHECK_STRIDE
 from .manager import Manager
@@ -39,7 +44,6 @@ from .traversal import nodes_by_level
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .arraystore import ArrayStore
-    from .computed import ComputedTable
 
 #: Strided-checkpoint mask: kernels tally loop iterations in a local
 #: counter and call the governor checkpoint when ``ticks & _MASK == 0``
@@ -92,8 +96,9 @@ def apply_node(manager: Manager, op: str, f: int, g: int) -> int:
         raise ValueError(f"unknown operator {op!r}") from None
     store = manager.store
     level, hi, lo = store.level, store.hi, store.lo
-    cache_get = manager.computed.lookup
-    cache_put = manager.computed.insert
+    computed = manager.computed
+    cache_get, cache_put = computed.probes()
+    hits = misses = 0
     mk = store.mk
     code = REGISTERED_OPS[op]
 
@@ -105,68 +110,73 @@ def apply_node(manager: Manager, op: str, f: int, g: int) -> int:
     push = stack.append
     values: list[int] = []
     emit = values.append
-    while stack:
-        ticks += 1
-        if not ticks & _MASK:
-            check("apply")
-        frame = stack.pop()
-        if frame[0] == _EXPAND:
-            f, g = frame[1], frame[2]
-            if f < 2 and g < 2:
-                # A terminal id is its own value.
-                emit(table[2 * f + g])
-                continue
-            # Operator-specific terminal shortcuts.
-            result = None
-            if op == "and":
-                if f == 0 or g == 0:
-                    result = 0
-                elif f == 1:
-                    result = g
-                elif g == 1 or f == g:
-                    result = f
-            elif op == "or":
-                if f == 1 or g == 1:
-                    result = 1
-                elif f == 0:
-                    result = g
-                elif g == 0 or f == g:
-                    result = f
-            elif op == "xor":
-                if f == 0:
-                    result = g
-                elif g == 0:
-                    result = f
-                elif f == g:
-                    result = 0
-            elif op == "diff":
-                if f == 0 or g == 1 or f == g:
-                    result = 0
-                elif g == 0:
-                    result = f
-            if result is not None:
+    try:
+        while stack:
+            ticks += 1
+            if not ticks & _MASK:
+                check("apply")
+            frame = stack.pop()
+            if frame[0] == _EXPAND:
+                f, g = frame[1], frame[2]
+                if f < 2 and g < 2:
+                    # A terminal id is its own value.
+                    emit(table[2 * f + g])
+                    continue
+                # Operator-specific terminal shortcuts.
+                result = None
+                if op == "and":
+                    if f == 0 or g == 0:
+                        result = 0
+                    elif f == 1:
+                        result = g
+                    elif g == 1 or f == g:
+                        result = f
+                elif op == "or":
+                    if f == 1 or g == 1:
+                        result = 1
+                    elif f == 0:
+                        result = g
+                    elif g == 0 or f == g:
+                        result = f
+                elif op == "xor":
+                    if f == 0:
+                        result = g
+                    elif g == 0:
+                        result = f
+                    elif f == g:
+                        result = 0
+                elif op == "diff":
+                    if f == 0 or g == 1 or f == g:
+                        result = 0
+                    elif g == 0:
+                        result = f
+                if result is not None:
+                    emit(result)
+                    continue
+                if commutative and f > g:
+                    f, g = g, f
+                key = code | f << 8 | g << 40
+                cached = cache_get(key)
+                if cached is not None:
+                    hits += 1
+                    emit(cached)
+                    continue
+                misses += 1
+                f_level, g_level = level[f], level[g]
+                top = f_level if f_level < g_level else g_level
+                f_hi, f_lo = (hi[f], lo[f]) if f_level == top else (f, f)
+                g_hi, g_lo = (hi[g], lo[g]) if g_level == top else (g, g)
+                push((_REBUILD, key, top))
+                push((_EXPAND, f_lo, g_lo))
+                push((_EXPAND, f_hi, g_hi))
+            else:  # _REBUILD
+                low = values.pop()
+                high = values.pop()
+                result = mk(frame[2], high, low)
+                cache_put(frame[1], result)
                 emit(result)
-                continue
-            if commutative and f > g:
-                f, g = g, f
-            key = code | f << 8 | g << 40
-            cached = cache_get(op, key)
-            if cached is not None:
-                emit(cached)
-                continue
-            f_level, g_level = level[f], level[g]
-            top = f_level if f_level < g_level else g_level
-            f_hi, f_lo = (hi[f], lo[f]) if f_level == top else (f, f)
-            g_hi, g_lo = (hi[g], lo[g]) if g_level == top else (g, g)
-            push((_REBUILD, key, top))
-            push((_EXPAND, f_lo, g_lo))
-            push((_EXPAND, f_hi, g_hi))
-        else:  # _REBUILD
-            low = values.pop()
-            high = values.pop()
-            result = mk(frame[2], high, low)
-            cache_put(op, frame[1], result)
-            emit(result)
+    finally:
+        computed.tally(op, hits, misses)
     return values[0]
 
 
@@ -174,8 +184,9 @@ def not_node(manager: Manager, f: int) -> int:
     """Complement a BDD (no complement arcs: O(|f|) new nodes)."""
     store = manager.store
     level, hi, lo = store.level, store.hi, store.lo
-    cache_get = manager.computed.lookup
-    cache_put = manager.computed.insert
+    computed = manager.computed
+    cache_get, cache_put = computed.probes()
+    hits = misses = 0
     mk = store.mk
     code = REGISTERED_OPS["not"]
 
@@ -186,32 +197,37 @@ def not_node(manager: Manager, f: int) -> int:
     push = stack.append
     values: list[int] = []
     emit = values.append
-    while stack:
-        ticks += 1
-        if not ticks & _MASK:
-            check("not")
-        frame = stack.pop()
-        if frame[0] == _EXPAND:
-            f = frame[1]
-            if f < 2:
-                emit(1 - f)
-                continue
-            key = code | f << 8
-            cached = cache_get("not", key)
-            if cached is not None:
-                emit(cached)
-                continue
-            push((_REBUILD, key, f))
-            push((_EXPAND, lo[f]))
-            push((_EXPAND, hi[f]))
-        else:  # _REBUILD
-            f = frame[2]
-            low = values.pop()
-            high = values.pop()
-            result = mk(level[f], high, low)
-            cache_put("not", frame[1], result)
-            cache_put("not", code | result << 8, f)
-            emit(result)
+    try:
+        while stack:
+            ticks += 1
+            if not ticks & _MASK:
+                check("not")
+            frame = stack.pop()
+            if frame[0] == _EXPAND:
+                f = frame[1]
+                if f < 2:
+                    emit(1 - f)
+                    continue
+                key = code | f << 8
+                cached = cache_get(key)
+                if cached is not None:
+                    hits += 1
+                    emit(cached)
+                    continue
+                misses += 1
+                push((_REBUILD, key, f))
+                push((_EXPAND, lo[f]))
+                push((_EXPAND, hi[f]))
+            else:  # _REBUILD
+                f = frame[2]
+                low = values.pop()
+                high = values.pop()
+                result = mk(level[f], high, low)
+                cache_put(frame[1], result)
+                cache_put(code | result << 8, f)
+                emit(result)
+    finally:
+        computed.tally("not", hits, misses)
     return values[0]
 
 
@@ -219,8 +235,9 @@ def ite_node(manager: Manager, f: int, g: int, h: int) -> int:
     """If-then-else ``f·g + f'·h`` with standard terminal cases."""
     store = manager.store
     level, hi, lo = store.level, store.hi, store.lo
-    cache_get = manager.computed.lookup
-    cache_put = manager.computed.insert
+    computed = manager.computed
+    cache_get, cache_put = computed.probes()
+    hits = misses = 0
     mk = store.mk
     code = REGISTERED_OPS["ite"]
 
@@ -231,74 +248,63 @@ def ite_node(manager: Manager, f: int, g: int, h: int) -> int:
     push = stack.append
     values: list[int] = []
     emit = values.append
-    while stack:
-        ticks += 1
-        if not ticks & _MASK:
-            check("ite")
-        frame = stack.pop()
-        if frame[0] == _EXPAND:
-            f, g, h = frame[1], frame[2], frame[3]
-            if f == 1:
-                emit(g)
-                continue
-            if f == 0:
-                emit(h)
-                continue
-            if g == h:
-                emit(g)
-                continue
-            if g == 1 and h == 0:
-                emit(f)
-                continue
-            if g == 0 and h == 1:
-                emit(not_node(manager, f))
-                continue
-            if f == g:  # ite(f, f, h) = f + h
-                g = 1
-            elif f == h:  # ite(f, g, f) = f & g
-                h = 0
-            key = code | f << 8 | g << 40 | h << 72
-            cached = cache_get("ite", key)
-            if cached is not None:
-                emit(cached)
-                continue
-            f_level = level[f]
-            g_level = level[g]
-            h_level = level[h]
-            top = f_level
-            if g_level < top:
-                top = g_level
-            if h_level < top:
-                top = h_level
-            f_hi, f_lo = (hi[f], lo[f]) if f_level == top else (f, f)
-            g_hi, g_lo = (hi[g], lo[g]) if g_level == top else (g, g)
-            h_hi, h_lo = (hi[h], lo[h]) if h_level == top else (h, h)
-            push((_REBUILD, key, top))
-            push((_EXPAND, f_lo, g_lo, h_lo))
-            push((_EXPAND, f_hi, g_hi, h_hi))
-        else:  # _REBUILD
-            low = values.pop()
-            high = values.pop()
-            result = mk(frame[2], high, low)
-            cache_put("ite", frame[1], result)
-            emit(result)
+    try:
+        while stack:
+            ticks += 1
+            if not ticks & _MASK:
+                check("ite")
+            frame = stack.pop()
+            if frame[0] == _EXPAND:
+                f, g, h = frame[1], frame[2], frame[3]
+                if f == 1:
+                    emit(g)
+                    continue
+                if f == 0:
+                    emit(h)
+                    continue
+                if g == h:
+                    emit(g)
+                    continue
+                if g == 1 and h == 0:
+                    emit(f)
+                    continue
+                if g == 0 and h == 1:
+                    emit(not_node(manager, f))
+                    continue
+                if f == g:  # ite(f, f, h) = f + h
+                    g = 1
+                elif f == h:  # ite(f, g, f) = f & g
+                    h = 0
+                key = code | f << 8 | g << 40 | h << 72
+                cached = cache_get(key)
+                if cached is not None:
+                    hits += 1
+                    emit(cached)
+                    continue
+                misses += 1
+                f_level = level[f]
+                g_level = level[g]
+                h_level = level[h]
+                top = f_level
+                if g_level < top:
+                    top = g_level
+                if h_level < top:
+                    top = h_level
+                f_hi, f_lo = (hi[f], lo[f]) if f_level == top else (f, f)
+                g_hi, g_lo = (hi[g], lo[g]) if g_level == top else (g, g)
+                h_hi, h_lo = (hi[h], lo[h]) if h_level == top else (h, h)
+                push((_REBUILD, key, top))
+                push((_EXPAND, f_lo, g_lo, h_lo))
+                push((_EXPAND, f_hi, g_hi, h_hi))
+            else:  # _REBUILD
+                low = values.pop()
+                high = values.pop()
+                result = mk(frame[2], high, low)
+                cache_put(frame[1], result)
+                emit(result)
+    finally:
+        computed.tally("ite", hits, misses)
     return values[0]
-
-
-class _ManagerLeqCache:
-    """Adapter memoizing containment queries in the manager's computed
-    table (op tag ``"leq"``) behind :func:`leq_node`'s dict protocol."""
-
-    __slots__ = ("_computed",)
-
-    def __init__(self, computed: "ComputedTable") -> None:
-        self._computed = computed
-
-    def get(self, key: int) -> bool | None:
-        return self._computed.lookup("leq", key)
-
-    def __setitem__(self, key: int, value: bool) -> None:
-        self._computed.insert("leq", key, value)
 
 
 def leq_node(manager: Manager, f: int, g: int,
@@ -307,8 +313,9 @@ def leq_node(manager: Manager, f: int, g: int,
 
     ``cache`` may be supplied to share memoization across many queries
     (RUA's markNodes performs one containment test per node); its keys
-    are the packed ``"leq"`` keys of the computed table.  By default
-    queries memoize in the manager's computed table.
+    are the packed ``"leq"`` keys of the computed table, and its hits
+    and misses are not counted.  By default queries memoize in the
+    manager's computed table.
 
     The conjunction short-circuits like the recursive formulation did:
     when the then-branch refutes containment, the else-branch is never
@@ -316,9 +323,12 @@ def leq_node(manager: Manager, f: int, g: int,
     """
     store = manager.store
     level, hi, lo = store.level, store.hi, store.lo
+    computed = manager.computed
     if cache is None:
-        cache = _ManagerLeqCache(manager.computed)
-    cache_get = cache.get
+        cache_get, cache_put = computed.probes()
+    else:
+        cache_get, cache_put = cache.get, cache.__setitem__
+    hits = misses = 0
     code = REGISTERED_OPS["leq"]
     check = manager.governor.checkpoint
     ticks = 0
@@ -327,42 +337,47 @@ def leq_node(manager: Manager, f: int, g: int,
     push = stack.append
     values: list[bool] = []
     emit = values.append
-    while stack:
-        ticks += 1
-        if not ticks & _MASK:
-            check("leq")
-        frame = stack.pop()
-        tag = frame[0]
-        if tag == _EXPAND:
-            f, g = frame[1], frame[2]
-            if f == 0 or g == 1 or f == g:
-                emit(True)
-                continue
-            if f == 1 or g == 0:
-                emit(False)
-                continue
-            key = code | f << 8 | g << 40
-            cached = cache_get(key)
-            if cached is not None:
-                emit(cached)
-                continue
-            f_level, g_level = level[f], level[g]
-            top = f_level if f_level < g_level else g_level
-            f_hi, f_lo = (hi[f], lo[f]) if f_level == top else (f, f)
-            g_hi, g_lo = (hi[g], lo[g]) if g_level == top else (g, g)
-            push((_AFTER_HI, key, f_lo, g_lo))
-            push((_EXPAND, f_hi, g_hi))
-        elif tag == _AFTER_HI:
-            key = frame[1]
-            if not values.pop():
-                cache[key] = False
-                emit(False)
-                continue
-            push((_REBUILD, key))
-            push((_EXPAND, frame[2], frame[3]))
-        else:  # _REBUILD: record the else-branch verdict
-            result = values[-1]
-            cache[frame[1]] = result
+    try:
+        while stack:
+            ticks += 1
+            if not ticks & _MASK:
+                check("leq")
+            frame = stack.pop()
+            tag = frame[0]
+            if tag == _EXPAND:
+                f, g = frame[1], frame[2]
+                if f == 0 or g == 1 or f == g:
+                    emit(True)
+                    continue
+                if f == 1 or g == 0:
+                    emit(False)
+                    continue
+                key = code | f << 8 | g << 40
+                cached = cache_get(key)
+                if cached is not None:
+                    hits += 1
+                    emit(cached)
+                    continue
+                misses += 1
+                f_level, g_level = level[f], level[g]
+                top = f_level if f_level < g_level else g_level
+                f_hi, f_lo = (hi[f], lo[f]) if f_level == top else (f, f)
+                g_hi, g_lo = (hi[g], lo[g]) if g_level == top else (g, g)
+                push((_AFTER_HI, key, f_lo, g_lo))
+                push((_EXPAND, f_hi, g_hi))
+            elif tag == _AFTER_HI:
+                key = frame[1]
+                if not values.pop():
+                    cache_put(key, False)
+                    emit(False)
+                    continue
+                push((_REBUILD, key))
+                push((_EXPAND, frame[2], frame[3]))
+            else:  # _REBUILD: record the else-branch verdict
+                cache_put(frame[1], values[-1])
+    finally:
+        if cache is None:
+            computed.tally("leq", hits, misses)
     return values[0]
 
 
@@ -375,10 +390,11 @@ def cofactor_node(manager: Manager, f: int,
     max_level = frozen[-1][0]
     store = manager.store
     level, hi, lo = store.level, store.hi, store.lo
-    cache_get = manager.computed.lookup
-    cache_put = manager.computed.insert
+    computed = manager.computed
+    cache_get, cache_put = computed.probes()
+    hits = misses = 0
     mk = store.mk
-    code = REGISTERED_OPS["cof"] | manager.computed.intern(frozen) << 40
+    code = REGISTERED_OPS["cof"] | computed.intern(frozen) << 40
 
     check = manager.governor.checkpoint
     ticks = 0
@@ -387,41 +403,46 @@ def cofactor_node(manager: Manager, f: int,
     push = stack.append
     values: list[int] = []
     emit = values.append
-    while stack:
-        ticks += 1
-        if not ticks & _MASK:
-            check("cof")
-        frame = stack.pop()
-        tag = frame[0]
-        if tag == _EXPAND:
-            f = frame[1]
-            if f < 2 or level[f] > max_level:
-                emit(f)
-                continue
-            key = code | f << 8
-            cached = cache_get("cof", key)
-            if cached is not None:
-                emit(cached)
-                continue
-            value = levels.get(level[f])
-            if value is None:
-                push((_REBUILD, key, level[f]))
-                push((_EXPAND, lo[f]))
-                push((_EXPAND, hi[f]))
-            elif value:
-                push((_FORWARD, key))
-                push((_EXPAND, hi[f]))
-            else:
-                push((_FORWARD, key))
-                push((_EXPAND, lo[f]))
-        elif tag == _REBUILD:
-            low = values.pop()
-            high = values.pop()
-            result = mk(frame[2], high, low)
-            cache_put("cof", frame[1], result)
-            emit(result)
-        else:  # _FORWARD: memoize the single child's result as our own
-            cache_put("cof", frame[1], values[-1])
+    try:
+        while stack:
+            ticks += 1
+            if not ticks & _MASK:
+                check("cof")
+            frame = stack.pop()
+            tag = frame[0]
+            if tag == _EXPAND:
+                f = frame[1]
+                if f < 2 or level[f] > max_level:
+                    emit(f)
+                    continue
+                key = code | f << 8
+                cached = cache_get(key)
+                if cached is not None:
+                    hits += 1
+                    emit(cached)
+                    continue
+                misses += 1
+                value = levels.get(level[f])
+                if value is None:
+                    push((_REBUILD, key, level[f]))
+                    push((_EXPAND, lo[f]))
+                    push((_EXPAND, hi[f]))
+                elif value:
+                    push((_FORWARD, key))
+                    push((_EXPAND, hi[f]))
+                else:
+                    push((_FORWARD, key))
+                    push((_EXPAND, lo[f]))
+            elif tag == _REBUILD:
+                low = values.pop()
+                high = values.pop()
+                result = mk(frame[2], high, low)
+                cache_put(frame[1], result)
+                emit(result)
+            else:  # _FORWARD: memoize the single child's result as ours
+                cache_put(frame[1], values[-1])
+    finally:
+        computed.tally("cof", hits, misses)
     return values[0]
 
 
@@ -535,7 +556,12 @@ def vector_compose_node(manager: Manager, f: int,
     Implemented by the standard formulation:
     ``f = ite(sub(x), compose(f_hi), compose(f_lo))`` at substituted
     levels, rebuilding with ITE below to keep canonicity when the
-    substituted functions overlap the remaining variables.
+    substituted functions overlap the remaining variables.  When the
+    new node's variable (the substituted one, or the level's own
+    variable) is a positive literal above both rebuilt children, that
+    ITE is a single ``mk`` at the literal's level, and the rebuild
+    makes it directly: an order-preserving rename, such as an image's
+    next-to-present one, is one ``mk`` per node.
     """
     if not substitution:
         return f
@@ -543,10 +569,11 @@ def vector_compose_node(manager: Manager, f: int,
     max_level = frozen[-1][0]
     store = manager.store
     level, hi, lo = store.level, store.hi, store.lo
-    cache_get = manager.computed.lookup
-    cache_put = manager.computed.insert
+    computed = manager.computed
+    cache_get, cache_put = computed.probes()
+    hits = misses = 0
     mk = store.mk
-    code = REGISTERED_OPS["vcomp"] | manager.computed.intern(frozen) << 40
+    code = REGISTERED_OPS["vcomp"] | computed.intern(frozen) << 40
 
     check = manager.governor.checkpoint
     ticks = 0
@@ -555,36 +582,52 @@ def vector_compose_node(manager: Manager, f: int,
     push = stack.append
     values: list[int] = []
     emit = values.append
-    while stack:
-        ticks += 1
-        if not ticks & _MASK:
-            check("vcomp")
-        frame = stack.pop()
-        if frame[0] == _EXPAND:
-            f = frame[1]
-            if f < 2 or level[f] > max_level:
-                emit(f)
-                continue
-            key = code | f << 8
-            cached = cache_get("vcomp", key)
-            if cached is not None:
-                emit(cached)
-                continue
-            push((_REBUILD, key, level[f]))
-            push((_EXPAND, lo[f]))
-            push((_EXPAND, hi[f]))
-        else:  # _REBUILD
-            var_level = frame[2]
-            low = values.pop()
-            high = values.pop()
-            replacement = substitution.get(var_level)
-            if replacement is None:
-                # The variable itself survives; rebuild with ITE because
-                # high/low may now depend on variables at or above it.
-                var = mk(var_level, 1, 0)
-                result = ite_node(manager, var, high, low)
-            else:
-                result = ite_node(manager, replacement, high, low)
-            cache_put("vcomp", frame[1], result)
-            emit(result)
+    try:
+        while stack:
+            ticks += 1
+            if not ticks & _MASK:
+                check("vcomp")
+            frame = stack.pop()
+            if frame[0] == _EXPAND:
+                f = frame[1]
+                if f < 2 or level[f] > max_level:
+                    emit(f)
+                    continue
+                key = code | f << 8
+                cached = cache_get(key)
+                if cached is not None:
+                    hits += 1
+                    emit(cached)
+                    continue
+                misses += 1
+                push((_REBUILD, key, level[f]))
+                push((_EXPAND, lo[f]))
+                push((_EXPAND, hi[f]))
+            else:  # _REBUILD
+                var_level = frame[2]
+                low = values.pop()
+                high = values.pop()
+                replacement = substitution.get(var_level)
+                # The level of the new node's variable when that
+                # variable is a positive literal; else past every level.
+                if replacement is None:
+                    label = var_level
+                elif hi[replacement] == 1 and lo[replacement] == 0:
+                    label = level[replacement]
+                else:
+                    label = TERMINAL_LEVEL
+                if label < level[high] and label < level[low]:
+                    # Relabel: ite(x, high, low) is the node (x, high,
+                    # low) when x lies above both children.
+                    result = mk(label, high, low)
+                else:
+                    # The children may now depend on variables at or
+                    # above the new node's: rebuild with ITE.
+                    var = mk(var_level, 1, 0) if replacement is None \
+                        else replacement
+                    result = ite_node(manager, var, high, low)
+                cache_put(frame[1], result)
+                emit(result)
+    finally:
+        computed.tally("vcomp", hits, misses)
     return values[0]

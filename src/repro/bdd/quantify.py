@@ -11,8 +11,9 @@ it early.
 Like the core kernels in :mod:`~repro.bdd.operations`, all three
 traversals run on explicit stacks (so quantification over arbitrarily
 deep BDDs never hits the interpreter recursion limit), index the
-store's columns directly, and key the computed table with packed ints;
-the quantified level set enters the key as an interned id.
+store's columns directly, and key the computed table with packed ints
+through its probe pair; the quantified level set enters the key as an
+interned id.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ def _quantify(manager: Manager, f: int, levels: frozenset[int],
     max_level = max(levels)
     store = manager.store
     level, hi, lo = store.level, store.hi, store.lo
-    cache_get = manager.computed.lookup
-    cache_put = manager.computed.insert
+    computed = manager.computed
+    cache_get, cache_put = computed.probes()
+    hits = misses = 0
     mk = store.mk
-    code = REGISTERED_OPS[tag] | manager.computed.intern(levels) << 40
+    code = REGISTERED_OPS[tag] | computed.intern(levels) << 40
     check = manager.governor.checkpoint
     ticks = 0
 
@@ -62,49 +64,62 @@ def _quantify(manager: Manager, f: int, levels: frozenset[int],
     push = stack.append
     values: list[int] = []
     emit = values.append
-    while stack:
-        ticks += 1
-        if not ticks & _MASK:
-            check(tag)
-        frame = stack.pop()
-        if frame[0] == _EXPAND:
-            f = frame[1]
-            if f < 2 or level[f] > max_level:
-                emit(f)
-                continue
-            key = code | f << 8
-            cached = cache_get(tag, key)
-            if cached is not None:
-                emit(cached)
-                continue
-            push((_REBUILD, key, level[f]))
-            push((_EXPAND, lo[f]))
-            push((_EXPAND, hi[f]))
-        else:  # _REBUILD
-            var_level = frame[2]
-            low = values.pop()
-            high = values.pop()
-            if var_level in levels:
-                result = apply_node(manager, combine_op, high, low)
-            else:
-                result = mk(var_level, high, low)
-            cache_put(tag, frame[1], result)
-            emit(result)
+    try:
+        while stack:
+            ticks += 1
+            if not ticks & _MASK:
+                check(tag)
+            frame = stack.pop()
+            if frame[0] == _EXPAND:
+                f = frame[1]
+                if f < 2 or level[f] > max_level:
+                    emit(f)
+                    continue
+                key = code | f << 8
+                cached = cache_get(key)
+                if cached is not None:
+                    hits += 1
+                    emit(cached)
+                    continue
+                misses += 1
+                push((_REBUILD, key, level[f]))
+                push((_EXPAND, lo[f]))
+                push((_EXPAND, hi[f]))
+            else:  # _REBUILD
+                var_level = frame[2]
+                low = values.pop()
+                high = values.pop()
+                if var_level in levels:
+                    result = apply_node(manager, combine_op, high, low)
+                else:
+                    result = mk(var_level, high, low)
+                cache_put(frame[1], result)
+                emit(result)
+    finally:
+        computed.tally(tag, hits, misses)
     return values[0]
 
 
 def and_exists_node(manager: Manager, f: int, g: int,
                     levels: frozenset[int]) -> int:
-    """Relational product ``exists levels . f & g`` in one pass."""
+    """Relational product ``exists levels . f & g`` in one pass.
+
+    The conjunction below the last quantified level and the disjunction
+    at a quantified level settle their terminal cases (an operand of
+    ONE, ZERO or equal to the other) inline, as
+    :func:`~repro.bdd.operations.apply_node` would before any cache
+    lookup, and call it only for the rest.
+    """
     if not levels:
         return apply_node(manager, "and", f, g)
     max_level = max(levels)
     store = manager.store
     level, hi, lo = store.level, store.hi, store.lo
-    cache_get = manager.computed.lookup
-    cache_put = manager.computed.insert
+    computed = manager.computed
+    cache_get, cache_put = computed.probes()
+    hits = misses = 0
     mk = store.mk
-    code = REGISTERED_OPS["andex"] | manager.computed.intern(levels) << 72
+    code = REGISTERED_OPS["andex"] | computed.intern(levels) << 72
     check = manager.governor.checkpoint
     ticks = 0
 
@@ -112,68 +127,87 @@ def and_exists_node(manager: Manager, f: int, g: int,
     push = stack.append
     values: list[int] = []
     emit = values.append
-    while stack:
-        ticks += 1
-        if not ticks & _MASK:
-            check("andex")
-        frame = stack.pop()
-        tag = frame[0]
-        if tag == _EXPAND:
-            f, g = frame[1], frame[2]
-            if f == 0 or g == 0:
-                emit(0)
-                continue
-            if f == 1 and g == 1:
-                emit(1)
-                continue
-            f_level, g_level = level[f], level[g]
-            if f_level > max_level and g_level > max_level:
-                emit(apply_node(manager, "and", f, g))
-                continue
-            if f == 1:
-                emit(exists_node(manager, g, levels))
-                continue
-            if g == 1 or f == g:
-                emit(exists_node(manager, f, levels))
-                continue
-            if f > g:
-                f, g = g, f
-                f_level, g_level = g_level, f_level
-            key = code | f << 8 | g << 40
-            cached = cache_get("andex", key)
-            if cached is not None:
-                emit(cached)
-                continue
-            top = f_level if f_level < g_level else g_level
-            f_hi, f_lo = (hi[f], lo[f]) if f_level == top else (f, f)
-            g_hi, g_lo = (hi[g], lo[g]) if g_level == top else (g, g)
-            if top in levels:
-                # Quantified level: the else pair is only explored when
-                # the then result falls short of ONE (short-circuit).
-                push((_AFTER_HI, key, f_lo, g_lo))
-                push((_EXPAND, f_hi, g_hi))
-            else:
-                push((_REBUILD, key, top))
-                push((_EXPAND, f_lo, g_lo))
-                push((_EXPAND, f_hi, g_hi))
-        elif tag == _AFTER_HI:
-            key = frame[1]
-            high = values.pop()
-            if high == 1:
-                cache_put("andex", key, 1)
-                emit(1)
-                continue
-            push((_DISJOIN, key, high))
-            push((_EXPAND, frame[2], frame[3]))
-        elif tag == _DISJOIN:
-            low = values.pop()
-            result = apply_node(manager, "or", frame[2], low)
-            cache_put("andex", frame[1], result)
-            emit(result)
-        else:  # _REBUILD
-            low = values.pop()
-            high = values.pop()
-            result = mk(frame[2], high, low)
-            cache_put("andex", frame[1], result)
-            emit(result)
+    try:
+        while stack:
+            ticks += 1
+            if not ticks & _MASK:
+                check("andex")
+            frame = stack.pop()
+            tag = frame[0]
+            if tag == _EXPAND:
+                f, g = frame[1], frame[2]
+                if f == 0 or g == 0:
+                    emit(0)
+                    continue
+                if f == 1 and g == 1:
+                    emit(1)
+                    continue
+                f_level, g_level = level[f], level[g]
+                if f_level > max_level and g_level > max_level:
+                    # Nothing left to quantify: f & g.
+                    if f == 1:
+                        emit(g)
+                    elif g == 1 or f == g:
+                        emit(f)
+                    else:
+                        emit(apply_node(manager, "and", f, g))
+                    continue
+                if f == 1:
+                    emit(exists_node(manager, g, levels))
+                    continue
+                if g == 1 or f == g:
+                    emit(exists_node(manager, f, levels))
+                    continue
+                if f > g:
+                    f, g = g, f
+                    f_level, g_level = g_level, f_level
+                key = code | f << 8 | g << 40
+                cached = cache_get(key)
+                if cached is not None:
+                    hits += 1
+                    emit(cached)
+                    continue
+                misses += 1
+                top = f_level if f_level < g_level else g_level
+                f_hi, f_lo = (hi[f], lo[f]) if f_level == top else (f, f)
+                g_hi, g_lo = (hi[g], lo[g]) if g_level == top else (g, g)
+                if top in levels:
+                    # Quantified level: the else pair is only explored
+                    # when the then result falls short of ONE
+                    # (short-circuit).
+                    push((_AFTER_HI, key, f_lo, g_lo))
+                    push((_EXPAND, f_hi, g_hi))
+                else:
+                    push((_REBUILD, key, top))
+                    push((_EXPAND, f_lo, g_lo))
+                    push((_EXPAND, f_hi, g_hi))
+            elif tag == _AFTER_HI:
+                key = frame[1]
+                high = values.pop()
+                if high == 1:
+                    cache_put(key, 1)
+                    emit(1)
+                    continue
+                push((_DISJOIN, key, high))
+                push((_EXPAND, frame[2], frame[3]))
+            elif tag == _DISJOIN:
+                # high | low, where high is not ONE.
+                high = frame[2]
+                low = values.pop()
+                if low == 0 or low == high:
+                    result = high
+                elif low == 1 or high == 0:
+                    result = low
+                else:
+                    result = apply_node(manager, "or", high, low)
+                cache_put(frame[1], result)
+                emit(result)
+            else:  # _REBUILD
+                low = values.pop()
+                high = values.pop()
+                result = mk(frame[2], high, low)
+                cache_put(frame[1], result)
+                emit(result)
+    finally:
+        computed.tally("andex", hits, misses)
     return values[0]

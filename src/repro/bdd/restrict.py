@@ -16,7 +16,8 @@ it can pull variables not in the support of ``f`` into the result.
 
 Both traversals run on explicit stacks (docs/algorithms.md, "Iterative
 kernels"), index the store's columns directly and key the computed
-table with packed ints, like the kernels in :mod:`~repro.bdd.operations`.
+table with packed ints through its probe pair, like the kernels in
+:mod:`~repro.bdd.operations`.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ def constrain_node(manager: Manager, f: int, c: int) -> int:
     """Coudert–Madre generalized cofactor ``f || c``."""
     store = manager.store
     level, hi, lo = store.level, store.hi, store.lo
-    cache_get = manager.computed.lookup
-    cache_put = manager.computed.insert
+    computed = manager.computed
+    cache_get, cache_put = computed.probes()
+    hits = misses = 0
     mk = store.mk
     code = REGISTERED_OPS["constrain"]
     check = manager.governor.checkpoint
@@ -54,55 +56,62 @@ def constrain_node(manager: Manager, f: int, c: int) -> int:
     push = stack.append
     values: list[int] = []
     emit = values.append
-    while stack:
-        ticks += 1
-        if not ticks & _MASK:
-            check("constrain")
-        frame = stack.pop()
-        tag = frame[0]
-        if tag == _EXPAND:
-            f, c = frame[1], frame[2]
-            if c == 0:
-                # The care set is empty: the result is arbitrary; return
-                # f to keep the walk total (callers never use this
-                # branch's value on the care set, which is empty).
-                emit(f)
-                continue
-            if f == c:
-                # The function and the care set coincide: on the care
-                # set the value is 1, and off it the value is free.
-                emit(1)
-                continue
-            if c == 1 or f < 2:
-                emit(f)
-                continue
-            key = code | f << 8 | c << 40
-            cached = cache_get("constrain", key)
-            if cached is not None:
-                emit(cached)
-                continue
-            f_level, c_level = level[f], level[c]
-            top = f_level if f_level < c_level else c_level
-            f_hi, f_lo = (hi[f], lo[f]) if f_level == top else (f, f)
-            c_hi, c_lo = (hi[c], lo[c]) if c_level == top else (c, c)
-            if c_hi == 0:
-                push((_FORWARD, key))
-                push((_EXPAND, f_lo, c_lo))
-            elif c_lo == 0:
-                push((_FORWARD, key))
-                push((_EXPAND, f_hi, c_hi))
-            else:
-                push((_REBUILD, key, top))
-                push((_EXPAND, f_lo, c_lo))
-                push((_EXPAND, f_hi, c_hi))
-        elif tag == _REBUILD:
-            low = values.pop()
-            high = values.pop()
-            result = mk(frame[2], high, low)
-            cache_put("constrain", frame[1], result)
-            emit(result)
-        else:  # _FORWARD: one-branch descent, memoized under our key
-            cache_put("constrain", frame[1], values[-1])
+    try:
+        while stack:
+            ticks += 1
+            if not ticks & _MASK:
+                check("constrain")
+            frame = stack.pop()
+            tag = frame[0]
+            if tag == _EXPAND:
+                f, c = frame[1], frame[2]
+                if c == 0:
+                    # The care set is empty: the result is arbitrary;
+                    # return f to keep the walk total (callers never use
+                    # this branch's value on the care set, which is
+                    # empty).
+                    emit(f)
+                    continue
+                if f == c:
+                    # The function and the care set coincide: on the
+                    # care set the value is 1, and off it the value is
+                    # free.
+                    emit(1)
+                    continue
+                if c == 1 or f < 2:
+                    emit(f)
+                    continue
+                key = code | f << 8 | c << 40
+                cached = cache_get(key)
+                if cached is not None:
+                    hits += 1
+                    emit(cached)
+                    continue
+                misses += 1
+                f_level, c_level = level[f], level[c]
+                top = f_level if f_level < c_level else c_level
+                f_hi, f_lo = (hi[f], lo[f]) if f_level == top else (f, f)
+                c_hi, c_lo = (hi[c], lo[c]) if c_level == top else (c, c)
+                if c_hi == 0:
+                    push((_FORWARD, key))
+                    push((_EXPAND, f_lo, c_lo))
+                elif c_lo == 0:
+                    push((_FORWARD, key))
+                    push((_EXPAND, f_hi, c_hi))
+                else:
+                    push((_REBUILD, key, top))
+                    push((_EXPAND, f_lo, c_lo))
+                    push((_EXPAND, f_hi, c_hi))
+            elif tag == _REBUILD:
+                low = values.pop()
+                high = values.pop()
+                result = mk(frame[2], high, low)
+                cache_put(frame[1], result)
+                emit(result)
+            else:  # _FORWARD: one-branch descent, memoized under our key
+                cache_put(frame[1], values[-1])
+    finally:
+        computed.tally("constrain", hits, misses)
     return values[0]
 
 
@@ -116,8 +125,9 @@ def restrict_node(manager: Manager, f: int, c: int) -> int:
     """
     store = manager.store
     level, hi, lo = store.level, store.hi, store.lo
-    cache_get = manager.computed.lookup
-    cache_put = manager.computed.insert
+    computed = manager.computed
+    cache_get, cache_put = computed.probes()
+    hits = misses = 0
     mk = store.mk
     code = REGISTERED_OPS["restrict"]
     check = manager.governor.checkpoint
@@ -127,58 +137,66 @@ def restrict_node(manager: Manager, f: int, c: int) -> int:
     push = stack.append
     values: list[int] = []
     emit = values.append
-    while stack:
-        ticks += 1
-        if not ticks & _MASK:
-            check("restrict")
-        frame = stack.pop()
-        tag = frame[0]
-        if tag == _EXPAND:
-            f, c = frame[1], frame[2]
-            if c == 0:
-                emit(f)
-                continue
-            if f == c:
-                emit(1)
-                continue
-            if c == 1 or f < 2:
-                emit(f)
-                continue
-            key = code | f << 8 | c << 40
-            cached = cache_get("restrict", key)
-            if cached is not None:
-                emit(cached)
-                continue
-            f_level, c_level = level[f], level[c]
-            if c_level < f_level:
-                # f does not depend on the top variable of c: merge the
-                # care branches and retry on the merged care set.
-                merged = exists_node(manager, c, frozenset({c_level}))
-                push((_FORWARD, key))
-                push((_EXPAND, f, merged))
-                continue
-            f_hi, f_lo = hi[f], lo[f]
-            c_hi, c_lo = (hi[c], lo[c]) if c_level == f_level else (c, c)
-            if c_hi == 0:
-                # Remapping step (Figure 1): the then-branch is don't
-                # care, replace the whole node by the else cofactor.
-                push((_FORWARD, key))
-                push((_EXPAND, f_lo, c_lo))
-            elif c_lo == 0:
-                push((_FORWARD, key))
-                push((_EXPAND, f_hi, c_hi))
-            else:
-                push((_REBUILD, key, f_level))
-                push((_EXPAND, f_lo, c_lo))
-                push((_EXPAND, f_hi, c_hi))
-        elif tag == _REBUILD:
-            low = values.pop()
-            high = values.pop()
-            result = mk(frame[2], high, low)
-            cache_put("restrict", frame[1], result)
-            emit(result)
-        else:  # _FORWARD
-            cache_put("restrict", frame[1], values[-1])
+    try:
+        while stack:
+            ticks += 1
+            if not ticks & _MASK:
+                check("restrict")
+            frame = stack.pop()
+            tag = frame[0]
+            if tag == _EXPAND:
+                f, c = frame[1], frame[2]
+                if c == 0:
+                    emit(f)
+                    continue
+                if f == c:
+                    emit(1)
+                    continue
+                if c == 1 or f < 2:
+                    emit(f)
+                    continue
+                key = code | f << 8 | c << 40
+                cached = cache_get(key)
+                if cached is not None:
+                    hits += 1
+                    emit(cached)
+                    continue
+                misses += 1
+                f_level, c_level = level[f], level[c]
+                if c_level < f_level:
+                    # f does not depend on the top variable of c: merge
+                    # the care branches and retry on the merged care
+                    # set.
+                    merged = exists_node(manager, c, frozenset({c_level}))
+                    push((_FORWARD, key))
+                    push((_EXPAND, f, merged))
+                    continue
+                f_hi, f_lo = hi[f], lo[f]
+                c_hi, c_lo = (hi[c], lo[c]) if c_level == f_level \
+                    else (c, c)
+                if c_hi == 0:
+                    # Remapping step (Figure 1): the then-branch is
+                    # don't care, replace the whole node by the else
+                    # cofactor.
+                    push((_FORWARD, key))
+                    push((_EXPAND, f_lo, c_lo))
+                elif c_lo == 0:
+                    push((_FORWARD, key))
+                    push((_EXPAND, f_hi, c_hi))
+                else:
+                    push((_REBUILD, key, f_level))
+                    push((_EXPAND, f_lo, c_lo))
+                    push((_EXPAND, f_hi, c_hi))
+            elif tag == _REBUILD:
+                low = values.pop()
+                high = values.pop()
+                result = mk(frame[2], high, low)
+                cache_put(frame[1], result)
+                emit(result)
+            else:  # _FORWARD
+                cache_put(frame[1], values[-1])
+    finally:
+        computed.tally("restrict", hits, misses)
     return values[0]
 
 

@@ -247,9 +247,9 @@ def check_manager(manager: "Manager",
         interned = manager.computed.interned_count
         for op, key, result in manager.computed.entries():
             if result is None:
-                # lookup() signals a miss with None, so a None result is
-                # unreachable garbage — and the signature of a kernel
-                # that parked an in-progress marker and aborted.
+                # A probe's get signals a miss with None, so a None
+                # result is unreachable garbage — and the signature of a
+                # kernel that parked an in-progress marker and aborted.
                 report(Diagnostic(
                     "cache-incomplete",
                     f"computed-table entry for op {op!r} key {key!r} "

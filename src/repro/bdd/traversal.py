@@ -5,8 +5,8 @@ node set of a function, counting internal references (the paper's
 *functionRef*), and iterating nodes in level order.
 
 Every function takes the node store as its first argument and works on
-int node ids through the store's accessors.  Result containers are
-keyed by id.
+int node ids, through the store's columns or accessors.  Result
+containers are keyed by id.
 """
 
 from __future__ import annotations
@@ -18,21 +18,36 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .arraystore import ArrayStore
 
 
-def collect_nodes(store: "ArrayStore", root: Any) -> list[Any]:
-    """All internal nodes reachable from ``root`` (excludes terminals)."""
-    is_term = store.is_terminal
-    hi_of, lo_of = store.hi_of, store.lo_of
-    seen: set[Any] = set()
-    out: list[Any] = []
+def collect_nodes(store: "ArrayStore", root: int) -> list[int]:
+    """All internal nodes reachable from ``root`` (excludes terminals).
+
+    Depth-first, lo child first, each node listed when it is first
+    popped.  Callers rely on this order (the store encoding and the
+    stable level sort of :func:`nodes_by_level` both follow it), so the
+    walk indexes the ``hi``/``lo`` columns and skips terminals before
+    pushing them without changing which node comes when.
+    """
+    if root < 2:
+        return []
+    hi, lo = store.hi, store.lo
+    seen: set[int] = set()
+    mark = seen.add
+    out: list[int] = []
+    emit = out.append
     stack = [root]
+    push, pop = stack.append, stack.pop
     while stack:
-        node = stack.pop()
-        if is_term(node) or node in seen:
+        node = pop()
+        if node in seen:
             continue
-        seen.add(node)
-        out.append(node)
-        stack.append(hi_of(node))
-        stack.append(lo_of(node))
+        mark(node)
+        emit(node)
+        child = hi[node]
+        if child > 1:
+            push(child)
+        child = lo[node]
+        if child > 1:
+            push(child)
     return out
 
 

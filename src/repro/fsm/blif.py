@@ -3,7 +3,10 @@
 Supports the subset of Berkeley Logic Interchange Format that the
 ISCAS-style benchmarks use: ``.model``, ``.inputs``, ``.outputs``,
 ``.latch <in> <out> [<type> <ctrl>] [init]``, and single-output
-``.names`` tables with 1/0/- cube rows.  ``.names`` covers are read as
+``.names`` tables with 1/0/- cube rows.  A latch's init value is 0 or
+1 (0 when absent); the init values 2 (don't care) and 3 (unknown) are
+rejected, because a circuit holds one boolean initial value per latch
+and reading either as 0 would drop reachable states.  ``.names`` covers are read as
 sums of cubes (output value 1 rows) or complemented products (output
 value 0 rows).  Every signal has one driver: an input, a latch or one
 ``.names`` table.
@@ -74,7 +77,12 @@ def parse_blif(text: str) -> Circuit:
                                     f"{' '.join(tokens)}")
                 init = False
                 trailing = tokens[3:]
-                if trailing and trailing[-1] in ("0", "1", "2", "3"):
+                if trailing and trailing[-1] in ("2", "3"):
+                    raise BlifError(
+                        f"latch {tokens[2]!r} has init value "
+                        f"{trailing[-1]} (don't care or unknown); only "
+                        f"0 and 1 are supported")
+                if trailing and trailing[-1] in ("0", "1"):
                     init = trailing[-1] == "1"
                 latches.append((tokens[1], tokens[2], init))
             elif head == ".names":

@@ -1,5 +1,5 @@
 """RPR003 suppressed: a deliberately exotic tag, waived."""
 
 
-def kernel(manager, key):
-    manager.computed.insert("experimental-op", key, 42)  # repro-lint: disable=RPR003
+def kernel(manager, hits, misses):
+    manager.computed.tally("experimental-op", hits, misses)  # repro-lint: disable=RPR003

@@ -1,17 +1,17 @@
 """RPR003 trigger: unregistered computed-table op tags."""
 
 
-def kernel(manager, key):
-    cached = manager.computed.lookup("frobnicate", key)
-    if cached is None:
-        cached = 42
-        manager.computed.insert("frobnicate", key, cached)
-    return cached
+def kernel(manager, hits, misses):
+    manager.computed.tally("frobnicate", hits, misses)
 
 
-def aliased(manager, key):
-    cache_get = manager.computed.lookup
-    cache_put = manager.computed.insert
-    value = cache_get("mystery-op", key)
-    cache_put("mystery-op", key, value)
-    return value
+class Holder:
+    def kernel(self, hits, misses):
+        self._computed.tally("frobnicate", hits, misses)
+
+
+def aliased(manager, hits, misses):
+    computed = manager.computed
+    computed.tally("mystery-op", hits, misses)
+    tally = computed.tally
+    tally("mystery-op", hits, misses)

@@ -28,7 +28,8 @@ def rule_ids(violations) -> set[str]:
     ("rpr001_trigger.py", "RPR001", 3),   # walk, even, odd
     ("rpr002_trigger.py", "RPR002", 4),   # ArrayStore: Name, Attribute,
                                           # lambda default, class body
-    ("rpr003_trigger.py", "RPR003", 4),   # direct + aliased, get + put
+    ("rpr003_trigger.py", "RPR003", 4),   # tally direct, on a private
+                                          # table, via table + method alias
     ("rpr004_trigger.py", "RPR004", 3),   # method call + both foreign
                                           # operands of the free call
     ("rpr005_trigger.py", "RPR005", 4),   # one per malformed signature

@@ -13,11 +13,13 @@ import gc
 import os
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
 from repro.bdd import (Budget, BudgetExceeded, DeadlineExceeded,
                        InjectedAbort, ResourceError)
+from repro.bdd.computed import ComputedTable, op_of
 from repro.bdd.governor import CHECK_STRIDE, injection_from_env
 from repro.bdd.io import dump, transfer
 from repro.bdd.restrict import constrain, restrict
@@ -57,9 +59,20 @@ QVARS = 6
 #: graph — with replacements enabled, an accepted replacement near the
 #: root can collapse the traversal under one checkpoint stride.  The
 #: ``cof`` workload computes every cofactor size of ``f``, which builds
-#: no node and returns a dict rather than a function.
+#: no node and returns a dict rather than a function.  The ``vcomp``
+#: workload shifts a function of ``x0..x12`` one variable down, an
+#: order-preserving rename whose rebuilds are single ``mk`` calls,
+#: except that ``x6`` becomes the non-literal ``x7 ^ x13``, whose
+#: rebuilds go through ITE; both kinds are interleaved in the walk, so
+#: an abort lands after some of each.
 WORKLOADS = ("andex", "apply", "constrain", "exists", "ite", "remap",
-             "restrict", "cof")
+             "restrict", "cof", "vcomp")
+
+#: The computed-table op tag each workload's aborted kernel tallies its
+#: lookups under (None: the kernel keeps no computed-table entries).
+CACHE_OPS = {"andex": "andex", "apply": "and", "constrain": "constrain",
+             "exists": "exists", "ite": "ite", "remap": None,
+             "restrict": "restrict", "cof": None, "vcomp": "vcomp"}
 
 
 def build_workload(seed: int):
@@ -76,6 +89,10 @@ def build_workload(seed: int):
     care = g | h
     union = f | g
     names = [v.var for v in variables[-QVARS:]]
+    shifted = random_function(manager, variables[:-1], rng, terms=18,
+                              width=4)
+    shift = {v.var: w for v, w in zip(variables, variables[1:])}
+    shift[variables[6].var] = variables[7] ^ variables[13]
     ops = {
         "apply": lambda: f & g,
         "ite": lambda: f.ite(g, h),
@@ -86,13 +103,39 @@ def build_workload(seed: int):
         "remap": lambda: remap_under_approx(union, threshold=0,
                                             replacements=()),
         "cof": lambda: cofactor_sizes(f),
+        "vcomp": lambda: shifted.compose(shift),
     }
     return manager, ops
 
 
-#: Trials per workload: 8 x 30 = 240 injected aborts per run, each
+#: Trials per workload: 9 x 30 = 270 injected aborts per run, each
 #: sanitizer-swept and re-run — the >= 200 bar of the robustness work.
 TRIALS = 30
+
+
+@pytest.fixture
+def lookups_made(monkeypatch):
+    """Computed-table lookups per op tag, counted at the probe pair
+    (each key's opcode names its op)."""
+    counts: Counter[str] = Counter()
+    probes = ComputedTable.probes
+
+    def counting_probes(table):
+        get, put = probes(table)
+
+        def counted_get(key):
+            counts[op_of(key)] += 1
+            return get(key)
+
+        return counted_get, put
+
+    monkeypatch.setattr(ComputedTable, "probes", counting_probes)
+    return counts
+
+
+def _lookups(manager) -> Counter[str]:
+    return Counter({op: s.lookups
+                    for op, s in manager.stats.cache_per_op.items()})
 
 
 def _seed(workload: str, trial: int) -> int:
@@ -104,7 +147,7 @@ def _seed(workload: str, trial: int) -> int:
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_injected_aborts_unwind_cleanly(workload):
+def test_injected_aborts_unwind_cleanly(workload, lookups_made):
     """Abort each kernel at a random stride; the manager must stay
     consistent and the re-run must reproduce the unbudgeted result."""
     for trial in range(TRIALS):
@@ -113,8 +156,16 @@ def test_injected_aborts_unwind_cleanly(workload):
         rng = random.Random(seed ^ 0x5EED)
         manager.governor.inject_abort_after(
             CHECK_STRIDE * rng.randint(1, 3), op=workload)
+        before = _lookups(manager)
+        lookups_made.clear()
         with pytest.raises(InjectedAbort):
             ops[workload]()
+        # Every kernel, the aborted one included, tallied each lookup
+        # it made under its op.
+        tallied = _lookups(manager) - before
+        assert tallied == +lookups_made
+        if CACHE_OPS[workload] is not None:
+            assert tallied[CACHE_OPS[workload]] > 0
         # Clean unwind: the whole graph passes the sanitizer right
         # after the abort, injection is spent, the abort is recorded.
         assert manager.debug_check() == []
@@ -311,6 +362,7 @@ class TestInjection:
                 f.and_exists(g, names)
                 f.exists(names)
                 cofactor_sizes(f)
+                f.compose({variables[-1].var: g})
                 manager.computed.clear()
         except InjectedAbort:
             fired = True

@@ -186,6 +186,35 @@ class TestCompose:
         renamed = f.rename({"x0": "x2", "x1": "x3"})
         assert renamed == (vs[2] | vs[3])
 
+    @pytest.mark.parametrize("replacement", [
+        lambda x: x[1], lambda x: ~x[1], lambda x: x[1] ^ x[2],
+        lambda x: x[1] & x[2], lambda x: x[2] | x[4]],
+        ids=["x1", "~x1", "x1^x2", "x1&x2", "x2|x4"])
+    def test_replacement_above_children(self, replacement):
+        # The replacement's top variable lies above both rebuilt
+        # children: only a positive literal may relabel the node; a
+        # negative literal or any other function needs the ITE rebuild.
+        m, vs = fresh_manager(5)
+        g = replacement(vs)
+        f = m.ite(vs[0], vs[3], ~vs[4])
+        composed = f.compose({"x0": g})
+        names = [f"x{i}" for i in range(5)]
+        assert_equal_semantics(
+            composed,
+            lambda **a: a["x3"] if g(**a) else not a["x4"], names)
+
+    def test_kept_variable_above_substituted_support(self):
+        # x0 is not substituted, but x2's replacement brings x0 and x1
+        # up to its level: the kept x0 node needs the ITE rebuild.
+        m, vs = fresh_manager(4)
+        f = (vs[0] & vs[2]) | (~vs[0] & vs[3])
+        composed = f.compose({"x2": vs[0] ^ vs[1]})
+        assert_equal_semantics(
+            composed,
+            lambda **a: (a["x0"] and not a["x1"]) or (not a["x0"]
+                                                       and a["x3"]),
+            [f"x{i}" for i in range(4)])
+
     def test_empty_substitution(self):
         m, vs = fresh_manager(2)
         f = vs[0] ^ vs[1]

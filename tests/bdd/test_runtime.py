@@ -18,31 +18,41 @@ from repro.reach.transition import TransitionRelation
 class TestComputedTable:
     def test_unbounded_by_default(self):
         table = ComputedTable()
+        _, put = table.probes()
         for i in range(1000):
-            table.insert("and", pack("and", i), i)
+            put(pack("and", i), i)
         assert len(table) == 1000
         assert table.totals().evictions == 0
 
     def test_bounded_evicts(self):
         table = ComputedTable(limit=16)
+        _, put = table.probes()
         for i in range(100):
-            table.insert("and", pack("and", i), i)
+            put(pack("and", i), i)
         assert len(table) <= 16
         assert table.totals().evictions > 0
 
     def test_hit_miss_counting(self):
+        # The probes count nothing; the caller tallies what it saw.
         table = ComputedTable()
-        assert table.lookup("ite", pack("ite", 1)) is None
-        table.insert("ite", pack("ite", 1), "r")
-        assert table.lookup("ite", pack("ite", 1)) == "r"
+        get, put = table.probes()
+        assert get(pack("ite", 1)) is None
+        put(pack("ite", 1), "r")
+        assert get(pack("ite", 1)) == "r"
+        assert table.stats() == {}
+        table.tally("ite", 1, 1)
+        table.tally("ite", 0, 0)
+        table.tally("and", 0, 0)  # an idle kernel leaves no record
         s = table.stats()["ite"]
         assert (s.hits, s.misses) == (1, 1)
         assert s.hit_rate == 0.5
+        assert set(table.stats()) == {"ite"}
 
     def test_eviction_attributed_to_evicted_op(self):
         table = ComputedTable(limit=1)
-        table.insert("and", pack("and", 1), 1)
-        table.insert("or", pack("or", 1), 1)
+        _, put = table.probes()
+        put(pack("and", 1), 1)
+        put(pack("or", 1), 1)
         # The "and" entry was pushed out by the "or" insert.
         assert table.stats()["and"].evictions == 1
         assert table.stats().get("or", None) is None \
@@ -57,20 +67,71 @@ class TestComputedTable:
 
     def test_set_limit_rehashes_existing(self):
         table = ComputedTable()
+        _, put = table.probes()
         for i in range(10):
-            table.insert("and", pack("and", i), i)
+            put(pack("and", i), i)
         table.set_limit(64)
-        hits = sum(table.lookup("and", pack("and", i)) == i
-                   for i in range(10))
+        get, _ = table.probes()
+        hits = sum(get(pack("and", i)) == i for i in range(10))
         assert hits == 10
 
     def test_reset_stats_keeps_entries(self):
         table = ComputedTable()
-        table.insert("and", pack("and", 1), 1)
-        table.lookup("and", pack("and", 1))
+        get, put = table.probes()
+        put(pack("and", 1), 1)
+        table.tally("and", 1, 0)
         table.reset_stats()
         assert table.totals().lookups == 0
-        assert table.lookup("and", pack("and", 1)) == 1
+        assert get(pack("and", 1)) == 1
+
+    @pytest.mark.parametrize("limit", [None, 8])
+    def test_probes_survive_clear(self, limit):
+        table = ComputedTable(limit)
+        get, put = table.probes()
+        put(pack("and", 1), 1)
+        table.clear()
+        assert len(table) == 0
+        assert get(pack("and", 1)) is None
+        put(pack("and", 1), 1)
+        assert get(pack("and", 1)) == 1
+        assert len(table) == 1
+
+
+class TestProbePair:
+    """Bounded and unbounded tables run the same kernel code, so with
+    no eviction they count the same hits and misses per op."""
+
+    @staticmethod
+    def _run(cache_limit):
+        from repro.bdd.io import dump
+        from repro.bdd.restrict import restrict
+
+        m = Manager([f"x{i}" for i in range(10)], cache_limit=cache_limit)
+        xs = [m.var(f"x{i}") for i in range(10)]
+        f = (xs[0] & xs[3]) | (xs[1] ^ xs[5]) | (~xs[2] & xs[7])
+        g = (xs[4] | xs[6]) & (xs[0] ^ xs[2])
+        h = f.ite(g, xs[1] | xs[6])
+        results = [
+            f & g, h,
+            h.exists(["x1", "x2"]),
+            f.and_exists(g, ["x0", "x4"]),
+            h.rename({"x5": "x8", "x7": "x9"}),
+            restrict(f, g),
+        ]
+        contained = (f & g) <= f, f <= g
+        per_op = {op: (s.hits, s.misses)
+                  for op, s in m.stats.cache_per_op.items()}
+        return ([dump(r) for r in results], contained, per_op,
+                m.stats.cache_evictions)
+
+    def test_same_counts_bounded_and_unbounded(self):
+        unbounded = self._run(None)
+        bounded = self._run(65_537)
+        assert bounded[3] == 0  # too large to evict
+        assert bounded == unbounded
+        ops = set(unbounded[2])
+        assert {"and", "ite", "exists", "andex", "vcomp", "leq",
+                "restrict"} <= ops
 
 
 class TestBoundedCacheCanonicity:

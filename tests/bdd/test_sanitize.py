@@ -142,7 +142,8 @@ def test_stale_root_detected():
 def test_dangling_cache_entry_detected():
     manager, _ = build_sample()
     ghost = len(manager.store.level) + 3  # an id no node has
-    manager.computed.insert("and", pack("and", 2, ghost), 1)
+    _, put = manager.computed.probes()
+    put(pack("and", 2, ghost), 1)
     found = checks_of(manager)
     assert "cache-dangling" in found
     # The cache check can be disabled independently.
@@ -171,19 +172,19 @@ def test_incomplete_cache_entry_detected():
     # in-progress marker and aborted — the clean-unwind contract
     # (docs/robustness.md) forbids it surviving a governor abort.
     manager, _ = build_sample()
-    manager.computed.insert("and", pack("and", 0, 1), None)
+    _, put = manager.computed.probes()
+    put(pack("and", 0, 1), None)
     assert "cache-incomplete" in checks_of(manager)
 
 
 def test_unregistered_cache_op_detected():
     manager, _ = build_sample()
+    _, put = manager.computed.probes()
     # A key packed for no registered opcode, and one not packed at all.
-    manager.computed.insert("frobnicate",  # repro-lint: disable=RPR003
-                            255 | 1 << 8, manager.one_node)
+    put(255 | 1 << 8, manager.one_node)
     assert "cache-op" in checks_of(manager)
     manager.computed.clear()
-    manager.computed.insert("frobnicate",  # repro-lint: disable=RPR003
-                            ("frobnicate", 1), manager.one_node)
+    put(("frobnicate", 1), manager.one_node)
     assert "cache-op" in checks_of(manager)
 
 

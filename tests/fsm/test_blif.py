@@ -136,6 +136,14 @@ class TestParse:
         with pytest.raises(BlifError, match="'q' is an input or latch"):
             parse_blif(".model x\n.inputs a\n.outputs q\n"
                        ".latch a q 0\n.names a q\n0 1\n.end")
+        # Init values 2 (don't care) and 3 (unknown): the latch may start
+        # at either value, which a boolean init cannot say.
+        for value in ("2", "3"):
+            with pytest.raises(BlifError,
+                               match=f"latch 'b' has init value {value}"):
+                parse_blif(f".model m\n.latch b b {value}\n.end")
+            with pytest.raises(BlifError, match=f"init value {value}"):
+                parse_blif(f".model m\n.latch b b re clk {value}\n.end")
 
 
 class TestRoundTrip:

@@ -167,6 +167,16 @@ class TestBadCircuit:
         assert capsys.readouterr().err == \
             f"repro: {missing}: No such file or directory\n"
 
+    def test_latch_init_dont_care(self, tmp_path, capsys):
+        # Read as 0, init 2 used to answer 1 state where 2 are
+        # reachable.
+        path = tmp_path / "latch.blif"
+        path.write_text(".model m\n.latch b b 2\n.end\n")
+        assert main(["reach", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"repro: {path}: latch 'b' has init value 2 (don't care or " \
+            f"unknown); only 0 and 1 are supported\n"
+
     @pytest.mark.parametrize("which", ["bad", "missing"])
     def test_no_traceback(self, which, bad_blif, tmp_path):
         import os
