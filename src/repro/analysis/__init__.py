@@ -13,11 +13,8 @@ checkpoints, ref/deref pairing) built on the intraprocedural CFG
 (``repro.analysis.cfg``), dataflow (``repro.analysis.dataflow``) and
 provenance (``repro.analysis.provenance``) layers.
 
-Adoption machinery lives alongside: ``repro.analysis.sarif`` renders
-findings in the GitHub code-scanning SARIF schema, and
-``repro.analysis.baseline`` implements the committed-baseline workflow
-(``.repro-lint-baseline.json``) that lets warning-severity rules land
-without blocking CI.
+``repro.analysis.sarif`` renders findings in the GitHub code-scanning
+SARIF schema.
 
 The runtime counterpart is the graph sanitizer,
 :meth:`repro.bdd.manager.Manager.debug_check` (see
@@ -28,8 +25,6 @@ from __future__ import annotations
 
 from . import rules as _rules  # noqa: F401  (registers RPR001..005)
 from . import rules_flow as _rules_flow  # noqa: F401  (RPR008..011)
-from .baseline import (DEFAULT_BASELINE, apply_baseline, load_baseline,
-                       write_baseline)
 from .lint import (RULES, FileContext, Rule, Violation, exit_code,
                    lint_paths, lint_source, register_rule, render_json,
                    render_text)
@@ -46,9 +41,5 @@ __all__ = [
     "render_text",
     "render_json",
     "render_sarif",
-    "DEFAULT_BASELINE",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
     "exit_code",
 ]

@@ -49,11 +49,12 @@ _SUPPRESS_RE = re.compile(
 class Violation:
     """One finding: a rule, a location, a message.
 
-    ``fingerprint`` is a line-drift-stable identity used by the
-    baseline workflow: a hash over the rule id, the trailing path
-    components, the *text* of the flagged source line and an occurrence
-    index — so re-ordering unrelated code does not churn the baseline.
-    It is stamped by :func:`lint_source`; rules leave it empty.
+    ``fingerprint`` is a line-drift-stable identity, reported as the
+    SARIF ``partialFingerprints``: a hash over the rule id, the trailing
+    path components, the *text* of the flagged source line and an
+    occurrence index — so re-ordering unrelated code keeps a finding's
+    identity.  It is stamped by :func:`lint_source`; rules leave it
+    empty.
     """
 
     rule: str
@@ -285,13 +286,8 @@ def render_text(violations: list[Violation]) -> str:
     return "\n".join(lines)
 
 
-def render_json(violations: list[Violation], *,
-                baselined: int = 0) -> str:
-    """JSON document: violations plus per-rule and total counts.
-
-    ``baselined`` reports how many findings were filtered out by the
-    committed baseline before rendering (0 when no baseline is used).
-    """
+def render_json(violations: list[Violation]) -> str:
+    """JSON document: violations plus per-rule and total counts."""
     errors = sum(1 for v in violations if v.severity == "error")
     per_rule: dict[str, int] = {}
     for violation in violations:
@@ -301,7 +297,6 @@ def render_json(violations: list[Violation], *,
         "errors": errors,
         "warnings": len(violations) - errors,
         "per_rule": dict(sorted(per_rule.items())),
-        "baselined": baselined,
     }, indent=2)
 
 

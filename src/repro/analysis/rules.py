@@ -23,7 +23,7 @@ RPR003
     statistics meaningful and collisions diagnosable.
 RPR004
     Raw nodes of one manager must never reach another manager's
-    operations; cross-manager copies go through ``repro.bdd.io.
+    operations; cross-manager copies go through ``repro.store.
     transfer``.  Detected by intra-function provenance tracking.
 RPR005
     Approximator entry points registered with ``register_approximator``
@@ -44,13 +44,13 @@ from pathlib import PurePath
 from ..bdd.computed import REGISTERED_OPS
 from .lint import FileContext, Violation, register_rule
 
-#: Modules under the no-recursion contract (PR 2): the BDD kernels and
-#: the approximation/decomposition rebuild passes.
+#: Modules under the no-recursion contract: the BDD kernels, the
+#: approximation/decomposition rebuild passes, and the object format
+#: that store loads and cross-manager copies rebuild through.
 KERNEL_MODULE_SUFFIXES = (
     "repro/bdd/operations.py",
     "repro/bdd/quantify.py",
     "repro/bdd/restrict.py",
-    "repro/bdd/io.py",
     "repro/bdd/traversal.py",
     "repro/core/approx/remap.py",
     "repro/core/approx/short_paths.py",
@@ -63,6 +63,7 @@ KERNEL_MODULE_SUFFIXES = (
     "repro/core/decomp/cofactor.py",
     "repro/core/decomp/mcmillan.py",
     "repro/core/decomp/points.py",
+    "repro/store/format.py",
 )
 
 #: The node-store modules: the only ones allowed to construct the store,
@@ -362,7 +363,7 @@ def _manager_annotated_params(scope: list[ast.AST]) -> Iterator[str]:
     "RPR004", "no-cross-manager-mixing", "error",
     "A node or Function created under one manager is passed into a "
     "different manager's operation; copy it across with "
-    "repro.bdd.io.transfer first.")
+    "repro.store.transfer first.")
 def check_cross_manager(ctx: FileContext) -> Iterator[Violation]:
     for scope in _scopes(ctx.tree):
         yield from _check_scope_cross_manager(ctx, scope)
@@ -450,7 +451,7 @@ def _check_scope_cross_manager(ctx: FileContext, scope: list[ast.AST]
                 "RPR004", operand,
                 f"{var!r} belongs to manager {home[var]!r} but is "
                 f"passed into an operation of manager {owner!r}; "
-                f"copy it with io.transfer first")
+                f"copy it with repro.store.transfer first")
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .expr import ExprError, parse
 from .function import Function
 from .governor import (Budget, BudgetExceeded, DeadlineExceeded, Governor,
                        InjectedAbort, ResourceError)
-from .io import LoadError, dump, load, transfer
 from .manager import Manager, ManagerStats
 from .restrict import constrain, restrict
 from .sanitize import Diagnostic, SanitizerError
@@ -60,8 +59,4 @@ __all__ = [
     "to_dot",
     "parse",
     "ExprError",
-    "dump",
-    "load",
-    "LoadError",
-    "transfer",
 ]

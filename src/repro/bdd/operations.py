@@ -307,15 +307,12 @@ def ite_node(manager: Manager, f: int, g: int, h: int) -> int:
     return values[0]
 
 
-def leq_node(manager: Manager, f: int, g: int,
-             cache: dict[int, bool] | None = None) -> bool:
+def leq_node(manager: Manager, f: int, g: int) -> bool:
     """Containment test ``f <= g`` (f implies g) without building BDDs.
 
-    ``cache`` may be supplied to share memoization across many queries
-    (RUA's markNodes performs one containment test per node); its keys
-    are the packed ``"leq"`` keys of the computed table, and its hits
-    and misses are not counted.  By default queries memoize in the
-    manager's computed table.
+    Queries memoize in the manager's computed table under ``"leq"``,
+    so RUA's markNodes (one containment test per node) shares its
+    verdicts with later calls and every lookup is counted.
 
     The conjunction short-circuits like the recursive formulation did:
     when the then-branch refutes containment, the else-branch is never
@@ -324,10 +321,7 @@ def leq_node(manager: Manager, f: int, g: int,
     store = manager.store
     level, hi, lo = store.level, store.hi, store.lo
     computed = manager.computed
-    if cache is None:
-        cache_get, cache_put = computed.probes()
-    else:
-        cache_get, cache_put = cache.get, cache.__setitem__
+    cache_get, cache_put = computed.probes()
     hits = misses = 0
     code = REGISTERED_OPS["leq"]
     check = manager.governor.checkpoint
@@ -376,8 +370,7 @@ def leq_node(manager: Manager, f: int, g: int,
             else:  # _REBUILD: record the else-branch verdict
                 cache_put(frame[1], values[-1])
     finally:
-        if cache is None:
-            computed.tally("leq", hits, misses)
+        computed.tally("leq", hits, misses)
     return values[0]
 
 

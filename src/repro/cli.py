@@ -18,10 +18,9 @@ Commands
     store (:mod:`repro.store`, ``docs/persistence.md``): level-ordered
     content-addressed objects plus an sqlite name index.
 ``load --store DIR [name]``
-    Load a persisted function by name (``--list`` shows the index;
-    ``--dump`` prints the textual node list); loading verifies CRC
-    frames and the content address, so corruption is detected, never
-    silently returned.
+    Load a persisted function by name (``--list`` shows the index);
+    loading verifies CRC frames and the content address, so corruption
+    is detected, never silently returned.
 ``serve``
     Run the BDD service daemon (:mod:`repro.serve`): a threaded server
     exposing the toolkit verbs as a newline-delimited JSON protocol
@@ -225,7 +224,6 @@ def cmd_save(args) -> int:
 
 
 def cmd_load(args) -> int:
-    from .bdd.io import dump
     from .bdd.manager import Manager
     from .harness.tables import format_table
     from .store.store import BDDStore
@@ -245,9 +243,6 @@ def cmd_load(args) -> int:
         return 0
     manager = Manager()
     function = store.load(manager, args.name)
-    if args.dump:
-        sys.stdout.write(dump(function))
-        return 0
     print(f"name:     {args.name}")
     print(f"nodes:    {len(function)}")
     print(f"vars:     {manager.num_vars}")
@@ -322,12 +317,8 @@ def cmd_decomp(args) -> int:
 def cmd_lint(args) -> int:
     from pathlib import Path
 
-    from .analysis import (DEFAULT_BASELINE, RULES, apply_baseline,
-                           exit_code, lint_paths, load_baseline,
-                           render_json, render_sarif, render_text,
-                           write_baseline)
-    if args.write_baseline and not args.baseline:
-        args.baseline = DEFAULT_BASELINE
+    from .analysis import (RULES, exit_code, lint_paths, render_json,
+                           render_sarif, render_text)
     for option, ids in (("--select", args.select),
                         ("--ignore", args.ignore)):
         unknown = [r for r in ids or () if r not in RULES]
@@ -337,26 +328,12 @@ def cmd_lint(args) -> int:
                 f"available: {','.join(sorted(RULES))}")
     violations = lint_paths(args.paths, rules=args.select,
                             ignore=args.ignore)
-    if args.write_baseline:
-        count = write_baseline(args.baseline, violations)
-        print(f"repro lint: wrote {count} baseline entr"
-              f"{'y' if count == 1 else 'ies'} to {args.baseline}")
-        return 0
-    baselined = 0
-    if args.baseline and Path(args.baseline).exists():
-        try:
-            entries = load_baseline(args.baseline)
-        except ValueError as exc:
-            raise SystemExit(f"repro: {exc}")
-        violations, baselined = apply_baseline(violations, entries)
     if args.format == "json":
-        document = render_json(violations, baselined=baselined)
+        document = render_json(violations)
     elif args.format == "sarif":
         document = render_sarif(violations)
     else:
         document = render_text(violations)
-        if baselined:
-            document += f"\n{baselined} baselined finding(s) filtered"
     if args.output:
         Path(args.output).write_text(document + "\n", encoding="utf-8")
     else:
@@ -526,9 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="store directory")
     p_load.add_argument("--list", action="store_true",
                         help="list index entries instead of loading")
-    p_load.add_argument("--dump", action="store_true",
-                        help="print the loaded function as a textual "
-                             "node list (repro.bdd.io format)")
     p_load.set_defaults(func=cmd_load)
 
     p_approx = sub.add_parser("approx", parents=[runtime],
@@ -629,13 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated rule ids to skip")
     p_lint.add_argument("--strict", action="store_true",
                         help="exit non-zero on warnings too")
-    p_lint.add_argument("--baseline", default=None, metavar="PATH",
-                        help="baseline file of accepted findings to "
-                             "filter out before the exit-code gate "
-                             "(a missing file is an empty baseline)")
-    p_lint.add_argument("--write-baseline", action="store_true",
-                        help="write every current finding to the "
-                             "--baseline file and exit 0")
     p_lint.add_argument("--output", default=None, metavar="PATH",
                         help="write the report to PATH instead of "
                              "stdout (e.g. the CI SARIF artifact)")

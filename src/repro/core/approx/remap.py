@@ -109,7 +109,6 @@ def mark_nodes(manager: Manager, root: int, info: ApproxInfo,
     store = manager.store
     level, hi, lo = store.level, store.hi, store.lo
     q = Fraction(quality)
-    leq_cache: dict[int, bool] = {}
     counter = itertools.count()
     queue: list[tuple[int, int, int]] = []
     entered: set[int] = set()
@@ -138,7 +137,7 @@ def mark_nodes(manager: Manager, root: int, info: ApproxInfo,
         replacement = None
         if not done:
             replacement = find_replacement(manager, node, flow, info,
-                                           leq_cache, replacements)
+                                           replacements)
             if replacement is not None and \
                     not _accept(replacement, info, q):
                 replacement = None
@@ -209,7 +208,7 @@ def _count_from(info: ApproxInfo, node: int, level: int) -> int:
 
 
 def find_replacement(manager: Manager, node: int, flow: int,
-                     info: ApproxInfo, leq_cache: dict,
+                     info: ApproxInfo,
                      replacements: tuple = (REPLACE_REMAP,
                                             REPLACE_GRANDCHILD,
                                             REPLACE_ZERO)
@@ -228,9 +227,9 @@ def find_replacement(manager: Manager, node: int, flow: int,
     # --- remap: requires one child's function contained in the other's.
     kept = None
     if REPLACE_REMAP in replacements:
-        if leq_node(manager, low, high, leq_cache):
+        if leq_node(manager, low, high):
             kept = low
-        elif leq_node(manager, high, low, leq_cache):
+        elif leq_node(manager, high, low):
             kept = high
     if kept is not None:
         protected = frozenset() if kept < 2 else frozenset({kept})

@@ -3,11 +3,12 @@
 Supports the subset of Berkeley Logic Interchange Format that the
 ISCAS-style benchmarks use: ``.model``, ``.inputs``, ``.outputs``,
 ``.latch <in> <out> [<type> <ctrl>] [init]``, and single-output
-``.names`` tables with 1/0/- cube rows.  A latch's init value is 0 or
-1 (0 when absent); the init values 2 (don't care) and 3 (unknown) are
-rejected, because a circuit holds one boolean initial value per latch
-and reading either as 0 would drop reachable states.  ``.names`` covers are read as
-sums of cubes (output value 1 rows) or complemented products (output
+``.names`` tables with 1/0/- cube rows.  A latch's init value must be
+0 or 1.  The init values 2 (don't care) and 3 (unknown) are rejected,
+and so is a missing one (BLIF reads it as 3), because a circuit holds
+one boolean initial value per latch and reading any of them as 0
+would drop reachable states.  ``.names`` covers are read as sums of
+cubes (output value 1 rows) or complemented products (output
 value 0 rows).  Every signal has one driver: an input, a latch or one
 ``.names`` table.
 """
@@ -75,16 +76,19 @@ def parse_blif(text: str) -> Circuit:
                 if len(tokens) < 3:
                     raise BlifError(f".latch needs input and output: "
                                     f"{' '.join(tokens)}")
-                init = False
                 trailing = tokens[3:]
                 if trailing and trailing[-1] in ("2", "3"):
                     raise BlifError(
                         f"latch {tokens[2]!r} has init value "
                         f"{trailing[-1]} (don't care or unknown); only "
                         f"0 and 1 are supported")
-                if trailing and trailing[-1] in ("0", "1"):
-                    init = trailing[-1] == "1"
-                latches.append((tokens[1], tokens[2], init))
+                if not trailing or trailing[-1] not in ("0", "1"):
+                    raise BlifError(
+                        f"latch {tokens[2]!r} has no init value (BLIF "
+                        f"reads it as 3, unknown); only 0 and 1 are "
+                        f"supported")
+                latches.append((tokens[1], tokens[2],
+                                trailing[-1] == "1"))
             elif head == ".names":
                 close_table()
                 if len(tokens) < 2:

@@ -4,7 +4,8 @@ The persistence layer of ROADMAP item 3: a content-addressed object
 store for BDDs (level-ordered streaming encode per Hansen/Rao/
 Tiedemann's "Compressing Binary Decision Diagrams") with an sqlite
 index mapping names and tags to roots, plus the reachability
-checkpointer built on top of it.
+checkpointer built on top of it.  The same object format copies a
+function between managers (:func:`transfer`).
 
 Durability contract (see ``docs/persistence.md``):
 
@@ -21,7 +22,7 @@ Durability contract (see ``docs/persistence.md``):
 
 from .checkpoint import ReachCheckpointer
 from .errors import StoreCorruptError, StoreError
-from .format import FORMAT_VERSION, decode_roots, encode_roots
+from .format import FORMAT_VERSION, decode_roots, encode_roots, transfer
 from .store import BDDStore
 
 __all__ = [
@@ -32,4 +33,5 @@ __all__ = [
     "FORMAT_VERSION",
     "encode_roots",
     "decode_roots",
+    "transfer",
 ]

@@ -27,6 +27,10 @@ the order is well-defined and canonical.
 Every structural violation (bad magic, CRC mismatch, forward or
 out-of-range reference, redundant ``hi == lo`` node, trailing bytes)
 raises :class:`~repro.store.errors.StoreCorruptError`.
+
+This is the one interchange format for BDDs: :func:`transfer` copies a
+function into another manager by encoding and decoding it, so store
+loads and cross-manager copies share one rebuild and its checks.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..bdd.manager import Manager
 
 __all__ = ["FORMAT_VERSION", "MAGIC", "content_address",
-           "encode_roots", "decode_roots"]
+           "encode_roots", "decode_roots", "transfer"]
 
 #: Bumped on incompatible changes to the object layout.
 FORMAT_VERSION = 1
@@ -232,8 +236,8 @@ def _build(manager: "Manager",
     With ``direct`` True nodes go straight into the unique table via
     ``store.mk`` — valid only while every edge's child sits strictly
     deeper than its parent in the *target* order; the pass returns
-    None on the first incompatible edge (mirroring ``io.load``), and
-    the caller falls back to the order-independent ITE rebuild.
+    None on the first incompatible edge, and the caller falls back to
+    the order-independent ITE rebuild.
     """
     store = manager.store
     is_terminal, level_of = store.is_terminal, store.level_of
@@ -277,3 +281,17 @@ def decode_roots(manager: "Manager", data: bytes, *,
         handles = _build(manager, segments, direct=False)
     return {name: Function(manager, handles[root])
             for name, root in header["roots"].items()}
+
+
+def transfer(function: Function, target: "Manager") -> Function:
+    """Copy ``function`` into ``target``, whose order may differ.
+
+    Returns ``function`` itself when ``target`` is its own manager.
+    Otherwise the function is encoded and decoded into ``target``:
+    variables it lacks are declared at the bottom of its order, in the
+    source's order.
+    """
+    if function.manager is target:
+        return function
+    data = encode_roots(function.manager, {"f": function})
+    return decode_roots(target, data)["f"]

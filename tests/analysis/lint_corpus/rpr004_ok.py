@@ -1,6 +1,6 @@
 """RPR004 no-trigger: same-manager operands, transfer, scope isolation."""
 from repro.bdd import Manager
-from repro.bdd.io import transfer
+from repro.store import transfer
 
 
 def same_manager():

@@ -220,7 +220,7 @@ def test_ignore_removes_rule_from_selection():
                        ignore=["RPR001"]) == []
 
 
-# -- fingerprints and the baseline workflow ----------------------------
+# -- fingerprints ------------------------------------------------------
 
 def test_fingerprints_stable_under_line_drift():
     source = (
@@ -246,45 +246,6 @@ def test_fingerprints_distinguish_duplicate_lines():
     violations = lint_source(source, path="m.py")
     prints = [v.fingerprint for v in violations]
     assert len(prints) == len(set(prints)) == 2
-
-
-def test_baseline_round_trip(tmp_path):
-    from repro.analysis import (apply_baseline, load_baseline,
-                                write_baseline)
-    source = (
-        "def f(n):\n"
-        "    return f(n - 1)\n"
-    )
-    violations = lint_source(source, path="m.py")
-    baseline = tmp_path / "baseline.json"
-    assert write_baseline(baseline, violations) == len(violations)
-    entries = load_baseline(baseline)
-    fresh, baselined = apply_baseline(violations, entries)
-    assert fresh == [] and baselined == len(violations)
-    # A new finding (different line text) is not filtered.
-    other = lint_source(
-        "def g(n):\n    return g(n - 1)\n", path="m.py")
-    fresh, baselined = apply_baseline(other, entries)
-    assert fresh == other and baselined == 0
-
-
-def test_baseline_missing_file_is_empty(tmp_path):
-    from repro.analysis import load_baseline
-    assert load_baseline(tmp_path / "nope.json") == {}
-
-
-def test_baseline_malformed_raises(tmp_path):
-    import pytest
-
-    from repro.analysis import load_baseline
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_baseline(bad)
-    bad.write_text(json.dumps({"schema": 99, "entries": {}}),
-                   encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_baseline(bad)
 
 
 # -- SARIF -------------------------------------------------------------
@@ -316,10 +277,11 @@ def test_render_sarif_empty_still_carries_catalogue():
 
 # -- JSON per-rule counts ----------------------------------------------
 
-def test_render_json_per_rule_counts_and_baselined():
+def test_render_json_per_rule_counts():
     violations = lint_source(
         "def f(n):\n    return f(n - 1)\n"
         "def g(n):\n    return g(n - 1)\n", path="m.py")
-    payload = json.loads(render_json(violations, baselined=3))
+    payload = json.loads(render_json(violations))
     assert payload["per_rule"] == {"RPR001": 2}
-    assert payload["baselined"] == 3
+    assert set(payload) == {"violations", "errors", "warnings",
+                            "per_rule"}

@@ -218,23 +218,11 @@ def test_cli_lint_output_file(tmp_path, capsys):
     assert document["version"] == "2.1.0"
 
 
-def test_cli_lint_baseline_workflow(tmp_path, capsys):
-    import json
+def test_cli_lint_baseline_flags_are_usage_errors():
+    # The tree lints clean with no accepted-findings file, so the lint
+    # has no baseline to read or write.
     fixture = str(CORPUS / "rpr001_warning.py")
-    baseline = tmp_path / "baseline.json"
-    # Without a baseline the warning fails --strict.
-    assert main(["lint", "--strict", fixture]) == 1
-    capsys.readouterr()
-    # Accept it into a baseline, then the strict gate passes.
-    assert main(["lint", "--baseline", str(baseline),
-                 "--write-baseline", fixture]) == 0
-    capsys.readouterr()
-    assert main(["lint", "--strict", "--baseline", str(baseline),
-                 fixture]) == 0
-    capsys.readouterr()
-    code = main(["lint", "--format", "json", "--baseline",
-                 str(baseline), fixture])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["violations"] == []
-    assert payload["baselined"] >= 1
+    for flags in (["--baseline", "b.json"], ["--write-baseline"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--strict", *flags, fixture])
+        assert excinfo.value.code == 2

@@ -21,12 +21,12 @@ from repro.bdd import (Budget, BudgetExceeded, DeadlineExceeded,
                        InjectedAbort, ResourceError)
 from repro.bdd.computed import ComputedTable, op_of
 from repro.bdd.governor import CHECK_STRIDE, injection_from_env
-from repro.bdd.io import dump, transfer
 from repro.bdd.restrict import constrain, restrict
 from repro.core.approx.remap import remap_under_approx
 from repro.core.decomp import cofactor_sizes
+from repro.store import transfer
 
-from ..helpers import fresh_manager, random_function
+from ..helpers import fresh_manager, random_function, store_digest
 
 #: Snapshot of the CI sweep's injection spec, taken before the autouse
 #: fixture scrubs the environment (the env-smoke test replays it).
@@ -213,7 +213,7 @@ def test_abort_mid_ite_with_thrashing_cache_rerun_identical():
     other_manager, other_ops = build_workload(seed)
     expected = other_ops["ite"]()
     assert transfer(rerun, other_manager) == expected
-    assert dump(rerun) == dump(expected)
+    assert store_digest(rerun) == store_digest(expected)
     assert manager.computed.totals().evictions > 0
 
 

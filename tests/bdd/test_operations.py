@@ -124,13 +124,17 @@ class TestLeq:
         assert not vs[1] <= vs[0]
 
     def test_shared_cache(self):
+        # Every query memoizes in the computed table and is tallied, so
+        # a repeated one is a counted hit.
         m, vs = fresh_manager(4)
         f = vs[0] & vs[1]
         g = vs[0]
-        cache = {}
-        assert leq_node(m, f.node, g.node, cache)
-        assert cache  # populated
-        assert leq_node(m, f.node, g.node, cache)
+        assert leq_node(m, f.node, g.node)
+        first = m.stats.cache_per_op["leq"]
+        assert first.misses == 1
+        assert leq_node(m, f.node, g.node)
+        second = m.stats.cache_per_op["leq"]
+        assert (second.hits, second.misses) == (first.hits + 1, 1)
 
 
 class TestCofactor:

@@ -14,6 +14,8 @@ from repro.reach.bfs import bfs_reachability, count_states
 from repro.reach.highdensity import high_density_reachability
 from repro.reach.transition import TransitionRelation
 
+from ..helpers import store_digest
+
 
 class TestComputedTable:
     def test_unbounded_by_default(self):
@@ -103,7 +105,6 @@ class TestProbePair:
 
     @staticmethod
     def _run(cache_limit):
-        from repro.bdd.io import dump
         from repro.bdd.restrict import restrict
 
         m = Manager([f"x{i}" for i in range(10)], cache_limit=cache_limit)
@@ -121,7 +122,7 @@ class TestProbePair:
         contained = (f & g) <= f, f <= g
         per_op = {op: (s.hits, s.misses)
                   for op, s in m.stats.cache_per_op.items()}
-        return ([dump(r) for r in results], contained, per_op,
+        return ([store_digest(r) for r in results], contained, per_op,
                 m.stats.cache_evictions)
 
     def test_same_counts_bounded_and_unbounded(self):

@@ -144,6 +144,11 @@ class TestParse:
                 parse_blif(f".model m\n.latch b b {value}\n.end")
             with pytest.raises(BlifError, match=f"init value {value}"):
                 parse_blif(f".model m\n.latch b b re clk {value}\n.end")
+        # A missing init value, which BLIF reads as 3 (unknown).
+        for latch in (".latch b b", ".latch b b re clk"):
+            with pytest.raises(BlifError,
+                               match="latch 'b' has no init value"):
+                parse_blif(f".model m\n{latch}\n.end")
 
 
 class TestRoundTrip:

@@ -10,6 +10,7 @@ import pytest
 from repro.bdd import Function, Manager
 from repro.fsm.am2910 import am2910
 from repro.fsm.benchmarks import counter, shift_queue, token_ring
+from repro.store.format import content_address, encode_roots
 
 #: Manager settings the store-level tests run under, keyed by test id.
 #: ``array`` is a default manager.  ``object`` bounds the computed
@@ -47,6 +48,17 @@ def fresh_manager(nvars: int, prefix: str = "x") -> tuple[Manager,
 def settings_manager(setting: str, vars: Iterable[str] = ()) -> Manager:
     """A fresh manager with the settings of test id ``setting``."""
     return Manager(vars, **MANAGER_SETTINGS[setting])
+
+
+def store_digest(function: Function) -> str:
+    """The store content address of ``function`` alone.
+
+    Two functions share it exactly when they are the same function over
+    the same variable names in the same relative order, whichever
+    managers hold them.
+    """
+    return content_address(encode_roots(function.manager,
+                                        {"f": function}))
 
 
 def random_function(manager: Manager, variables: list[Function],

@@ -292,7 +292,8 @@ def test_reach_rejects_bad_blif(client):
                  ".latch n q 0\n.latch n q 1\n.names q n\n1 1\n.end\n",
                  ".inputs a b\n.outputs z\n.names a z\n1 1\n"
                  ".names b z\n1 1\n.end\n",
-                 ".model m\n.latch b b 2\n.end\n"):
+                 ".model m\n.latch b b 2\n.end\n",
+                 ".model m\n.latch b b\n.end\n"):
         with pytest.raises(ServerError) as excinfo:
             client.reach(blif)
         assert excinfo.value.code == "bad-request", blif

@@ -5,7 +5,7 @@ arbitrary point (here simulated with ``max_iterations=k``, which stops
 the loop *after* iteration ``k``'s checkpoint exactly like a kill -9
 between iterations would).  A fresh process — new manager, new
 checkpointer with ``resume=True`` — must then finish the traversal and
-produce a reached set whose :func:`repro.bdd.dump` bytes equal an
+produce a reached set whose store content address equals an
 uninterrupted oracle's.
 """
 
@@ -15,7 +15,6 @@ import random
 
 import pytest
 
-from repro.bdd import dump
 from repro.core.approx import remap_under_approx
 from repro.fsm import encode
 from repro.fsm.benchmarks import counter, token_ring
@@ -24,7 +23,7 @@ from repro.reach import (TransitionRelation, bfs_reachability,
 from repro.store import BDDStore, ReachCheckpointer, StoreError
 from repro.store.checkpoint import reach_spec
 
-from ..helpers import SETTINGS, settings_manager
+from ..helpers import SETTINGS, settings_manager, store_digest
 
 SPEC = reach_spec("counter", 5, "bfs")
 
@@ -49,7 +48,7 @@ class TestBfsResume:
     def test_every_kill_point_resumes_identically(self, setting,
                                                   tmp_path):
         oracle = bfs_reachability(*traversal(setting))
-        expected = dump(oracle.reached)
+        expected = store_digest(oracle.reached)
         # counter(5) has a diameter of 31; probe a spread of kill
         # points including first iteration and one past the fixpoint.
         for kill_at in (1, 3, 7, oracle.iterations, None):
@@ -57,7 +56,7 @@ class TestBfsResume:
             partial, _ = run_bfs(setting, store_dir, resume=False,
                                  max_iterations=kill_at)
             resumed, _ = run_bfs(setting, store_dir, resume=True)
-            assert dump(resumed.reached) == expected
+            assert store_digest(resumed.reached) == expected
             assert resumed.iterations == oracle.iterations
             assert resumed.size_trace == oracle.size_trace
             assert resumed.frontier_trace == oracle.frontier_trace
@@ -65,7 +64,7 @@ class TestBfsResume:
 
     def test_randomized_kill_points(self, setting, tmp_path):
         oracle = bfs_reachability(*traversal(setting))
-        expected = dump(oracle.reached)
+        expected = store_digest(oracle.reached)
         rng = random.Random(2026)
         for case in range(3):
             kill_at = rng.randrange(1, oracle.iterations)
@@ -73,13 +72,13 @@ class TestBfsResume:
             run_bfs(setting, store_dir, resume=False,
                     max_iterations=kill_at)
             resumed, _ = run_bfs(setting, store_dir, resume=True)
-            assert dump(resumed.reached) == expected, kill_at
+            assert store_digest(resumed.reached) == expected, kill_at
 
     def test_completed_checkpoint_returns_verbatim(self, setting,
                                                    tmp_path):
         full, _ = run_bfs(setting, tmp_path / "s", resume=False)
         again, ck = run_bfs(setting, tmp_path / "s", resume=True)
-        assert dump(again.reached) == dump(full.reached)
+        assert store_digest(again.reached) == store_digest(full.reached)
         assert again.iterations == full.iterations
         # The complete flag short-circuits the loop: nothing re-saved.
         assert ck.saves == 0
@@ -91,7 +90,7 @@ def test_resume_across_backends(tmp_path):
     oracle = bfs_reachability(*traversal("array"))
     run_bfs("object", tmp_path / "s", resume=False, max_iterations=9)
     resumed, _ = run_bfs("array", tmp_path / "s", resume=True)
-    assert dump(resumed.reached) == dump(oracle.reached)
+    assert store_digest(resumed.reached) == store_digest(oracle.reached)
 
 
 def test_spec_mismatch_refuses_resume(tmp_path):
@@ -125,7 +124,7 @@ def test_cadence_reduces_saves(tmp_path):
             max_iterations=13)
     resumed, _ = run_bfs("array", tmp_path / "c", resume=True,
                          every=8)
-    assert dump(resumed.reached) == dump(full.reached)
+    assert store_digest(resumed.reached) == store_digest(full.reached)
 
 
 def test_every_below_one_rejected(tmp_path):
@@ -152,5 +151,5 @@ def test_high_density_resume(setting, tmp_path):
 
     run(False, max_iterations=2)
     resumed = run(True)
-    assert dump(resumed.reached) == dump(oracle.reached)
+    assert store_digest(resumed.reached) == store_digest(oracle.reached)
     assert resumed.iterations == oracle.iterations

@@ -6,13 +6,13 @@ import random
 
 import pytest
 
-from repro.bdd import Manager, dump, transfer
-from repro.store import (BDDStore, StoreCorruptError, StoreError,
-                         decode_roots, encode_roots)
+from repro.bdd import Manager
+from repro.store import (BDDStore, StoreError, decode_roots,
+                         encode_roots, transfer)
 from repro.store.format import content_address
 
 from ..helpers import (SETTINGS, random_function, settings_manager,
-                       truth_table)
+                       store_digest, truth_table)
 
 NAMES = [f"x{i}" for i in range(8)]
 
@@ -39,7 +39,7 @@ class TestRoundTrip:
         assert len(g) == len(f)
         assert g.sat_count() == f.sat_count()
         assert truth_table(g, NAMES) == truth_table(f, NAMES)
-        assert dump(g) == dump(f)
+        assert store_digest(g) == store_digest(f)
 
     def test_constants_round_trip(self, setting, tmp_path):
         manager = settings_manager(setting)
@@ -115,6 +115,48 @@ class TestContentAddressing:
         blob = encode_roots(manager, {"f": f})
         roots = decode_roots(Manager(), blob)
         assert roots["f"].sat_count() == f.sat_count()
+
+
+class TestTransfer:
+    def test_transfer_preserves_semantics(self, random_functions):
+        m, funcs = random_functions
+        target = Manager()
+        for f in funcs[:4]:
+            g = transfer(f, target)
+            assert g.manager is target
+            assert g.sat_count(m.num_vars) == f.sat_count()
+
+    def test_transfer_same_manager_is_identity(self, random_functions):
+        m, funcs = random_functions
+        assert transfer(funcs[0], m) == funcs[0]
+
+    def test_transfer_into_reversed_order(self, random_functions):
+        m, funcs = random_functions
+        target = Manager(vars=[f"x{i}" for i in range(12)][::-1])
+        for f in funcs[:4]:
+            g = transfer(f, target)
+            assert g.sat_count() == f.sat_count()
+            assert g.support() == f.support()
+
+    def test_transfer_shares_subgraphs(self, random_functions):
+        m, funcs = random_functions
+        target = Manager()
+        a = transfer(funcs[0], target)
+        b = transfer(funcs[0], target)
+        assert a == b
+
+    def test_missing_variables_keep_the_source_order(self):
+        # x0 ? x2 : x1 reaches x2 before x1 on a depth-first walk; the
+        # copy still declares them in the source's order, so it keeps
+        # the source's shape.
+        source = Manager(vars=["x0", "x1", "x2"])
+        x0, x1, x2 = (source.var(name) for name in source.var_names)
+        f = x0.ite(x2, x1)
+        target = Manager()
+        g = transfer(f, target)
+        assert target.var_names == ["x0", "x1", "x2"]
+        assert len(g) == len(f)
+        assert store_digest(g) == store_digest(f)
 
 
 class TestIndex:

@@ -11,6 +11,8 @@ from repro.fsm.am2910 import am2910
 from repro.fsm.benchmarks import counter, serial_multiplier, token_ring
 from repro.fsm.blif import write_blif
 
+from .helpers import store_digest
+
 
 @pytest.fixture
 def counter_blif(tmp_path):
@@ -177,6 +179,16 @@ class TestBadCircuit:
             f"repro: {path}: latch 'b' has init value 2 (don't care or " \
             f"unknown); only 0 and 1 are supported\n"
 
+    def test_latch_init_missing(self, tmp_path, capsys):
+        # BLIF reads a missing init value as 3 (unknown); read as 0, it
+        # answered 1 state where 2 are reachable.
+        path = tmp_path / "latch.blif"
+        path.write_text(".model m\n.latch b b\n.end\n")
+        assert main(["reach", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"repro: {path}: latch 'b' has no init value (BLIF reads " \
+            f"it as 3, unknown); only 0 and 1 are supported\n"
+
     @pytest.mark.parametrize("which", ["bad", "missing"])
     def test_no_traceback(self, which, bad_blif, tmp_path):
         import os
@@ -276,10 +288,17 @@ class TestSaveLoad:
         assert f"name:     {name}" in out
         assert "minterms:" in out
 
-        assert main(["load", name, "--store", store, "--dump"]) == 0
-        dumped = capsys.readouterr().out
-        assert dumped.startswith("repro-bdd 1\n")
-        assert "root " in dumped
+    def test_dump_is_a_usage_error(self, counter_blif, tmp_path):
+        # The store's object format is the one BDD format; `load` has
+        # no text dump to print.
+        from repro.store import BDDStore
+
+        store = str(tmp_path / "store")
+        assert main(["save", counter_blif, "--store", store]) == 0
+        name = BDDStore(store).entries()[0]["name"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["load", name, "--store", store, "--dump"])
+        assert excinfo.value.code == 2
 
     def test_list_prefix_filters(self, counter_blif, tmp_path,
                                  capsys):
@@ -444,9 +463,8 @@ class TestKillResume:
             == stable_reach_lines(oracle.stdout)
 
         # Byte-level check on the reached set itself, not just the
-        # summary: the final checkpoint's reached-set dump equals a
-        # fresh in-process oracle's.
-        from repro.bdd import dump
+        # summary: the final checkpoint's reached set has the content
+        # address of a fresh in-process oracle's.
         from repro.fsm import encode
         from repro.reach import TransitionRelation, bfs_reachability
 
@@ -455,4 +473,5 @@ class TestKillResume:
                                   encoded.initial_states())
         roots, extra = BDDStore(ck).load_roots(Manager(), name)
         assert extra["meta"]["complete"] is True
-        assert dump(roots["reached"]) == dump(result.reached)
+        assert store_digest(roots["reached"]) \
+            == store_digest(result.reached)

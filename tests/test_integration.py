@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bdd import dump, load, transfer, Manager
+from repro.bdd import Manager
 from repro.core.approx import (c1, remap_under_approx,
                                short_paths_subset)
 from repro.core.decomp import (conjoin, decompose, mcmillan_decompose)
@@ -17,6 +17,7 @@ from repro.fsm.benchmarks import checksum_memory, shift_queue
 from repro.fsm.blif import parse_blif, write_blif
 from repro.reach import (TransitionRelation, bfs_reachability,
                          count_states, high_density_reachability)
+from repro.store import decode_roots, encode_roots, transfer
 
 
 class TestFullPipeline:
@@ -70,8 +71,8 @@ class TestFullPipeline:
         copy = transfer(partial.reached, target)
         assert copy.sat_count(encoded.manager.num_vars) \
             == partial.reached.sat_count()
-        reloaded = load(target, dump(partial.reached))
-        assert reloaded == copy
+        blob = encode_roots(encoded.manager, {"reached": partial.reached})
+        assert decode_roots(target, blob)["reached"] == copy
 
     def test_compound_approx_of_frontier(self, traversal):
         circuit, encoded, tr, partial = traversal
