@@ -124,7 +124,8 @@ def render(rows_cfg, results) -> str:
         pimg_text = "NA" if pimg is None else f"{pimg[0]}/{pimg[1]}"
         states = next((r["states"] for r in by_method.values()
                        if r.get("states") is not None), "?")
-        peak = max(r["peak_nodes"] for r in by_method.values())
+        peak = max(r["manager_stats"]["peak_nodes"]
+                   for r in by_method.values())
         table.append([
             cfg.paper_name, by_method["bfs"]["ff"], states,
             fmt(by_method["bfs"]["traverse_seconds"]),

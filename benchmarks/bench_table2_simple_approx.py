@@ -55,11 +55,14 @@ def as_measurements(func_rows):
 
 
 def cache_summary(run) -> str:
-    """Aggregate computed-table statistics over the worker managers."""
+    """Aggregate computed-table statistics over the worker managers
+    (one per non-empty population slice)."""
     hits = misses = evictions = managers = 0
     for outcome in run.outcomes:
         stats = outcome.result["manager_stats"]
-        managers += stats["managers"]
+        if stats is None:
+            continue
+        managers += 1
         hits += stats["cache_hits"]
         misses += stats["cache_misses"]
         evictions += stats["cache_evictions"]

@@ -9,9 +9,8 @@ modules, all node construction through the unique table, registered
 computed-table op tags, no cross-manager node mixing, uniform
 approximator signatures — and ``repro.analysis.rules_flow`` adds the
 flow-aware rules (session escape, fork capture, governed-cycle
-checkpoints, ref/deref pairing) built on the intraprocedural CFG
-(``repro.analysis.cfg``), dataflow (``repro.analysis.dataflow``) and
-provenance (``repro.analysis.provenance``) layers.
+checkpoints) built on the intraprocedural CFG (``repro.analysis.cfg``)
+and provenance (``repro.analysis.provenance``) layers.
 
 ``repro.analysis.sarif`` renders findings in the GitHub code-scanning
 SARIF schema.
@@ -24,7 +23,7 @@ The runtime counterpart is the graph sanitizer,
 from __future__ import annotations
 
 from . import rules as _rules  # noqa: F401  (registers RPR001..005)
-from . import rules_flow as _rules_flow  # noqa: F401  (RPR008..011)
+from . import rules_flow as _rules_flow  # noqa: F401  (RPR008..010)
 from .lint import (RULES, FileContext, Rule, Violation, exit_code,
                    lint_paths, lint_source, register_rule, render_json,
                    render_text)

@@ -86,14 +86,6 @@ class CFG:
         if dst not in successors:
             successors.append(dst)
 
-    def predecessors(self) -> dict[int, list[int]]:
-        """Map each block id to the ids of its predecessors."""
-        preds: dict[int, list[int]] = {bid: [] for bid in self.blocks}
-        for block in self.blocks.values():
-            for succ in block.successors:
-                preds[succ].append(block.id)
-        return preds
-
     def statements(self, block_ids: Iterable[int]) -> Iterator[ast.AST]:
         """All leaf statements of the given blocks, in block order."""
         for bid in sorted(block_ids):

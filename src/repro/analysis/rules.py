@@ -66,8 +66,7 @@ KERNEL_MODULE_SUFFIXES = (
     "repro/store/format.py",
 )
 
-#: The node-store modules: the only ones allowed to construct the store,
-#: and the ones that own reference counts (RPR011).
+#: The node-store modules: the only ones allowed to construct the store.
 NODE_FACTORY_SUFFIXES = (
     "repro/bdd/manager.py",
     "repro/bdd/backend.py",

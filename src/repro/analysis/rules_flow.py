@@ -1,10 +1,10 @@
-"""The flow-aware lint rules (RPR008..RPR011).
+"""The flow-aware lint rules (RPR008..RPR010).
 
 These rules guard invariants of the serve daemon's ownership model,
 the fork pool and the governed kernels — structure a purely syntactic
-scan cannot see, hence the CFG/dataflow machinery of
-:mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow` and the
-provenance tracker of :mod:`repro.analysis.provenance`:
+scan cannot see, hence the control-flow graphs of
+:mod:`repro.analysis.cfg` and the provenance tracker of
+:mod:`repro.analysis.provenance`:
 
 RPR008
     A session's ``Manager``/handle table belongs to the connection
@@ -27,11 +27,6 @@ RPR010
     container operations is proven safe without a pragma; a ``while``
     cycle never is, because cheap iterations do not bound a worklist
     loop that runs as long as the graph is big.
-RPR011
-    A ``store.mk(...)``/``incref(...)`` result must reach a root
-    registration, a deref, or any other consuming use on *every* CFG
-    path out of the function; a path that drops the handle leaks an
-    unrooted node (forward may-analysis of pending handle names).
 """
 
 from __future__ import annotations
@@ -41,12 +36,9 @@ from collections.abc import Iterator
 from pathlib import PurePath
 
 from .cfg import build_cfg
-from .dataflow import Fact, ForwardAnalysis
 from .lint import FileContext, Violation, register_rule
 from .provenance import FUNCTION, MANAGER, SESSION, STORE, ScopeProvenance
-from .rules import (NODE_FACTORY_SUFFIXES, _collect_functions,
-                    _is_checkpoint_ref, _path_matches,
-                    is_governed_module)
+from .rules import _collect_functions, _is_checkpoint_ref, is_governed_module
 
 #: Serve modules: everything under ``repro/serve/`` is written against
 #: the session-ownership discipline; the pragma lets the rule corpus
@@ -124,8 +116,7 @@ def _token_run_argument_ids(func: ast.AST) -> set[int]:
     "A session's Manager or handle table is touched outside the "
     "session's own methods and outside the fair token's run(...) — "
     "that races the connection thread that owns the session or skips "
-    "the token; go through token.run or publish plain-value counters "
-    "instead.")
+    "the token; go through token.run instead.")
 def check_session_escape(ctx: FileContext) -> Iterator[Violation]:
     if not is_serve_module(ctx):
         return
@@ -376,100 +367,3 @@ def check_governed_cycle_checkpoint(ctx: FileContext
                 f"governor checkpoint on its looping paths; tick "
                 f"Governor.checkpoint(op) inside the cycle (a "
                 f"checkpoint on a break/return path does not count)")
-
-
-# ----------------------------------------------------------------------
-# RPR011 — mk/incref results must be consumed on every path
-# ----------------------------------------------------------------------
-
-def _is_handle_source(value: ast.expr, aliases: set[str]) -> bool:
-    """``<store>.mk(...)`` / ``<store>.incref(...)`` (or an alias)."""
-    if not isinstance(value, ast.Call):
-        return False
-    func = value.func
-    if isinstance(func, ast.Name):
-        return func.id in aliases
-    if not isinstance(func, ast.Attribute) \
-            or func.attr not in ("mk", "incref"):
-        return False
-    for node in ast.walk(func.value):
-        if isinstance(node, ast.Name) and "store" in node.id:
-            return True
-        if isinstance(node, ast.Attribute) and "store" in node.attr:
-            return True
-    return False
-
-
-def _mk_aliases(tree: ast.Module) -> set[str]:
-    """``mk = store.mk`` hot-loop aliases (kernel idiom)."""
-    aliases: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) \
-                and isinstance(node.value, ast.Attribute) \
-                and node.value.attr in ("mk", "incref"):
-            receiver = node.value.value
-            for sub in ast.walk(receiver):
-                if (isinstance(sub, ast.Name)
-                        and "store" in sub.id) or \
-                        (isinstance(sub, ast.Attribute)
-                         and "store" in sub.attr):
-                    aliases.add(node.targets[0].id)
-    return aliases
-
-
-def is_refcounted_module(ctx: FileContext) -> bool:
-    """Node-factory modules by path — or by a ``refs`` pragma."""
-    if _path_matches(ctx.path, NODE_FACTORY_SUFFIXES):
-        return True
-    return any("# repro-lint: refs" in line
-               for line in ctx.source.splitlines()[:10])
-
-
-@register_rule(
-    "RPR011", "ref-deref-pairing", "warning",
-    "A store.mk()/incref() result is dropped on some control-flow "
-    "path without reaching a root registration, a deref, or any "
-    "consuming use — an unrooted node that silently leaks until the "
-    "next GC sweep.")
-def check_ref_deref_pairing(ctx: FileContext) -> Iterator[Violation]:
-    if not is_refcounted_module(ctx):
-        return
-    aliases = _mk_aliases(ctx.tree)
-    for info in _collect_functions(ctx.tree):
-        gen_sites: dict[str, ast.AST] = {}
-
-        def transfer(stmt: ast.AST, fact: Fact) -> Fact:
-            if isinstance(stmt, ast.Raise):
-                # Exception unwinding is not a leak path: the pending
-                # node is reclaimed by the next GC like any garbage.
-                return frozenset()
-            loaded = {node.id for node in ast.walk(stmt)
-                      if isinstance(node, ast.Name)
-                      and isinstance(node.ctx, ast.Load)}
-            fact = fact - loaded
-            if isinstance(stmt, ast.Assign) \
-                    and len(stmt.targets) == 1 \
-                    and isinstance(stmt.targets[0], ast.Name):
-                name = stmt.targets[0].id
-                if _is_handle_source(stmt.value, aliases):
-                    gen_sites.setdefault(name, stmt)
-                    return fact | {name}
-                return fact - {name}
-            return fact
-
-        cfg = build_cfg(info.node)
-        analysis = ForwardAnalysis(cfg, transfer).run()
-        pending: set[str] = set()
-        for block in cfg.blocks.values():
-            if cfg.exit in block.successors:
-                pending |= analysis.fact_out(block.id)
-        for name in sorted(pending):
-            site = gen_sites.get(name)
-            if site is None:
-                continue
-            yield ctx.violation(
-                "RPR011", site,
-                f"handle {name!r} from store.mk()/incref() can leave "
-                f"{info.qualname!r} unused on some path; root it "
-                f"(Function/table insert) or deref it on every path")

@@ -358,19 +358,6 @@ class ComputedTable:
                                  evictions=r[_EVICTIONS])
                 for op, r in sorted(self._ops.items())}
 
-    def totals(self) -> CacheOpStats:
-        """Aggregate counters across every operation tag."""
-        hits = misses = evictions = 0
-        for record in self._ops.values():
-            hits += record[_HITS]
-            misses += record[_MISSES]
-            evictions += record[_EVICTIONS]
-        return CacheOpStats(hits=hits, misses=misses, evictions=evictions)
-
-    def reset_stats(self) -> None:
-        """Zero all counters (entries are kept)."""
-        self._ops.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         bound = "unbounded" if self._limit is None else f"/{self._limit}"
         return f"<ComputedTable {len(self)}{bound} entries>"

@@ -163,7 +163,7 @@ class Governor:
 
     __slots__ = (
         "_store", "_abort_counts", "_node_budget", "_step_budget",
-        "_deadline", "_window_start", "steps", "checkpoints",
+        "_deadline", "_window_start", "steps",
         "_inject_op", "_inject_remaining",
         "budget_peak_nodes", "budget_peak_steps",
     )
@@ -184,8 +184,6 @@ class Governor:
         self._window_start = 0
         #: total kernel steps observed since manager creation
         self.steps = 0
-        #: total checkpoint calls since manager creation
-        self.checkpoints = 0
         self._inject_op: str | None = None
         self._inject_remaining: int | None = None
         #: highest live-node / window-step counts seen while armed
@@ -303,7 +301,6 @@ class Governor:
         and computed cache consistent (see the module docstring).
         """
         self.steps += steps
-        self.checkpoints += 1
         remaining = self._inject_remaining
         if remaining is not None and (self._inject_op is None
                                       or self._inject_op == op):
@@ -344,11 +341,3 @@ class Governor:
     def _record_abort(self, op: str) -> None:
         counts = self._abort_counts
         counts[op] = counts.get(op, 0) + 1
-
-    def reset_stats(self) -> None:
-        """Rewind the observability counters (budgets stay armed)."""
-        self.steps = 0
-        self.checkpoints = 0
-        self._window_start = 0
-        self.budget_peak_nodes = 0
-        self.budget_peak_steps = 0

@@ -28,7 +28,8 @@ Memory management is CUDD-style and opt-in:
 
 :attr:`Manager.stats` snapshots per-operation cache hits/misses/
 evictions, GC count/pauses/reclaimed nodes, peak live nodes, and the
-reorder count; :meth:`reset_stats` rewinds all counters.
+reorder count.  The counters only grow over the manager's life, so a
+caller measuring one stretch of work subtracts two snapshots.
 """
 
 from __future__ import annotations
@@ -571,31 +572,6 @@ class Manager:
             budget_peak_steps=self.governor.budget_peak_steps,
             backend=self.store.name,
         )
-
-    @property
-    def governor_counters(self) -> tuple[int, int]:
-        """``(total aborts, total degradations)`` as cheap plain ints.
-
-        The full :attr:`stats` snapshot walks the computed table; this
-        pair costs two small dict sums, which is what lets the serve
-        session republish it after every request so other threads can
-        read governor counters without touching the manager.
-        """
-        return (sum(self._abort_counts.values()),
-                sum(self._degradations.values()))
-
-    def reset_stats(self) -> None:
-        """Rewind every statistics counter; entries and nodes survive."""
-        self.computed.reset_stats()
-        self.gc_count = 0
-        self.reorder_count = 0
-        self.store._peak = self.store.num_nodes
-        self._gc_pause_total = 0.0
-        self._gc_pause_max = 0.0
-        self._gc_reclaimed = 0
-        self._abort_counts.clear()
-        self._degradations.clear()
-        self.governor.reset_stats()
 
     # ------------------------------------------------------------------
     # Convenience forwarding (implemented in sibling modules)

@@ -323,9 +323,12 @@ def cmd_lint(args) -> int:
                         ("--ignore", args.ignore)):
         unknown = [r for r in ids or () if r not in RULES]
         if unknown:
-            raise SystemExit(
-                f"repro: unknown rules {unknown!r} for {option}; "
-                f"available: {','.join(sorted(RULES))}")
+            # A usage error (exit 2, as argparse's own), never 1, which
+            # means "findings".
+            print(f"repro: unknown rules {unknown!r} for {option}; "
+                  f"available: {','.join(sorted(RULES))}",
+                  file=sys.stderr)
+            raise SystemExit(2)
     violations = lint_paths(args.paths, rules=args.select,
                             ignore=args.ignore)
     if args.format == "json":
@@ -588,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_call.set_defaults(func=cmd_call)
 
     p_lint = sub.add_parser(
-        "lint", help="run the BDD-aware static rules (RPR001..RPR011)")
+        "lint", help="run the BDD-aware static rules (RPR001..RPR010)")
     p_lint.add_argument("paths", nargs="*", default=["src", "tests"],
                         help="files or directory trees to lint "
                              "(default: src tests)")

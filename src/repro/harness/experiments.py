@@ -50,30 +50,13 @@ COMPOUND_METHODS = ("RUA", "SP", "C1", "C2")
 DECOMP_METHODS = tuple(DECOMPOSERS)
 
 
-def _entry_managers(entries):
-    return {id(e.function.manager): e.function.manager for e in entries}
-
-
-def _aggregate_stats(entries) -> dict:
-    """Merge the manager snapshots behind a slice into one plain dict."""
-    merged = {"managers": 0, "nodes": 0, "peak_nodes": 0,
-              "cache_hits": 0, "cache_misses": 0, "cache_evictions": 0,
-              "gc_count": 0, "gc_reclaimed": 0, "gc_pause_total": 0.0,
-              "aborts": 0, "degradations": 0}
-    for manager in _entry_managers(entries).values():
-        stats = manager.stats
-        merged["managers"] += 1
-        merged["nodes"] += stats.nodes
-        merged["peak_nodes"] += stats.peak_nodes
-        merged["cache_hits"] += stats.cache_hits
-        merged["cache_misses"] += stats.cache_misses
-        merged["cache_evictions"] += stats.cache_evictions
-        merged["gc_count"] += stats.gc_count
-        merged["gc_reclaimed"] += stats.gc_reclaimed
-        merged["gc_pause_total"] += stats.gc_pause_total
-        merged["aborts"] += stats.total_aborts
-        merged["degradations"] += stats.total_degradations
-    return merged
+def _slice_stats(entries) -> dict | None:
+    """``ManagerStats.as_dict()`` of the manager behind a population
+    slice (every entry of one spec shares it), or None for an empty
+    slice."""
+    if not entries:
+        return None
+    return entries[0].function.manager.stats.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -109,7 +92,7 @@ def simple_approx_rows(payload) -> dict:
             row[f"{name}_minterms"] = g.sat_count(nvars)
         row["digest"] = content_address(encode_roots(f.manager, results))
         rows.append(row)
-    return {"rows": rows, "manager_stats": _aggregate_stats(entries)}
+    return {"rows": rows, "manager_stats": _slice_stats(entries)}
 
 
 def compound_approx_rows(payload) -> dict:
@@ -140,7 +123,7 @@ def compound_approx_rows(payload) -> dict:
             row[f"{name}_minterms"] = g.sat_count(nvars)
         row["digest"] = content_address(encode_roots(f.manager, results))
         rows.append(row)
-    return {"rows": rows, "manager_stats": _aggregate_stats(entries)}
+    return {"rows": rows, "manager_stats": _slice_stats(entries)}
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +157,7 @@ def decomposition_rows(payload) -> dict:
             factors[f"{method}_g"], factors[f"{method}_h"] = g, h
         row["digest"] = content_address(encode_roots(f.manager, factors))
         rows.append(row)
-    return {"rows": rows, "manager_stats": _aggregate_stats(entries)}
+    return {"rows": rows, "manager_stats": _slice_stats(entries)}
 
 
 # ----------------------------------------------------------------------
@@ -209,8 +192,9 @@ def reachability_row(payload) -> dict:
 
     The row's ``traverse_seconds`` is the paper-table number; the
     engine separately reports whole-task seconds including the circuit
-    rebuild.  ``aborts``/``degradations`` count governor events during
-    the run (0 on unbudgeted runs).
+    rebuild.  ``manager_stats`` is the circuit manager's
+    ``ManagerStats.as_dict()``, whose ``aborts``/``degradations`` count
+    the governor events of the run.
     """
     circuit = make_circuit(payload["factory"], tuple(payload["args"]))
     encoded = encode(circuit)
@@ -238,13 +222,9 @@ def reachability_row(payload) -> dict:
                 result = bfs_reachability(tr, init, deadline=deadline,
                                           on_blowup=on_blowup)
         except TraversalLimit:
-            stats = encoded.manager.stats
             row.update(states=None, traverse_seconds=None,
                        iterations=None, complete=False,
-                       peak_nodes=stats.peak_nodes,
-                       aborts=stats.total_aborts,
-                       degradations=stats.total_degradations,
-                       manager_stats=stats.as_dict())
+                       manager_stats=encoded.manager.stats.as_dict())
             return row
     else:
         threshold = payload.get("threshold", 0)
@@ -268,16 +248,12 @@ def reachability_row(payload) -> dict:
             result = high_density_reachability(
                 tr, init, subset, threshold=threshold, partial=policy,
                 deadline=deadline, on_blowup=on_blowup)
-    stats = encoded.manager.stats
     row.update(
         states=count_states(result.reached, encoded.state_vars),
         traverse_seconds=round(result.seconds, 3),
         iterations=result.iterations,
         complete=bool(result.complete),
         reached_nodes=len(result.reached),
-        peak_nodes=stats.peak_nodes,
-        aborts=stats.total_aborts,
-        degradations=stats.total_degradations,
-        manager_stats=stats.as_dict(),
+        manager_stats=encoded.manager.stats.as_dict(),
     )
     return row

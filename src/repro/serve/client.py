@@ -24,7 +24,7 @@ import socket
 import time
 from typing import Any
 
-from .protocol import E_BUDGET, E_OVERLOAD, MAX_LINE
+from .protocol import E_BUDGET, MAX_LINE
 
 __all__ = ["Client", "ClientTimeout", "ServerError"]
 
@@ -56,20 +56,8 @@ class ServerError(RuntimeError):
 
     @property
     def is_budget(self) -> bool:
-        """True for governor aborts — retryable on the same session."""
+        """True for governor aborts (the session stays usable)."""
         return self.code == E_BUDGET
-
-    @property
-    def retryable(self) -> bool:
-        """True for errors that re-sending may clear.
-
-        ``budget`` leaves the session and every handle valid (the
-        governor contract), and ``overload`` means the server was full
-        at that instant; both are transient by design.  Everything
-        else (bad request, unknown handle, store corruption) is
-        deterministic — retrying would just repeat the failure.
-        """
-        return self.code in (E_BUDGET, E_OVERLOAD)
 
 
 class Client:
@@ -87,52 +75,31 @@ class Client:
     long ``reach`` traversals whose runtime is governed server-side by
     per-request budgets instead.
 
-    ``retries`` (default 0: off) opts into exponential-backoff retry
-    of *retryable* structured errors (:attr:`ServerError.retryable`:
-    ``budget`` and ``overload``): each of up to ``retries`` re-sends
-    waits ``min(retry_max, retry_base * 2**attempt)`` seconds first.
-    An ``overload`` greeting reconnects from scratch (the refused
-    connection is closed by the server); a ``budget`` error re-sends
-    on the same session, whose handles the governor contract keeps
-    valid.  Timeouts are *not* retried — after :class:`ClientTimeout`
-    the stream may hold a stale response, so re-sending could
-    misattribute answers.
+    Every request is sent once: an error response raises
+    :class:`ServerError`, and a refused connection (an ``overload``
+    greeting) raises it from the constructor.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  timeout: float | None = 60.0,
                  connect_timeout: float = 10.0,
-                 read_timeout: float | None = None,
-                 retries: int = 0, retry_base: float = 0.05,
-                 retry_max: float = 2.0) -> None:
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
+                 read_timeout: float | None = None) -> None:
         self.host = host
         self.port = port
         self.read_timeout = timeout if read_timeout is None \
             else read_timeout
-        self.retries = retries
-        self.retry_base = retry_base
-        self.retry_max = retry_max
-        attempt = 0
-        while True:
-            self._connect(timeout, connect_timeout)
-            try:
-                self.greeting = self._read_message()
-            except BaseException:
-                self.close()
-                raise
-            if self.greeting.get("ok") is not False:
-                break
-            error = self.greeting.get("error", {})
-            failure = ServerError(error.get("code", "internal"),
-                                  error.get("message", "rejected"),
-                                  error.get("kind"))
+        self._connect(timeout, connect_timeout)
+        try:
+            self.greeting = self._read_message()
+        except BaseException:
             self.close()
-            if not (failure.retryable and attempt < self.retries):
-                raise failure
-            time.sleep(self._backoff(attempt))
-            attempt += 1
+            raise
+        if self.greeting.get("ok") is False:
+            error = self.greeting.get("error", {})
+            self.close()
+            raise ServerError(error.get("code", "internal"),
+                              error.get("message", "rejected"),
+                              error.get("kind"))
         #: server-assigned session id (from the greeting line)
         self.session = self.greeting.get("session")
 
@@ -151,9 +118,6 @@ class Client:
         self._sock.settimeout(self.read_timeout)
         self._file = self._sock.makefile("rwb")
         self._ids = iter(range(1, 1 << 62))
-
-    def _backoff(self, attempt: int) -> float:
-        return min(self.retry_max, self.retry_base * (2 ** attempt))
 
     # ------------------------------------------------------------------
     # Wire plumbing
@@ -175,23 +139,8 @@ class Client:
 
         ``budget`` is the per-request governor budget
         (``{"node": N, "step": N, "deadline": S}``).  Raises
-        :class:`ServerError` on an error response; with ``retries``
-        configured, retryable errors are re-sent (fresh request id,
-        same session) after an exponential-backoff sleep first.
+        :class:`ServerError` on an error response.
         """
-        attempt = 0
-        while True:
-            try:
-                return self._call_once(verb, params, budget)
-            except ServerError as exc:
-                if not (exc.retryable and attempt < self.retries):
-                    raise
-            time.sleep(self._backoff(attempt))
-            attempt += 1
-
-    def _call_once(self, verb: str,
-                   params: dict[str, Any] | None,
-                   budget: dict[str, Any] | None) -> dict[str, Any]:
         request_id = next(self._ids)
         payload: dict[str, Any] = dict(params or {})
         if budget is not None:

@@ -80,9 +80,6 @@ class _ServerStats:
         self.errors: dict[str, int] = {}
         #: requests dispatched, per verb
         self.verbs: dict[str, int] = {}
-        #: governor counters accumulated from *closed* sessions
-        self.closed_aborts = 0
-        self.closed_degradations = 0
 
 
 class Server:
@@ -239,7 +236,6 @@ class Server:
         except OSError:  # the peer hung up, or the server is closing
             pass
         finally:
-            counters = (0, 0)
             if session is not None:
                 if self.snapshot:
                     try:
@@ -253,13 +249,11 @@ class Server:
                         pass
                 # Disconnect-time session GC: the session's handles
                 # and, with the last reference, its manager go away.
-                counters = session.close()
+                session.close()
             with self._lock:
                 if session is not None:
                     del self._sessions[session.id]
                     self.stats.sessions_closed += 1
-                    self.stats.closed_aborts += counters[0]
-                    self.stats.closed_degradations += counters[1]
                 del self._connections[conn]
             try:
                 stream.close()
@@ -371,17 +365,6 @@ class Server:
     def _server_stats(self) -> dict[str, Any]:
         stats = self.stats
         with self._lock:
-            # Aggregate governor counters over live sessions too, so
-            # the snapshot reflects aborts/degradations of
-            # still-connected clients (the CI artifact reads this).
-            # Sessions *publish* these as plain ints after every
-            # request precisely so this read never touches a manager
-            # another connection thread owns (RPR008).
-            aborts = stats.closed_aborts
-            degradations = stats.closed_degradations
-            for session in self._sessions.values():
-                aborts += session.published_aborts
-                degradations += session.published_degradations
             return {"backend": self.backend,
                     "uptime": time.monotonic() - stats.started,
                     "sessions": {"open": len(self._sessions),
@@ -392,8 +375,6 @@ class Server:
                     "requests": stats.requests,
                     "verbs": dict(stats.verbs),
                     "errors": dict(stats.errors),
-                    "aborts": aborts,
-                    "degradations": degradations,
                     "scheduler": {
                         "workers": self.workers,
                         "dispatched": self._token.dispatched,

@@ -167,13 +167,6 @@ class Session:
         #: requests executed (successfully or not) in this session
         self.requests = 0
         self.closed = False
-        #: governor counters republished after every request.  The
-        #: manager itself belongs to the connection thread; these plain
-        #: ints are the *published* snapshot other threads may read
-        #: without touching the manager (reads of an int attribute are
-        #: atomic under the GIL).
-        self.published_aborts = 0
-        self.published_degradations = 0
 
     # ------------------------------------------------------------------
     # Handle table
@@ -228,21 +221,17 @@ class Session:
                        tags=("snapshot", self.id))
         return len(self._functions)
 
-    def close(self) -> tuple[int, int]:
-        """Release every handle; returns ``(aborts, degradations)``.
+    def close(self) -> None:
+        """Release every handle.
 
         Called on disconnect — this *is* the session GC: dropping the
         Function roots makes every session-private node unreachable,
         and the manager itself becomes garbage once the server lets go
-        of the session object.  The returned counters are the last
-        *published* snapshot (see ``__init__``), republished by every
-        request, so close() needs no manager read.
+        of the session object.
         """
         self.closed = True
-        counters = (self.published_aborts, self.published_degradations)
         self._functions.clear()
         self._by_key.clear()
-        return counters
 
     # ------------------------------------------------------------------
     # Request execution (connection thread)
@@ -259,20 +248,12 @@ class Session:
                 f"{', '.join(sorted(self._VERBS))}")
         self.requests += 1
         budget = self._merge_budget(params.get("budget"))
-        try:
-            if verb == "reach":
-                # reach builds its own circuit manager; the budget arms
-                # there, not on the session manager (see _verb_reach).
-                return handler(self, params, budget)
-            with self._armed(self.manager, budget):
-                return handler(self, params, budget)
-        finally:
-            # Republish governor counters (aborts unwind through here
-            # too), so other threads' snapshots never have to touch
-            # the manager.
-            aborts, degradations = self.manager.governor_counters
-            self.published_aborts = aborts
-            self.published_degradations = degradations
+        if verb == "reach":
+            # reach builds its own circuit manager; the budget arms
+            # there, not on the session manager (see _verb_reach).
+            return handler(self, params, budget)
+        with self._armed(self.manager, budget):
+            return handler(self, params, budget)
 
     def _merge_budget(self, spec: Any) -> Budget:
         config = self.config

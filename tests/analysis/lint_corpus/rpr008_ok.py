@@ -12,13 +12,14 @@ def reorder(token, session):
 
 
 def server_stats(sessions):
-    aborts = 0
+    requests = 0
     for session in sessions:
-        # Published plain-int counters, not the thread-owned manager.
-        aborts += session.published_aborts
-    return aborts
+        # The session's own plain-int counter, not the thread-owned
+        # manager.
+        requests += session.requests
+    return requests
 
 
 def close_session(session):
-    aborts, degradations = session.close()
-    return aborts + degradations
+    session.close()
+    return session.id

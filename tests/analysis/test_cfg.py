@@ -31,6 +31,12 @@ def reachable(cfg: CFG) -> set[int]:
     return seen
 
 
+def exit_edges(cfg: CFG) -> int:
+    """Number of blocks with an edge into the exit block."""
+    return sum(cfg.exit in block.successors
+               for block in cfg.blocks.values())
+
+
 def test_straight_line_has_no_cycles():
     cfg = cfg_of("def f(x):\n    y = x + 1\n    return y\n")
     assert cfg.cycles() == []
@@ -150,8 +156,7 @@ def test_return_edges_to_exit():
         "    if x:\n"
         "        return 1\n"
         "    return 2\n")
-    preds = cfg.predecessors()
-    assert len(preds[cfg.exit]) == 2
+    assert exit_edges(cfg) == 2
 
 
 def test_raise_edges_to_exit():
@@ -160,8 +165,7 @@ def test_raise_edges_to_exit():
         "    if x < 0:\n"
         "        raise ValueError(x)\n"
         "    return x\n")
-    preds = cfg.predecessors()
-    assert len(preds[cfg.exit]) == 2
+    assert exit_edges(cfg) == 2
 
 
 def test_try_except_edges():

@@ -18,8 +18,7 @@ def rule_ids(violations) -> set[str]:
 
 def test_all_rules_registered():
     assert set(RULES) == {"RPR001", "RPR002", "RPR003", "RPR004",
-                          "RPR005", "RPR008", "RPR009", "RPR010",
-                          "RPR011"}
+                          "RPR005", "RPR008", "RPR009", "RPR010"}
     for rule in RULES.values():
         assert rule.severity in ("warning", "error")
         assert rule.description

@@ -1,4 +1,4 @@
-"""Targeted tests for the flow-aware rules (RPR008..RPR011)."""
+"""Targeted tests for the flow-aware rules (RPR008..RPR010)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from repro.analysis import lint_source
 
 SERVE = "# repro-lint: serve\n"
 GOVERNED = "# repro-lint: governed\n"
-REFS = "# repro-lint: refs\n"
 
 
 def findings(source: str, rule: str, path: str = "mod.py"):
@@ -179,63 +178,3 @@ def test_rpr010_checkpoint_on_return_path_does_not_count():
         "        compute(manager, work.pop())\n"
     )
     assert findings(source, "RPR010")
-
-
-# -- RPR011 ------------------------------------------------------------
-
-def test_rpr011_inactive_without_refs_marker():
-    source = (
-        "def make(store):\n"
-        "    node = store.mk(1, 0, 1)\n"
-        "    return None\n"
-    )
-    assert findings(source, "RPR011") == []
-
-
-def test_rpr011_all_paths_consume():
-    source = REFS + (
-        "def make(store, table, key):\n"
-        "    node = store.mk(1, 0, 1)\n"
-        "    table[key] = node\n"
-        "    return node\n"
-    )
-    assert findings(source, "RPR011") == []
-
-
-def test_rpr011_mk_alias_recognized():
-    source = REFS + (
-        "def make(store, flag):\n"
-        "    mk = store.mk\n"
-        "    node = mk(1, 0, 1)\n"
-        "    if flag:\n"
-        "        return node\n"
-        "    return None\n"
-    )
-    (violation,) = findings(source, "RPR011")
-    assert "node" in violation.message
-
-
-def test_rpr011_raise_path_is_not_a_leak():
-    source = REFS + (
-        "def make(store, level):\n"
-        "    node = store.mk(level, 0, 1)\n"
-        "    if level < 0:\n"
-        "        raise ValueError(level)\n"
-        "    return node\n"
-    )
-    assert findings(source, "RPR011") == []
-
-
-def test_rpr011_reassignment_clears_pending():
-    # Overwriting the name loses the handle — but the dataflow models
-    # the *name*, and the overwrite is itself a Load-free assign, so
-    # the original handle escapes tracking; the rule stays a may-leak
-    # warning, not a proof.
-    source = REFS + (
-        "def make(store, table):\n"
-        "    node = store.mk(1, 0, 1)\n"
-        "    table['k'] = node\n"
-        "    node = None\n"
-        "    return node\n"
-    )
-    assert findings(source, "RPR011") == []

@@ -24,7 +24,7 @@ class TestComputedTable:
         for i in range(1000):
             put(pack("and", i), i)
         assert len(table) == 1000
-        assert table.totals().evictions == 0
+        assert not any(s.evictions for s in table.stats().values())
 
     def test_bounded_evicts(self):
         table = ComputedTable(limit=16)
@@ -32,7 +32,7 @@ class TestComputedTable:
         for i in range(100):
             put(pack("and", i), i)
         assert len(table) <= 16
-        assert table.totals().evictions > 0
+        assert sum(s.evictions for s in table.stats().values()) > 0
 
     def test_hit_miss_counting(self):
         # The probes count nothing; the caller tallies what it saw.
@@ -76,15 +76,6 @@ class TestComputedTable:
         get, _ = table.probes()
         hits = sum(get(pack("and", i)) == i for i in range(10))
         assert hits == 10
-
-    def test_reset_stats_keeps_entries(self):
-        table = ComputedTable()
-        get, put = table.probes()
-        put(pack("and", 1), 1)
-        table.tally("and", 1, 0)
-        table.reset_stats()
-        assert table.totals().lookups == 0
-        assert get(pack("and", 1)) == 1
 
     @pytest.mark.parametrize("limit", [None, 8])
     def test_probes_survive_clear(self, limit):
@@ -145,7 +136,7 @@ class TestBoundedCacheCanonicity:
         # Thrash the tiny cache so earlier entries are evicted ...
         for i in range(9):
             _ = products[i] | xs[(i + 3) % 10]
-        assert m.computed.totals().evictions > 0
+        assert m.stats.cache_evictions > 0
         # ... then recompute: hash-consing must return the same nodes.
         again = [xs[i] & xs[i + 1] for i in range(9)]
         for (node, p), q in zip(first, again):
@@ -283,18 +274,6 @@ class TestManagerStats:
         assert m.stats.peak_nodes >= len(m)
         assert m.stats.peak_nodes >= m.stats.nodes
 
-    def test_reset_stats(self):
-        m = Manager(["a", "b"])
-        a, b = m.var("a"), m.var("b")
-        _ = a & b
-        m.collect_garbage()
-        m.reset_stats()
-        s = m.stats
-        assert s.cache_hits == s.cache_misses == 0
-        assert s.gc_count == 0 and s.gc_reclaimed == 0
-        assert s.gc_pause_total == 0.0
-        assert s.peak_nodes == s.nodes  # peak re-anchored to now
-
     def test_stats_snapshot_is_frozen(self):
         m = Manager(["a"])
         with pytest.raises(AttributeError):
@@ -353,7 +332,7 @@ class TestReachabilityByteIdentical:
                 manager.set_cache_limit(cache_limit)
             tr = TransitionRelation(encoded)
             r = bfs_reachability(tr, encoded.initial_states())
-            evictions = manager.computed.totals().evictions
+            evictions = manager.stats.cache_evictions
             return (count_states(r.reached, encoded.state_vars),
                     len(r.reached), r.iterations, r.complete), evictions
 

@@ -222,9 +222,14 @@ class TestBudgetOutcome:
 # ----------------------------------------------------------------------
 
 def _strip_floats(row: dict) -> dict:
-    """Drop wall-clock fields; everything else must match exactly."""
-    return {k: v for k, v in row.items()
-            if not isinstance(v, float) and k != "manager_stats"}
+    """Drop wall-clock fields, the ``manager_stats`` GC pauses too;
+    everything else must match exactly."""
+    kept = {k: v for k, v in row.items() if not isinstance(v, float)}
+    if "manager_stats" in kept:
+        kept["manager_stats"] = {
+            k: v for k, v in kept["manager_stats"].items()
+            if not isinstance(v, float)}
+    return kept
 
 
 class TestDeterminism:

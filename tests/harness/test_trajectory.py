@@ -6,6 +6,13 @@ import json
 
 import pytest
 
+from repro.bdd import Manager
+from repro.harness.engine import Task, run_tasks
+from repro.harness.experiments import (compound_approx_rows,
+                                       decomposition_rows,
+                                       reachability_row,
+                                       simple_approx_rows)
+from repro.harness.population import EntrySpec
 from repro.harness.trajectory import (SCHEMA_VERSION, bench_payload,
                                       failure_rows, load_bench,
                                       pin_mismatches, row_digest,
@@ -177,3 +184,33 @@ class TestResume:
         write_bench(path, payload_with(merged))
         remaining, _ = resume_tasks(path, tasks)
         assert remaining == []
+
+
+class TestManagerStatsRows:
+    """Every Table 1–4 ``manager_stats`` is one ``ManagerStats.as_dict()``."""
+
+    KEYS = Manager().stats.as_dict().keys()
+
+    @pytest.mark.parametrize("worker", [simple_approx_rows,
+                                        compound_approx_rows,
+                                        decomposition_rows])
+    def test_table_rows_carry_the_slice_manager(self, worker):
+        tasks = [Task("mult5_bit5", (EntrySpec("multiplier", "mult5_bit5",
+                                               (5, 5)), 30)),
+                 # bit 0 of a 3x3 multiplier is one node: an empty slice
+                 Task("mult3_bit0", (EntrySpec("multiplier", "mult3_bit0",
+                                               (3, 0)), 30))]
+        full, empty = task_rows(run_tasks(worker, tasks, jobs=1))
+        assert full["manager_stats"].keys() == self.KEYS
+        assert full["manager_stats"]["peak_nodes"] > 0
+        assert empty["manager_stats"] is None
+
+    @pytest.mark.parametrize("deadline", [None, 0.0])
+    def test_reachability_rows_carry_the_circuit_manager(self, deadline):
+        payload = {"factory": "token_ring", "args": (3,),
+                   "method": "bfs", "deadline": deadline}
+        row = reachability_row(payload)
+        assert row["complete"] is (deadline is None)
+        assert row["manager_stats"].keys() == self.KEYS
+        assert row["manager_stats"]["peak_nodes"] > 0
+        assert not {"peak_nodes", "aborts", "degradations"} & row.keys()

@@ -120,8 +120,11 @@ def test_injected_abort_is_structured_and_retryable(
     assert client.minterms(conj, names=names) == \
         [dict(m) for m in expected.iter_minterms(names)]
 
-    # The abort is visible in the server-wide governor accounting.
-    assert client.stats()["server"]["aborts"] >= 1
+    # The abort is one budget error server-wide and one abort in the
+    # session manager's own counters.
+    stats = client.stats()
+    assert stats["server"]["errors"]["budget"] == 1
+    assert sum(stats["session"]["manager"]["aborts"].values()) == 1
 
 
 @pytest.mark.parametrize("budget,kind", [
@@ -157,8 +160,8 @@ def test_tiny_budget_then_exact_retry(setting, oracle, server_factory,
     assert count["sat_count"] == expected.sat_count(NVARS)
 
     stats = client.stats()
-    assert stats["server"]["aborts"] >= 1
     assert stats["server"]["errors"]["budget"] == 1
+    assert sum(stats["session"]["manager"]["aborts"].values()) == 1
 
 
 def test_decomp_under_step_budget_then_exact_retry(

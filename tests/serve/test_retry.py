@@ -1,11 +1,10 @@
-"""Client retry policy against scripted (hung/flapping) servers.
+"""The client against scripted (refusing or hung) servers.
 
 A :class:`ScriptedServer` is a bare TCP endpoint speaking just enough
-of the wire protocol to exercise the client's retry machinery without
-a real daemon: each accepted connection runs one script (greet, answer,
-reject, or hang).  This pins down the policy's edges — what is retried
-(``budget``, ``overload``), what is not (deterministic errors,
-timeouts), and on which connection.
+of the wire protocol to exercise the client without a real daemon:
+each accepted connection runs one script (greet, answer, reject, or
+hang).  The client sends every request once: an error reply or a
+refused connection raises, and a hung server times out.
 """
 
 from __future__ import annotations
@@ -111,57 +110,16 @@ def scripted():
         server.close()
 
 
-FAST = {"retry_base": 0.001, "retry_max": 0.01}
-
-
-def test_overload_greeting_reconnects(scripted):
-    server = scripted(rejecting("overload"), answering("ok"))
-    with Client(port=server.port, retries=2, **FAST) as client:
-        assert client.session == "scripted"
-        assert client.call("ping")["value"] == 42
-
-
 def test_overload_greeting_without_retries_raises(scripted):
     server = scripted(rejecting("overload"))
     with pytest.raises(ServerError) as excinfo:
         Client(port=server.port)
     assert excinfo.value.code == "overload"
-    assert excinfo.value.retryable
-
-
-def test_nonretryable_greeting_never_reconnects(scripted):
-    server = scripted(rejecting("bad-request"), answering("ok"))
-    with pytest.raises(ServerError) as excinfo:
-        Client(port=server.port, retries=5, **FAST)
-    assert excinfo.value.code == "bad-request"
-
-
-def test_budget_error_resent_on_same_session(scripted):
-    server = scripted(answering("budget", "ok"))
-    with Client(port=server.port, retries=2, **FAST) as client:
-        assert client.call("count", {"f": "h1"})["value"] == 42
-    # Both sends rode one connection, with distinct request ids.
-    assert [r["id"] for r in server.requests] == [1, 2]
-    assert all(r["verb"] == "count" for r in server.requests)
-
-
-def test_flapping_server_eventually_answers(scripted):
-    server = scripted(answering("budget", "overload", "budget", "ok"))
-    with Client(port=server.port, retries=3, **FAST) as client:
-        assert client.call("ping")["value"] == 42
-    assert len(server.requests) == 4
-
-
-def test_retries_exhausted_raises(scripted):
-    server = scripted(answering("budget", "budget", "budget"))
-    with Client(port=server.port, retries=2, **FAST) as client:
-        with pytest.raises(ServerError) as excinfo:
-            client.call("ping")
-    assert excinfo.value.code == "budget"
-    assert len(server.requests) == 3  # initial send + 2 retries
 
 
 def test_retries_default_off(scripted):
+    """An error reply raises at once: the request is never re-sent,
+    though the server would answer a second send."""
     server = scripted(answering("budget", "ok"))
     with Client(port=server.port) as client:
         with pytest.raises(ServerError):
@@ -169,38 +127,11 @@ def test_retries_default_off(scripted):
     assert len(server.requests) == 1
 
 
-def test_deterministic_errors_not_retried(scripted):
-    server = scripted(answering("unknown-handle", "ok"))
-    with Client(port=server.port, retries=5, **FAST) as client:
-        with pytest.raises(ServerError) as excinfo:
-            client.call("ping")
-    assert excinfo.value.code == "unknown-handle"
-    assert not excinfo.value.retryable
-    assert len(server.requests) == 1
-
-
 def test_hung_server_times_out_without_retry(scripted):
     """Timeouts are never retried: the stream may hold a stale
     response, so a re-send could misattribute answers."""
     server = scripted(answering("hang"))
-    with Client(port=server.port, timeout=0.2, retries=5,
-                **FAST) as client:
+    with Client(port=server.port, timeout=0.2) as client:
         with pytest.raises(ClientTimeout):
             client.call("ping")
     assert len(server.requests) == 1
-
-
-def test_negative_retries_rejected():
-    with pytest.raises(ValueError, match="retries"):
-        Client(port=1, retries=-1)
-
-
-def test_backoff_is_capped():
-    client = Client.__new__(Client)
-    client.retry_base = 0.05
-    client.retry_max = 2.0
-    delays = [client._backoff(n) for n in range(12)]
-    assert delays[0] == 0.05
-    assert delays[1] == 0.1
-    assert max(delays) == 2.0
-    assert delays == sorted(delays)

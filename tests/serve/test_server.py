@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.bdd import Manager
 from repro.fsm.benchmarks import counter
 from repro.fsm.blif import write_blif
 from repro.serve import MAX_LINE, Client, ClientTimeout, ServerError
@@ -278,6 +279,25 @@ def test_reach_verb_counter(client):
     assert result["aborts"] == 0
 
 
+def test_reach_counts_governor_events_in_its_reply(client):
+    """reach runs on the circuit's own manager, so its reply is where
+    the ladder's degradations show; a raise-mode abort is one
+    ``budget`` error."""
+    blif = write_blif(counter(8))
+    degraded = client.reach(blif, budget={"step": 64},
+                            on_blowup="subset")
+    assert degraded["complete"] is True and degraded["states"] == 256
+    assert degraded["aborts"] > 0 and degraded["degradations"] > 0
+    with pytest.raises(ServerError) as excinfo:
+        client.reach(blif, budget={"step": 64})
+    assert excinfo.value.code == "budget"
+    stats = client.stats()
+    assert stats["server"]["errors"] == {"budget": 1}
+    # Neither traversal touched the session's own manager.
+    manager = stats["session"]["manager"]
+    assert manager["aborts"] == {} and manager["degradations"] == {}
+
+
 def test_reach_high_density_matches_bfs(client):
     blif = write_blif(counter(3))
     bfs = client.reach(blif)
@@ -431,7 +451,9 @@ def test_stats_and_health_snapshots(server, client):
     assert top["sessions"]["open"] == 1
     assert top["verbs"]["var"] == 2
     assert top["errors"]["unknown-verb"] == 1
-    assert top["aborts"] == 0 and top["degradations"] == 0
+    # Governor counters live per manager (stats.session.manager, each
+    # reach reply); the server counts aborts as budget errors.
+    assert "aborts" not in top and "degradations" not in top
     assert top["scheduler"]["workers"] == 2
     assert top["scheduler"]["dispatched"] >= 3
 
@@ -439,6 +461,7 @@ def test_stats_and_health_snapshots(server, client):
     assert mine["handles"] == 3
     assert mine["requests"] >= 4
     assert mine["manager"]["nodes"] >= 3
+    assert mine["manager"].keys() == Manager().stats.as_dict().keys()
 
 
 def _build_dnf(client, nvars, seed, terms=14, width=4, budget=None):
