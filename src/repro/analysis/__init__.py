@@ -2,15 +2,15 @@
 
 ``repro.analysis.lint`` is a small AST-based lint engine with a rule
 registry, per-rule severities, ``# repro-lint: disable=RPRxxx``
-suppression comments, and text/JSON/SARIF reporting.  The rules in
-``repro.analysis.rules`` encode the structural conventions every
-algorithm in this repository depends on — no recursion in kernel
-modules, all node construction through the unique table, registered
-computed-table op tags, no cross-manager node mixing, uniform
-approximator signatures — and ``repro.analysis.rules_flow`` adds the
-flow-aware rules (session escape, fork capture, governed-cycle
-checkpoints) built on the intraprocedural CFG (``repro.analysis.cfg``)
-and provenance (``repro.analysis.provenance``) layers.
+suppression comments, and text/JSON/SARIF reporting.  The rules cover
+what no run of the code can see: ``repro.analysis.rules`` forbids
+recursion in kernel modules and cross-manager node mixing, and
+``repro.analysis.rules_flow`` adds the flow-aware rules (session
+escape, fork capture, governed-cycle checkpoints) built on the
+intraprocedural CFG (``repro.analysis.cfg``) and provenance
+(``repro.analysis.provenance``) layers.  Registered computed-table op
+tags and the approximator signature are checked at runtime instead,
+by ``ComputedTable.tally`` and ``register_approximator``.
 
 ``repro.analysis.sarif`` renders findings in the GitHub code-scanning
 SARIF schema.
@@ -22,7 +22,7 @@ The runtime counterpart is the graph sanitizer,
 
 from __future__ import annotations
 
-from . import rules as _rules  # noqa: F401  (registers RPR001..005)
+from . import rules as _rules  # noqa: F401  (RPR001, RPR004)
 from . import rules_flow as _rules_flow  # noqa: F401  (RPR008..010)
 from .lint import (RULES, FileContext, Rule, Violation, exit_code,
                    lint_paths, lint_source, register_rule, render_json,

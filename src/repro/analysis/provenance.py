@@ -12,26 +12,21 @@ answers ``kind(name)`` queries.  Sources of provenance:
 
 * parameter / variable annotations (``m: Manager``, ``fn: Function``),
 * constructor calls (``Manager(...)``, ``Session(...)``,
-  ``create_store(...)``),
+  ``ArrayStore(...)``),
 * well-known derivations (``session.manager``, ``manager.store``,
   Function-returning ``Manager`` methods like ``apply``/``ite``),
 * straight aliasing (``m2 = m``),
 * iteration/pop over containers whose name mentions ``session`` —
   the serve daemon's ``self._sessions`` registry idiom.
-
-:func:`nested_captures` reports provenance-classified names that are
-*captured* by functions nested inside a scope (closures), which is how
-the fork-capture rule sees a ``Manager`` smuggled into a worker lambda.
 """
 
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
 
 __all__ = [
     "MANAGER", "FUNCTION", "SESSION", "STORE",
-    "ScopeProvenance", "nested_captures",
+    "ScopeProvenance",
 ]
 
 #: Provenance kinds.
@@ -45,7 +40,6 @@ _CONSTRUCTORS = {
     "Manager": MANAGER,
     "Function": FUNCTION,
     "Session": SESSION,
-    "create_store": STORE,
     "ArrayStore": STORE,
 }
 
@@ -194,61 +188,3 @@ class ScopeProvenance:
                     if _mentions_session(node.iter):
                         self._bind(node.target, SESSION)
         return self
-
-
-def _local_bindings(func: ast.AST) -> set[str]:
-    """Names bound inside a nested function (params + assignments)."""
-    bound: set[str] = set()
-    if isinstance(func, ast.Lambda):
-        args = func.args
-        bound.update(arg.arg for arg in
-                     args.posonlyargs + args.args + args.kwonlyargs)
-        if args.vararg:
-            bound.add(args.vararg.arg)
-        if args.kwarg:
-            bound.add(args.kwarg.arg)
-        return bound
-    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        args = func.args
-        bound.update(arg.arg for arg in
-                     args.posonlyargs + args.args + args.kwonlyargs)
-        if args.vararg:
-            bound.add(args.vararg.arg)
-        if args.kwarg:
-            bound.add(args.kwarg.arg)
-        for node in ast.walk(func):
-            if isinstance(node, ast.Name) \
-                    and isinstance(node.ctx, ast.Store):
-                bound.add(node.id)
-    return bound
-
-
-def _nested_functions(scope: ast.AST) -> Iterator[ast.AST]:
-    for node in ast.walk(scope):
-        if node is scope:
-            continue
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            yield node
-
-
-def nested_captures(scope: ast.AST,
-                    prov: ScopeProvenance) -> dict[str, str]:
-    """Provenance-classified names captured by closures nested in scope.
-
-    Returns ``{name: kind}`` for every name that (a) has a provenance
-    kind in the enclosing scope and (b) is read inside a nested
-    function/lambda without being bound there — i.e. a closure capture
-    of a Manager/Function/store/session object.
-    """
-    captured: dict[str, str] = {}
-    for nested in _nested_functions(scope):
-        bound = _local_bindings(nested)
-        for node in ast.walk(nested):
-            if isinstance(node, ast.Name) \
-                    and isinstance(node.ctx, ast.Load) \
-                    and node.id not in bound:
-                kind = prov.kind(node.id)
-                if kind is not None:
-                    captured[node.id] = kind
-    return captured

@@ -1,6 +1,7 @@
-"""The BDD-specific lint rules (RPR001..RPR005).
+"""The BDD-specific syntactic lint rules (RPR001, RPR004).
 
-Each rule guards a structural convention the algorithms rely on:
+Each rule guards a structural convention the algorithms rely on, one
+that no run of the code can show broken:
 
 RPR001
     Kernel modules must not use Python recursion — direct or mutual —
@@ -9,26 +10,15 @@ RPR001
     by per-module call-graph cycle search.  Recursion elsewhere is
     reported as a warning: it does not gate CI but marks depth-unsafe
     helpers.
-RPR002
-    The node store (``ArrayStore``) may only be constructed by the
-    store modules themselves — everywhere else through
-    :func:`repro.bdd.backend.create_store` or ``Manager()`` — so a store
-    always belongs to a manager that flushes its computed table when
-    ids are recycled.  Nodes are never constructed directly: they are
-    columns of the store, made by its unique table (``mk``).
-RPR003
-    A kernel's computed-table tally (the call that carries its op tag)
-    must use a registered tag
-    (:data:`repro.bdd.computed.REGISTERED_OPS`), keeping per-op cache
-    statistics meaningful and collisions diagnosable.
 RPR004
     Raw nodes of one manager must never reach another manager's
     operations; cross-manager copies go through ``repro.store.
     transfer``.  Detected by intra-function provenance tracking.
-RPR005
-    Approximator entry points registered with ``register_approximator``
-    keep the registry's uniform shape: one positional Function, all
-    knobs keyword-only with defaults.
+
+Properties that a run can see are checked where the code runs instead:
+``ComputedTable.tally`` rejects unregistered op tags and
+``register_approximator`` rejects a malformed signature
+(``docs/analysis.md``).
 
 The governed-kernel scope (:data:`GOVERNED_KERNEL_SUFFIXES`,
 :func:`is_governed_module`) also lives here; the checkpoint rule that
@@ -41,7 +31,6 @@ import ast
 from collections.abc import Iterator
 from pathlib import PurePath
 
-from ..bdd.computed import REGISTERED_OPS
 from .lint import FileContext, Violation, register_rule
 
 #: Modules under the no-recursion contract: the BDD kernels, the
@@ -65,18 +54,6 @@ KERNEL_MODULE_SUFFIXES = (
     "repro/core/decomp/points.py",
     "repro/store/format.py",
 )
-
-#: The node-store modules: the only ones allowed to construct the store.
-NODE_FACTORY_SUFFIXES = (
-    "repro/bdd/manager.py",
-    "repro/bdd/backend.py",
-    "repro/bdd/arraystore.py",
-)
-
-#: Node-store classes that must only be constructed through
-#: :func:`repro.bdd.backend.create_store`; a store built anywhere else
-#: escapes the Manager's bookkeeping.
-STORE_CLASS_NAMES = ("ArrayStore",)
 
 
 def _path_matches(path: str, suffixes: tuple[str, ...]) -> bool:
@@ -227,86 +204,6 @@ def check_no_kernel_recursion(ctx: FileContext) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
-# RPR002 — node-store construction only through the factory
-# ----------------------------------------------------------------------
-
-@register_rule(
-    "RPR002", "no-direct-node-construction", "error",
-    "Direct ArrayStore(...) construction outside the node-store "
-    "modules bypasses the Manager's bookkeeping (use create_store() "
-    "or Manager()).")
-def check_no_direct_node(ctx: FileContext) -> Iterator[Violation]:
-    if _path_matches(ctx.path, NODE_FACTORY_SUFFIXES):
-        return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else \
-            func.attr if isinstance(func, ast.Attribute) else None
-        if name in STORE_CLASS_NAMES:
-            yield ctx.violation(
-                "RPR002", node,
-                f"direct {name} construction bypasses the Manager's "
-                f"bookkeeping; use repro.bdd.backend.create_store() or "
-                f"Manager()")
-
-
-# ----------------------------------------------------------------------
-# RPR003 — registered computed-table op tags
-# ----------------------------------------------------------------------
-
-def _is_computed_table(node: ast.expr, tables: set[str]) -> bool:
-    """True for ``<expr>.computed`` / ``<expr>._computed`` and for a
-    simple name bound to one (``computed = manager.computed``)."""
-    if isinstance(node, ast.Name):
-        return node.id in tables
-    return isinstance(node, ast.Attribute) \
-        and node.attr in ("computed", "_computed")
-
-
-def _is_tally(node: ast.expr, tables: set[str]) -> bool:
-    """True for ``<computed table>.tally``."""
-    return isinstance(node, ast.Attribute) and node.attr == "tally" \
-        and _is_computed_table(node.value, tables)
-
-
-@register_rule(
-    "RPR003", "registered-cache-op-tags", "error",
-    "Computed-table tally with a literal op tag that is not in "
-    "repro.bdd.computed.REGISTERED_OPS; register the tag so per-op "
-    "cache statistics and the sanitizer recognise it.")
-def check_registered_op_tags(ctx: FileContext) -> Iterator[Violation]:
-    # The op tag enters the protocol at ``tally(op, hits, misses)``;
-    # the probe pair takes none.  Aliases of the table (``computed =
-    # manager.computed``, the kernels' idiom) and of its ``tally`` are
-    # resolved file-wide by simple name, tables first.
-    assigns = [(node.targets[0].id, node.value)
-               for node in ast.walk(ctx.tree)
-               if isinstance(node, ast.Assign) and len(node.targets) == 1
-               and isinstance(node.targets[0], ast.Name)]
-    tables = {name for name, value in assigns
-              if _is_computed_table(value, set())}
-    tallies = {name for name, value in assigns
-               if _is_tally(value, tables)}
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call) or not node.args:
-            continue
-        func = node.func
-        if not (_is_tally(func, tables)
-                or (isinstance(func, ast.Name) and func.id in tallies)):
-            continue
-        tag = node.args[0]
-        if isinstance(tag, ast.Constant) and isinstance(tag.value, str) \
-                and tag.value not in REGISTERED_OPS:
-            yield ctx.violation(
-                "RPR003", tag,
-                f"computed-table op tag {tag.value!r} is not "
-                f"registered; add it via "
-                f"repro.bdd.computed.register_op()")
-
-
-# ----------------------------------------------------------------------
 # RPR004 — no cross-manager node mixing
 # ----------------------------------------------------------------------
 
@@ -451,53 +348,6 @@ def _check_scope_cross_manager(ctx: FileContext, scope: list[ast.AST]
                 f"{var!r} belongs to manager {home[var]!r} but is "
                 f"passed into an operation of manager {owner!r}; "
                 f"copy it with repro.store.transfer first")
-
-
-# ----------------------------------------------------------------------
-# RPR005 — uniform approximator signatures
-# ----------------------------------------------------------------------
-
-@register_rule(
-    "RPR005", "approximator-signature", "error",
-    "Approximator entry points must take exactly one positional "
-    "Function and keyword-only knobs with defaults, so the registry "
-    "can drive every method uniformly.")
-def check_approximator_signature(ctx: FileContext) -> Iterator[Violation]:
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        registered = False
-        for decorator in node.decorator_list:
-            if isinstance(decorator, ast.Call):
-                func = decorator.func
-                name = func.id if isinstance(func, ast.Name) else \
-                    func.attr if isinstance(func, ast.Attribute) else ""
-                if name == "register_approximator":
-                    registered = True
-        if not registered:
-            continue
-        args = node.args
-        positional = args.posonlyargs + args.args
-        problems: list[str] = []
-        if len(positional) != 1:
-            problems.append(
-                f"takes {len(positional)} positional parameters, "
-                f"expected exactly 1 (the Function)")
-        if args.defaults:
-            problems.append("the positional Function parameter must "
-                            "not have a default")
-        if args.vararg is not None:
-            problems.append("*args is not allowed")
-        if args.kwarg is not None:
-            problems.append("**kwargs is not allowed")
-        for keyword, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is None:
-                problems.append(f"keyword-only parameter "
-                                f"{keyword.arg!r} needs a default")
-        for problem in problems:
-            yield ctx.violation(
-                "RPR005", node,
-                f"approximator {node.name!r}: {problem}")
 
 
 # ----------------------------------------------------------------------

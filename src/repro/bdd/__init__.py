@@ -18,7 +18,7 @@ manipulates int node ids owned by the manager's node store — see
 """
 
 from .arraystore import TERMINAL_LEVEL
-from .backend import DEFAULT_BACKEND, create_store, resolve_backend
+from .backend import DEFAULT_BACKEND, resolve_backend
 from .computed import CacheOpStats, ComputedTable, register_op
 from .counting import bdd_size, density, log2int, sat_count, shared_size
 from .dot import to_dot
@@ -34,7 +34,6 @@ __all__ = [
     "Manager",
     "ManagerStats",
     "DEFAULT_BACKEND",
-    "create_store",
     "resolve_backend",
     "ComputedTable",
     "CacheOpStats",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .arraystore import ArrayStore
 
-__all__ = ["DEFAULT_BACKEND", "resolve_backend", "create_store"]
+__all__ = ["DEFAULT_BACKEND", "resolve_backend"]
 
 #: The name of the one node store.
 DEFAULT_BACKEND = ArrayStore.name
@@ -28,10 +28,3 @@ def resolve_backend(backend: str | None = None) -> str:
         raise ValueError(f"unknown BDD backend {backend!r} "
                          f"(known: {DEFAULT_BACKEND})")
     return backend
-
-
-def create_store(backend: str | None = None) -> ArrayStore:
-    """A fresh node store; ``backend`` is checked by
-    :func:`resolve_backend`."""
-    resolve_backend(backend)
-    return ArrayStore()

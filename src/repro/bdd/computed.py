@@ -65,10 +65,10 @@ _OP_MASK = (1 << OP_BITS) - 1
 _MIX = 0x9E3779B97F4A7C15
 
 #: Canonical op tags -> opcode.  Every kernel must tally its lookups
-#: under a tag from this registry (lint rule RPR003 checks literal tags
-#: statically; the graph sanitizer checks stored entries at runtime), so
-#: per-op cache statistics stay meaningful and a rogue insert is
-#: attributable.
+#: under a tag from this registry (:meth:`ComputedTable.tally` rejects
+#: any other tag the first time it sees it; the graph sanitizer checks
+#: stored entries), so per-op cache statistics stay meaningful and a
+#: rogue insert is attributable.
 REGISTERED_OPS: dict[str, int] = {}
 
 #: opcode -> (tag, operand layout, result kind); see :func:`register_op`.
@@ -277,11 +277,18 @@ class ComputedTable:
 
     def tally(self, op: str, hits: int, misses: int) -> None:
         """Add ``hits`` and ``misses`` to ``op``'s counters (a kernel's
-        lookups, reported once when it returns or aborts)."""
+        lookups, reported once when it returns or aborts).
+
+        An ``op`` outside :data:`REGISTERED_OPS` raises ``ValueError``;
+        the check runs once per op per table, when its record is made.
+        """
         if not hits and not misses:
             return
         record = self._ops.get(op)
         if record is None:
+            if op not in REGISTERED_OPS:
+                raise ValueError(f"computed-table op tag {op!r} is not "
+                                 f"registered; add it with register_op()")
             self._ops[op] = [hits, misses, 0]
         else:
             record[_HITS] += hits

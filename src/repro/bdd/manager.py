@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .arraystore import ArrayStore
-from .backend import create_store
+from .backend import resolve_backend
 from .computed import CacheOpStats, ComputedTable
 from .governor import Budget, Governor
 from .sanitize import (Diagnostic, SanitizerError, check_manager,
@@ -173,8 +173,9 @@ class Manager:
                  cache_limit: int | None = None,
                  gc_threshold: int | None = None,
                  backend: str | None = None) -> None:
+        resolve_backend(backend)
         #: the node store owning the physical node graph
-        self.store: ArrayStore = create_store(backend)
+        self.store = ArrayStore()
         self._level_to_var: list[str] = []
         self._var_to_level: dict[str, int] = {}
         #: computed table shared by every memoized operation

@@ -591,15 +591,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_call.set_defaults(func=cmd_call)
 
     p_lint = sub.add_parser(
-        "lint", help="run the BDD-aware static rules (RPR001..RPR010)")
+        "lint", help="run the BDD-aware static rules "
+                     "(RPR001, RPR004, RPR008..RPR010)")
     p_lint.add_argument("paths", nargs="*", default=["src", "tests"],
                         help="files or directory trees to lint "
                              "(default: src tests)")
     p_lint.add_argument("--format", choices=["text", "json", "sarif"],
                         default="text")
     rule_list = lambda s: [r.strip() for r in s.split(",") if r.strip()]
-    p_lint.add_argument("--select", "--rules", dest="select",
-                        default=None, type=rule_list,
+    p_lint.add_argument("--select", default=None, type=rule_list,
                         help="comma-separated rule ids to run "
                              "(default: all)")
     p_lint.add_argument("--ignore", default=None, type=rule_list,

@@ -19,6 +19,7 @@ name                      algorithm
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Callable
 
 from ...bdd.function import Function
@@ -69,15 +70,44 @@ def register_approximator(name: str) -> Callable[[Approximator],
         @register_approximator("hb")
         def _hb(f, *, threshold=0):
             return heavy_branch_subset(f, threshold)
+
+    Any other shape raises ``TypeError`` at decoration (see
+    :func:`_check_shape`), before the registry changes.
     """
 
     def decorator(fn: Approximator) -> Approximator:
         if name in UNDER_APPROXIMATORS:
             raise ValueError(f"approximator {name!r} already registered")
+        _check_shape(name, fn)
         UNDER_APPROXIMATORS[name] = fn
         return fn
 
     return decorator
+
+
+def _check_shape(name: str, fn: Approximator) -> None:
+    """Raise ``TypeError`` unless ``fn`` takes exactly one positional
+    parameter without a default, no ``*args`` or ``**kwargs``, and a
+    default on every keyword-only parameter."""
+    problems: list[str] = []
+    positional = 0
+    for param in inspect.signature(fn).parameters.values():
+        if param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
+            problems.append(f"variadic {param.name!r} is not allowed")
+        elif param.kind == param.KEYWORD_ONLY:
+            if param.default is param.empty:
+                problems.append(f"keyword-only {param.name!r} needs a "
+                                f"default")
+        else:
+            positional += 1
+            if param.default is not param.empty:
+                problems.append(f"positional {param.name!r} must not "
+                                f"have a default")
+    if positional != 1:
+        problems.append(f"takes {positional} positional parameters, "
+                        f"expected exactly 1 (the Function)")
+    if problems:
+        raise TypeError(f"approximator {name!r}: {'; '.join(problems)}")
 
 
 @register_approximator("hb")

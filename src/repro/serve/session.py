@@ -166,7 +166,6 @@ class Session:
         self._ids = itertools.count(1)
         #: requests executed (successfully or not) in this session
         self.requests = 0
-        self.closed = False
 
     # ------------------------------------------------------------------
     # Handle table
@@ -229,7 +228,6 @@ class Session:
         and the manager itself becomes garbage once the server lets go
         of the session object.
         """
-        self.closed = True
         self._functions.clear()
         self._by_key.clear()
 

@@ -26,13 +26,8 @@ def rule_ids(violations) -> set[str]:
 
 @pytest.mark.parametrize("fixture,rule,count", [
     ("rpr001_trigger.py", "RPR001", 3),   # walk, even, odd
-    ("rpr002_trigger.py", "RPR002", 4),   # ArrayStore: Name, Attribute,
-                                          # lambda default, class body
-    ("rpr003_trigger.py", "RPR003", 4),   # tally direct, on a private
-                                          # table, via table + method alias
     ("rpr004_trigger.py", "RPR004", 3),   # method call + both foreign
                                           # operands of the free call
-    ("rpr005_trigger.py", "RPR005", 4),   # one per malformed signature
     ("rpr008_trigger.py", "RPR008", 5),   # manager attr, inline execute,
                                           # Thread, global, handle table
     ("rpr009_trigger.py", "RPR009", 3),   # manager payload, lambda
@@ -72,10 +67,7 @@ def test_mutual_recursion_message_names_cycle():
 
 @pytest.mark.parametrize("fixture", [
     "rpr001_ok.py",
-    "rpr002_ok.py",
-    "rpr003_ok.py",
     "rpr004_ok.py",
-    "rpr005_ok.py",
     "rpr008_ok.py",
     "rpr009_ok.py",
     "rpr010_ok.py",
@@ -90,10 +82,7 @@ def test_ok_fixture_is_clean(fixture):
 
 @pytest.mark.parametrize("fixture", [
     "rpr001_suppressed.py",
-    "rpr002_suppressed.py",
-    "rpr003_suppressed.py",
     "rpr004_suppressed.py",
-    "rpr005_suppressed.py",
     "rpr008_suppressed.py",
     "rpr009_suppressed.py",
     "rpr010_suppressed.py",
@@ -145,11 +134,11 @@ def test_cli_lint_clean_tree_exits_zero(capsys):
 
 
 def test_cli_lint_trigger_fixture_exits_nonzero(capsys):
-    code = main(["lint", str(CORPUS / "rpr002_trigger.py")])
+    code = main(["lint", str(CORPUS / "rpr004_trigger.py")])
     out = capsys.readouterr().out
     assert code == 1
-    assert "RPR002" in out
-    assert "rpr002_trigger.py:6" in out
+    assert "RPR004" in out
+    assert "rpr004_trigger.py:11" in out
 
 
 def test_cli_lint_strict_promotes_warnings(capsys):
@@ -162,34 +151,39 @@ def test_cli_lint_strict_promotes_warnings(capsys):
 def test_cli_lint_json_output(capsys):
     import json
     code = main(["lint", "--format", "json",
-                 str(CORPUS / "rpr005_trigger.py")])
+                 str(CORPUS / "rpr004_trigger.py")])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert payload["errors"] == 4
-    assert {v["rule"] for v in payload["violations"]} == {"RPR005"}
+    assert payload["errors"] == 3
+    assert {v["rule"] for v in payload["violations"]} == {"RPR004"}
 
 
 def test_cli_lint_rule_selection(capsys):
     fixture = str(CORPUS / "rpr001_trigger.py")
-    assert main(["lint", "--rules", "RPR002", fixture]) == 0
+    assert main(["lint", "--select", "RPR004", fixture]) == 0
     capsys.readouterr()
-    assert main(["lint", "--rules", "RPR001", fixture]) == 1
+    assert main(["lint", "--select", "RPR001", fixture]) == 1
+    # --select has one spelling: the old --rules alias is gone.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint", "--rules", "RPR001", fixture])
+    assert excinfo.value.code == 2
 
 
 def test_cli_lint_select_and_ignore(capsys):
     fixture = str(CORPUS / "rpr001_trigger.py")
-    # --select is the canonical spelling; --rules stays as an alias.
     assert main(["lint", "--select", "RPR001", fixture]) == 1
     capsys.readouterr()
     assert main(["lint", "--ignore", "RPR001", fixture]) == 0
 
 
 def test_cli_lint_unknown_rule_is_usage_error():
-    import pytest
     # RPR011 (ref-deref pairing) is no rule: the store has no
-    # incref/decref to pair.
+    # incref/decref to pair.  RPR003 and RPR005 are runtime checks now
+    # (ComputedTable.tally, register_approximator), and RPR002 went
+    # with the store factory it guarded.
     for option, rule in (("--select", "RPR999"), ("--ignore", "bogus"),
-                         ("--select", "RPR011")):
+                         ("--select", "RPR011"), ("--select", "RPR002"),
+                         ("--select", "RPR003"), ("--select", "RPR005")):
         with pytest.raises(SystemExit) as excinfo:
             main(["lint", option, rule, "src"])
         assert excinfo.value.code == 2
@@ -197,17 +191,17 @@ def test_cli_lint_unknown_rule_is_usage_error():
 
 def test_cli_lint_sarif_output(capsys):
     import json
-    fixture = str(CORPUS / "rpr002_trigger.py")
+    fixture = str(CORPUS / "rpr004_trigger.py")
     code = main(["lint", "--format", "sarif", fixture])
     document = json.loads(capsys.readouterr().out)
     assert code == 1
     results = document["runs"][0]["results"]
-    assert results and all(r["ruleId"] == "RPR002" for r in results)
+    assert results and all(r["ruleId"] == "RPR004" for r in results)
 
 
 def test_cli_lint_output_file(tmp_path, capsys):
     import json
-    fixture = str(CORPUS / "rpr002_trigger.py")
+    fixture = str(CORPUS / "rpr004_trigger.py")
     out_file = tmp_path / "lint.sarif"
     code = main(["lint", "--format", "sarif",
                  "--output", str(out_file), fixture])

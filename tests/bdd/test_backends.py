@@ -22,7 +22,7 @@ import pytest
 
 from repro.bdd import InjectedAbort, Manager, SanitizerError, arraystore
 from repro.bdd.arraystore import FREE_LEVEL, ArrayStore
-from repro.bdd.backend import DEFAULT_BACKEND, create_store, resolve_backend
+from repro.bdd.backend import DEFAULT_BACKEND, resolve_backend
 from repro.fsm.am2910 import am2910
 from repro.fsm.encode import encode
 from repro.reach.bfs import bfs_reachability
@@ -46,12 +46,12 @@ def seeded_functions(manager: Manager, count: int = 4):
 class TestRegistry:
     def test_default_backend(self):
         assert resolve_backend() == DEFAULT_BACKEND == "array"
-        assert isinstance(create_store(), ArrayStore)
+        assert isinstance(Manager().store, ArrayStore)
 
     def test_unknown_backend_rejected(self):
         for name in ("object", "linked-list"):
             with pytest.raises(ValueError, match="known: array"):
-                create_store(name)
+                resolve_backend(name)
             with pytest.raises(ValueError, match="known: array"):
                 Manager(backend=name)
 
@@ -61,7 +61,7 @@ class TestRegistry:
             assert manager.stats.as_dict()["backend"] == "array"
 
     def test_array_terminal_handles(self):
-        store = create_store("array")
+        store = ArrayStore()
         assert store.zero == 0 and store.one == 1
         assert store.is_terminal(0) and store.is_terminal(1)
         assert not store.is_terminal(2)

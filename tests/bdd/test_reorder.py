@@ -36,6 +36,24 @@ class TestSwapAdjacent:
             m.debug_check()
         assert _tables(funcs, names) == before
 
+    def test_swap_flushes_the_computed_table(self, rng):
+        # A swap reclaims the nodes it orphans and the store recycles
+        # their ids, so a computed-table entry kept across the swap
+        # could name a dead or reused node (``cache-dangling``).
+        names = [f"x{i}" for i in range(6)]
+        for _ in range(20):
+            m, vs = fresh_manager(6)
+            f = random_function(m, vs, rng)
+            g = random_function(m, vs, rng)
+            m.collect_garbage()
+            h = f & g
+            assert len(m.computed)
+            before = _tables([h], names)
+            for level in range(5):
+                swap_adjacent(m, level)
+                m.debug_check()
+            assert _tables([h], names) == before
+
     def test_swap_is_involution(self, rng):
         m, vs = fresh_manager(5)
         f = random_function(m, vs, rng)

@@ -50,6 +50,12 @@ class TestComputedTable:
         assert s.hit_rate == 0.5
         assert set(table.stats()) == {"ite"}
 
+    def test_tally_rejects_unregistered_tag(self):
+        table = ComputedTable()
+        with pytest.raises(ValueError, match="'frobnicate'"):
+            table.tally("frobnicate", 1, 0)
+        assert table.stats() == {}
+
     def test_eviction_attributed_to_evicted_op(self):
         table = ComputedTable(limit=1)
         _, put = table.probes()

@@ -4,8 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.approx import UNDER_APPROXIMATORS, over_approx
+from repro.core.approx import (UNDER_APPROXIMATORS, over_approx,
+                               register_approximator)
 from repro.core.decomp import DECOMPOSERS, decompose
+
+
+@pytest.fixture
+def registry():
+    """The global registry, restored afterwards: the CLI's ``--method``
+    choices and the serve daemon read it."""
+    saved = dict(UNDER_APPROXIMATORS)
+    yield UNDER_APPROXIMATORS
+    UNDER_APPROXIMATORS.clear()
+    UNDER_APPROXIMATORS.update(saved)
 
 
 class TestUnderApproximatorRegistry:
@@ -30,9 +41,31 @@ class TestUnderApproximatorRegistry:
                 alpha(f, 1)  # thresholds must be keyword-only
 
     def test_duplicate_registration_rejected(self):
-        from repro.core.approx import register_approximator
         with pytest.raises(ValueError):
             register_approximator("hb")(lambda f, *, threshold=0: f)
+
+    @pytest.mark.parametrize("fn", [
+        pytest.param(lambda f, threshold: f, id="two-positional"),
+        pytest.param(lambda f, *args, threshold=0: f, id="star-args"),
+        pytest.param(lambda f, *, threshold: f, id="kw-without-default"),
+        pytest.param(lambda f=None, *, threshold=0: f,
+                     id="defaulted-positional"),
+        pytest.param(lambda f, *, threshold=0, **knobs: f,
+                     id="star-kwargs"),
+    ])
+    def test_malformed_signature_rejected(self, fn, registry):
+        before = dict(registry)
+        with pytest.raises(TypeError, match="approximator 'malformed'"):
+            register_approximator("malformed")(fn)
+        assert registry == before
+
+    def test_conforming_signature_registers(self, registry):
+        def conforming(f, *, threshold=0, quality=1.0):
+            return f
+
+        assert register_approximator("conforming")(conforming) \
+            is conforming
+        assert registry["conforming"] is conforming
 
     @pytest.mark.parametrize("name", ["hb", "sp", "rua"])
     def test_over_approx_wrapper(self, name, random_functions):
