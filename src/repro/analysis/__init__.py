@@ -5,12 +5,13 @@ registry, per-rule severities, ``# repro-lint: disable=RPRxxx``
 suppression comments, and text/JSON/SARIF reporting.  The rules cover
 what no run of the code can see: ``repro.analysis.rules`` forbids
 recursion in kernel modules and cross-manager node mixing, and
-``repro.analysis.rules_flow`` adds the flow-aware rules (session
-escape, fork capture, governed-cycle checkpoints) built on the
-intraprocedural CFG (``repro.analysis.cfg``) and provenance
-(``repro.analysis.provenance``) layers.  Registered computed-table op
-tags and the approximator signature are checked at runtime instead,
-by ``ComputedTable.tally`` and ``register_approximator``.
+``repro.analysis.rules_flow`` adds the flow-aware rules: session
+escape and fork capture over the provenance layer
+(``repro.analysis.provenance``), and a governor checkpoint in every
+loop of a governed kernel, checked loop by loop on the AST.
+Registered computed-table op tags and the approximator signature are
+checked at runtime instead, by ``ComputedTable.tally`` and
+``register_approximator``.
 
 ``repro.analysis.sarif`` renders findings in the GitHub code-scanning
 SARIF schema.

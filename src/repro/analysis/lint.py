@@ -99,8 +99,8 @@ def register_rule(rule_id: str, name: str, severity: str,
     """Register a rule check function under ``rule_id``.
 
     The decorated function receives a :class:`FileContext` and yields
-    ``(line, col, message)`` triples via :meth:`FileContext.violation`
-    (or full :class:`Violation` records).
+    :class:`Violation` records, built with
+    :meth:`FileContext.violation`.
     """
     if severity not in SEVERITIES:
         raise ValueError(f"unknown severity {severity!r}")
@@ -158,19 +158,14 @@ class FileContext:
         disabled = self.line_disables.get(line, ())
         return rule_id in disabled or "*" in disabled
 
-    def violation(self, rule_id: str, node: ast.AST | tuple[int, int],
-                  message: str,
+    def violation(self, rule_id: str, node: ast.AST, message: str,
                   severity: str | None = None) -> Violation:
-        """Build a Violation located at an AST node (or (line, col))."""
-        if isinstance(node, tuple):
-            line, col = node
-        else:
-            line, col = node.lineno, node.col_offset
+        """Build a Violation located at an AST node."""
         rule = RULES[rule_id]
         return Violation(rule=rule_id,
                          severity=severity or rule.severity,
-                         path=self.path, line=line, col=col,
-                         message=message)
+                         path=self.path, line=node.lineno,
+                         col=node.col_offset, message=message)
 
 
 def _stamp_fingerprints(violations: list[Violation],

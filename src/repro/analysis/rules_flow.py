@@ -2,9 +2,8 @@
 
 These rules guard invariants of the serve daemon's ownership model,
 the fork pool and the governed kernels — structure a purely syntactic
-scan cannot see, hence the control-flow graphs of
-:mod:`repro.analysis.cfg` and the provenance tracker of
-:mod:`repro.analysis.provenance`:
+scan cannot see, hence the provenance tracker of
+:mod:`repro.analysis.provenance` and the loop walk of RPR010:
 
 RPR008
     A session's ``Manager``/handle table belongs to the connection
@@ -20,13 +19,19 @@ RPR009
     nested closure breaks (or silently degrades) the worker protocol,
     and so does a worker callable that is not a module-level function.
 RPR010
-    Every cycle in a governed kernel function must contain a governor
-    checkpoint call *inside the cycle's strongly connected component*.
-    A checkpoint on a ``break``/``return`` path leaves the component
-    and does not count.  A ``for`` cycle whose only calls are cheap
-    container operations is proven safe without a pragma; a ``while``
-    cycle never is, because cheap iterations do not bound a worklist
-    loop that runs as long as the graph is big.
+    In Python every cycle of a function body is a ``while`` or ``for``
+    statement, so the rule checks loops.  Each loop in a governed
+    kernel function whose body can get back to its head (by running
+    off its end or through a ``continue``) needs a governor checkpoint
+    call from which control can get back to that head.  A checkpoint
+    followed, in its own block or in a block between it and the loop,
+    by a ``return``, a ``raise`` or a ``break`` that leaves the loop
+    does not count.  A checkpoint in a nested loop counts for the
+    loops around it; an enclosing loop's checkpoint does not count for
+    a nested loop.  A ``for`` loop whose only calls are cheap container
+    operations is proven safe without a pragma; a ``while`` loop never
+    is, because cheap iterations do not bound a worklist loop that
+    runs as long as the graph is big.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ import ast
 from collections.abc import Iterator
 from pathlib import PurePath
 
-from .cfg import build_cfg
 from .lint import FileContext, Violation, register_rule
 from .provenance import FUNCTION, MANAGER, SESSION, STORE, ScopeProvenance
 from .rules import _collect_functions, _is_checkpoint_ref, is_governed_module
@@ -270,12 +274,12 @@ def check_fork_capture(ctx: FileContext) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
-# RPR010 — every governed cycle passes through a checkpoint (CFG proof)
+# RPR010 — every governed loop gets back to its head through a checkpoint
 # ----------------------------------------------------------------------
 
 #: Container/O(1) operations that cannot run unbounded kernel work; a
-#: ``for`` cycle whose calls are all of this shape is provably cheap
-#: and needs no checkpoint.
+#: ``for`` loop whose calls are all of this shape is provably cheap and
+#: needs no checkpoint.
 _TRIVIAL_ATTR_CALLS = frozenset({
     "pop", "popleft", "append", "appendleft", "add", "discard",
     "remove", "extend", "update", "get", "items", "keys", "values",
@@ -286,6 +290,9 @@ _TRIVIAL_NAME_CALLS = frozenset({
     "range", "zip", "enumerate", "reversed", "sorted", "tuple",
     "list", "set", "dict", "frozenset", "bool", "int",
 })
+
+_LOOPS = (ast.While, ast.For, ast.AsyncFor)
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _checkpoint_aliases(tree: ast.Module) -> set[str]:
@@ -328,41 +335,105 @@ def _nontrivial_calls(stmts: list[ast.AST]) -> list[ast.Call]:
     return out
 
 
-def _cycle_location(stmts: list[ast.AST]) -> tuple[int, int]:
-    located = [(stmt.lineno, stmt.col_offset) for stmt in stmts
-               if hasattr(stmt, "lineno")]
-    return min(located) if located else (1, 0)
+def _blocks(stmt: ast.stmt) -> list[list[ast.stmt]]:
+    """The statement lists nested in a compound statement."""
+    blocks: list[list[ast.stmt]] = [
+        getattr(stmt, name) for name in ("body", "orelse", "finalbody")
+        if hasattr(stmt, name)]
+    blocks += [part.body for part in ast.iter_child_nodes(stmt)
+               if isinstance(part, (ast.ExceptHandler, ast.match_case))]
+    return blocks
+
+
+def _own_parts(stmt: ast.stmt) -> list[ast.AST]:
+    """What a statement evaluates itself, outside its nested blocks."""
+    parts: list[ast.AST] = []
+    for child in ast.iter_child_nodes(stmt):
+        if isinstance(child, ast.ExceptHandler):
+            parts += [child.type] if child.type else []
+        elif isinstance(child, ast.match_case):
+            parts += [child.guard] if child.guard else []
+        elif not isinstance(child, ast.stmt):
+            parts.append(child)
+    return parts
+
+
+def _loop_body(loop: ast.While | ast.For | ast.AsyncFor
+               ) -> Iterator[tuple[ast.stmt, bool]]:
+    """Each statement of a loop's body, nested ones included, paired
+    with whether control can get from it back to the loop's head.
+
+    A block is walked with three flags: whether running off its end, a
+    ``break`` in it and a ``continue`` in it get back to the head.  A
+    statement gets back as the first jump at or after it in its block
+    does (a ``return`` or ``raise`` never does), or, with no jump
+    there, as the block's end does.  A nested loop is left by its own
+    ``break`` and by running out, so all three flags of its body are
+    those of the statement after it.  Nested ``def`` and ``class``
+    bodies do not run here and are skipped.
+    """
+    stack: list[tuple[list[ast.stmt], bool, bool, bool]] = \
+        [(loop.body, True, False, True)]
+    while stack:
+        block, tail, brk, cont = stack.pop()
+        back = [tail]
+        for stmt in reversed(block):
+            if isinstance(stmt, (ast.Return, ast.Raise)):
+                back.append(False)
+            elif isinstance(stmt, ast.Break):
+                back.append(brk)
+            elif isinstance(stmt, ast.Continue):
+                back.append(cont)
+            else:
+                back.append(back[-1])
+        back.reverse()
+        for stmt, here, after in zip(block, back, back[1:]):
+            if isinstance(stmt, _DEFS):
+                continue
+            yield stmt, here
+            if isinstance(stmt, _LOOPS):
+                stack.append((stmt.body, after, after, after))
+                stack.append((stmt.orelse, after, brk, cont))
+            else:
+                stack.extend((sub, after, brk, cont)
+                             for sub in _blocks(stmt))
 
 
 @register_rule(
     "RPR010", "governed-cycle-checkpoint", "error",
-    "A cycle in a governed kernel function never passes through a "
-    "governor checkpoint (CFG strongly-connected-component proof): "
-    "a while-loop, a for-loop doing kernel work, or a loop whose only "
-    "checkpoint sits on a break/return path can spin without budgets "
-    "or deadlines being able to abort it.")
+    "A loop in a governed kernel function can get back to its head "
+    "without a governor checkpoint: a while-loop, a for-loop doing "
+    "kernel work, or a loop whose only checkpoint sits on a "
+    "break/return path or in an enclosing loop can spin without "
+    "budgets or deadlines being able to abort it.")
 def check_governed_cycle_checkpoint(ctx: FileContext
                                     ) -> Iterator[Violation]:
     if not is_governed_module(ctx):
         return
     aliases = _checkpoint_aliases(ctx.tree)
     for info in _collect_functions(ctx.tree):
-        while_tests = {id(node.test) for node in ast.walk(info.node)
-                       if isinstance(node, ast.While)}
-        cfg = build_cfg(info.node)
-        for component in cfg.cycles():
-            stmts = list(cfg.statements(component))
-            if any(_has_checkpoint(stmt, aliases) for stmt in stmts):
+        for loop in _own_nodes(info.node):
+            if not isinstance(loop, _LOOPS):
                 continue
-            # A for cycle over container work is bounded by what it
-            # iterates; a while cycle runs as long as its test holds,
+            looping = [stmt for stmt, back in _loop_body(loop) if back]
+            if not looping:
+                continue  # every path through the body leaves the loop
+            parts = [part for stmt in looping
+                     for part in _own_parts(stmt)]
+            if isinstance(loop, ast.While):
+                parts.append(loop.test)
+            if any(_has_checkpoint(part, aliases) for part in parts):
+                continue
+            # A for loop over container work is bounded by what it
+            # iterates; a while loop runs as long as its test holds,
             # and a worklist drains as slowly as the graph is big.
-            is_while = any(id(stmt) in while_tests for stmt in stmts)
-            if not is_while and not _nontrivial_calls(stmts):
+            if not isinstance(loop, ast.While) \
+                    and not _nontrivial_calls(parts):
                 continue
-            line, col = _cycle_location(stmts)
+            head = loop.test if isinstance(loop, ast.While) \
+                else loop.target
             yield ctx.violation(
-                "RPR010", (line, col),
+                "RPR010", head,
                 f"cycle in governed kernel {info.qualname!r} has no "
                 f"governor checkpoint on its looping paths; tick "
                 f"Governor.checkpoint(op) inside the cycle (a "

@@ -165,11 +165,6 @@ class ArrayStore:
         """Historical maximum of live internal nodes."""
         return self._peak
 
-    @property
-    def num_levels(self) -> int:
-        """Number of declared levels (variables)."""
-        return len(self._tables)
-
     def level_sizes(self) -> list[int]:
         """Nodes per level, root-most first."""
         return [len(t) for t in self._tables]

@@ -34,16 +34,11 @@ table, and memoizes.  See docs/algorithms.md, "Iterative kernels".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .arraystore import TERMINAL_LEVEL
 from .computed import REGISTERED_OPS
 from .governor import CHECK_STRIDE
 from .manager import Manager
 from .traversal import nodes_by_level
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .arraystore import ArrayStore
 
 #: Strided-checkpoint mask: kernels tally loop iterations in a local
 #: counter and call the governor checkpoint when ``ticks & _MASK == 0``
@@ -72,20 +67,6 @@ _COMMUTATIVE = frozenset({"and", "or", "xor", "xnor", "nand", "nor"})
 #: operands still to be examined; the other tags name a pending
 #: second-phase step whose inputs are already on the value stack.
 _EXPAND, _REBUILD, _FORWARD, _AFTER_HI = 0, 1, 2, 3
-
-
-def top_level(store: "ArrayStore", *nodes: int) -> int:
-    """Root-most level among the arguments."""
-    level = store.level
-    return min(level[node] for node in nodes)
-
-
-def cofactors_at(store: "ArrayStore", node: int,
-                 level: int) -> tuple[int, int]:
-    """(hi, lo) cofactors of ``node`` with respect to ``level``."""
-    if store.level[node] == level:
-        return store.hi[node], store.lo[node]
-    return node, node
 
 
 def apply_node(manager: Manager, op: str, f: int, g: int) -> int:

@@ -56,7 +56,6 @@ def sift(manager: Manager, max_vars: int | None = None) -> int:
     then parked at the position that minimized the total node count.
     Returns the final total node count.
     """
-    manager.computed.clear()
     manager.collect_garbage()
     n = manager.num_vars
     if n < 2:
@@ -68,7 +67,6 @@ def sift(manager: Manager, max_vars: int | None = None) -> int:
         names = names[:max_vars]
     for name in names:
         _sift_one(manager, name)
-    manager.computed.clear()
     manager.reorder_count += 1
     return len(manager)
 
@@ -126,12 +124,10 @@ def set_order(manager: Manager, order: Sequence[str]) -> None:
     """Reorder the variables to exactly ``order`` (root-most first)."""
     if sorted(order) != sorted(manager._level_to_var):
         raise ValueError("order must be a permutation of the variables")
-    manager.computed.clear()
     manager.collect_garbage()
     for target, name in enumerate(order):
         current = manager._var_to_level[name]
         while current > target:
             swap_adjacent(manager, current - 1)
             current -= 1
-    manager.computed.clear()
     manager.reorder_count += 1

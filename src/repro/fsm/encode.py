@@ -49,10 +49,6 @@ class EncodedCircuit:
                       for latch in self.circuit.latches}
         return self.manager.cube(assignment)
 
-    def state_cube(self, values: dict[str, bool]) -> Function:
-        """Characteristic function of one concrete state."""
-        return self.manager.cube(values)
-
 
 def next_var_name(state_var: str) -> str:
     """Naming convention for next-state variables."""

@@ -1,4 +1,4 @@
-"""RPR010 ok: checkpoints inside the component; a provably cheap loop."""
+"""RPR010 ok: checkpoints that get back to the loop head; a cheap loop."""
 # repro-lint: governed
 
 MASK = 1023
@@ -13,8 +13,8 @@ def strided(manager, work):
         out.append(compute(manager, item))
         ticks += 1
         if not ticks & MASK:
-            # The strided branch flows back into the loop, so the
-            # checkpoint is inside the SCC — the proof accepts it.
+            # The strided branch flows back into the loop head, so
+            # the rule counts the checkpoint.
             check("strided")
     return out
 

@@ -1,10 +1,10 @@
-"""RPR010 trigger: governed cycles with no checkpoint inside them.
+"""RPR010 trigger: governed loops with no checkpoint that gets back.
 
-Four loops, four findings: a ``for`` loop doing kernel work; a
-``while`` whose only checkpoint sits on a ``break`` path, which leaves
-the strongly connected component and so cannot bound the spin; and two
-worklist ``while`` loops whose every call is a container operation —
-cheap per iteration, but they run as long as the graph is big.
+Five findings: a ``for`` loop doing kernel work; a ``while`` whose only
+checkpoint sits on a ``break`` path, which leaves the loop; two worklist
+``while`` loops whose every call is a container operation (cheap per
+iteration, but they run as long as the graph is big); and an unchecked
+inner ``while`` that its checkpointed enclosing loop does not cover.
 """
 # repro-lint: governed
 
@@ -43,3 +43,11 @@ def drain_total(manager, work):
     while work:
         total += work.pop()
     return total
+
+
+def drain_batches(manager, batches):
+    while batches:
+        manager.governor.checkpoint("outer")
+        work = batches.pop()
+        while work:
+            compute(manager, work.pop())

@@ -24,25 +24,28 @@ def rule_ids(violations) -> set[str]:
 
 # -- trigger fixtures --------------------------------------------------
 
-@pytest.mark.parametrize("fixture,rule,count", [
-    ("rpr001_trigger.py", "RPR001", 3),   # walk, even, odd
-    ("rpr004_trigger.py", "RPR004", 3),   # method call + both foreign
-                                          # operands of the free call
-    ("rpr008_trigger.py", "RPR008", 5),   # manager attr, inline execute,
-                                          # Thread, global, handle table
-    ("rpr009_trigger.py", "RPR009", 3),   # manager payload, lambda
-                                          # payload, closure worker
-    ("rpr010_trigger.py", "RPR010", 4),   # for-loop, checkpoint-on-
-                                          # break, two worklist whiles
-])
-def test_trigger_fixture(fixture, rule, count):
+#: fixture -> (rule, the lines its findings sit on, in order)
+TRIGGERS = {
+    "rpr001_trigger.py": ("RPR001", [5, 11, 15]),  # walk, even, odd
+    # the method call, then both foreign operands of the free call
+    "rpr004_trigger.py": ("RPR004", [11, 16, 16]),
+    # manager attr, inline execute, Thread, global, handle table
+    "rpr008_trigger.py": ("RPR008", [11, 16, 20, 27, 31]),
+    # manager payload, lambda payload, closure worker
+    "rpr009_trigger.py": ("RPR009", [5, 6, 13]),
+    # for-loop, checkpoint-on-break, two worklist whiles, unchecked
+    # inner while
+    "rpr010_trigger.py": ("RPR010", [14, 21, 33, 43, 52]),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(TRIGGERS))
+def test_trigger_fixture(fixture):
+    rule, lines = TRIGGERS[fixture]
     violations = [v for v in lint_fixture(fixture) if v.rule == rule]
-    assert len(violations) == count, \
-        f"{fixture}: expected {count} {rule} findings, got " \
+    assert [v.line for v in violations] == lines, \
+        f"{fixture}: expected {rule} findings on lines {lines}, got " \
         f"{[(v.line, v.message) for v in violations]}"
-    for violation in violations:
-        assert violation.line > 0
-        assert rule in violation.message or violation.message
 
 
 def test_kernel_pragma_escalates_to_error():
@@ -95,13 +98,15 @@ def test_suppressed_fixture_is_clean(fixture):
 
 def test_rpr010_flags_each_loop_shape():
     # The kernel-work for loop, the while whose only checkpoint sits on
-    # the break path, and the two worklist whiles whose every call is a
-    # container operation.
+    # the break path, the two worklist whiles whose every call is a
+    # container operation, and the inner while that its checkpointed
+    # outer loop does not cover.
     violations = lint_fixture("rpr010_trigger.py")
     assert rule_ids(violations) == {"RPR010"}
     flagged = sorted(re.search(r"kernel '(\w+)'", v.message).group(1)
                      for v in violations)
-    assert flagged == ["drain", "drain_total", "image_sweep", "mark"]
+    assert flagged == ["drain", "drain_batches", "drain_total",
+                       "image_sweep", "mark"]
 
 
 def test_new_rule_severities():

@@ -414,7 +414,12 @@ sys.exit(main(sys.argv[1:]))
 
 
 class TestKillResume:
-    def test_kill9_mid_run_then_resume_byte_identical(self, tmp_path):
+    # BFS and high-density traversal save different layouts: the
+    # latter adds the ``new`` frontier, ``densities`` and
+    # ``recoveries``.
+    @pytest.mark.parametrize("method", ["bfs", "rua"])
+    def test_kill9_mid_run_then_resume_byte_identical(self, tmp_path,
+                                                      method):
         """kill -9 a checkpointing reach mid-flight, resume it, and the
         resumed output (reached set included) matches an uninterrupted
         sequential run exactly."""
@@ -430,7 +435,7 @@ class TestKillResume:
         blif = tmp_path / "counter.blif"
         blif.write_text(write_blif(counter(6)))
         ck = tmp_path / "ck"
-        name = f"reach/{counter(6).name}/bfs"
+        name = f"reach/{counter(6).name}/{method}"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(
@@ -438,25 +443,30 @@ class TestKillResume:
                     "PYTHONPATH", "")
 
         oracle = subprocess.run(
-            [sys.executable, "-m", "repro", "reach", str(blif)],
+            [sys.executable, "-m", "repro", "reach", str(blif),
+             "--method", method, "--checkpoint", str(tmp_path / "oracle")],
             capture_output=True, text=True, env=env, timeout=120)
         assert oracle.returncode == 0, oracle.stderr
 
         killed = subprocess.run(
             [sys.executable, "-c", KILL_AFTER_FIRST_SAVE, "reach",
-             str(blif), "--checkpoint", str(ck)],
+             str(blif), "--method", method, "--checkpoint", str(ck)],
             capture_output=True, text=True, env=env, timeout=120)
         assert killed.returncode == -signal.SIGKILL, killed.stderr
-        # The kill landed mid-traversal (counter(6) runs 63
+        # The kill landed mid-traversal (counter(6) runs over 60
         # iterations): the checkpoint holds iteration 1, incomplete.
         from repro.bdd import Manager
-        _, extra = BDDStore(ck, create=False).load_roots(Manager(), name)
+        roots, extra = BDDStore(ck, create=False).load_roots(Manager(),
+                                                             name)
         assert extra["meta"]["iterations"] == 1
         assert "complete" not in extra["meta"]
+        if method == "rua":
+            assert sorted(roots) == ["new", "reached"]
+            assert {"densities", "recoveries"} <= set(extra["meta"])
 
         resumed = subprocess.run(
             [sys.executable, "-m", "repro", "reach", str(blif),
-             "--checkpoint", str(ck), "--resume"],
+             "--method", method, "--checkpoint", str(ck), "--resume"],
             capture_output=True, text=True, env=env, timeout=120)
         assert resumed.returncode == 0, resumed.stderr
         assert stable_reach_lines(resumed.stdout) \
@@ -475,3 +485,8 @@ class TestKillResume:
         assert extra["meta"]["complete"] is True
         assert store_digest(roots["reached"]) \
             == store_digest(result.reached)
+        # The whole saved state, traces and densities included, is the
+        # uninterrupted run's.
+        _, oracle_extra = BDDStore(tmp_path / "oracle").load_roots(
+            Manager(), name)
+        assert extra["meta"] == oracle_extra["meta"]
