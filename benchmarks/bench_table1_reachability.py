@@ -23,12 +23,15 @@ am2910         am2910 model       exact BFS infeasible; high-density
                                   completes
 =============  =================  ====================================
 
-All (circuit, method) pairs fan over one experiment-engine run — each
-task rebuilds its circuit from the factory registry and executes
-:func:`repro.harness.experiments.reachability_row` — so a crashing or
-diverging traversal never takes down the rest of the table.  BFS on
-the am2910 row is bounded by a deadline standing in for the paper's
-">2 weeks".  Results are persisted to ``BENCH_table1.json``.
+All (circuit, method) pairs map over one
+:func:`repro.harness.engine.run_tasks` call: each task rebuilds its
+circuit from the factory registry and executes
+:func:`repro.harness.experiments.reachability_row`.  Every traversal
+runs under a governor deadline (``Manager.with_budget``), and a row
+past it reports no time instead of failing; the tight deadline of BFS
+on the am2910 row stands in for the paper's ">2 weeks".  Any other
+failure stops the table.  Results are persisted to
+``BENCH_table1.json``.
 
 Run:  pytest benchmarks/bench_table1_reachability.py --benchmark-only -s
 """
@@ -147,7 +150,6 @@ def render(rows_cfg, results) -> str:
 def test_table1_reachability(benchmark, jobs, bench_writer):
     run = benchmark.pedantic(run_engine, args=(jobs,),
                              rounds=1, iterations=1)
-    assert not run.failures, [o.error for o in run.failures]
     results = run.results()
     rows_cfg = rows_for_scale()
     print()

@@ -22,29 +22,17 @@ from __future__ import annotations
 import pytest
 
 from repro.harness import (Measurement, Task, format_table,
-                           geometric_mean, merge_rows,
-                           population_specs, resume_tasks, run_tasks,
-                           spec_digest, task_rows, wins_and_ties)
+                           geometric_mean, population_specs, run_tasks,
+                           task_rows, wins_and_ties)
 from repro.harness.experiments import SIMPLE_METHODS, simple_approx_rows
 
 METHODS = SIMPLE_METHODS
 
 
-def run_engine(scale, jobs, resume_from=None):
-    """Run the population sweep; returns ``(run, specs, previous)``.
-
-    ``resume_from`` names a partial ``BENCH_table2.json``: tasks it
-    already recorded (ok status, matching payload digest) are skipped,
-    and their rows come back as ``previous`` for merging.
-    """
+def run_engine(scale, jobs):
     tasks = [Task(spec.name, (spec, scale.min_nodes))
              for spec in population_specs()]
-    specs = {task.key: spec_digest(task.payload) for task in tasks}
-    previous = []
-    if resume_from is not None:
-        tasks, previous = resume_tasks(resume_from, tasks)
-    return run_tasks(simple_approx_rows, tasks, jobs=jobs), specs, \
-        previous
+    return run_tasks(simple_approx_rows, tasks, jobs=jobs)
 
 
 def as_measurements(func_rows):
@@ -96,26 +84,17 @@ def summarize(rows) -> str:
 
 @pytest.mark.benchmark(group="table2")
 def test_table2_simple_methods(benchmark, scale, jobs, bench_writer,
-                               check_pins, resume_from):
-    run, specs, previous = benchmark.pedantic(
-        run_engine, args=(scale, jobs, resume_from),
-        rounds=1, iterations=1)
-    assert not run.failures, [o.error for o in run.failures]
-    current = [row for outcome in run.outcomes
-               for row in outcome.result["rows"]]
-    # Resumed rows (function results and task timings recorded by the
-    # interrupted run) merge under the fresh ones; without
-    # --resume-from this is just the current rows.
-    merged = merge_rows(previous, current + task_rows(run, specs))
-    func_rows = [row for row in merged
-                 if not str(row.get("key", "")).startswith("task/")]
+                               check_pins):
+    run = benchmark.pedantic(run_engine, args=(scale, jobs),
+                             rounds=1, iterations=1)
+    func_rows = [row for outcome in run.outcomes
+                 for row in outcome.result["rows"]]
     rows = as_measurements(func_rows)
     print()
-    print(f"[population: {len(rows)} functions, jobs={run.jobs}, "
-          f"{len(run.outcomes)} task(s) run this time]")
+    print(f"[population: {len(rows)} functions, jobs={run.jobs}]")
     print(summarize(rows))
     print(cache_summary(run))
-    bench_writer("table2", merged, run)
+    bench_writer("table2", func_rows + task_rows(run), run)
     check_pins("table2", func_rows)
     # Shape assertions from the paper: RUA is the densest simple method
     # on geometric mean and takes the most wins.

@@ -5,10 +5,11 @@ and circuit sizes closer to the paper's (slower); the default ``quick``
 scale finishes the whole benchmark suite in minutes on a laptop.
 EXPERIMENTS.md records results at both scales.
 
-Parallelism: ``--jobs N`` (or ``REPRO_BENCH_JOBS``) fans the table
-benchmarks over the experiment engine's worker pool; ``--jobs 1`` runs
-inline.  Either way the result rows are identical — workers rebuild
-their population slice from the same deterministic specs.
+Parallelism: ``--jobs N`` maps the table benchmarks over N worker
+processes (:func:`repro.harness.engine.run_tasks`); ``--jobs 1``, the
+default, runs inline.  Either way the result rows are identical —
+workers rebuild their population slice from the same deterministic
+specs — and the first failed task fails the benchmark.
 
 Every table benchmark persists a ``BENCH_<name>.json`` file (see
 :mod:`repro.harness.trajectory`) into ``REPRO_BENCH_DIR`` (default: the
@@ -26,22 +27,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness import (bench_payload, failure_rows,
-                           generate_population, pin_mismatches,
-                           resolve_jobs, write_bench)
+from repro.harness import (bench_payload, generate_population,
+                           pin_mismatches, resolve_jobs, write_bench)
 
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--jobs", type=int, default=None,
+        "--jobs", type=int, default=1,
         help="worker processes for the table benchmarks "
-             "(default: REPRO_BENCH_JOBS or 1; <=0 means all cores)")
-    parser.addoption(
-        "--resume-from", default=None, metavar="BENCH_JSON",
-        help="partial BENCH_*.json of an interrupted run: tasks whose "
-             "ok rows carry a matching payload digest are skipped and "
-             "their recorded rows merged into the fresh results "
-             "(see repro.harness.trajectory.resume_tasks)")
+             "(default: 1; <=0 means all cores)")
 
 
 @dataclass(frozen=True)
@@ -81,19 +75,11 @@ def bench_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
-def resume_from(request) -> str | None:
-    """Path of a partial trajectory file to resume, or None."""
-    return request.config.getoption("--resume-from")
-
-
-@pytest.fixture(scope="session")
 def bench_writer(scale, jobs, bench_dir):
     """``write(name, rows, run)`` -> path of ``BENCH_<name>.json``."""
-    def write(name: str, rows: list[dict], run=None) -> Path:
-        payload = bench_payload(
-            name, rows, scale=scale.name, jobs=jobs,
-            failures=failure_rows(run) if run is not None else None,
-            total_seconds=run.total_seconds if run is not None else 0.0)
+    def write(name: str, rows: list[dict], run) -> Path:
+        payload = bench_payload(name, rows, scale=scale.name, jobs=jobs,
+                                total_seconds=run.total_seconds)
         return write_bench(bench_dir / f"BENCH_{name}.json", payload)
     return write
 

@@ -1,8 +1,8 @@
-"""The flow-aware lint rules (RPR008..RPR010).
+"""The flow-aware lint rules (RPR008, RPR010).
 
-These rules guard invariants of the serve daemon's ownership model,
-the fork pool and the governed kernels — structure a purely syntactic
-scan cannot see, hence the provenance tracker of
+These rules guard invariants of the serve daemon's ownership model
+and the governed kernels — structure a purely syntactic scan cannot
+see, hence the session provenance tracker of
 :mod:`repro.analysis.provenance` and the loop walk of RPR010:
 
 RPR008
@@ -13,11 +13,6 @@ RPR008
     ``session.manager`` (or calling ``session.execute``) anywhere else
     — stats snapshots on another thread, module globals, thread
     targets — races the owner or skips the token.
-RPR009
-    Payloads crossing the fork pool's pipes are pickled; a ``Task``
-    payload capturing a Manager/Function/store/session, a lambda, or a
-    nested closure breaks (or silently degrades) the worker protocol,
-    and so does a worker callable that is not a module-level function.
 RPR010
     In Python every cycle of a function body is a ``while`` or ``for``
     statement, so the rule checks loops.  Each loop in a governed
@@ -41,7 +36,7 @@ from collections.abc import Iterator
 from pathlib import PurePath
 
 from .lint import FileContext, Violation, register_rule
-from .provenance import FUNCTION, MANAGER, SESSION, STORE, ScopeProvenance
+from .provenance import session_names
 from .rules import _collect_functions, _is_checkpoint_ref, is_governed_module
 
 #: Serve modules: everything under ``repro/serve/`` is written against
@@ -128,8 +123,7 @@ def check_session_escape(ctx: FileContext) -> Iterator[Violation]:
         if info.classname == "Session" \
                 or info.qualname.startswith("Session."):
             continue  # the owner itself
-        prov = ScopeProvenance.scan(info.node)
-        sessions = prov.names(SESSION)
+        sessions = session_names(info.node)
         if not sessions:
             continue
         exempt = _token_run_argument_ids(info.node)
@@ -182,95 +176,6 @@ def check_session_escape(ctx: FileContext) -> Iterator[Violation]:
                             f"session {node.value.id!r} published to "
                             f"module global {target.id!r}; sessions "
                             f"must stay private to their connection")
-
-
-# ----------------------------------------------------------------------
-# RPR009 — fork-pool payload and worker capture
-# ----------------------------------------------------------------------
-
-_UNPICKLABLE_KINDS = frozenset({MANAGER, FUNCTION, STORE, SESSION})
-
-
-def _payload_expr(call: ast.Call) -> ast.expr | None:
-    """The payload argument of a ``Task(key, payload)`` call."""
-    for keyword in call.keywords:
-        if keyword.arg == "payload":
-            return keyword.value
-    if len(call.args) >= 2:
-        return call.args[1]
-    return None
-
-
-def _capture_findings(payload: ast.expr, nested_defs: set[str],
-                      prov: ScopeProvenance
-                      ) -> Iterator[tuple[ast.AST, str]]:
-    """Unpicklable things referenced *directly* in a payload expr.
-
-    Anything nested inside a further call is the call's *input*, not
-    necessarily part of the payload value (``payload=spec_of(manager)``
-    is the sanctioned spec-conversion idiom), so only top-level
-    references are flagged.
-    """
-    inside_calls: set[int] = set()
-    for node in ast.walk(payload):
-        if isinstance(node, ast.Call):
-            for sub in ast.walk(node):
-                if sub is not node:
-                    inside_calls.add(id(sub))
-    for node in ast.walk(payload):
-        if id(node) in inside_calls:
-            continue
-        if isinstance(node, ast.Lambda):
-            yield node, "a lambda (not picklable)"
-        elif isinstance(node, ast.Name) \
-                and isinstance(node.ctx, ast.Load):
-            if node.id in nested_defs:
-                yield node, (f"nested function {node.id!r} "
-                             f"(not picklable)")
-            elif prov.kind(node.id) in _UNPICKLABLE_KINDS:
-                yield node, (f"{node.id!r} holds a "
-                             f"{prov.kind(node.id)} (BDD runtime "
-                             f"objects are not picklable)")
-
-
-@register_rule(
-    "RPR009", "fork-capture", "warning",
-    "A fork-pool task payload captures something the pipe cannot "
-    "pickle (lambda, closure, Manager/Function/store/session), or a "
-    "run_tasks worker callable is a lambda or closure — both break "
-    "the fork worker protocol.")
-def check_fork_capture(ctx: FileContext) -> Iterator[Violation]:
-    for info in _collect_functions(ctx.tree):
-        nested_defs = {node.name for node in ast.walk(info.node)
-                       if node is not info.node and isinstance(
-                           node, (ast.FunctionDef,
-                                  ast.AsyncFunctionDef))}
-        prov = ScopeProvenance.scan(info.node)
-        for node in _own_nodes(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            _receiver, name = _callee_parts(node)
-            if name == "Task":
-                payload = _payload_expr(node)
-                if payload is None:
-                    continue
-                for bad, why in _capture_findings(
-                        payload, nested_defs, prov):
-                    yield ctx.violation(
-                        "RPR009", bad,
-                        f"Task payload captures {why}; payloads cross "
-                        f"the worker pipe pickled — ship a spec and "
-                        f"rebuild in the worker")
-            elif name == "run_tasks" and node.args:
-                worker = node.args[0]
-                if isinstance(worker, ast.Lambda) or (
-                        isinstance(worker, ast.Name)
-                        and worker.id in nested_defs):
-                    yield ctx.violation(
-                        "RPR009", worker,
-                        "worker callable must be an importable "
-                        "module-level function; a lambda/closure "
-                        "breaks under the spawn start method")
 
 
 # ----------------------------------------------------------------------

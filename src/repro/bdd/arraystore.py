@@ -46,7 +46,7 @@ from array import array
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from operator import gt
-from typing import Any
+from typing import Any, NoReturn
 
 __all__ = ["ArrayStore", "FREE_LEVEL", "TERMINAL_LEVEL"]
 
@@ -104,6 +104,10 @@ class ArrayStore:
         # frame, and a TypeError (not a silent truthy NotImplemented)
         # on a non-int handle.
         self.is_terminal = partial(gt, 2)
+
+    def __reduce__(self) -> NoReturn:
+        raise TypeError("an ArrayStore cannot be pickled: it belongs to "
+                        "its Manager")
 
     # -- node construction and lookup ----------------------------------
 

@@ -91,8 +91,8 @@ class InjectedAbort(BudgetExceeded):
     """A fault-injection abort (test hook or ``REPRO_INJECT_ABORT``).
 
     Subclasses :class:`BudgetExceeded` so every recovery path — the
-    escalation ladder, the harness engine's typed failure rows — treats
-    an injected abort exactly like a real budget violation.
+    escalation ladder, a Table 1 row's incomplete result — treats an
+    injected abort exactly like a real budget violation.
     """
 
 

@@ -41,7 +41,7 @@ import weakref
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NoReturn
 
 from .arraystore import ArrayStore
 from .backend import resolve_backend
@@ -213,6 +213,11 @@ class Manager:
         self._gc_trigger = gc_threshold
         for name in vars:
             self.add_var(name)
+
+    def __reduce__(self) -> NoReturn:
+        raise TypeError(
+            "a Manager cannot be pickled: its nodes live in this "
+            "process; ship a spec and rebuild the BDDs where they run")
 
     # ------------------------------------------------------------------
     # Store plumbing

@@ -19,15 +19,14 @@ share one implementation.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 from ..bdd.counting import shared_size
+from ..bdd.governor import ResourceError
 from ..core.approx import (bdd_under_approx, c1, c2, heavy_branch_subset,
                            remap_under_approx, short_paths_subset)
 from ..core.decomp import DECOMPOSERS, decompose
 from ..fsm.encode import encode
 from ..reach import (PartialImagePolicy, TransitionRelation,
-                     TraversalLimit, bfs_reachability, count_states,
+                     bfs_reachability, count_states,
                      high_density_reachability)
 from ..store.format import content_address, encode_roots
 from .population import build_entries, make_circuit
@@ -177,24 +176,23 @@ def reachability_row(payload) -> dict:
         subsetting parameters (quality is RUA-only),
     ``pimg``
         optional ``(trigger, threshold)`` partial-image policy,
-    ``deadline``
-        wall-clock budget in seconds for the traversal itself (a BFS
-        run over budget reports ``traverse_seconds: None`` — the
-        paper's ">2 weeks" entries — instead of failing the task),
-    ``node_budget``, ``step_budget``
-        optional governor budgets armed (``Manager.with_budget``)
-        around the traversal,
+    ``deadline``, ``node_budget``, ``step_budget``
+        optional governor bounds armed (``Manager.with_budget``) around
+        the traversal: ``deadline`` in wall-clock seconds, the budgets
+        in live nodes and kernel steps,
     ``on_blowup``
-        reaction to governor aborts (default ``"raise"``, in which case
-        the abort escapes and the engine records a typed ``budget``
-        failure row; ``"subset"``/``"retry-reorder"`` degrade through
-        the escalation ladder and the row completes normally).
+        reaction to governor aborts (default ``"raise"``;
+        ``"subset"``/``"retry-reorder"`` degrade through the escalation
+        ladder and the traversal completes).
 
-    The row's ``traverse_seconds`` is the paper-table number; the
-    engine separately reports whole-task seconds including the circuit
-    rebuild.  ``manager_stats`` is the circuit manager's
-    ``ManagerStats.as_dict()``, whose ``aborts``/``degradations`` count
-    the governor events of the run.
+    A governor abort that escapes the traversal, under either method,
+    makes an incomplete row: ``states``, ``traverse_seconds`` and
+    ``iterations`` are None (the paper's ">2 weeks" entries) and
+    ``complete`` is False.  The row's ``traverse_seconds`` is the
+    paper-table number; the engine separately reports whole-task
+    seconds including the circuit rebuild.  ``manager_stats`` is the
+    circuit manager's ``ManagerStats.as_dict()``, whose
+    ``aborts``/``degradations`` count the governor events of the run.
     """
     circuit = make_circuit(payload["factory"], tuple(payload["args"]))
     encoded = encode(circuit)
@@ -207,26 +205,8 @@ def reachability_row(payload) -> dict:
         "method": method,
         "ff": circuit.num_latches,
     }
-    deadline = payload.get("deadline")
     on_blowup = payload.get("on_blowup", "raise")
-    node_budget = payload.get("node_budget")
-    step_budget = payload.get("step_budget")
-    if node_budget is None and step_budget is None:
-        budget = nullcontext()
-    else:
-        budget = encoded.manager.with_budget(node_budget=node_budget,
-                                             step_budget=step_budget)
-    if method == "bfs":
-        try:
-            with budget:
-                result = bfs_reachability(tr, init, deadline=deadline,
-                                          on_blowup=on_blowup)
-        except TraversalLimit:
-            row.update(states=None, traverse_seconds=None,
-                       iterations=None, complete=False,
-                       manager_stats=encoded.manager.stats.as_dict())
-            return row
-    else:
+    if method != "bfs":
         threshold = payload.get("threshold", 0)
         quality = payload.get("quality", 1.0)
         if method == "rua":
@@ -244,10 +224,22 @@ def reachability_row(payload) -> dict:
             policy = PartialImagePolicy(subset=subset,
                                         trigger=pimg[0],
                                         threshold=pimg[1])
-        with budget:
-            result = high_density_reachability(
-                tr, init, subset, threshold=threshold, partial=policy,
-                deadline=deadline, on_blowup=on_blowup)
+    try:
+        with encoded.manager.with_budget(
+                node_budget=payload.get("node_budget"),
+                step_budget=payload.get("step_budget"),
+                deadline=payload.get("deadline")):
+            if method == "bfs":
+                result = bfs_reachability(tr, init, on_blowup=on_blowup)
+            else:
+                result = high_density_reachability(
+                    tr, init, subset, threshold=threshold,
+                    partial=policy, on_blowup=on_blowup)
+    except ResourceError:
+        row.update(states=None, traverse_seconds=None, iterations=None,
+                   complete=False,
+                   manager_stats=encoded.manager.stats.as_dict())
+        return row
     row.update(
         states=count_states(result.reached, encoded.state_vars),
         traverse_seconds=round(result.seconds, 3),

@@ -11,7 +11,7 @@
 """
 
 from .backward import backward_reachability, can_reach
-from .bfs import ReachResult, TraversalLimit, bfs_reachability, count_states
+from .bfs import ReachResult, bfs_reachability, count_states
 from .degrade import ON_BLOWUP_MODES, governed_image, validate_on_blowup
 from .highdensity import (HighDensityResult, Subsetter,
                           high_density_reachability)
@@ -29,7 +29,6 @@ __all__ = [
     "count_states",
     "ReachResult",
     "HighDensityResult",
-    "TraversalLimit",
     "Subsetter",
     "ON_BLOWUP_MODES",
     "governed_image",

@@ -14,13 +14,13 @@ from __future__ import annotations
 import time
 
 from ..bdd.function import Function
-from .bfs import ReachResult, TraversalLimit, image_operand
+from .bfs import ReachResult, image_operand
 from .transition import TransitionRelation
 
 
 def backward_reachability(tr: TransitionRelation, target: Function,
-                          max_iterations: int | None = None,
-                          deadline: float | None = None) -> ReachResult:
+                          max_iterations: int | None = None
+                          ) -> ReachResult:
     """All states with a path into ``target`` (including ``target``)."""
     start = time.perf_counter()
     reached = target
@@ -41,11 +41,6 @@ def backward_reachability(tr: TransitionRelation, target: Function,
         iterations += 1
         size_trace.append(len(reached))
         frontier_trace.append(len(frontier))
-        if deadline is not None and \
-                time.perf_counter() - start > deadline:
-            raise TraversalLimit(
-                f"deadline {deadline}s exceeded at iteration "
-                f"{iterations}")
     return ReachResult(reached=reached, iterations=iterations,
                        size_trace=size_trace,
                        frontier_trace=frontier_trace,

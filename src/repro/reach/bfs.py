@@ -15,10 +15,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..store.checkpoint import ReachCheckpointer
 
 
-class TraversalLimit(Exception):
-    """Raised when a traversal exceeds its wall-clock deadline."""
-
-
 @dataclass
 class ReachResult:
     """Outcome of a reachability run."""
@@ -66,8 +62,7 @@ def image_operand(new: Function, reached: Function) -> Function:
 
 
 def bfs_reachability(tr: TransitionRelation, init: Function,
-                     max_iterations: int | None = None,
-                     deadline: float | None = None, *,
+                     max_iterations: int | None = None, *,
                      on_blowup: str = "raise",
                      subset: Subsetter | None = None,
                      subset_threshold: int = 0,
@@ -78,8 +73,9 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
     Each step images :func:`image_operand` of the frontier and the
     reached set; the traces and checkpoints record the frontier.
 
-    Raises :class:`TraversalLimit` once the wall-clock ``deadline`` (in
-    seconds) passes — the stand-in for the paper's ">2 weeks" entries.
+    A wall-clock bound is a governor deadline
+    (``Manager.with_budget(deadline=...)``): like every governor abort
+    it raises out of the traversal under ``on_blowup="raise"``.
 
     ``on_blowup`` selects the reaction to a *governor* abort (armed via
     :meth:`Manager.with_budget`): ``"raise"`` (default) propagates it;
@@ -172,10 +168,6 @@ def bfs_reachability(tr: TransitionRelation, init: Function,
                 {"method": "bfs", "iterations": iterations,
                  "degraded": degraded, "size_trace": size_trace,
                  "frontier_trace": frontier_trace})
-        if deadline is not None and \
-                time.perf_counter() - start > deadline:
-            raise TraversalLimit(
-                f"deadline {deadline}s exceeded at iteration {iterations}")
     if checkpointer is not None:
         checkpointer.finish(
             {"reached": reached, "frontier": frontier},

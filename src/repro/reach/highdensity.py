@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from ..bdd.counting import density
 from ..bdd.function import Function
-from .bfs import ReachResult, TraversalLimit
+from .bfs import ReachResult
 from .degrade import Subsetter, governed_image, shield, validate_on_blowup
 from .transition import PartialImagePolicy, TransitionRelation
 
@@ -49,7 +49,6 @@ def high_density_reachability(
         threshold: int = 0,
         partial: PartialImagePolicy | None = None,
         max_iterations: int | None = None,
-        deadline: float | None = None,
         on_blowup: str = "raise",
         checkpointer: "ReachCheckpointer | None" = None
         ) -> HighDensityResult:
@@ -153,11 +152,6 @@ def high_density_reachability(
         size_trace.append(len(reached))
         if checkpointer is not None:
             save_state(checkpointer.step)
-        if deadline is not None and \
-                time.perf_counter() - start > deadline:
-            raise TraversalLimit(
-                f"deadline {deadline}s exceeded at iteration "
-                f"{iterations}")
     if checkpointer is not None:
         save_state(checkpointer.finish)
     return _result(reached, iterations, size_trace, frontier_trace,

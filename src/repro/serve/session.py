@@ -27,7 +27,7 @@ import inspect
 import itertools
 import math
 from contextlib import contextmanager, nullcontext
-from typing import Any, Callable, Iterator, TYPE_CHECKING
+from typing import Any, Callable, Iterator, NoReturn, TYPE_CHECKING
 
 from ..bdd.function import Function
 from ..bdd.governor import Budget
@@ -166,6 +166,10 @@ class Session:
         self._ids = itertools.count(1)
         #: requests executed (successfully or not) in this session
         self.requests = 0
+
+    def __reduce__(self) -> NoReturn:
+        raise TypeError("a Session cannot be pickled: it belongs to its "
+                        "connection thread")
 
     # ------------------------------------------------------------------
     # Handle table

@@ -1,4 +1,4 @@
-"""Targeted tests for the flow-aware rules (RPR008..RPR010)."""
+"""Targeted tests for the flow-aware rules (RPR008, RPR010)."""
 
 from __future__ import annotations
 
@@ -75,35 +75,6 @@ def test_rpr008_iteration_over_sessions_classifies():
         "    return out\n"
     )
     assert findings(source2, "RPR008")
-
-
-# -- RPR009 ------------------------------------------------------------
-
-def test_rpr009_spec_conversion_is_exempt():
-    source = (
-        "def submit(pool, manager):\n"
-        "    return pool.put(Task('k', payload=spec_of(manager)))\n"
-    )
-    assert findings(source, "RPR009") == []
-
-
-def test_rpr009_positional_payload_flagged():
-    source = (
-        "def submit(pool, manager):\n"
-        "    return pool.put(Task('k', manager))\n"
-    )
-    (violation,) = findings(source, "RPR009")
-    assert "manager" in violation.message
-
-
-def test_rpr009_function_provenance_from_manager_method():
-    source = (
-        "def submit(pool, manager):\n"
-        "    f = manager.apply('and', 1, 2)\n"
-        "    return pool.put(Task('k', f))\n"
-    )
-    (violation,) = findings(source, "RPR009")
-    assert "function" in violation.message
 
 
 # -- RPR010 ------------------------------------------------------------

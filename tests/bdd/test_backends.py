@@ -105,6 +105,20 @@ class TestSweepPaths:
                              env=dict(os.environ, PYTHONPATH=src)).stdout
         assert out.strip() == "False"
 
+    @pytest.mark.parametrize("module", ["multiprocessing",
+                                        "concurrent.futures"])
+    def test_population_import_loads_no_pool(self, module):
+        """The population module, which the benchmark of record
+        imports, loads no process pool: ``run_tasks`` imports one only
+        when ``jobs > 1``."""
+        probe = (f"import sys, repro.harness.population; "
+                 f"print({module!r} in sys.modules)")
+        src = str(Path(arraystore.__file__).parents[2])
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert out.strip() == "False"
+
 
 class TestArrayGovernor:
     """Fault injection must unwind the flat store cleanly."""

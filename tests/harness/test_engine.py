@@ -1,18 +1,20 @@
-"""Parallel experiment engine: determinism, fault isolation, retry."""
+"""Parallel map: task order, fail-fast, pickling checks, determinism."""
 
 from __future__ import annotations
 
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.bdd import Budget, BudgetExceeded, Manager
-from repro.harness.engine import (BUDGET, CRASHED, ERROR, OK, TIMEOUT,
-                                  Task, resolve_jobs, run_tasks)
+from repro.bdd.arraystore import ArrayStore
+from repro.harness.engine import Task, TaskError, resolve_jobs, run_tasks
 from repro.harness.experiments import (reachability_row,
                                        simple_approx_rows)
 from repro.harness.population import EntrySpec
+from repro.serve.session import Session, SessionConfig
 
 # ----------------------------------------------------------------------
 # Module-level workers (must be picklable by reference)
@@ -29,33 +31,27 @@ def raise_on_odd(payload):
     return payload
 
 
-def sleep_for(payload):
-    time.sleep(payload)
-    return payload
-
-
-def exit_hard(payload):
-    os._exit(9)
-
-
 def crash_or_square(payload):
     if payload is None:
         os._exit(9)
     return payload * payload
 
 
-def succeed_after_flag(payload):
-    """Fails until a sentinel file exists, then creates it and succeeds.
+def fail_or_record(payload):
+    """``(path, fail)``: raise at once, or wait a moment and append a
+    line to ``path`` (the record of a task that ran)."""
+    path, fail = payload
+    if fail:
+        raise RuntimeError("first task fails")
+    time.sleep(0.5)
+    with open(path, "a") as fh:
+        fh.write("ran\n")
 
-    Used to prove the bounded retry actually re-runs the task: the
-    first attempt writes the flag and raises, the retry sees it.
-    """
-    flag = payload
-    if os.path.exists(flag):
-        return "second try"
-    with open(flag, "w") as fh:
-        fh.write("attempted")
-    raise RuntimeError("first attempt fails")
+
+def record(payload):
+    """``(path, anything)``: append a line to ``path``."""
+    with open(payload[0], "a") as fh:
+        fh.write("ran\n")
 
 
 def blow_budget(payload):
@@ -74,21 +70,20 @@ def blow_budget(payload):
     return "unreachable"
 
 
-class TestResolveJobs:
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
-        assert resolve_jobs(None) == 1
+def closure_worker():
+    def handler(payload):
+        return payload
+    return handler
 
-    def test_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_JOBS", "7")
+
+class TestResolveJobs:
+    def test_default_is_sequential(self):
+        assert run_tasks(square, [Task("a", 2)]).jobs == 1
+
+    def test_argument_wins(self):
         assert resolve_jobs(3) == 3
 
-    def test_env_hook(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_JOBS", "5")
-        assert resolve_jobs(None) == 5
-
-    def test_nonpositive_means_all_cores(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
+    def test_nonpositive_means_all_cores(self):
         assert resolve_jobs(0) >= 1
         assert resolve_jobs(-1) >= 1
 
@@ -101,88 +96,110 @@ class TestInlineVsPool:
                                                  for i in range(6)]
         assert [o.result for o in run.outcomes] == [i * i
                                                     for i in range(6)]
-        assert run.jobs == 1 and not run.failures
+        assert run.jobs == 1
 
     def test_pool_matches_inline(self):
         tasks = [Task(str(i), i) for i in range(8)]
         inline = run_tasks(square, tasks, jobs=1)
         pooled = run_tasks(square, tasks, jobs=2)
-        assert [(o.key, o.result, o.status)
-                for o in inline.outcomes] == \
-               [(o.key, o.result, o.status) for o in pooled.outcomes]
+        assert [(o.key, o.result) for o in inline.outcomes] == \
+               [(o.key, o.result) for o in pooled.outcomes]
+        assert pooled.jobs == 2
 
     def test_results_mapping_and_raise(self):
         run = run_tasks(square, [Task("a", 3), Task("b", 4)], jobs=1)
         assert run.results() == {"a": 9, "b": 16}
-        run.raise_on_failure()  # no-op without failures
+        with pytest.raises(TaskError):
+            run_tasks(square, [Task("a", 3), Task("b", "4")], jobs=1)
 
 
 class TestFaultIsolation:
-    def test_error_recorded_and_run_completes(self):
-        tasks = [Task(str(i), i) for i in range(4)]
-        run = run_tasks(raise_on_odd, tasks, jobs=2, retries=0)
-        by_key = {o.key: o for o in run.outcomes}
-        assert by_key["0"].status == OK
-        assert by_key["1"].status == ERROR
-        assert "odd payload 1" in by_key["1"].error
-        assert by_key["2"].status == OK
-        with pytest.raises(RuntimeError, match="2 task\\(s\\) failed"):
-            run.raise_on_failure()
+    """A failed task, or a dead worker process, stops the run with a
+    TaskError that names it; the calling process carries on."""
 
-    def test_timeout_kills_slow_task_only(self):
-        tasks = [Task("slow", 30.0, timeout=1.0), Task("fast", 0.0)]
-        start = time.perf_counter()
-        run = run_tasks(sleep_for, tasks, jobs=2, retries=0)
-        elapsed = time.perf_counter() - start
-        by_key = {o.key: o for o in run.outcomes}
-        assert by_key["slow"].status == TIMEOUT
-        assert "timed out" in by_key["slow"].error
-        assert by_key["fast"].status == OK
-        assert elapsed < 15, "timeout did not cut the slow task short"
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_worker_names_task_and_error(self, jobs):
+        tasks = [Task(str(i), i) for i in range(3)]
+        with pytest.raises(TaskError, match="task '1' failed: "
+                           "ValueError: odd payload 1") as excinfo:
+            run_tasks(raise_on_odd, tasks, jobs=jobs)
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_tasks_not_started_never_run(self, tmp_path, jobs):
+        path = tmp_path / "ran"
+        tasks = [Task("first", (str(path), True))] + \
+            [Task(f"t{i}", (str(path), False)) for i in range(4)]
+        with pytest.raises(TaskError, match="task 'first' failed"):
+            run_tasks(fail_or_record, tasks, jobs=jobs)
+        # Inline nothing after the failed task runs; on the pool only
+        # the one task in flight beside it finishes.
+        ran = len(path.read_text().splitlines()) if path.exists() else 0
+        assert ran <= jobs - 1
 
     def test_crash_captured_with_failing_task_recorded(self):
-        tasks = [Task("boom", None), ]
-        run = run_tasks(exit_hard, tasks, jobs=2, retries=0)
-        outcome = run.outcomes[0]
-        assert outcome.status == CRASHED
-        assert outcome.error and "exit" in outcome.error.lower()
-
-    def test_crash_does_not_poison_siblings(self):
+        # A worker process that dies fails the run instead of hanging,
+        # and the error names the tasks that were in flight.
         tasks = [Task("ok1", 2), Task("boom", None), Task("ok2", 3)]
-        run = run_tasks(crash_or_square, tasks, jobs=2, retries=0)
-        by_key = {o.key: o for o in run.outcomes}
-        assert by_key["ok1"].result == 4
-        assert by_key["ok2"].result == 9
-        assert by_key["boom"].status == CRASHED
+        with pytest.raises(TaskError, match="worker process died") \
+                as excinfo:
+            run_tasks(crash_or_square, tasks, jobs=2)
+        assert "'boom'" in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
 
-    def test_crashed_worker_is_replaced(self):
-        # jobs=1 with a timeout forces a one-worker pool: the task after
-        # the crash can only run on a replacement worker.
-        run = run_tasks(crash_or_square, [Task("boom", None),
-                                          Task("ok", 6)],
-                        jobs=1, timeout=60.0, retries=0)
-        assert [o.status for o in run.outcomes] == [CRASHED, OK]
-        assert run.outcomes[1].result == 36
 
-    def test_bounded_retry_then_success(self, tmp_path):
-        flag = str(tmp_path / "flag")
-        run = run_tasks(succeed_after_flag, [Task("t", flag)], jobs=2,
-                        retries=1)
-        outcome = run.outcomes[0]
-        assert outcome.status == OK
-        assert outcome.result == "second try"
-        assert outcome.attempts == 2
+class TestPicklingChecks:
+    """Whatever a worker process could not receive is refused before
+    any task runs, inline as on the pool."""
 
-    def test_retry_exhaustion_marks_failed(self):
-        run = run_tasks(raise_on_odd, [Task("t", 1)], jobs=2,
-                        retries=2)
-        outcome = run.outcomes[0]
-        assert outcome.status == ERROR
-        assert outcome.attempts == 3
+    @staticmethod
+    def payloads():
+        manager = Manager(["a"])
+        return {
+            "empty-manager": Manager(),
+            "manager": manager,
+            "function": manager.var("a"),
+            "store": ArrayStore(),
+            "session": Session("s1", SessionConfig()),
+        }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("kind", ["empty-manager", "manager",
+                                      "function", "store", "session"])
+    def test_runtime_object_payload_refused(self, tmp_path, jobs, kind):
+        path = tmp_path / "ran"
+        bad = self.payloads()[kind]
+        tasks = [Task("first", (str(path), None)),
+                 Task("bad", (str(path), bad))]
+        with pytest.raises(TaskError, match="task 'bad' cannot be "
+                           "pickled") as excinfo:
+            run_tasks(record, tasks, jobs=jobs)
+        assert isinstance(excinfo.value.__cause__, TypeError)
+        assert "cannot be pickled" in str(excinfo.value.__cause__)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lambda_payload_refused(self, tmp_path, jobs):
+        path = tmp_path / "ran"
+        tasks = [Task("first", (str(path), None)),
+                 Task("bad", (str(path), lambda spec: spec))]
+        with pytest.raises(TaskError, match="task 'bad' cannot be "
+                           "pickled"):
+            run_tasks(record, tasks, jobs=jobs)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("worker", [lambda payload: payload,
+                                        closure_worker()],
+                             ids=["lambda", "closure"])
+    def test_unimportable_worker_refused(self, jobs, worker):
+        with pytest.raises(TaskError, match="task 'a' cannot be "
+                           "pickled"):
+            run_tasks(worker, [Task("a", 1)], jobs=jobs)
 
 
 class TestBudgetOutcome:
-    """Governor aborts are deterministic and must never be retried."""
+    """A governor abort fails the run like any error: once, no retry."""
 
     def test_direct_worker_raises(self, tmp_path):
         # The worker really does blow a kernel budget (sanity check
@@ -192,29 +209,20 @@ class TestBudgetOutcome:
 
     def test_inline_budget_not_retried(self, tmp_path):
         flag = tmp_path / "flag"
-        run = run_tasks(blow_budget, [Task("t", str(flag))], jobs=1,
-                        retries=3)
-        outcome = run.outcomes[0]
-        assert outcome.status == BUDGET
-        assert outcome.attempts == 1
-        assert "step budget" in outcome.error
+        with pytest.raises(TaskError, match="step budget") as excinfo:
+            run_tasks(blow_budget, [Task("t", str(flag))], jobs=1)
+        assert isinstance(excinfo.value.__cause__, BudgetExceeded)
         # The sentinel proves the worker ran exactly once.
         assert flag.read_text() == "attempt\n"
-        assert run.failures == [outcome]
 
     def test_pool_budget_not_retried(self, tmp_path):
         flag = tmp_path / "flag"
-        run = run_tasks(blow_budget,
-                        [Task("t", str(flag)), Task("ok", "ok")],
-                        jobs=2, retries=3)
-        by_key = {o.key: o for o in run.outcomes}
-        assert by_key["t"].status == BUDGET
-        assert by_key["t"].attempts == 1
-        assert "step budget" in by_key["t"].error
+        with pytest.raises(TaskError, match="task 't' failed: "
+                           "BudgetExceeded: .*step budget") as excinfo:
+            run_tasks(blow_budget,
+                      [Task("t", str(flag)), Task("ok", "ok")], jobs=2)
+        assert isinstance(excinfo.value.__cause__, BudgetExceeded)
         assert flag.read_text() == "attempt\n"
-        # A budget abort is an ordinary failure for siblings: the other
-        # task still completes.
-        assert by_key["ok"].status == OK
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +257,6 @@ class TestDeterminism:
                  for p in payloads]
         sequential = run_tasks(reachability_row, tasks, jobs=1)
         parallel = run_tasks(reachability_row, tasks, jobs=2)
-        assert not sequential.failures and not parallel.failures
         seq_rows = [_strip_floats(o.result)
                     for o in sequential.outcomes]
         par_rows = [_strip_floats(o.result) for o in parallel.outcomes]
@@ -263,7 +270,6 @@ class TestDeterminism:
         tasks = [Task(s.name, (s, 30)) for s in specs]
         sequential = run_tasks(simple_approx_rows, tasks, jobs=1)
         parallel = run_tasks(simple_approx_rows, tasks, jobs=2)
-        assert not sequential.failures and not parallel.failures
         seq = [[_strip_floats(r) for r in o.result["rows"]]
                for o in sequential.outcomes]
         par = [[_strip_floats(r) for r in o.result["rows"]]

@@ -10,8 +10,9 @@ import pytest
 from repro.fsm import encode
 from repro.fsm.am2910 import am2910
 from repro.fsm.benchmarks import counter, shift_queue, token_ring
-from repro.reach import (TransitionRelation, TraversalLimit,
-                         bfs_reachability, count_states)
+from repro.bdd import DeadlineExceeded
+from repro.reach import (TransitionRelation, bfs_reachability,
+                         count_states)
 
 from ..helpers import (SETTINGS, TRAVERSAL_CIRCUITS, raw_frontier_traversal,
                        record_operands, settings_manager)
@@ -85,9 +86,9 @@ class TestBfs:
         from repro.reach import TransitionRelation
 
         tr = TransitionRelation(encoded)
-        with pytest.raises(TraversalLimit):
-            bfs_reachability(tr, encoded.initial_states(),
-                             deadline=0.0)
+        with encoded.manager.with_budget(deadline=0.0), \
+                pytest.raises(DeadlineExceeded):
+            bfs_reachability(tr, encoded.initial_states())
 
     def test_traces_recorded(self):
         encoded = encode(counter(3))

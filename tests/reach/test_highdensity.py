@@ -11,8 +11,9 @@ from repro.core.approx import (heavy_branch_subset, remap_under_approx,
 from repro.fsm import encode
 from repro.fsm.benchmarks import (counter, shift_queue, token_ring,
                                   triangle_datapath)
+from repro.bdd import DeadlineExceeded
 from repro.reach import (PartialImagePolicy, TransitionRelation,
-                         TraversalLimit, bfs_reachability, count_states,
+                         bfs_reachability, count_states,
                          high_density_reachability)
 
 SUBSETTERS = [
@@ -101,10 +102,10 @@ class TestStatistics:
     def test_deadline_raises(self):
         enc = encode(shift_queue(4, 3))
         tr = TransitionRelation(enc)
-        with pytest.raises(TraversalLimit):
-            high_density_reachability(
-                tr, enc.initial_states(),
-                lambda f, *, threshold=0: remap_under_approx(f, threshold), deadline=0.0)
+        with enc.manager.with_budget(deadline=0.0), \
+                pytest.raises(DeadlineExceeded):
+            high_density_reachability(tr, enc.initial_states(),
+                                      remap_under_approx)
 
     def test_degenerate_subsetter_falls_back(self):
         # A subsetter that always returns FALSE must not wedge the
