@@ -6,7 +6,7 @@ identifier with a default severity.  The engine owns everything rules
 should not have to care about:
 
 * parsing (one :func:`ast.parse` per file, shared by all rules),
-* suppression comments — ``# repro-lint: disable=RPR001[,RPR004]`` on a
+* suppression comments — ``# repro-lint: disable=RPR001[,RPR010]`` on a
   line suppresses those rules for that line (bare ``disable`` suppresses
   every rule), and ``# repro-lint: disable-file=RPR001`` anywhere in the
   file suppresses a rule for the whole file,

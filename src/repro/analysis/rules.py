@@ -1,24 +1,21 @@
-"""The BDD-specific syntactic lint rules (RPR001, RPR004).
+"""The BDD-specific syntactic lint rule RPR001.
 
-Each rule guards a structural convention the algorithms rely on, one
-that no run of the code can show broken:
+It guards a structural convention the algorithms rely on, one that no
+run of the code can show broken:
 
 RPR001
     Kernel modules must not use Python recursion — direct or mutual —
     so every traversal works on 10k-level chain BDDs at CPython's
-    default recursion limit (the PR-2 explicit-stack rewrite).  Detected
+    default recursion limit (kernels use explicit stacks).  Detected
     by per-module call-graph cycle search.  Recursion elsewhere is
     reported as a warning: it does not gate CI but marks depth-unsafe
     helpers.
-RPR004
-    Raw nodes of one manager must never reach another manager's
-    operations; cross-manager copies go through ``repro.store.
-    transfer``.  Detected by intra-function provenance tracking.
 
 Properties that a run can see are checked where the code runs instead:
-``ComputedTable.tally`` rejects unregistered op tags and
-``register_approximator`` rejects a malformed signature
-(``docs/analysis.md``).
+``ComputedTable.tally`` rejects unregistered op tags,
+``register_approximator`` rejects a malformed signature, and
+``Manager``/``Function`` operations refuse another manager's
+``Function`` (``docs/analysis.md``).
 
 The governed-kernel scope (:data:`GOVERNED_KERNEL_SUFFIXES`,
 :func:`is_governed_module`) also lives here; the checkpoint rule that
@@ -201,153 +198,6 @@ def check_no_kernel_recursion(ctx: FileContext) -> Iterator[Violation]:
             f"recursive call cycle in {where}: "
             f"{' -> '.join(members)} (rewrite with an explicit stack)",
             severity=severity)
-
-
-# ----------------------------------------------------------------------
-# RPR004 — no cross-manager node mixing
-# ----------------------------------------------------------------------
-
-def _walk_skipping_transfer(node: ast.AST) -> Iterator[ast.AST]:
-    """ast.walk, but do not descend into transfer(...) calls."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ast.Call):
-            func = current.func
-            name = func.id if isinstance(func, ast.Name) else \
-                func.attr if isinstance(func, ast.Attribute) else None
-            if name == "transfer":
-                continue
-        yield current
-        stack.extend(ast.iter_child_nodes(current))
-
-
-def _scopes(tree: ast.Module) -> Iterator[list[ast.AST]]:
-    """Name-resolution scopes: the module body, then each top-level
-    function (with its nested functions — closures share names)."""
-    module_scope: list[ast.AST] = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield [node]
-        elif isinstance(node, ast.ClassDef):
-            for member in node.body:
-                if isinstance(member,
-                              (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield [member]
-        else:
-            module_scope.append(node)
-    if module_scope:
-        yield module_scope
-
-
-def _manager_annotated_params(scope: list[ast.AST]) -> Iterator[str]:
-    for root in scope:
-        for node in ast.walk(root):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for arg in (node.args.posonlyargs + node.args.args
-                            + node.args.kwonlyargs):
-                    annotation = arg.annotation
-                    if isinstance(annotation, ast.Name) \
-                            and annotation.id == "Manager":
-                        yield arg.arg
-                    elif isinstance(annotation, ast.Constant) \
-                            and annotation.value == "Manager":
-                        yield arg.arg
-
-
-@register_rule(
-    "RPR004", "no-cross-manager-mixing", "error",
-    "A node or Function created under one manager is passed into a "
-    "different manager's operation; copy it across with "
-    "repro.store.transfer first.")
-def check_cross_manager(ctx: FileContext) -> Iterator[Violation]:
-    for scope in _scopes(ctx.tree):
-        yield from _check_scope_cross_manager(ctx, scope)
-
-
-def _scope_walk(scope: list[ast.AST]) -> Iterator[ast.AST]:
-    for root in scope:
-        yield from ast.walk(root)
-
-
-def _check_scope_cross_manager(ctx: FileContext, scope: list[ast.AST]
-                               ) -> Iterator[Violation]:
-    # Per-scope provenance on simple names: which manager variable a
-    # name was created from.  Intentionally simple — reassignments take
-    # the last binding seen; the rule is a tripwire, not a type system.
-    managers: set[str] = set(_manager_annotated_params(scope))
-    home: dict[str, str] = {}
-    for node in _scope_walk(scope):
-        if not isinstance(node, ast.Assign):
-            continue
-        value = node.value
-        created_by: str | None = None
-        if isinstance(value, ast.Call):
-            func = value.func
-            if (isinstance(func, ast.Name) and func.id == "Manager") or \
-                    (isinstance(func, ast.Attribute)
-                     and func.attr == "Manager"):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        managers.add(target.id)
-                continue
-            if isinstance(func, ast.Attribute) \
-                    and isinstance(func.value, ast.Name) \
-                    and func.value.id in managers:
-                created_by = func.value.id
-            elif (isinstance(func, ast.Name) and func.id == "Function"
-                  and value.args
-                  and isinstance(value.args[0], ast.Name)
-                  and value.args[0].id in managers):
-                created_by = value.args[0].id
-        elif isinstance(value, ast.Attribute) \
-                and isinstance(value.value, ast.Name) \
-                and value.value.id in managers:
-            created_by = value.value.id  # e.g. f = m.true
-        if created_by is None:
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                home[target.id] = created_by
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                for element in target.elts:
-                    if isinstance(element, ast.Name):
-                        home[element.id] = created_by
-
-    def foreign_operands(args: list[ast.expr],
-                         owner: str) -> Iterator[tuple[ast.AST, str]]:
-        for arg in args:
-            for sub in _walk_skipping_transfer(arg):
-                if isinstance(sub, ast.Name) and sub.id in home \
-                        and home[sub.id] != owner:
-                    yield sub, sub.id
-
-    for node in _scope_walk(scope):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        owner: str | None = None
-        operands: list[ast.expr] = []
-        if isinstance(func, ast.Attribute) \
-                and isinstance(func.value, ast.Name) \
-                and func.value.id in managers:
-            owner = func.value.id
-            operands = list(node.args)
-        elif node.args and isinstance(node.args[0], ast.Name) \
-                and node.args[0].id in managers:
-            name = func.id if isinstance(func, ast.Name) else \
-                func.attr if isinstance(func, ast.Attribute) else ""
-            if name != "transfer":
-                owner = node.args[0].id
-                operands = list(node.args[1:])
-        if owner is None:
-            continue
-        for operand, var in foreign_operands(operands, owner):
-            yield ctx.violation(
-                "RPR004", operand,
-                f"{var!r} belongs to manager {home[var]!r} but is "
-                f"passed into an operation of manager {owner!r}; "
-                f"copy it with repro.store.transfer first")
 
 
 # ----------------------------------------------------------------------

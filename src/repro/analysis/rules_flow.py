@@ -1,18 +1,8 @@
-"""The flow-aware lint rules (RPR008, RPR010).
+"""The flow-aware lint rule RPR010.
 
-These rules guard invariants of the serve daemon's ownership model
-and the governed kernels — structure a purely syntactic scan cannot
-see, hence the session provenance tracker of
-:mod:`repro.analysis.provenance` and the loop walk of RPR010:
+It guards an invariant of the governed kernels that a purely
+syntactic scan cannot see, by walking each loop's body:
 
-RPR008
-    A session's ``Manager``/handle table belongs to the connection
-    thread that created the session, and its verbs run under the fair
-    token (``token.run(key, session.execute, ...)``: one call per
-    session at a time, round-robin across sessions).  Touching
-    ``session.manager`` (or calling ``session.execute``) anywhere else
-    — stats snapshots on another thread, module globals, thread
-    targets — races the owner or skips the token.
 RPR010
     In Python every cycle of a function body is a ``while`` or ``for``
     statement, so the rule checks loops.  Each loop in a governed
@@ -33,24 +23,9 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from pathlib import PurePath
 
 from .lint import FileContext, Violation, register_rule
-from .provenance import session_names
 from .rules import _collect_functions, _is_checkpoint_ref, is_governed_module
-
-#: Serve modules: everything under ``repro/serve/`` is written against
-#: the session-ownership discipline; the pragma lets the rule corpus
-#: exercise it from fixture files.
-_SERVE_FRAGMENT = "repro/serve/"
-
-
-def is_serve_module(ctx: FileContext) -> bool:
-    """Serve modules by path — or by a ``serve`` pragma."""
-    if _SERVE_FRAGMENT in PurePath(ctx.path).as_posix():
-        return True
-    return any("# repro-lint: serve" in line
-               for line in ctx.source.splitlines()[:10])
 
 
 def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
@@ -64,118 +39,6 @@ def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
             continue
         yield node
         stack.extend(ast.iter_child_nodes(node))
-
-
-def _callee_parts(call: ast.Call) -> tuple[str | None, str | None]:
-    """``(receiver simple name, method/function name)`` of a call."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        return None, func.id
-    if isinstance(func, ast.Attribute):
-        receiver = func.value
-        if isinstance(receiver, ast.Name):
-            return receiver.id, func.attr
-        return "", func.attr
-    return None, None
-
-
-# ----------------------------------------------------------------------
-# RPR008 — sessions must not escape their connection thread and token
-# ----------------------------------------------------------------------
-
-#: Session attributes owned by the connection thread: the manager and
-#: the handle table.  ``session.id``/``session.requests``/``close()``
-#: are safe from any thread by design (plain-int/str reads, no kernel
-#: access).
-_SESSION_OWNED_ATTRS = frozenset({"manager", "_functions", "_by_key"})
-
-#: Session methods that run kernel work inline when called directly.
-_SESSION_KERNEL_METHODS = frozenset({"execute"})
-
-
-def _token_run_argument_ids(func: ast.AST) -> set[int]:
-    """ids of every node inside ``<x>.run(...)`` arguments.
-
-    Attribute references like ``session.execute`` passed *into* the
-    fair token's ``run`` are the sanctioned way to run session work.
-    """
-    exempt: set[int] = set()
-    for node in _own_nodes(func):
-        if isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "run":
-            for arg in list(node.args) + [kw.value
-                                          for kw in node.keywords]:
-                exempt.update(id(sub) for sub in ast.walk(arg))
-    return exempt
-
-
-@register_rule(
-    "RPR008", "session-escape", "error",
-    "A session's Manager or handle table is touched outside the "
-    "session's own methods and outside the fair token's run(...) — "
-    "that races the connection thread that owns the session or skips "
-    "the token; go through token.run instead.")
-def check_session_escape(ctx: FileContext) -> Iterator[Violation]:
-    if not is_serve_module(ctx):
-        return
-    for info in _collect_functions(ctx.tree):
-        if info.classname == "Session" \
-                or info.qualname.startswith("Session."):
-            continue  # the owner itself
-        sessions = session_names(info.node)
-        if not sessions:
-            continue
-        exempt = _token_run_argument_ids(info.node)
-        declared_globals: set[str] = set()
-        for node in _own_nodes(info.node):
-            if isinstance(node, ast.Global):
-                declared_globals.update(node.names)
-        for node in _own_nodes(info.node):
-            if isinstance(node, ast.Attribute) \
-                    and node.attr in _SESSION_OWNED_ATTRS \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id in sessions \
-                    and id(node) not in exempt:
-                yield ctx.violation(
-                    "RPR008", node,
-                    f"session-owned state "
-                    f"{node.value.id}.{node.attr} accessed outside "
-                    f"the fair token's run; the session's connection "
-                    f"thread owns it")
-            elif isinstance(node, ast.Call):
-                receiver, name = _callee_parts(node)
-                if receiver in sessions \
-                        and name in _SESSION_KERNEL_METHODS \
-                        and id(node) not in exempt:
-                    yield ctx.violation(
-                        "RPR008", node,
-                        f"{receiver}.{name}() called outside "
-                        f"the fair token's run; session verbs must be "
-                        f"passed to token.run")
-                elif name == "Thread":
-                    for arg in list(node.args) + \
-                            [kw.value for kw in node.keywords]:
-                        for sub in ast.walk(arg):
-                            if isinstance(sub, ast.Name) \
-                                    and sub.id in sessions:
-                                yield ctx.violation(
-                                    "RPR008", sub,
-                                    f"session {sub.id!r} handed to a "
-                                    f"Thread; a session is owned by "
-                                    f"the connection thread that "
-                                    f"created it")
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name) \
-                            and target.id in declared_globals \
-                            and isinstance(node.value, ast.Name) \
-                            and node.value.id in sessions:
-                        yield ctx.violation(
-                            "RPR008", node,
-                            f"session {node.value.id!r} published to "
-                            f"module global {target.id!r}; sessions "
-                            f"must stay private to their connection")
 
 
 # ----------------------------------------------------------------------

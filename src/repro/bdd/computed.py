@@ -218,32 +218,6 @@ class ComputedTable:
         """Maximum number of entries (None: unbounded)."""
         return self._limit
 
-    def set_limit(self, limit: int | None) -> None:
-        """Re-bound the table, rehashing the entries that still fit.
-
-        Statistics and interned values are preserved; shrinking may
-        silently drop entries whose buckets collide (not counted as
-        evictions — resizing is a policy change, not a capacity
-        decision).  A probe pair taken before the call is stale.
-        """
-        if limit is not None and limit <= 0:
-            raise ValueError("cache_limit must be positive or None")
-        survivors = [(key, result) for _, key, result in self.entries()]
-        self._limit = limit
-        self._entries = {}
-        self._keys = [None] * (limit or 0)
-        self._results = [None] * (limit or 0)
-        self._occupied = 0
-        for key, result in survivors:
-            if limit is None:
-                self._entries[key] = result
-            else:
-                index = (key * _MIX >> 64) % limit
-                if self._keys[index] is None:
-                    self._occupied += 1
-                self._keys[index] = key
-                self._results[index] = result
-
     # ------------------------------------------------------------------
     # The memoization protocol
     # ------------------------------------------------------------------

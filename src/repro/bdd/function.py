@@ -96,8 +96,7 @@ class Function:
             return self.manager.true if other else self.manager.false
         if not isinstance(other, Function):
             raise TypeError(f"cannot combine BDD with {type(other)!r}")
-        if other.manager is not self.manager:
-            raise ValueError("operands belong to different managers")
+        self.manager._own(other)
         return other
 
     def __invert__(self) -> "Function":
@@ -228,7 +227,7 @@ class Function:
         from .operations import vector_compose_node
 
         self.manager.safe_point()
-        levels = {self.manager.level_of_var(n): g.node
+        levels = {self.manager.level_of_var(n): self._coerce(g).node
                   for n, g in substitution.items()}
         return self._wrap(vector_compose_node(self.manager, self.node,
                                               levels))

@@ -206,11 +206,10 @@ class Manager:
         self.governor = Governor(self.store, self._abort_counts)
         # Safe points elapsed since the last REPRO_SANITIZE sweep.
         self._sanitize_tick = 0
-        self._gc_threshold = gc_threshold
         # The live trigger starts at the threshold and is raised after
         # each collection (see collect_garbage) to avoid GC thrash when
         # most nodes are live.
-        self._gc_trigger = gc_threshold
+        self.gc_threshold = gc_threshold
         for name in vars:
             self.add_var(name)
 
@@ -401,10 +400,6 @@ class Manager:
         """Computed-table bound (None: unbounded)."""
         return self.computed.limit
 
-    def set_cache_limit(self, limit: int | None) -> None:
-        """Re-bound the computed table, dropping memoized results."""
-        self.computed.set_limit(limit)
-
     def register(self, function: "Function") -> None:
         """Track a Function handle as a garbage-collection root."""
         key = id(function)
@@ -583,11 +578,18 @@ class Manager:
     # Convenience forwarding (implemented in sibling modules)
     # ------------------------------------------------------------------
 
+    def _own(self, *functions: "Function") -> None:
+        """Refuse operands that belong to another manager."""
+        for function in functions:
+            if function.manager is not self:
+                raise ValueError("operands belong to different managers")
+
     def ite(self, f: "Function", g: "Function", h: "Function") -> "Function":
         """If-then-else: ``f·g + f'·h``."""
         from .function import Function
         from .operations import ite_node
 
+        self._own(f, g, h)
         self.safe_point()
         return Function(self, ite_node(self, f.node, g.node, h.node))
 
@@ -596,6 +598,7 @@ class Manager:
         from .function import Function
         from .operations import apply_node
 
+        self._own(f, g)
         self.safe_point()
         return Function(self, apply_node(self, op, f.node, g.node))
 
@@ -617,8 +620,7 @@ class Manager:
         counter = itertools.count()
         heap: list[tuple[int, int, "Function"]] = []
         for function in functions:
-            if function.manager is not self:
-                raise ValueError("operands belong to different managers")
+            self._own(function)
             heapq.heappush(heap, (len(function), next(counter), function))
         if not heap:
             return neutral

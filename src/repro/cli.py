@@ -66,6 +66,7 @@ from contextlib import nullcontext
 
 from .bdd.counting import density
 from .bdd.governor import Budget, ResourceError
+from .bdd.manager import Manager
 from .core.approx import UNDER_APPROXIMATORS
 from .core.decomp import DECOMPOSERS, decompose
 from .fsm.blif import BlifError, read_blif
@@ -78,25 +79,38 @@ from .store.errors import StoreCorruptError, StoreError
 
 
 def _load(args):
-    """Read the circuit and encode it under the requested runtime policy."""
+    """Read the circuit and encode it under the requested runtime policy.
+
+    The manager is configured and the budget armed before the encode,
+    so both govern the whole command.  Under a ``reach`` degradation
+    policy the encode runs unbudgeted, like the rest of its setup (see
+    :func:`cmd_reach`).
+    """
     circuit = read_blif(args.circuit)
-    encoded = encode(circuit)
-    manager = encoded.manager
     try:
-        if getattr(args, "cache_limit", None) is not None:
-            manager.set_cache_limit(args.cache_limit)
-        if getattr(args, "gc_threshold", None) is not None:
-            manager.gc_threshold = args.gc_threshold
+        manager = Manager(cache_limit=getattr(args, "cache_limit", None),
+                          gc_threshold=getattr(args, "gc_threshold", None))
         budget = Budget(node_budget=getattr(args, "node_budget", None),
                         step_budget=getattr(args, "step_budget", None),
                         deadline=getattr(args, "deadline", None))
-        if not budget.unbounded:
-            # Armed for the process lifetime: CLI commands are one-shot,
-            # so there is no enclosing scope to restore the budget to.
-            manager.governor.arm(budget)
     except ValueError as exc:
         raise SystemExit(f"repro: {exc}")
+    if not budget.unbounded:
+        # Armed for the process lifetime: CLI commands are one-shot,
+        # so there is no enclosing scope to restore the budget to.
+        manager.governor.arm(budget)
+    with _setup_scope(args, manager):
+        encoded = encode(circuit, manager=manager)
     return circuit, encoded
+
+
+def _setup_scope(args, manager):
+    """Unbudgeted under a ``reach`` degradation policy: the escalation
+    ladder has no recovery for an abort during setup (encoding,
+    clustering, initial states)."""
+    if getattr(args, "on_blowup", "raise") == "raise":
+        return nullcontext()
+    return manager.governor.suspended()
 
 
 def _finish(args, encoded) -> None:
@@ -159,12 +173,8 @@ def _reach_checkpointer(args, circuit):
 
 def cmd_reach(args) -> int:
     circuit, encoded = _load(args)
-    # Under a degradation policy the budget governs the traversal: the
-    # escalation ladder has no recovery for an abort during setup
-    # (clustering, initial states), so setup runs unbudgeted.
-    setup = nullcontext() if args.on_blowup == "raise" \
-        else encoded.manager.governor.suspended()
-    with setup:
+    # Under a degradation policy the budget governs the traversal only.
+    with _setup_scope(args, encoded.manager):
         tr = TransitionRelation(encoded,
                                 cluster_limit=args.cluster_limit)
         init = encoded.initial_states()
@@ -224,7 +234,6 @@ def cmd_save(args) -> int:
 
 
 def cmd_load(args) -> int:
-    from .bdd.manager import Manager
     from .harness.tables import format_table
     from .store.store import BDDStore
 
@@ -591,8 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_call.set_defaults(func=cmd_call)
 
     p_lint = sub.add_parser(
-        "lint", help="run the BDD-aware static rules "
-                     "(RPR001, RPR004, RPR008..RPR010)")
+        "lint", help="run the BDD-aware static rules (RPR001, RPR010)")
     p_lint.add_argument("paths", nargs="*", default=["src", "tests"],
                         help="files or directory trees to lint "
                              "(default: src tests)")

@@ -38,6 +38,7 @@ from typing import Any
 
 from ..bdd.backend import resolve_backend
 from ..bdd.governor import ResourceError
+from ..bdd.manager import Manager
 from ..bdd.sanitize import SanitizerError
 from ..store.errors import StoreError
 from .protocol import (E_BAD_REQUEST, E_BUDGET, E_INTERNAL,
@@ -125,6 +126,10 @@ class Server:
         if snapshot and self.store is None:
             raise ValueError("snapshot requires a store directory")
         self.snapshot = snapshot
+        # And for the session managers' settings: a manager refuses a
+        # bad cache limit or GC threshold, so build one now rather
+        # than fail every connection.
+        Manager(cache_limit=cache_limit, gc_threshold=gc_threshold)
         self.session_config = SessionConfig(
             backend=self.backend, cache_limit=cache_limit,
             gc_threshold=gc_threshold, node_budget=node_budget,

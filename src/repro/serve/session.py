@@ -11,11 +11,13 @@ id — clients can compare functions by comparing handle strings.
 Verb bodies run on the thread that owns the session's connection,
 under a permit of the server's :class:`~repro.serve.scheduler.
 FairToken`, so a session's manager is only ever touched by that one
-thread.  Per-request budgets (the ``budget`` request parameter, merged
-over the server's configured defaults) are armed with
-:meth:`Manager.with_budget` around each verb body; a governor abort
-unwinds cleanly, leaves every handle valid, and surfaces as a
-structured ``budget`` error response.
+thread.  The session holds to it: ``execute``, ``snapshot_to`` and
+reads of ``manager`` raise :class:`RuntimeError` on any thread but the
+one that created the session.  Per-request budgets (the ``budget``
+request parameter, merged over the server's configured defaults) are
+armed with :meth:`Manager.with_budget` around each verb body; a
+governor abort unwinds cleanly, leaves every handle valid, and
+surfaces as a structured ``budget`` error response.
 
 Densities travel as JSON numbers, or ``null`` when they pass the float
 range (the wire carries standard JSON only, never ``Infinity``).
@@ -26,6 +28,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import threading
 from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Iterator, NoReturn, TYPE_CHECKING
 
@@ -156,9 +159,11 @@ class Session:
     def __init__(self, session_id: str, config: SessionConfig) -> None:
         self.id = session_id
         self.config = config
-        self.manager = Manager(backend=config.backend,
-                               cache_limit=config.cache_limit,
-                               gc_threshold=config.gc_threshold)
+        #: the one thread that may drive the session
+        self._owner = threading.current_thread()
+        self._manager = Manager(backend=config.backend,
+                                cache_limit=config.cache_limit,
+                                gc_threshold=config.gc_threshold)
         #: handle id -> Function (the GC roots of this session)
         self._functions: dict[str, Function] = {}
         #: store key of a rooted node -> its handle id (deduplication)
@@ -170,6 +175,18 @@ class Session:
     def __reduce__(self) -> NoReturn:
         raise TypeError("a Session cannot be pickled: it belongs to its "
                         "connection thread")
+
+    def _check_owner(self) -> None:
+        """Refuse every thread but the one that created the session."""
+        if threading.current_thread() is not self._owner:
+            raise RuntimeError(f"session {self.id} can only be used on "
+                               f"the thread that created it")
+
+    @property
+    def manager(self) -> Manager:
+        """The session's manager, for the thread that owns the session."""
+        self._check_owner()
+        return self._manager
 
     # ------------------------------------------------------------------
     # Handle table
@@ -219,6 +236,7 @@ class Session:
         manager stays single-threaded.  Returns the number of handles
         written.
         """
+        self._check_owner()
         for handle, function in sorted(self._functions.items()):
             store.save(f"snapshot/{self.id}/{handle}", function,
                        tags=("snapshot", self.id))
@@ -242,6 +260,7 @@ class Session:
     def execute(self, verb: str, params: dict[str, Any]
                 ) -> dict[str, Any]:
         """Run one verb under the merged per-request budget."""
+        self._check_owner()
         handler = self._VERBS.get(verb)
         if handler is None:
             raise ProtocolError(
@@ -254,7 +273,7 @@ class Session:
             # reach builds its own circuit manager; the budget arms
             # there, not on the session manager (see _verb_reach).
             return handler(self, params, budget)
-        with self._armed(self.manager, budget):
+        with self._armed(self._manager, budget):
             return handler(self, params, budget)
 
     def _merge_budget(self, spec: Any) -> Budget:
@@ -314,12 +333,12 @@ class Session:
         if not name:
             raise ProtocolError(E_BAD_REQUEST,
                                 "variable name must be non-empty")
-        fresh = name not in self.manager._var_to_level
-        function = (self.manager.add_var(name) if fresh
-                    else self.manager.var(name))
+        fresh = name not in self._manager._var_to_level
+        function = (self._manager.add_var(name) if fresh
+                    else self._manager.var(name))
         result = self._function_result(function)
         result.update(name=name, fresh=fresh,
-                      level=self.manager.level_of_var(name))
+                      level=self._manager.level_of_var(name))
         return result
 
     def _verb_apply(self, params: dict[str, Any],
@@ -336,7 +355,7 @@ class Session:
                 E_BAD_REQUEST,
                 f"unknown op {op!r}; known: not, leq, "
                 f"{', '.join(BINARY_OPS)}")
-        return self._function_result(self.manager.apply(op, f, g))
+        return self._function_result(self._manager.apply(op, f, g))
 
     def _verb_ite(self, params: dict[str, Any],
                   budget: Budget) -> dict[str, Any]:
@@ -411,7 +430,7 @@ class Session:
         names = params.get("names")
         if names is None:
             names = sorted(f.support(),
-                           key=self.manager.level_of_var)
+                           key=self._manager.level_of_var)
         elif not (isinstance(names, list)
                   and all(isinstance(n, str) for n in names)):
             raise ProtocolError(E_BAD_REQUEST,
@@ -429,10 +448,10 @@ class Session:
 
     def _verb_check(self, params: dict[str, Any],
                     budget: Budget) -> dict[str, Any]:
-        diagnostics = self.manager.debug_check(raise_on_error=False)
+        diagnostics = self._manager.debug_check(raise_on_error=False)
         return {"ok": not diagnostics,
                 "diagnostics": [str(d) for d in diagnostics],
-                "nodes": len(self.manager)}
+                "nodes": len(self._manager)}
 
     def _verb_release(self, params: dict[str, Any],
                       budget: Budget) -> dict[str, Any]:
@@ -530,7 +549,7 @@ class Session:
         # like any other result, so a restarted daemon serves the
         # stored function without re-running the computation that
         # produced it.
-        function = store.load(self.manager, name)
+        function = store.load(self._manager, name)
         result = self._function_result(function)
         result.update(name=name)
         return result
@@ -540,7 +559,7 @@ class Session:
         return {"id": self.id,
                 "handles": self.num_handles,
                 "requests": self.requests,
-                "manager": self.manager.stats.as_dict()}
+                "manager": self._manager.stats.as_dict()}
 
     _VERBS: dict[str, Callable[..., dict[str, Any]]] = {
         "var": _verb_var,

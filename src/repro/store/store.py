@@ -217,10 +217,16 @@ class BDDStore:
         for checkpoint-style objects that are only read through
         :meth:`load_roots`).  Re-using an existing name atomically
         repoints it — the previous object stays on disk (other names
-        may share it).
+        may share it).  The index joins ``tags`` with commas, so a tag
+        must be non-empty and contain no comma.
         """
         if not name:
             raise StoreError("function name must be non-empty")
+        tags = list(tags)
+        for tag in tags:
+            if not tag or "," in tag:
+                raise StoreError(f"tag {tag!r} must be non-empty and "
+                                 f"contain no ','")
         if root and root not in roots:
             raise StoreError(f"root {root!r} is not one of the object "
                              f"roots {sorted(roots)}")

@@ -17,7 +17,7 @@ def rule_ids(violations) -> set[str]:
 
 
 def test_all_rules_registered():
-    assert set(RULES) == {"RPR001", "RPR004", "RPR008", "RPR010"}
+    assert set(RULES) == {"RPR001", "RPR010"}
     for rule in RULES.values():
         assert rule.severity in ("warning", "error")
         assert rule.description
@@ -43,7 +43,7 @@ def test_line_suppression_single_rule():
 
 def test_line_suppression_multiple_rules():
     source = (
-        "def f(n):  # repro-lint: disable=RPR001, RPR004\n"
+        "def f(n):  # repro-lint: disable=RPR001, RPR010\n"
         "    return f(n - 1)\n"
     )
     assert lint_source(source) == []
@@ -70,7 +70,7 @@ def test_file_level_suppression():
 
 def test_unrelated_suppression_does_not_hide():
     source = (
-        "def f(n):  # repro-lint: disable=RPR004\n"
+        "def f(n):  # repro-lint: disable=RPR010\n"
         "    return f(n - 1)\n"
     )
     assert "RPR001" in rule_ids(lint_source(source))
@@ -81,7 +81,7 @@ def test_rule_selection():
         "def f(n):\n"
         "    return f(n - 1)\n"
     )
-    assert lint_source(source, rules=["RPR004"]) == []
+    assert lint_source(source, rules=["RPR010"]) == []
     assert rule_ids(lint_source(source, rules=["RPR001"])) == {"RPR001"}
 
 
@@ -107,12 +107,12 @@ def test_render_text_format():
 
 
 def test_render_json_format():
-    violations = [Violation(rule="RPR004", severity="warning",
+    violations = [Violation(rule="RPR010", severity="warning",
                             path="y.py", line=1, col=0, message="m")]
     payload = json.loads(render_json(violations))
     assert payload["errors"] == 0
     assert payload["warnings"] == 1
-    assert payload["violations"][0]["rule"] == "RPR004"
+    assert payload["violations"][0]["rule"] == "RPR010"
     assert payload["violations"][0]["line"] == 1
 
 
@@ -148,11 +148,11 @@ def test_file_disable_and_line_disable_interplay():
         "# repro-lint: disable-file=RPR001\n"
         "def f(n):\n"
         "    return f(n - 1)\n"
-        "def g(n):  # repro-lint: disable=RPR004\n"
+        "def g(n):  # repro-lint: disable=RPR010\n"
         "    return g(n - 1)\n"
     )
     # RPR001 is file-disabled everywhere — including on the line whose
-    # own pragma only names RPR004.
+    # own pragma only names RPR010.
     assert lint_source(source) == []
 
 
@@ -237,10 +237,12 @@ def test_fingerprints_distinguish_duplicate_lines():
     # Two findings on textually identical lines: the occurrence index
     # keeps their fingerprints distinct.
     source = (
-        "# repro-lint: serve\n"
-        "def snapshot(session):\n"
-        "    session.manager.reorder()\n"
-        "    session.manager.reorder()\n"
+        "# repro-lint: governed\n"
+        "def drain(work):\n"
+        "    while work:\n"
+        "        work.pop()\n"
+        "    while work:\n"
+        "        work.pop()\n"
     )
     violations = lint_source(source, path="m.py")
     prints = [v.fingerprint for v in violations]

@@ -27,10 +27,6 @@ def rule_ids(violations) -> set[str]:
 #: fixture fires its own rule and no other
 TRIGGERS = {
     "rpr001_trigger.py": ("RPR001", [5, 11, 15]),  # walk, even, odd
-    # the method call, then both foreign operands of the free call
-    "rpr004_trigger.py": ("RPR004", [11, 16, 16]),
-    # manager attr, inline execute, Thread, global, handle table
-    "rpr008_trigger.py": ("RPR008", [11, 16, 20, 27, 31]),
     # for-loop (image_sweep), checkpoint-on-break (drain), two
     # worklist whiles (mark, drain_total), unchecked inner while
     # (drain_batches)
@@ -70,8 +66,6 @@ def test_mutual_recursion_message_names_cycle():
 
 @pytest.mark.parametrize("fixture", [
     "rpr001_ok.py",
-    "rpr004_ok.py",
-    "rpr008_ok.py",
     "rpr010_ok.py",
 ])
 def test_ok_fixture_is_clean(fixture):
@@ -84,8 +78,6 @@ def test_ok_fixture_is_clean(fixture):
 
 @pytest.mark.parametrize("fixture", [
     "rpr001_suppressed.py",
-    "rpr004_suppressed.py",
-    "rpr008_suppressed.py",
     "rpr010_suppressed.py",
 ])
 def test_suppressed_fixture_is_clean(fixture):
@@ -93,8 +85,7 @@ def test_suppressed_fixture_is_clean(fixture):
 
 
 def test_new_rule_severities():
-    violations = lint_fixture("rpr008_trigger.py") \
-        + lint_fixture("rpr010_trigger.py")
+    violations = lint_fixture("rpr010_trigger.py")
     assert violations
     assert all(v.severity == "error" for v in violations)
 
@@ -123,11 +114,11 @@ def test_cli_lint_clean_tree_exits_zero(capsys):
 
 
 def test_cli_lint_trigger_fixture_exits_nonzero(capsys):
-    code = main(["lint", str(CORPUS / "rpr004_trigger.py")])
+    code = main(["lint", str(CORPUS / "rpr010_trigger.py")])
     out = capsys.readouterr().out
     assert code == 1
-    assert "RPR004" in out
-    assert "rpr004_trigger.py:11" in out
+    assert "RPR010" in out
+    assert "rpr010_trigger.py:14" in out
 
 
 def test_cli_lint_strict_promotes_warnings(capsys):
@@ -140,16 +131,16 @@ def test_cli_lint_strict_promotes_warnings(capsys):
 def test_cli_lint_json_output(capsys):
     import json
     code = main(["lint", "--format", "json",
-                 str(CORPUS / "rpr004_trigger.py")])
+                 str(CORPUS / "rpr010_trigger.py")])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert payload["errors"] == 3
-    assert {v["rule"] for v in payload["violations"]} == {"RPR004"}
+    assert payload["errors"] == 5
+    assert {v["rule"] for v in payload["violations"]} == {"RPR010"}
 
 
 def test_cli_lint_rule_selection(capsys):
     fixture = str(CORPUS / "rpr001_trigger.py")
-    assert main(["lint", "--select", "RPR004", fixture]) == 0
+    assert main(["lint", "--select", "RPR010", fixture]) == 0
     capsys.readouterr()
     assert main(["lint", "--select", "RPR001", fixture]) == 1
     # --select has one spelling: the old --rules alias is gone.
@@ -167,13 +158,15 @@ def test_cli_lint_select_and_ignore(capsys):
 
 def test_cli_lint_unknown_rule_is_usage_error():
     # RPR011 (ref-deref pairing) is no rule: the store has no
-    # incref/decref to pair.  RPR003, RPR005 and RPR009 are runtime
-    # checks now (ComputedTable.tally, register_approximator, the
-    # pickling of every task in run_tasks), and RPR002 went with the
-    # store factory it guarded.
+    # incref/decref to pair.  RPR003, RPR004, RPR005, RPR008 and
+    # RPR009 are runtime checks now (ComputedTable.tally, the manager
+    # check of every operation, register_approximator, the session's
+    # owner thread, the pickling of every task in run_tasks), and
+    # RPR002 went with the store factory it guarded.
     for option, rule in (("--select", "RPR999"), ("--ignore", "bogus"),
                          ("--select", "RPR011"), ("--select", "RPR002"),
-                         ("--select", "RPR003"), ("--select", "RPR005"),
+                         ("--select", "RPR003"), ("--select", "RPR004"),
+                         ("--select", "RPR005"), ("--select", "RPR008"),
                          ("--select", "RPR009")):
         with pytest.raises(SystemExit) as excinfo:
             main(["lint", option, rule, "src"])
@@ -182,17 +175,17 @@ def test_cli_lint_unknown_rule_is_usage_error():
 
 def test_cli_lint_sarif_output(capsys):
     import json
-    fixture = str(CORPUS / "rpr004_trigger.py")
+    fixture = str(CORPUS / "rpr010_trigger.py")
     code = main(["lint", "--format", "sarif", fixture])
     document = json.loads(capsys.readouterr().out)
     assert code == 1
     results = document["runs"][0]["results"]
-    assert results and all(r["ruleId"] == "RPR004" for r in results)
+    assert results and all(r["ruleId"] == "RPR010" for r in results)
 
 
 def test_cli_lint_output_file(tmp_path, capsys):
     import json
-    fixture = str(CORPUS / "rpr004_trigger.py")
+    fixture = str(CORPUS / "rpr010_trigger.py")
     out_file = tmp_path / "lint.sarif"
     code = main(["lint", "--format", "sarif",
                  "--output", str(out_file), fixture])

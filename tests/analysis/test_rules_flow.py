@@ -1,4 +1,4 @@
-"""Targeted tests for the flow-aware rules (RPR008, RPR010)."""
+"""Targeted tests for the flow-aware rule RPR010."""
 
 from __future__ import annotations
 
@@ -6,75 +6,12 @@ import pytest
 
 from repro.analysis import lint_source
 
-SERVE = "# repro-lint: serve\n"
 GOVERNED = "# repro-lint: governed\n"
 
 
 def findings(source: str, rule: str, path: str = "mod.py"):
     return [v for v in lint_source(source, path=path)
             if v.rule == rule]
-
-
-# -- RPR008 ------------------------------------------------------------
-
-def test_rpr008_session_methods_are_exempt():
-    source = SERVE + (
-        "class Session:\n"
-        "    def execute(self, verb):\n"
-        "        session = self\n"
-        "        return session.manager\n"
-    )
-    assert findings(source, "RPR008") == []
-
-
-def test_rpr008_submit_arguments_are_exempt():
-    source = SERVE + (
-        "def dispatch(executor, session, verb):\n"
-        "    return executor.submit(session.id, session.execute, verb)\n"
-    )
-    assert findings(source, "RPR008") == []
-
-
-def test_rpr008_token_run_arguments_are_exempt():
-    source = SERVE + (
-        "def dispatch(token, session, verb):\n"
-        "    token.run(session.id, session.manager.reorder)\n"
-        "    return token.run(session.id, session.execute, verb)\n"
-    )
-    assert findings(source, "RPR008") == []
-    # The same owned manager outside the token's run is flagged.
-    inline = SERVE + (
-        "def dispatch(session):\n"
-        "    return session.manager.reorder()\n"
-    )
-    assert findings(inline, "RPR008")
-
-
-def test_rpr008_direct_execute_is_flagged():
-    source = SERVE + (
-        "def dispatch(session, verb):\n"
-        "    return session.execute(verb)\n"
-    )
-    assert findings(source, "RPR008")
-
-
-def test_rpr008_iteration_over_sessions_classifies():
-    source = SERVE + (
-        "def stats(sessions):\n"
-        "    return [s.manager for s in sessions]\n"
-    )
-    # ``for s in <...sessions...>`` provenance applies to comprehension
-    # targets as well via the scan's For handling — list comprehensions
-    # use comprehension nodes, so this stays conservative: only real
-    # for statements classify.
-    source2 = SERVE + (
-        "def stats(sessions):\n"
-        "    out = []\n"
-        "    for session in sessions:\n"
-        "        out.append(session.manager)\n"
-        "    return out\n"
-    )
-    assert findings(source2, "RPR008")
 
 
 # -- RPR010 ------------------------------------------------------------

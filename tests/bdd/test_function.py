@@ -20,6 +20,19 @@ class TestIdentity:
         with pytest.raises(ValueError):
             vs1[0] & vs2[0]
 
+    @pytest.mark.parametrize("operation", [
+        lambda m, a, c: m.apply("and", a, c),
+        lambda m, a, c: m.ite(a, c, c),
+        lambda m, a, c: m.ite(c, a, c),
+        lambda m, a, c: m.ite(c, c, a),
+        lambda m, a, c: c.compose({"x0": a}),
+    ], ids=["apply", "ite-if", "ite-then", "ite-else", "compose"])
+    def test_foreign_operand_rejected(self, operation):
+        m1, vs1 = fresh_manager(2)
+        m2, vs2 = fresh_manager(2)
+        with pytest.raises(ValueError, match="different managers"):
+            operation(m2, vs1[0], vs2[1])
+
     def test_bool_coercion(self):
         m, vs = fresh_manager(1)
         assert (vs[0] & True) == vs[0]

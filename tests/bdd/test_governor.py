@@ -75,13 +75,14 @@ CACHE_OPS = {"andex": "andex", "apply": "and", "constrain": "constrain",
              "restrict": "restrict", "cof": None, "vcomp": "vcomp"}
 
 
-def build_workload(seed: int):
-    """A manager plus thunks running one governed operation each.
+def build_workload(seed: int, **settings):
+    """A manager (built with ``settings``) plus thunks running one
+    governed operation each.
 
     All derived operands are computed *here*, before any injection is
     armed, so each thunk exercises exactly its own kernel(s).
     """
-    manager, variables = fresh_manager(NVARS)
+    manager, variables = fresh_manager(NVARS, **settings)
     rng = random.Random(seed)
     f = random_function(manager, variables, rng, terms=18, width=4)
     g = random_function(manager, variables, rng, terms=18, width=4)
@@ -203,8 +204,7 @@ def test_abort_mid_ite_with_thrashing_cache_rerun_identical():
     results: with a one-entry computed table (maximum eviction
     pressure), an aborted ``ite`` re-runs byte-identically."""
     seed = 7
-    manager, ops = build_workload(seed)
-    manager.set_cache_limit(1)
+    manager, ops = build_workload(seed, cache_limit=1)
     manager.governor.inject_abort_after(CHECK_STRIDE * 2, op="ite")
     with pytest.raises(InjectedAbort):
         ops["ite"]()

@@ -66,22 +66,12 @@ class TestComputedTable:
         assert table.stats().get("or", None) is None \
             or table.stats()["or"].evictions == 0
 
-    def test_set_limit_validation(self):
-        table = ComputedTable()
-        with pytest.raises(ValueError):
-            table.set_limit(0)
-        with pytest.raises(ValueError):
-            table.set_limit(-5)
-
-    def test_set_limit_rehashes_existing(self):
-        table = ComputedTable()
-        _, put = table.probes()
-        for i in range(10):
-            put(pack("and", i), i)
-        table.set_limit(64)
-        get, _ = table.probes()
-        hits = sum(get(pack("and", i)) == i for i in range(10))
-        assert hits == 10
+    def test_limit_validation(self):
+        for limit in (0, -5):
+            with pytest.raises(ValueError):
+                ComputedTable(limit)
+            with pytest.raises(ValueError):
+                Manager(cache_limit=limit)
 
     @pytest.mark.parametrize("limit", [None, 8])
     def test_probes_survive_clear(self, limit):
@@ -175,6 +165,8 @@ class TestAutomaticGC:
         assert m.stats.gc_reclaimed > 0
 
     def test_gc_threshold_validation(self):
+        with pytest.raises(ValueError):
+            Manager(gc_threshold=0)
         m = Manager(["a"])
         with pytest.raises(ValueError):
             m.gc_threshold = 0
@@ -292,12 +284,7 @@ class TestReachabilityByteIdentical:
     @pytest.mark.parametrize("circuit", [counter(4), token_ring(4)])
     def test_bfs_identical(self, circuit):
         def run(**kw):
-            encoded = encode(circuit)
-            manager = encoded.manager
-            if "cache_limit" in kw:
-                manager.set_cache_limit(kw["cache_limit"])
-            if "gc_threshold" in kw:
-                manager.gc_threshold = kw["gc_threshold"]
+            encoded = encode(circuit, manager=Manager(**kw))
             tr = TransitionRelation(encoded)
             r = bfs_reachability(tr, encoded.initial_states())
             return (count_states(r.reached, encoded.state_vars),
@@ -309,12 +296,7 @@ class TestReachabilityByteIdentical:
         from repro.core.approx import UNDER_APPROXIMATORS
 
         def run(**kw):
-            encoded = encode(token_ring(4))
-            manager = encoded.manager
-            if "cache_limit" in kw:
-                manager.set_cache_limit(kw["cache_limit"])
-            if "gc_threshold" in kw:
-                manager.gc_threshold = kw["gc_threshold"]
+            encoded = encode(token_ring(4), manager=Manager(**kw))
             tr = TransitionRelation(encoded)
             r = high_density_reachability(
                 tr, encoded.initial_states(),
@@ -332,10 +314,8 @@ class TestReachabilityByteIdentical:
         byte-identical fixpoints vs an unbounded cache.
         """
         def run(cache_limit=None):
-            encoded = encode(circuit)
-            manager = encoded.manager
-            if cache_limit is not None:
-                manager.set_cache_limit(cache_limit)
+            manager = Manager(cache_limit=cache_limit)
+            encoded = encode(circuit, manager=manager)
             tr = TransitionRelation(encoded)
             r = bfs_reachability(tr, encoded.initial_states())
             evictions = manager.stats.cache_evictions

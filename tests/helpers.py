@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable
+from typing import Any
 
 import pytest
 
@@ -37,10 +38,10 @@ TRAVERSAL_CIRCUITS = [
 ]
 
 
-def fresh_manager(nvars: int, prefix: str = "x") -> tuple[Manager,
-                                                          list[Function]]:
-    """A manager with ``nvars`` variables ``x0..``."""
-    manager = Manager()
+def fresh_manager(nvars: int, prefix: str = "x", **settings: Any
+                  ) -> tuple[Manager, list[Function]]:
+    """A manager with ``nvars`` variables ``x0..`` and ``settings``."""
+    manager = Manager(**settings)
     variables = manager.add_vars(*[f"{prefix}{i}" for i in range(nvars)])
     return manager, variables
 

@@ -107,6 +107,10 @@ def test_bad_save_params_rejected(tmp_path, server_factory,
         with pytest.raises(ServerError) as excinfo:
             client.call("save", params)
         assert excinfo.value.code == "bad-request"
+    for tags in (["x,y"], [""]):
+        with pytest.raises(ServerError) as excinfo:
+            client.call("save", {"name": "x", "f": a, "tags": tags})
+        assert excinfo.value.code == "store"
 
 
 def test_snapshot_on_shutdown_and_restore(tmp_path, server_factory,

@@ -18,7 +18,8 @@ import pytest
 from repro.bdd import Manager
 from repro.fsm.benchmarks import counter
 from repro.fsm.blif import write_blif
-from repro.serve import MAX_LINE, Client, ClientTimeout, ServerError
+from repro.serve import (MAX_LINE, Client, ClientTimeout, Server,
+                         ServerError)
 from repro.serve.session import MAX_COUNT_VARS
 
 from ..helpers import MANAGER_SETTINGS, SETTINGS
@@ -420,6 +421,13 @@ def test_overload_refusal_and_recovery(server_factory, client_factory):
     replacement = client_factory(handle.port)
     assert replacement.var("a")
     assert handle.server.stats.sessions_rejected == 1
+
+
+@pytest.mark.parametrize("setting", [{"cache_limit": 0},
+                                     {"gc_threshold": 0}])
+def test_bad_manager_setting_refused_at_boot(setting):
+    with pytest.raises(ValueError, match="must be positive"):
+        Server(**setting)
 
 
 def test_oversized_line_closes_connection(server):

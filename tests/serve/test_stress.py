@@ -3,6 +3,8 @@
 Every connection thread writes the shared ``stats`` counters; with a
 tiny thread switch interval, an unlocked read-modify-write would lose
 updates and the totals below would drift from what the clients sent.
+The scheduler's ``dispatched`` count equals the requests only while
+every verb runs under the fair token.
 """
 
 from __future__ import annotations
@@ -11,7 +13,10 @@ import sys
 import threading
 import time
 
+from repro.fsm.benchmarks import counter
+from repro.fsm.blif import write_blif
 from repro.serve import Client
+from repro.serve.session import Session
 
 CLIENTS = 8
 ROUNDS = 40
@@ -68,3 +73,24 @@ def test_counters_are_exact_under_thread_stress(server_factory):
     assert top["scheduler"]["pending"] == 0
     assert top["sessions"]["opened"] == CLIENTS + 1
     assert top["sessions"]["closed"] == CLIENTS
+
+
+def test_every_verb_runs_under_the_token(tmp_path, server_factory):
+    server = server_factory(store=str(tmp_path / "store"))
+    with Client(port=server.port, timeout=60.0) as client:
+        a = client.var("a")
+        client.apply("and", a, a)
+        client.ite(a, a, a)
+        client.approx("rua", a)
+        client.decomp("cofactor", a)
+        client.count(a)
+        client.minterms(a)
+        client.check()
+        client.call("save", {"name": "a", "f": a})
+        client.call("load", {"name": "a"})
+        client.reach(write_blif(counter(2)))
+        client.release(a)
+        top = client.stats()["server"]
+    assert top["verbs"] == {verb: 1 for verb in Session._VERBS}
+    assert top["errors"] == {}
+    assert top["scheduler"]["dispatched"] == top["requests"]

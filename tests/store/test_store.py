@@ -178,6 +178,14 @@ class TestIndex:
         assert sorted(store) == sorted(e["name"]
                                        for e in store.entries())
 
+    @pytest.mark.parametrize("tag", ["x,y", ""])
+    def test_unstorable_tag_is_refused(self, tmp_path, tag):
+        manager, f = build_function("array")
+        store = BDDStore(tmp_path / "store")
+        with pytest.raises(StoreError, match="tag"):
+            store.save("f", f, tags=["ok", tag])
+        assert len(store) == 0
+
     def test_unknown_name_is_structured(self, tmp_path):
         store = BDDStore(tmp_path / "store")
         with pytest.raises(StoreError, match="unknown function"):

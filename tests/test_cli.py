@@ -145,6 +145,19 @@ class TestBudgetExit:
         assert err.startswith("repro: resource budget exhausted: ")
         assert err.count("\n") == 1
 
+    def test_budget_governs_the_encode(self, tmp_path, capsys):
+        # serial_multiplier(7) encodes to about 2,000 live nodes.  The
+        # budget holds while the BDDs are built, except in the setup
+        # of a reach that degrades instead of failing.
+        path = tmp_path / "mult7.blif"
+        path.write_text(write_blif(serial_multiplier(7)))
+        budget = ["--node-budget", "50"]
+        assert main(["info", str(path), *budget, "--stats"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "repro: resource budget exhausted: ")
+        assert main(["reach", str(path), *budget, "--on-blowup", "subset",
+                     "--max-iterations", "1"]) == 0
+
 
 class TestBadCircuit:
     """A malformed or unreadable BLIF file is one line on stderr and
@@ -287,6 +300,13 @@ class TestSaveLoad:
         out = capsys.readouterr().out
         assert f"name:     {name}" in out
         assert "minterms:" in out
+
+    @pytest.mark.parametrize("tag", ["x,y", ""])
+    def test_unstorable_tag_exits_1(self, counter_blif, tmp_path, tag,
+                                    capsys):
+        assert main(["save", counter_blif, "--store",
+                     str(tmp_path / "store"), "--tag", tag]) == 1
+        assert "tag" in capsys.readouterr().err
 
     def test_dump_is_a_usage_error(self, counter_blif, tmp_path):
         # The store's object format is the one BDD format; `load` has
